@@ -834,9 +834,6 @@ class Functional:
             total = f.add(total, f.mul(c, self.rule.value(self.carrier, idx)))
         return total
 
-    def values_on(self, indices: Sequence) -> list:
-        return [self.rule.value(self.carrier, i) for i in indices]
-
     def __repr__(self):
         return f"Functional({self.name})"
 

@@ -28,8 +28,8 @@ import sys
 from typing import Optional
 
 from .bundled import bundled_names, get_bundled
-from .campaigns import build_context, overall_verdict, report_document, run_document
-from .documents import ConfigError, load_document_file, parse_document, render_document
+from .campaigns import BuildContext, report_document, run_document
+from .documents import ConfigError, load_context, render_document
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -37,14 +37,15 @@ EXIT_REFUSED = 2
 EXIT_CONFIG = 64
 
 
-def resolve_document(spec: str) -> dict:
-    """A bundled name or a file path; always returns a validated document."""
+def resolve_document(spec: str) -> BuildContext:
+    """A bundled name or a file path; returns the validated, built document."""
     if os.path.exists(spec):
-        return load_document_file(spec)
+        with open(spec, "r", encoding="utf-8") as fh:
+            return load_context(fh.read())
     if spec in bundled_names():
         # run the bundled dict through the text round trip so the production
         # parser is the single validation path
-        return parse_document(render_document(get_bundled(spec)))
+        return load_context(render_document(get_bundled(spec)))
     raise ConfigError("$", f"{spec!r} is neither a bundled document nor a file")
 
 
@@ -68,7 +69,7 @@ def create_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help="line budget override for simplicity certification")
     p.add_argument("--parallel", action="store_true",
-                   help="fan exhaustive identity checks out over processes")
+                   help="fan tabulated identity checks out over processes")
     p.add_argument("--out-dir", default=".",
                    help="directory for the machine-readable report (default .)")
 
@@ -111,19 +112,19 @@ def cmd_describe(doc: dict) -> int:
     return EXIT_OK
 
 
-def cmd_verify(doc: dict, seed: int, budget: Optional[int], parallel: bool,
+def cmd_verify(ctx: BuildContext, seed: int, budget: Optional[int], parallel: bool,
                out_dir: str) -> int:
     workers = min(4, os.cpu_count() or 1) if parallel else 0
-    results = run_document(doc, seed=seed, budget=budget, workers=workers)
+    results = run_document(ctx, seed=seed, budget=budget, workers=workers)
     for r in results:
         counts = " ".join(f"{k}={v}" for k, v in sorted(r.counts.items()))
         print(f"[{r.verdict.upper():7s}] {r.name} ({r.check}) {counts} "
               f"({r.duration_s:.2f}s)")
         if r.verdict != "pass" and r.witness is not None:
             print(f"          witness: {json.dumps(r.witness, sort_keys=True, default=str)}")
-    report = report_document(doc, results, seed)
+    report = report_document(ctx.doc, results, seed)
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{doc['name']}.report.json")
+    path = os.path.join(out_dir, f"{ctx.doc['name']}.report.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2, default=str)
         fh.write("\n")
@@ -132,8 +133,7 @@ def cmd_verify(doc: dict, seed: int, budget: Optional[int], parallel: bool,
     return {"all-pass": EXIT_OK, "any-fail": EXIT_FAIL, "refused": EXIT_REFUSED}[verdict]
 
 
-def cmd_export(doc: dict, out: str) -> int:
-    ctx = build_context(doc)
+def cmd_export(ctx: BuildContext, out: str) -> int:
     if ctx.algebra is None:
         raise ConfigError("$.basis", "export needs a finite tabulated basis")
     with open(out, "w", encoding="utf-8") as fh:
@@ -149,14 +149,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "list-bundled":
             return cmd_list_bundled()
-        doc = resolve_document(args.doc)
+        ctx = resolve_document(args.doc)
         if args.command == "describe":
-            return cmd_describe(doc)
+            return cmd_describe(ctx.doc)
         if args.command == "verify":
-            return cmd_verify(doc, args.seed, args.budget, args.parallel,
+            return cmd_verify(ctx, args.seed, args.budget, args.parallel,
                               args.out_dir)
         if args.command == "export":
-            return cmd_export(doc, args.out)
+            return cmd_export(ctx, args.out)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,17 +2,19 @@
 a carrier, named maps, a bracket, a basis and a list of verification
 campaigns.
 
-`parse_document` validates structurally (unknown names, unresolved
-references, bad window bounds) and then dry-builds every object so that
-mathematical hypothesis violations (zero flip scale, characteristic 2, a
-quotient parameter that is not an odd prime) surface at parse time with the
-offending document path.
+`load_context` validates structurally (unknown names, unresolved
+references, bad window bounds, FI modes and sample counts) and then builds
+every object once, so that mathematical hypothesis violations (zero flip
+scale, characteristic 2, a quotient parameter that is not an odd prime)
+surface at parse time with the offending document path.  It hands back the
+build context for the command line to verify or export; `parse_document`
+returns only its document.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 DOCUMENT_VERSION = 1
 
@@ -40,6 +42,7 @@ KNOWN_CHECKS = {
     "parity-vanishing", "reachability", "monomial-parity-agreement",
     "involution-antisymmetry", "witt",
 }
+FI_MODES = {"exhaustive", "sampled"}
 # checks that need tabulated structure constants
 ALGEBRA_CHECKS = {"skew", "simplicity", "derived-series", "lower-central-series"}
 
@@ -138,6 +141,13 @@ def validate_document(doc: Any) -> Dict:
             if key in camp:
                 _require(isinstance(camp[key], int), f"{path}.{key}",
                          f"{key} must be an integer")
+        if "samples" in camp:
+            _require(camp["samples"] > 0, f"{path}.samples",
+                     "samples must be positive")
+        if camp["check"] == "fundamental-identity":
+            _require(camp.get("mode", "exhaustive") in FI_MODES, f"{path}.mode",
+                     f"unknown mode {camp.get('mode')!r} (expected one of "
+                     f"{', '.join(sorted(FI_MODES))})")
         for key in ("omega", "delta", "alpha", "beta", "gamma", "map"):
             if key in camp and isinstance(camp[key], str):
                 _require(camp[key] in maps, f"{path}.{key}",
@@ -145,9 +155,8 @@ def validate_document(doc: Any) -> Dict:
     return doc
 
 
-def parse_document(text: str) -> Dict:
-    """Parse and fully validate a document; dry-builds all objects so that
-    hypothesis violations are caught here, not at run time."""
+def load_context(text: str):
+    """Parse, validate and build a document once; returns its `BuildContext`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -155,16 +164,15 @@ def parse_document(text: str) -> Dict:
     validate_document(doc)
     from .campaigns import build_context  # deferred: campaigns imports this module
 
-    build_context(doc)  # raises ConfigError with a path on any bad construction
-    return doc
+    return build_context(doc)
+
+
+def parse_document(text: str) -> Dict:
+    """Parse and fully validate a document (see `load_context`)."""
+    return load_context(text).doc
 
 
 def render_document(doc: Dict) -> str:
     """Canonical text form: sorted keys, two-space indent, trailing newline.
     parse(render(doc)) == doc."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def load_document_file(path: str) -> Dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read())

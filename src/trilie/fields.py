@@ -137,9 +137,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def embed(self, n: int):
         """Canonical image of a signed integer (ring homomorphism Z -> F)."""
         raise NotImplementedError
@@ -192,17 +189,22 @@ class Field:
         return self.kind
 
 
+# field elements are immutable, so the constants are shared
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+_QI_ZERO, _QI_ONE = GaussianRational(0), GaussianRational(1)
+
+
 class Rationals(Field):
     kind = "rationals"
     characteristic = 0
 
     @property
     def zero(self):
-        return Fraction(0)
+        return _Q_ZERO
 
     @property
     def one(self):
-        return Fraction(1)
+        return _Q_ONE
 
     def add(self, a, b):
         return a + b
@@ -249,11 +251,11 @@ class GaussianRationals(Field):
 
     @property
     def zero(self):
-        return GaussianRational(0)
+        return _QI_ZERO
 
     @property
     def one(self):
-        return GaussianRational(1)
+        return _QI_ONE
 
     @property
     def i(self):

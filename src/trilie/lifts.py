@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .carriers import HypothesisViolation
 from .fields import Field, GaussianRational, QI
 from .linalg import Matrix, rref
-from .structure import FiniteNLieAlgebra
+from .structure import FiniteNLieAlgebra, _fi_cases, _fi_scan
 
 
 class LieAlgebra:
@@ -62,20 +62,12 @@ class LieAlgebra:
         return out
 
     def _check_jacobi(self):
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            acc: Dict[int, object] = {}
-            f = self.field
-            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self.bracket_indices(b, c)
-                for m, cm in inner.items():
-                    for l, cl in self.bracket_indices(a, m).items():
-                        s = f.add(acc.get(l, f.zero), f.mul(cm, cl))
-                        if f.is_zero(s):
-                            acc.pop(l, None)
-                        else:
-                            acc[l] = s
-            if acc:
-                raise ValueError(f"Jacobi identity fails at basis triple {(i, j, k)}")
+        # the Jacobi identity is the fundamental identity at arity 2
+        _, bad = _fi_scan(lambda t: self.bracket_indices(*t), self.field,
+                          _fi_cases(range(self.dim), 2))
+        if bad:
+            xs, ys, _ = bad[0]
+            raise ValueError(f"Jacobi identity fails at basis x={xs}, y={ys}")
 
     def ad_matrix(self, i: int) -> List[List]:
         f = self.field

@@ -25,10 +25,6 @@ class Matrix:
         else:
             self.cols = 0
 
-    @property
-    def nrows(self):
-        return len(self.rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)

@@ -11,6 +11,7 @@ The verification code is arity-generic; all bundled constructors are 3-ary.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
@@ -107,17 +108,6 @@ class FiniteNLieAlgebra:
                 else:
                     out[l] = s
         return out
-
-    def bracket_rows(self, rows: Sequence[Sequence]) -> List:
-        """Dense bracket of dense coordinate rows."""
-        sparse = [
-            {i: c for i, c in enumerate(r) if not self.field.is_zero(c)} for r in rows
-        ]
-        out = self.bracket_sparse(sparse)
-        dense = [self.field.zero] * self.dim
-        for l, c in out.items():
-            dense[l] = c
-        return dense
 
     # -- helpers -----------------------------------------------------------
     def basis_row(self, i: int) -> List:
@@ -250,105 +240,110 @@ def _render_sparse(L: FiniteNLieAlgebra, vec: Dict[int, object]) -> str:
 # fundamental identity
 # ---------------------------------------------------------------------------
 
-def _fi_residual(L: FiniteNLieAlgebra, xs: Tuple[int, ...], ys: Tuple[int, ...]) -> Dict[int, object]:
-    f = L.field
-    res: Dict[int, object] = {}
-
-    def acc(vec: Dict[int, object], sign: int):
-        for l, c in vec.items():
-            c = c if sign == 1 else f.neg(c)
-            s = f.add(res.get(l, f.zero), c)
-            if f.is_zero(s):
-                res.pop(l, None)
+def _fi_residual(evaluate, f: Field, xs: Tuple, ys: Tuple) -> Dict[object, object]:
+    """[[x1..xn],y2..yn] - sum_i [x1..[xi,y2..yn]..xn] on basis indices, where
+    `evaluate` brackets an index tuple into a sparse {index: coeff} dict."""
+    res: Dict[object, object] = {}
+    for i in range(-1, len(xs)):  # i = -1: the left side; i >= 0: the i-th term
+        for l, c in evaluate(xs if i < 0 else (xs[i],) + ys).items():
+            if i < 0:
+                vec = evaluate((l,) + ys)
             else:
-                res[l] = s
-
-    inner = L.bracket_indices(xs)
-    for l, c in inner.items():
-        for m, d in L.bracket_indices((l,) + ys).items():
-            acc({m: f.mul(c, d)}, 1)
-    for i in range(L.arity):
-        mid = L.bracket_indices((xs[i],) + ys)
-        for l, c in mid.items():
-            replaced = xs[:i] + (l,) + xs[i + 1:]
-            for m, d in L.bracket_indices(replaced).items():
-                acc({m: f.mul(c, d)}, -1)
+                c, vec = f.neg(c), evaluate(xs[:i] + (l,) + xs[i + 1:])
+            for m, d in vec.items():
+                s = f.add(res.get(m, f.zero), f.mul(c, d))
+                if f.is_zero(s):
+                    res.pop(m, None)
+                else:
+                    res[m] = s
     return res
 
 
-def _fi_worker(args):
-    L, xs_chunk = args
+def _fi_cases(window: Sequence, n: int, mode: str = "exhaustive", samples: int = 0,
+              seed: int = 0) -> Iterable[Tuple[tuple, tuple]]:
+    """The (x, y) index tuples one FI check visits, in order.
+
+    Exhaustive: strictly increasing x n-tuples times strictly increasing y
+    (n-1)-tuples of the window (the residual is alternating in both groups).
+    Sampled: `samples` seeded draws of arbitrary tuples, x first.
+    """
+    if mode == "exhaustive":
+        return itertools.product(itertools.combinations(window, n),
+                                 itertools.combinations(window, n - 1))
+    if mode == "sampled":
+        rng = random.Random(seed)
+        return ((tuple(rng.choice(window) for _ in range(n)),
+                 tuple(rng.choice(window) for _ in range(n - 1)))
+                for _ in range(samples))
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _fi_scan(evaluate, f: Field, cases: Iterable[Tuple[tuple, tuple]], keep: int = 1):
+    """Residual of every case: (cases checked, first `keep` (xs, ys, residual)
+    with a nonzero residual)."""
     checked = 0
-    witness = None
-    for xs in xs_chunk:
-        for ys in itertools.combinations(range(L.dim), L.arity - 1):
-            res = _fi_residual(L, xs, ys)
-            checked += 1
-            if res and witness is None:
-                witness = {"x": list(xs), "y": list(ys),
-                           "residual": _render_sparse(L, res)}
-    return checked, witness
+    failures = []
+    for xs, ys in cases:
+        res = _fi_residual(evaluate, f, xs, ys)
+        checked += 1
+        if res and len(failures) < keep:
+            failures.append((xs, ys, res))
+    return checked, failures
 
 
 def verify_fundamental_identity(L: FiniteNLieAlgebra, mode: str = "exhaustive",
                                 samples: int = 1000, seed: int = 0,
                                 workers: int = 0) -> VerificationReport:
-    """Residual [[x1..xn],y2..yn] - sum_i [x1..[xi,y2..yn]..xn] over basis tuples.
+    """FI residual [[x1..xn],y2..yn] - sum_i [x1..[xi,y2..yn]..xn] on basis
+    tuples, from the one case enumerator (`_fi_cases`) and residual shared
+    with `brackets.check_fi_window`.
 
-    Exhaustive mode enumerates strictly increasing x-tuples and y-tuples (the
-    residual is alternating in both groups, a 12x saving at arity 3); the
-    report's `covered` field counts the full d^(2n-1) tuple space this spans.
-    `workers` > 1 fans the x-tuples out over processes; the witness stays the
-    first one in enumeration order.
+    `covered` counts the full d^(2n-1) tuple space that exhaustive mode spans.
+    `workers` > 1 scans contiguous chunks of the cases in separate processes;
+    the witness stays the first one in enumeration order.
     """
-    d, n = L.dim, L.arity
-    covered = d ** (2 * n - 1)
-    checked = 0
-    witness = None
-    if mode == "exhaustive":
-        if workers and workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    cases = _fi_cases(range(L.dim), L.arity, mode, samples, seed)
+    scan = functools.partial(_fi_scan, L.bracket_indices, L.field)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            xs_all = list(itertools.combinations(range(d), n))
-            size = max(1, (len(xs_all) + workers - 1) // workers)
-            chunks = [xs_all[i:i + size] for i in range(0, len(xs_all), size)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for got, wit in pool.map(_fi_worker, [(L, c) for c in chunks]):
-                    checked += got
-                    if wit is not None and witness is None:
-                        witness = wit
-            return VerificationReport("fundamental identity", witness is None,
-                                      checked, covered, witness, mode="exhaustive")
-        for xs in itertools.combinations(range(d), n):
-            for ys in itertools.combinations(range(d), n - 1):
-                res = _fi_residual(L, xs, ys)
-                checked += 1
-                if res and witness is None:
-                    witness = {"x": list(xs), "y": list(ys),
-                               "residual": _render_sparse(L, res)}
-        return VerificationReport("fundamental identity", witness is None,
-                                  checked, covered, witness, mode="exhaustive")
-    if mode == "sampled":
-        rng = random.Random(seed)
-        for _ in range(samples):
-            xs = tuple(rng.randrange(d) for _ in range(n))
-            ys = tuple(rng.randrange(d) for _ in range(n - 1))
-            res = _fi_residual(L, xs, ys)
-            checked += 1
-            if res and witness is None:
-                witness = {"x": list(xs), "y": list(ys),
-                           "residual": _render_sparse(L, res)}
-        return VerificationReport("fundamental identity", witness is None,
-                                  checked, covered, witness, mode="sampled", seed=seed)
-    raise ValueError(f"unknown mode {mode!r}")
+        cases = list(cases)
+        size = max(1, -(-len(cases) // workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(scan, [cases[i:i + size]
+                                         for i in range(0, len(cases), size)]))
+    else:
+        parts = [scan(cases)]
+    checked = sum(got for got, _ in parts)
+    witness = next(({"x": list(xs), "y": list(ys), "residual": _render_sparse(L, res)}
+                    for _, found in parts for xs, ys, res in found), None)
+    return VerificationReport("fundamental identity", witness is None, checked,
+                              L.dim ** (2 * L.arity - 1), witness, mode=mode,
+                              seed=seed if mode == "sampled" else None)
 
 
 # ---------------------------------------------------------------------------
 # ideals and series
 # ---------------------------------------------------------------------------
 
-def _arg_tuples(dim: int, count: int):
-    return itertools.combinations(range(dim), count)
+def _bracket_images(L: FiniteNLieAlgebra, rows: Sequence[Sequence], count: int):
+    """Nonzero brackets [r_1, ..., r_count, e_j1, ..., e_jm] as dense rows.
+
+    The r's run over `count`-subsets of the dense `rows` (in order), the
+    basis indices j1 < ... < jm fill the remaining arity - count slots.
+    """
+    f = L.field
+    sparse = [{i: c for i, c in enumerate(r) if not f.is_zero(c)} for r in rows]
+    rests = itertools.combinations(range(L.dim), L.arity - count)
+    units = [[{i: f.one} for i in rest] for rest in rests]
+    for combo in itertools.combinations(sparse, count):
+        for tail in units:
+            out = L.bracket_sparse(list(combo) + tail)
+            if out:
+                dense = [f.zero] * L.dim
+                for l, c in out.items():
+                    dense[l] = c
+                yield dense
 
 
 def ideal_closure(L: FiniteNLieAlgebra, seed: Subspace) -> Subspace:
@@ -364,17 +359,8 @@ def ideal_closure(L: FiniteNLieAlgebra, seed: Subspace) -> Subspace:
     for row in seed.basis:
         if sb.add(row):
             queue.append(list(row))
-    args = list(_arg_tuples(L.dim, L.arity - 1))
     while queue:
-        v = queue.pop()
-        vs = {i: c for i, c in enumerate(v) if not L.field.is_zero(c)}
-        for rest in args:
-            out = L.bracket_sparse([vs] + [{i: L.field.one} for i in rest])
-            if not out:
-                continue
-            dense = [L.field.zero] * L.dim
-            for l, c in out.items():
-                dense[l] = c
+        for dense in _bracket_images(L, [queue.pop()], 1):
             if sb.add(dense):
                 queue.append(dense)
                 if sb.dim == L.dim:
@@ -384,16 +370,7 @@ def ideal_closure(L: FiniteNLieAlgebra, seed: Subspace) -> Subspace:
 
 def is_ideal(L: FiniteNLieAlgebra, s: Subspace) -> bool:
     """[s, L, ..., L] contained in s, checked on basis generators."""
-    for row in s.basis:
-        vs = {i: c for i, c in enumerate(row) if not L.field.is_zero(c)}
-        for rest in _arg_tuples(L.dim, L.arity - 1):
-            out = L.bracket_sparse([vs] + [{i: L.field.one} for i in rest])
-            dense = [L.field.zero] * L.dim
-            for l, c in out.items():
-                dense[l] = c
-            if not s.contains(dense):
-                return False
-    return True
+    return all(s.contains(dense) for dense in _bracket_images(L, s.basis, 1))
 
 
 def is_maximal_codim1(L: FiniteNLieAlgebra, s: Subspace) -> bool:
@@ -403,58 +380,34 @@ def is_maximal_codim1(L: FiniteNLieAlgebra, s: Subspace) -> bool:
 
 def derived_subspace(L: FiniteNLieAlgebra, s: Subspace) -> Subspace:
     """span of brackets of n elements of s."""
+    return _span(L, _bracket_images(L, s.basis, L.arity))
+
+
+def _span(L: FiniteNLieAlgebra, rows) -> Subspace:
     sb = SpanBuilder(L.field, L.dim)
-    rows = [
-        {i: c for i, c in enumerate(r) if not L.field.is_zero(c)} for r in s.basis
-    ]
-    for combo in itertools.combinations(range(len(rows)), L.arity):
-        out = L.bracket_sparse([rows[i] for i in combo])
-        if out:
-            dense = [L.field.zero] * L.dim
-            for l, c in out.items():
-                dense[l] = c
-            sb.add(dense)
+    for row in rows:
+        sb.add(row)
     return sb.to_subspace()
 
 
-def derived_series(L: FiniteNLieAlgebra, max_steps: int = 20) -> SeriesReport:
+def _series(L: FiniteNLieAlgebra, kind: str, step, max_steps: int) -> SeriesReport:
+    """Iterate `step` from L until a term vanishes or stops shrinking."""
     terms = [Subspace.full(L.field, L.dim)]
     for _ in range(max_steps):
-        nxt = derived_subspace(L, terms[-1])
-        if nxt.dim == 0:
-            terms.append(nxt)
-            return SeriesReport("derived", terms, stabilized=False, vanished=True)
-        if nxt.dim == terms[-1].dim:
-            terms.append(nxt)
-            return SeriesReport("derived", terms, stabilized=True, vanished=False)
-        terms.append(nxt)
-    return SeriesReport("derived", terms, stabilized=False, vanished=False)
+        terms.append(step(terms[-1]))
+        if terms[-1].dim in (0, terms[-2].dim):
+            vanished = terms[-1].dim == 0
+            return SeriesReport(kind, terms, stabilized=not vanished, vanished=vanished)
+    return SeriesReport(kind, terms, stabilized=False, vanished=False)
+
+
+def derived_series(L: FiniteNLieAlgebra, max_steps: int = 20) -> SeriesReport:
+    return _series(L, "derived", lambda s: derived_subspace(L, s), max_steps)
 
 
 def lower_central_series(L: FiniteNLieAlgebra, max_steps: int = 50) -> SeriesReport:
-    terms = [Subspace.full(L.field, L.dim)]
-    args = list(_arg_tuples(L.dim, L.arity - 1))
-    for _ in range(max_steps):
-        cur = terms[-1]
-        sb = SpanBuilder(L.field, L.dim)
-        for row in cur.basis:
-            vs = {i: c for i, c in enumerate(row) if not L.field.is_zero(c)}
-            for rest in args:
-                out = L.bracket_sparse([vs] + [{i: L.field.one} for i in rest])
-                if out:
-                    dense = [L.field.zero] * L.dim
-                    for l, c in out.items():
-                        dense[l] = c
-                    sb.add(dense)
-        nxt = sb.to_subspace()
-        if nxt.dim == 0:
-            terms.append(nxt)
-            return SeriesReport("lower-central", terms, stabilized=False, vanished=True)
-        if nxt.dim == cur.dim:
-            terms.append(nxt)
-            return SeriesReport("lower-central", terms, stabilized=True, vanished=False)
-        terms.append(nxt)
-    return SeriesReport("lower-central", terms, stabilized=False, vanished=False)
+    return _series(L, "lower-central", lambda s: _span(L, _bracket_images(L, s.basis, 1)),
+                   max_steps)
 
 
 def derived_algebra(L: FiniteNLieAlgebra) -> Subspace:
@@ -521,7 +474,7 @@ def certify_simplicity(L: FiniteNLieAlgebra, budget: int = DEFAULT_LINE_BUDGET,
 def _ad_matrices(L: FiniteNLieAlgebra) -> List[List[List[int]]]:
     """Left-multiplication matrices M[rest][l][a] = coeff of e_l in [e_a, *rest]."""
     mats = []
-    for rest in _arg_tuples(L.dim, L.arity - 1):
+    for rest in itertools.combinations(range(L.dim), L.arity - 1):
         m = [[0] * L.dim for _ in range(L.dim)]
         for a in range(L.dim):
             for l, c in L.bracket_indices((a,) + rest).items():

@@ -84,9 +84,34 @@ def test_verify_document_from_file(tmp_path, capsys):
 
 
 def test_verify_parallel_flag(tmp_path, capsys):
-    code = main(["verify", "gl2-trace-lift", "--parallel",
-                 "--out-dir", str(tmp_path)])
-    assert code == 0
+    # a passing document and a mutated one whose fundamental identity fails
+    for name, want in (("gl2-trace-lift", 0), ("control-mutated-quotient", 1)):
+        reports = []
+        for flags in ([], ["--parallel"]):
+            out = tmp_path / name / ("parallel" if flags else "serial")
+            assert main(["verify", name, *flags, "--out-dir", str(out)]) == want
+            reports.append(json.loads((out / f"{name}.report.json").read_text()))
+        serial, parallel = (strip_durations(r) for r in reports)
+        assert parallel == serial
+        fi = [c for c in serial["campaigns"] if c["check"] == "fundamental-identity"]
+        assert fi and (fi[0]["witness"] is not None) == (want == 1)
+
+
+def test_verify_builds_the_document_once(tmp_path, monkeypatch, capsys):
+    import trilie.campaigns as campaigns
+
+    calls = []
+    build = campaigns.build_context
+
+    def counting(doc):
+        calls.append(doc["name"])
+        return build(doc)
+
+    monkeypatch.setattr(campaigns, "build_context", counting)
+    assert main(["verify", "laurent-quotient-p3", "--out-dir", str(tmp_path)]) == 0
+    assert calls == ["laurent-quotient-p3"]
+    assert main(["export", "laurent-quotient-p3", "--out", str(tmp_path / "q.json")]) == 0
+    assert calls == ["laurent-quotient-p3"] * 2
 
 
 def test_export_structure_constants(tmp_path, capsys):

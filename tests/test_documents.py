@@ -3,6 +3,7 @@ import copy
 import pytest
 
 from trilie.bundled import BUNDLED, bundled_names, get_bundled
+from trilie.cli import main
 from trilie.documents import (
     ConfigError,
     parse_document,
@@ -141,6 +142,22 @@ def test_structure_checks_need_tabulation():
     doc["campaigns"] = [{"name": "s", "check": "simplicity"}]
     with pytest.raises(ConfigError, match="needs structure constants"):
         parse_document(render_document(doc))
+
+
+@pytest.mark.parametrize("extra, path", [
+    ({"mode": "bogus"}, "$.campaigns[0].mode"),
+    ({"mode": "sampled", "samples": 0}, "$.campaigns[0].samples"),
+])
+def test_bad_fi_mode_and_zero_samples_are_rejected(extra, path, tmp_path, capsys):
+    doc = minimal_quotient_doc()
+    doc["campaigns"][0].update(extra)
+    with pytest.raises(ConfigError) as info:
+        validate_document(doc)
+    assert info.value.path == path
+    file = tmp_path / "doc.json"
+    file.write_text(render_document(doc))
+    assert main(["verify", str(file), "--out-dir", str(tmp_path)]) == 64
+    assert path in capsys.readouterr().err
 
 
 def test_explicit_basis_indices_parse():
