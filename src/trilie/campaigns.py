@@ -527,10 +527,9 @@ def _run_kernel_ideal(ctx: BuildContext, camp: dict, name: str, check: str,
 # document runner
 # ---------------------------------------------------------------------------
 
-def run_document(doc: Union[dict, BuildContext], seed: int = 0,
-                 budget: Optional[int] = None, workers: int = 0) -> List[CampaignResult]:
-    """Run every campaign of a document, or of an already built context."""
-    ctx = doc if isinstance(doc, BuildContext) else build_context(doc)
+def run_document(ctx: BuildContext, seed: int = 0, budget: Optional[int] = None,
+                 workers: int = 0) -> List[CampaignResult]:
+    """Run every campaign of a built document."""
     return [run_campaign(ctx, camp, seed=seed, budget_override=budget,
                          workers=workers)
             for camp in ctx.doc["campaigns"]]

@@ -29,7 +29,7 @@ from typing import Optional
 
 from .bundled import bundled_names, get_bundled
 from .campaigns import BuildContext, report_document, run_document
-from .documents import ConfigError, load_context, render_document
+from .documents import ConfigError, parse_document, render_document
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -41,11 +41,11 @@ def resolve_document(spec: str) -> BuildContext:
     """A bundled name or a file path; returns the validated, built document."""
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
-            return load_context(fh.read())
+            return parse_document(fh.read())
     if spec in bundled_names():
         # run the bundled dict through the text round trip so the production
         # parser is the single validation path
-        return load_context(render_document(get_bundled(spec)))
+        return parse_document(render_document(get_bundled(spec)))
     raise ConfigError("$", f"{spec!r} is neither a bundled document nor a file")
 
 

@@ -2,13 +2,13 @@
 a carrier, named maps, a bracket, a basis and a list of verification
 campaigns.
 
-`load_context` validates structurally (unknown names, unresolved
+`parse_document` validates structurally (unknown names, unresolved
 references, bad window bounds, FI modes and sample counts) and then builds
 every object once, so that mathematical hypothesis violations (zero flip
 scale, characteristic 2, a quotient parameter that is not an odd prime)
 surface at parse time with the offending document path.  It hands back the
-build context for the command line to verify or export; `parse_document`
-returns only its document.
+build context (the document is its `.doc`), which the command line then
+verifies or exports without building again.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def validate_document(doc: Any) -> Dict:
     return doc
 
 
-def load_context(text: str):
+def parse_document(text: str):
     """Parse, validate and build a document once; returns its `BuildContext`."""
     try:
         doc = json.loads(text)
@@ -167,12 +167,7 @@ def load_context(text: str):
     return build_context(doc)
 
 
-def parse_document(text: str) -> Dict:
-    """Parse and fully validate a document (see `load_context`)."""
-    return load_context(text).doc
-
-
 def render_document(doc: Dict) -> str:
     """Canonical text form: sorted keys, two-space indent, trailing newline.
-    parse(render(doc)) == doc."""
+    parse(render(doc)).doc == doc."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

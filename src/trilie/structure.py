@@ -260,15 +260,16 @@ def _fi_residual(evaluate, f: Field, xs: Tuple, ys: Tuple) -> Dict[object, objec
 
 
 def _fi_cases(window: Sequence, n: int, mode: str = "exhaustive", samples: int = 0,
-              seed: int = 0) -> Iterable[Tuple[tuple, tuple]]:
+              seed: int = 0, xs: Optional[Iterable[tuple]] = None
+              ) -> Iterable[Tuple[tuple, tuple]]:
     """The (x, y) index tuples one FI check visits, in order.
 
-    Exhaustive: strictly increasing x n-tuples times strictly increasing y
-    (n-1)-tuples of the window (the residual is alternating in both groups).
-    Sampled: `samples` seeded draws of arbitrary tuples, x first.
+    Exhaustive: strictly increasing x n-tuples (or just `xs`) times strictly
+    increasing y (n-1)-tuples of the window (the residual is alternating in
+    both groups).  Sampled: `samples` seeded draws of arbitrary tuples, x first.
     """
     if mode == "exhaustive":
-        return itertools.product(itertools.combinations(window, n),
+        return itertools.product(itertools.combinations(window, n) if xs is None else xs,
                                  itertools.combinations(window, n - 1))
     if mode == "sampled":
         rng = random.Random(seed)
@@ -291,6 +292,13 @@ def _fi_scan(evaluate, f: Field, cases: Iterable[Tuple[tuple, tuple]], keep: int
     return checked, failures
 
 
+def _fi_scan_table(L: FiniteNLieAlgebra, xs: Optional[List[tuple]],
+                   mode: str = "exhaustive", samples: int = 0, seed: int = 0):
+    """`_fi_scan` of the structure constants over the cases of `_fi_cases`."""
+    return _fi_scan(L.bracket_indices, L.field,
+                    _fi_cases(range(L.dim), L.arity, mode, samples, seed, xs))
+
+
 def verify_fundamental_identity(L: FiniteNLieAlgebra, mode: str = "exhaustive",
                                 samples: int = 1000, seed: int = 0,
                                 workers: int = 0) -> VerificationReport:
@@ -299,21 +307,19 @@ def verify_fundamental_identity(L: FiniteNLieAlgebra, mode: str = "exhaustive",
     with `brackets.check_fi_window`.
 
     `covered` counts the full d^(2n-1) tuple space that exhaustive mode spans.
-    `workers` > 1 scans contiguous chunks of the cases in separate processes;
-    the witness stays the first one in enumeration order.
+    Exhaustive mode with `workers` > 1 scans chunks of the x-tuples in
+    separate processes; the witness stays the first in enumeration order.
     """
-    cases = _fi_cases(range(L.dim), L.arity, mode, samples, seed)
-    scan = functools.partial(_fi_scan, L.bracket_indices, L.field)
-    if workers > 1:
+    if mode == "exhaustive" and workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        cases = list(cases)
-        size = max(1, -(-len(cases) // workers))
+        xtuples = list(itertools.combinations(range(L.dim), L.arity))
+        size = -(-len(xtuples) // workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(scan, [cases[i:i + size]
-                                         for i in range(0, len(cases), size)]))
+            parts = list(pool.map(functools.partial(_fi_scan_table, L),
+                                  [xtuples[i:i + size] for i in range(0, len(xtuples), size)]))
     else:
-        parts = [scan(cases)]
+        parts = [_fi_scan_table(L, None, mode, samples, seed)]
     checked = sum(got for got, _ in parts)
     witness = next(({"x": list(xs), "y": list(ys), "residual": _render_sparse(L, res)}
                     for _, found in parts for xs, ys, res in found), None)

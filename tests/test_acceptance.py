@@ -386,8 +386,7 @@ def test_c11_negative_controls():
     t0 = time.monotonic()
     ok = True
     for name in ("control-mutated-quotient", "control-pair-mismatch"):
-        doc = parse_document(render_document(get_bundled(name)))
-        results = run_document(doc)
+        results = run_document(parse_document(render_document(get_bundled(name))))
         failed = [r for r in results if r.verdict == "fail"]
         ok = ok and overall_verdict(results) == "any-fail"
         ok = ok and all(r.witness is not None for r in failed) and failed

@@ -15,9 +15,9 @@ FAST_BUNDLED = [n for n in bundled_names() if n != "laurent-quotient-p5"]
 
 @pytest.mark.parametrize("name", FAST_BUNDLED)
 def test_bundled_document_meets_expectation(name):
-    doc = parse_document(render_document(get_bundled(name)))
-    results = run_document(doc)
-    expect = doc["meta"].get("expect", "all-pass")
+    ctx = parse_document(render_document(get_bundled(name)))
+    results = run_document(ctx)
+    expect = ctx.doc["meta"].get("expect", "all-pass")
     got = overall_verdict(results)
     detail = [(r.name, r.verdict, r.witness) for r in results if r.verdict != "pass"]
     assert got == expect, f"{name}: {got} != {expect}: {detail}"
@@ -34,5 +34,5 @@ def test_every_bundled_document_names_its_construction():
 
 def test_quotient_p5_document_parses():
     # heavy campaigns run in the acceptance gate; here just validate the doc
-    doc = parse_document(render_document(get_bundled("laurent-quotient-p5")))
-    assert doc["carrier"]["p"] == 5
+    ctx = parse_document(render_document(get_bundled("laurent-quotient-p5")))
+    assert ctx.doc["carrier"]["p"] == 5
