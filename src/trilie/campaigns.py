@@ -1,17 +1,24 @@
 """Build algebras from definition documents and run named verification
-campaigns over them, producing deterministic machine-readable results."""
+campaigns over them, producing deterministic machine-readable results.
+
+Each document name is spelled once, in a table here: `CARRIERS`,
+`ENDO_RULES`, `FUNCTIONAL_RULES`, `BRACKETS` and `CHECKS`.  Validation,
+building and campaign dispatch all look names up in them.
+"""
 
 from __future__ import annotations
 
+import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import brackets as br
 from . import carriers as ca
 from . import lifts
 from . import structure as st
-from .documents import ALGEBRA_CHECKS, ConfigError
+from .documents import ConfigError, known_name
 from .fields import Field, field_from_descriptor
 from .linalg import Subspace, kernel_of_functional
 
@@ -26,11 +33,12 @@ class BuildContext:
     field: Field
     carrier: Optional[ca.CarrierAlgebra] = None
     maps: Dict[str, Union[ca.Endomorphism, ca.Functional]] = dc_field(default_factory=dict)
-    hom: Optional[ca.GroupHom] = None
     bracket: Optional[br.TriBracket] = None
     algebra: Optional[st.FiniteNLieAlgebra] = None
     basis: Optional[list] = None
     closure_failure: Optional[br.ClosureFailure] = None
+    # campaign name -> its parameters as built for the runner
+    campaign_args: Dict[str, dict] = dc_field(default_factory=dict)
 
 
 @dataclass
@@ -57,28 +65,34 @@ class CampaignResult:
         }
 
 
+def _built(path: str, build: Callable, *args):
+    """`build(*args)`; what builders raise for a bad config (ValueError, a
+    violated hypothesis included, or KeyError) is reported at `path`."""
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise ConfigError(path, str(e)) from None
+    except KeyError as e:
+        raise ConfigError(path, f"missing field or unknown name {e}") from None
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
 
-def _build_carrier(field: Field, cfg: dict) -> ca.CarrierAlgebra:
-    shape = cfg["shape"]
-    if shape == "laurent":
-        return ca.LaurentAlgebra(field, int(cfg.get("vars", 1)))
-    if shape == "group":
-        return ca.GroupAlgebra(field, int(cfg.get("free", 0)),
-                               [int(m) for m in cfg.get("torsion", [])])
-    if shape == "quotient-laurent":
-        return ca.QuotientLaurentAlgebra(field, int(cfg["p"]))
-    if shape == "poly-truncated":
-        return ca.truncated_polynomial_algebra(field, int(cfg["n"]),
-                                               unital=bool(cfg.get("unital", True)))
-    raise ConfigError("$.carrier.shape", f"unknown shape {shape!r}")
+CARRIERS = {
+    "laurent": lambda f, cfg: ca.LaurentAlgebra(f, int(cfg.get("vars", 1))),
+    "group": lambda f, cfg: ca.GroupAlgebra(f, int(cfg.get("free", 0)),
+                                             [int(m) for m in cfg.get("torsion", [])]),
+    "quotient-laurent": lambda f, cfg: ca.QuotientLaurentAlgebra(f, int(cfg["p"])),
+    "poly-truncated": lambda f, cfg: ca.truncated_polynomial_algebra(
+        f, int(cfg["n"]), unital=bool(cfg.get("unital", True))),
+}
 
 
-def _build_hom(carrier, cfg: dict, path: str) -> ca.GroupHom:
+def _build_hom(carrier, cfg: dict) -> ca.GroupHom:
     if not isinstance(carrier, ca.GroupAlgebra):
-        raise ConfigError(path, "homs need a group-algebra carrier")
+        raise ValueError("homs need a group-algebra carrier")
     f = carrier.field
     return ca.GroupHom(
         carrier,
@@ -87,185 +101,153 @@ def _build_hom(carrier, cfg: dict, path: str) -> ca.GroupHom:
     )
 
 
-def _build_endo_rule(carrier, cfg: dict, path: str) -> ca.EndoRule:
-    f = carrier.field
+# rule name -> build(carrier, cfg)
+ENDO_RULES = {
+    "identity": lambda A, cfg: ca.IdentityRule(),
+    "monomial-scale": lambda A, cfg: ca.MonomialScale(A.field.parse(cfg["base"])),
+    "laurent-derivation": lambda A, cfg: ca.LaurentDerivation(int(cfg.get("power", 1))),
+    "variable-scaling-derivation":
+        lambda A, cfg: ca.VariableScalingDerivation(int(cfg.get("var", 0))),
+    "laurent-flip": lambda A, cfg: ca.LaurentFlip(tuple(A.field.parse(x) for x in cfg["lambdas"])),
+    "group-negation": lambda A, cfg: ca.GroupNegation(),
+    "hom-derivation": lambda A, cfg: ca.GroupHomDerivation(_build_hom(A, cfg["hom"])),
+    "monomial-shift": lambda A, cfg: ca.MonomialShift(
+        int(cfg.get("offset", 0)), A.field.parse(cfg["coeff"]) if "coeff" in cfg else None),
+    "table-map": lambda A, cfg: ca.TableMap(
+        [[A.field.parse(x) for x in row] for row in cfg["entries"]]),
+    "id-minus": lambda A, cfg: ca.IdMinus(ENDO_RULES[cfg["inner"]["rule"]](A, cfg["inner"])),
+}
+FUNCTIONAL_RULES = {
+    "alternating-sign": lambda A, cfg: ca.AlternatingSign(),
+    "constant-one": lambda A, cfg: ca.ConstantOne(),
+    "exponent-value": lambda A, cfg: ca.ExponentValue(int(cfg.get("var", 0))),
+    "hom-functional": lambda A, cfg: ca.GroupHomFunctional(_build_hom(A, cfg["hom"])),
+    "table-functional":
+        lambda A, cfg: ca.TableFunctional([A.field.parse(x) for x in cfg["values"]]),
+}
+
+
+def _build_map(carrier, cfg: dict) -> Union[ca.Endomorphism, ca.Functional]:
     rule = cfg["rule"]
-    if rule == "identity":
-        return ca.IdentityRule()
-    if rule == "monomial-scale":
-        return ca.MonomialScale(f.parse(cfg["base"]))
-    if rule == "laurent-derivation":
-        return ca.LaurentDerivation(int(cfg.get("power", 1)))
-    if rule == "variable-scaling-derivation":
-        return ca.VariableScalingDerivation(int(cfg.get("var", 0)))
-    if rule == "laurent-flip":
-        return ca.LaurentFlip(tuple(f.parse(x) for x in cfg["lambdas"]))
-    if rule == "group-negation":
-        return ca.GroupNegation()
-    if rule == "hom-derivation":
-        return ca.GroupHomDerivation(_build_hom(carrier, cfg["hom"], path))
-    if rule == "monomial-shift":
-        coeff = f.parse(cfg["coeff"]) if "coeff" in cfg else None
-        return ca.MonomialShift(int(cfg.get("offset", 0)), coeff)
-    if rule == "table-map":
-        return ca.TableMap([[f.parse(x) for x in row] for row in cfg["entries"]])
-    if rule == "id-minus":
-        return ca.IdMinus(_build_endo_rule(carrier, cfg["inner"], path))
-    raise ConfigError(path, f"unknown endomorphism rule {rule!r}")
+    if rule in FUNCTIONAL_RULES:
+        return ca.Functional(carrier, FUNCTIONAL_RULES[rule](carrier, cfg))
+    return ca.Endomorphism(carrier, ENDO_RULES[rule](carrier, cfg))
 
 
-def _build_map(carrier, cfg: dict, path: str) -> Union[ca.Endomorphism, ca.Functional]:
-    f = carrier.field
-    rule = cfg["rule"]
-    if rule in ("alternating-sign", "constant-one", "exponent-value",
-                "hom-functional", "table-functional"):
-        if rule == "alternating-sign":
-            r = ca.AlternatingSign()
-        elif rule == "constant-one":
-            r = ca.ConstantOne()
-        elif rule == "exponent-value":
-            r = ca.ExponentValue(int(cfg.get("var", 0)))
-        elif rule == "hom-functional":
-            r = ca.GroupHomFunctional(_build_hom(carrier, cfg["hom"], path))
-        else:
-            r = ca.TableFunctional([f.parse(x) for x in cfg["values"]])
-        return ca.Functional(carrier, r)
-    return ca.Endomorphism(carrier, _build_endo_rule(carrier, cfg, path))
+# build(ctx, cfg) returns a bracket on the carrier, or the algebra if own_algebra
+Form = namedtuple("Form", "build own_algebra", defaults=(False,))
 
 
-def _build_lie(field: Field, cfg, path: str) -> lifts.LieAlgebra:
+def _build_lie(field: Field, cfg) -> lifts.LieAlgebra:
     if cfg == "sl2":
         return lifts.sl2(field)
     if isinstance(cfg, dict) and "gl" in cfg:
         return lifts.general_linear(field, int(cfg["gl"]))
-    raise ConfigError(path, f"unknown Lie algebra {cfg!r}")
+    raise ValueError(f"unknown Lie algebra {cfg!r}")
 
 
-def _build_bracket(ctx: BuildContext, cfg: dict):
-    form = cfg["form"]
-    field = ctx.field
-    path = "$.bracket"
-    try:
-        if form == "gamma":
-            if field.kind != "gaussian-rationals":
-                raise ConfigError(path, "the gamma algebra lives over Q(i)")
-            ctx.algebra = lifts.gamma_algebra()
-            return
-        if form == "lie-lift":
-            lie = _build_lie(field, cfg["lie"], path)
-            func = cfg.get("functional", "trace")
-            if func == "trace":
-                import math
-
-                m = math.isqrt(lie.dim)
-                vals = lifts.trace_functional(field, m)
-            else:
-                vals = [field.parse(v) for v in func]
-            ctx.algebra = lifts.lie_lift(lie, vals, name=ctx.doc["name"])
-            return
-        if form == "metric-extension":
-            lie = _build_lie(field, cfg["lie"], path)
-            fm = cfg.get("form_matrix", "killing")
-            B = lifts.killing_form(lie) if fm == "killing" else [
-                [field.parse(x) for x in row] for row in fm
-            ]
-            ctx.algebra = lifts.metric_extension(lie, B, name=ctx.doc["name"])
-            return
-
-        carrier = ctx.carrier
-        if form == "determinant":
-            rows = []
-            for row in cfg["rows"]:
-                if row == "id":
-                    rows.append("id")
-                elif "endo" in row:
-                    rows.append(ctx.maps[row["endo"]])
-                elif "functional" in row:
-                    rows.append(ctx.maps[row["functional"]])
-                else:
-                    raise ConfigError(path, f"bad determinant row {row!r}")
-            ctx.bracket = br.DeterminantBracket(carrier, rows)
-        elif form == "group-wedge":
-            ctx.hom = _build_hom(carrier, cfg["hom"], path)
-            ctx.bracket = br.GroupWedgeBracket(ctx.hom)
-        elif form == "laurent-flip":
-            lams = [field.parse(x) for x in cfg["lambdas"]]
-            ctx.bracket = br.LaurentFlipBracket(carrier, lams, int(cfg.get("var", 0)))
-        elif form == "laurent-parity":
-            ctx.bracket = br.LaurentParityBracket(carrier, int(cfg.get("shift", 0)))
-        elif form == "quotient-parity":
-            ctx.bracket = br.QuotientParityBracket(carrier)
-        elif form == "monomial-parity":
-            shift = int(cfg.get("shift", -1))
-            ctx.bracket = br.MonomialBracket(
-                carrier, br.parity_determinant_coefficient(field), (shift,))
-        else:
-            raise ConfigError(path, f"unknown bracket form {form!r}")
-    except (ca.HypothesisViolation, ValueError) as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(path, str(e)) from None
+def _determinant(ctx: "BuildContext", cfg: dict) -> br.DeterminantBracket:
+    rows = []
+    for row in cfg["rows"]:
+        name = row.get("endo", row.get("functional")) if isinstance(row, dict) else None
+        if row != "id" and not known_name(ctx.maps, name):
+            raise ValueError(f"bad determinant row {row!r}")
+        rows.append("id" if row == "id" else ctx.maps[name])
+    return br.DeterminantBracket(ctx.carrier, rows)
 
 
-def build_context(doc: dict) -> BuildContext:
-    ctx = BuildContext(doc, field_from_descriptor(doc["field"]))
-    if "carrier" in doc:
-        try:
-            ctx.carrier = _build_carrier(ctx.field, doc["carrier"])
-        except (ca.HypothesisViolation, ValueError) as e:
-            raise ConfigError("$.carrier", str(e)) from None
-    for name, cfg in doc.get("maps", {}).items():
-        try:
-            ctx.maps[name] = _build_map(ctx.carrier, cfg, f"$.maps.{name}")
-        except (ca.HypothesisViolation, ValueError) as e:
-            if isinstance(e, ConfigError):
-                raise
-            raise ConfigError(f"$.maps.{name}", str(e)) from None
-    if "bracket" in doc:
-        _build_bracket(ctx, doc["bracket"])
+def _gamma(ctx: "BuildContext", cfg: dict) -> st.FiniteNLieAlgebra:
+    if ctx.field.kind != "gaussian-rationals":
+        raise ValueError("the gamma algebra lives over Q(i)")
+    return lifts.gamma_algebra()
 
-    basis_cfg = doc.get("basis")
-    if ctx.algebra is not None:
-        ctx.basis = list(range(ctx.algebra.dim))
-    elif basis_cfg is not None:
-        kind = basis_cfg["kind"]
-        if kind == "carrier":
-            if ctx.carrier.dim() is None:
-                raise ConfigError("$.basis", "carrier basis requires a finite carrier")
-            ctx.basis = ctx.carrier.basis_indices()
-        elif kind == "window":
-            ctx.basis = ctx.carrier.window(int(basis_cfg["bound"]))
-        else:
-            try:
-                ctx.basis = [ctx.carrier.parse_index(t) for t in basis_cfg["indices"]]
-            except ValueError as e:
-                raise ConfigError("$.basis.indices", str(e)) from None
-        if basis_cfg.get("tabulate", True) and ctx.bracket is not None:
-            out = br.tabulate(ctx.bracket, ctx.basis, name=doc["name"])
-            if isinstance(out, br.ClosureFailure):
-                ctx.closure_failure = out
-            else:
-                ctx.algebra = out
 
-    if ctx.algebra is not None and "mutations" in doc.get("bracket", {}):
-        f = ctx.field
-        for mut in doc["bracket"]["mutations"]:
-            ctx.algebra = ctx.algebra.mutate_constant(
-                tuple(mut["args"]), int(mut["out"]), f.parse(mut["add"]))
+def _lie_lift(ctx: "BuildContext", cfg: dict) -> st.FiniteNLieAlgebra:
+    lie = _build_lie(ctx.field, cfg["lie"])
+    func = cfg.get("functional", "trace")
+    vals = (lifts.trace_functional(ctx.field, math.isqrt(lie.dim)) if func == "trace"
+            else [ctx.field.parse(v) for v in func])
+    return lifts.lie_lift(lie, vals, name=ctx.doc["name"])
 
-    # campaigns that need structure constants must be buildable
-    for k, camp in enumerate(doc["campaigns"]):
-        if camp["check"] in ALGEBRA_CHECKS and ctx.algebra is None:
-            why = (str(ctx.closure_failure) if ctx.closure_failure
-                   else "no finite tabulated basis")
-            raise ConfigError(f"$.campaigns[{k}]",
-                              f"check {camp['check']!r} needs structure constants: {why}")
-    return ctx
+
+def _metric_extension(ctx: "BuildContext", cfg: dict) -> st.FiniteNLieAlgebra:
+    lie = _build_lie(ctx.field, cfg["lie"])
+    fm = cfg.get("form_matrix", "killing")
+    B = (lifts.killing_form(lie) if fm == "killing"
+         else [[ctx.field.parse(x) for x in row] for row in fm])
+    return lifts.metric_extension(lie, B, name=ctx.doc["name"])
+
+
+BRACKETS = {
+    "determinant": Form(_determinant),
+    "group-wedge": Form(lambda ctx, cfg: br.GroupWedgeBracket(_build_hom(ctx.carrier, cfg["hom"]))),
+    "laurent-flip": Form(lambda ctx, cfg: br.LaurentFlipBracket(
+        ctx.carrier, [ctx.field.parse(x) for x in cfg["lambdas"]], int(cfg.get("var", 0)))),
+    "laurent-parity": Form(lambda ctx, cfg: br.LaurentParityBracket(
+        ctx.carrier, int(cfg.get("shift", 0)))),
+    "quotient-parity": Form(lambda ctx, cfg: br.QuotientParityBracket(ctx.carrier)),
+    "monomial-parity": Form(lambda ctx, cfg: br.MonomialBracket(
+        ctx.carrier, br.parity_determinant_coefficient(ctx.field),
+        (int(cfg.get("shift", -1)),))),
+    "gamma": Form(_gamma, own_algebra=True),
+    "metric-extension": Form(_metric_extension, own_algebra=True),
+    "lie-lift": Form(_lie_lift, own_algebra=True),
+}
 
 
 # ---------------------------------------------------------------------------
-# witness rendering
+# campaign checks: parameter kinds, build requirements and runners; each
+# runner run(ctx, args, run) returns a check report or the result fields
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Param:
+    """A kind of campaign parameter: `ok(value, maps)` accepts a document's
+    value given its named maps; `build(ctx, value)` makes what the runner
+    receives."""
+    ok: Callable[[object, dict], bool]
+    complaint: str
+    build: Callable = lambda ctx, value: value
+
+    def require(self, value, maps: dict, path: str):
+        if not self.ok(value, maps):
+            raise ConfigError(path, f"{self.complaint} {value!r}")
+
+
+def _one_of(*values) -> Param:
+    return Param(lambda v, maps: v in values, f"must be one of {', '.join(values)}, not")
+
+
+INTEGER = Param(lambda v, maps: isinstance(v, int) and not isinstance(v, bool),
+                "must be an integer, not")
+POSITIVE = Param(lambda v, maps: INTEGER.ok(v, maps) and v > 0, "must be a positive integer, not")
+FLAG = Param(lambda v, maps: isinstance(v, bool), "must be true or false, not")
+MAP = Param(lambda v, maps: isinstance(v, str) and v in maps, "unresolved map reference",
+            lambda ctx, v: ctx.maps[v])
+ROWS = Param(lambda v, maps: isinstance(v, list) and all(r == "id" or MAP.ok(r, maps) for r in v),
+             "rows are \"id\" or map names; unresolved map reference in",
+             lambda ctx, v: ["id" if r == "id" else ctx.maps[r] for r in v])
+MAP_CONFIG = Param(lambda v, maps: isinstance(v, dict) and (
+    known_name(ENDO_RULES, v.get("rule")) or known_name(FUNCTIONAL_RULES, v.get("rule"))),
+    "unknown or missing map rule in", lambda ctx, v: _build_map(ctx.carrier, v))
+TARGET_CONFIG = Param(
+    lambda v, maps: (isinstance(v, dict) and known_name(BRACKETS, v.get("form"))
+                     and not BRACKETS[v["form"]].own_algebra),
+    "needs a bracket form on the carrier; unknown bracket form in",
+    lambda ctx, v: BRACKETS[v["form"]].build(ctx, v))
+INTERTWINE = Param(
+    lambda v, maps: isinstance(v, list) and all(
+        isinstance(e, dict) and "name" in e and MAP_CONFIG.ok(e.get("source"), maps)
+        and MAP_CONFIG.ok(e.get("target"), maps) for e in v),
+    "must list {name, source, target} entries with known map rules, not",
+    lambda ctx, v: [(e["name"], _build_map(ctx.carrier, e["source"]),
+                     _build_map(ctx.carrier, e["target"])) for e in v])
+
+
+def _structure_constants(ctx: "BuildContext") -> Optional[str]:
+    why = str(ctx.closure_failure) if ctx.closure_failure else "no finite tabulated basis"
+    return None if ctx.algebra is not None else f"needs structure constants: {why}"
+
 
 def _subspace_summary(s: Optional[Subspace], labels=None, limit: int = 5) -> Optional[dict]:
     if s is None:
@@ -285,247 +267,283 @@ def _subspace_summary(s: Optional[Subspace], labels=None, limit: int = 5) -> Opt
     return out
 
 
-def _report_verdict(rep) -> str:
-    return "pass" if rep.passed else "fail"
+def _from_report(rep, **fields) -> dict:
+    """Result fields (verdict, checked, witness, notes) of a check report."""
+    return {"verdict": "pass" if rep.passed else "fail", "counts": {"checked": rep.checked},
+            "witness": rep.first_witness(), "notes": rep.notes, **fields}
 
 
-# ---------------------------------------------------------------------------
-# campaign dispatch
-# ---------------------------------------------------------------------------
+# command-line settings shared by every campaign of one verify run
+Run = namedtuple("Run", "seed budget workers")
 
-def _window(ctx: BuildContext, camp: dict, default_bound: int = 3) -> list:
-    if "bound" in camp:
-        return ctx.carrier.window(int(camp["bound"]))
+
+@dataclass(frozen=True)
+class Check:
+    """A campaign check: its parameters (`required` ones must be given), its
+    build requirements (each returns what is lacking, or None) and runner."""
+    run: Callable[[BuildContext, dict, Run], Union[dict, ca.CheckReport]]
+    params: Dict[str, Param] = dc_field(default_factory=dict)
+    required: Tuple[str, ...] = ()
+    needs: Tuple[Callable[[BuildContext], Optional[str]], ...] = ()
+
+
+def _window(ctx: BuildContext, args: dict, default_bound: int = 3) -> list:
+    if "bound" in args:
+        return ctx.carrier.window(args["bound"])
     if ctx.basis is not None and ctx.algebra is None:
         return ctx.basis
     return ctx.carrier.window(default_bound)
 
 
-def run_campaign(ctx: BuildContext, camp: dict, seed: int = 0,
-                 budget_override: Optional[int] = None,
-                 workers: int = 0) -> CampaignResult:
-    name, check = camp["name"], camp["check"]
-    t0 = time.monotonic()
-
-    def done(verdict, counts=None, witness=None, camp_seed=None, notes=None):
-        return CampaignResult(name, check, verdict, counts or {}, witness,
-                              camp_seed, round(time.monotonic() - t0, 6),
-                              notes or {})
-
-    if check == "skew":
-        rep = st.verify_skew(ctx.algebra)
-        return done(_report_verdict(rep), {"checked": rep.checked}, rep.witness)
-
-    if check == "alternating":
-        rep = br.check_alternating(ctx.bracket, _window(ctx, camp), seed=seed)
-        return done(_report_verdict(rep), {"checked": rep.checked},
-                    rep.first_witness(), camp_seed=seed)
-
-    if check == "trilinear":
-        rep = br.check_trilinear(ctx.bracket, _window(ctx, camp), seed=seed)
-        return done(_report_verdict(rep), {"checked": rep.checked},
-                    rep.first_witness(), camp_seed=seed)
-
-    if check == "fundamental-identity":
-        mode = camp.get("mode", "exhaustive")
-        if ctx.algebra is not None:
-            rep = st.verify_fundamental_identity(
-                ctx.algebra, mode=mode, samples=int(camp.get("samples", 1000)),
-                seed=seed, workers=workers)
-            return done(_report_verdict(rep),
-                        {"checked": rep.checked, "covered": rep.covered},
-                        rep.witness, camp_seed=rep.seed)
-        window = ctx.basis if ctx.basis is not None else _window(ctx, camp)
-        rep = br.check_fi_window(ctx.bracket, window, mode=mode,
-                                 samples=int(camp.get("samples", 500)), seed=seed)
-        return done(_report_verdict(rep),
-                    {"checked": rep.checked, "covered": rep.notes.get("covered", 0)},
-                    rep.first_witness(), camp_seed=seed)
-
-    if check == "simplicity":
-        budget = budget_override or camp.get("budget", st.DEFAULT_LINE_BUDGET)
-        expect = camp.get("expect", "simple")
-        try:
-            cert = st.certify_simplicity(ctx.algebra, budget=int(budget), seed=seed)
-        except st.BudgetExceeded as e:
-            return done("refused", {"required": e.required, "budget": e.budget},
-                        notes={"reason": str(e)})
-        verdict = "pass" if cert.verdict == expect else "fail"
-        return done(verdict, {"lines_checked": cert.lines_checked},
-                    _subspace_summary(cert.witness, ctx.algebra.labels),
-                    camp_seed=cert.seed,
-                    notes={"certificate": cert.verdict, "method": cert.method,
-                           "expected": expect, **cert.notes})
-
-    if check == "kernel-ideal":
-        return _run_kernel_ideal(ctx, camp, name, check, seed, t0)
-
-    if check in ("derived-series", "lower-central-series"):
-        rep = (st.derived_series(ctx.algebra) if check == "derived-series"
-               else st.lower_central_series(ctx.algebra))
-        expect = camp.get("expect")
-        ok = True
-        if expect == "vanishes":
-            ok = rep.vanished
-            if ok and "at_step" in camp:
-                ok = len(rep.terms) - 1 == int(camp["at_step"])
-        elif expect == "stabilizes-full":
-            ok = rep.stabilized and rep.dims[-1] == ctx.algebra.dim
-        return done("pass" if ok else "fail", {"steps": len(rep.terms) - 1},
-                    notes={"dims": rep.dims, "vanished": rep.vanished,
-                           "stabilized": rep.stabilized, "expected": expect})
-
-    if check == "anticommute":
-        rep = ca.check_anticommute(ctx.maps[camp["omega"]], ctx.maps[camp["delta"]],
-                                   _window(ctx, camp, 8))
-        return done(_report_verdict(rep), {"checked": rep.checked}, rep.first_witness())
-
-    if check == "derivation-law":
-        rep = ca.check_derivation(ctx.maps[camp["map"]], _window(ctx, camp))
-        return done(_report_verdict(rep), {"checked": rep.checked}, rep.first_witness())
-
-    if check == "involution-law":
-        rep = ca.check_involution(ctx.maps[camp["map"]], _window(ctx, camp))
-        return done(_report_verdict(rep), {"checked": rep.checked}, rep.first_witness())
-
-    if check == "functional-conditions":
-        def get(key):
-            return ctx.maps[camp[key]] if key in camp else None
-
-        rep = ca.check_functional_bracket_conditions(
-            get("alpha"), get("beta"), get("gamma"), get("delta"), get("omega"),
-            _window(ctx, camp))
-        return done(_report_verdict(rep), {"checked": rep.checked},
-                    rep.first_witness(),
-                    notes={k: sub.passed for k, sub in rep.details.items()})
-
-    if check == "closed-vs-determinant":
-        rows = []
-        for row in camp["rows"]:
-            rows.append("id" if row == "id" else ctx.maps[row])
-        oracle = br.DeterminantBracket(ctx.carrier, rows)
-        rep = br.check_agreement(ctx.bracket, oracle, _window(ctx, camp))
-        return done(_report_verdict(rep), {"checked": rep.checked}, rep.first_witness())
-
-    if check == "homomorphism":
-        sigma = _build_map(ctx.carrier, camp["map"], "$.campaigns.map")
-        tgt_ctx = BuildContext(ctx.doc, ctx.field, carrier=ctx.carrier, maps=ctx.maps)
-        _build_bracket(tgt_ctx, camp["target"])
-        window = _window(ctx, camp, 5)
-        intertwine = []
-        for entry in camp.get("intertwine", []):
-            intertwine.append((
-                entry["name"],
-                _build_map(ctx.carrier, entry["source"], "$.campaigns.intertwine"),
-                _build_map(ctx.carrier, entry["target"], "$.campaigns.intertwine"),
-            ))
-        exclude = [ctx.carrier.unit_index()] if camp.get("exclude_unit") else []
-        rep = br.check_homomorphism(
-            sigma, ctx.bracket, tgt_ctx.bracket, window, intertwine=intertwine,
-            require_invertible=bool(camp.get("require_invertible", False)),
-            exclude_indices=exclude)
-        return done(_report_verdict(rep), {"checked": rep.checked},
-                    rep.first_witness(), notes=rep.notes)
-
-    if check == "grading":
-        bound = int(camp.get("bound", 4))
-        A = ctx.carrier
-        plus = [A.one()] + [A.monomial((i,)) + A.monomial((-i,)) for i in range(1, bound + 1)]
-        minus = [A.monomial((i,)) - A.monomial((-i,)) for i in range(1, bound + 1)]
-        delta = ctx.maps[camp["delta"]] if "delta" in camp else None
-        rep = br.check_grading(ctx.bracket, delta, plus, minus, A.window(bound))
-        return done(_report_verdict(rep), {"checked": rep.checked},
-                    rep.first_witness(), notes=rep.notes)
-
-    if check == "ideal-divisibility":
-        A = ctx.carrier
-        f = ctx.field
-        p = f.characteristic
-        if p <= 2:
-            raise ConfigError("$.campaigns", "ideal divisibility needs ch F = p > 2")
-        sign = f.one if camp.get("sign", "+") == "+" else f.neg(f.one)
-        gen = A.monomial((p,)) + A.monomial((-p,), sign)
-        rep = br.check_principal_ideal_membership(
-            ctx.bracket, gen, range(-int(camp.get("cofactor_bound", 2)),
-                                    int(camp.get("cofactor_bound", 2)) + 1),
-            int(camp.get("argument_bound", 3)))
-        return done(_report_verdict(rep), {"checked": rep.checked}, rep.first_witness())
-
-    if check == "parity-vanishing":
-        rep = br.check_parity_family_vanishing(ctx.field, int(camp.get("bound", 8)))
-        return done(_report_verdict(rep), {"checked": rep.checked}, rep.first_witness())
-
-    if check == "reachability":
-        rep = br.laurent_reachability(ctx.field, int(camp.get("bound", 4)))
-        return done(_report_verdict(rep), {"checked": rep.checked}, rep.first_witness())
-
-    if check == "monomial-parity-agreement":
-        shift = int(camp.get("shift", 0))
-        mono = br.MonomialBracket(ctx.carrier,
-                                  br.parity_determinant_coefficient(ctx.field),
-                                  (shift - 1,))
-        parity = br.LaurentParityBracket(ctx.carrier, shift=shift)
-        rep = br.check_agreement(mono, parity, _window(ctx, camp, 6))
-        return done(_report_verdict(rep), {"checked": rep.checked}, rep.first_witness())
-
-    if check == "involution-antisymmetry":
-        rep = br.check_involution_antisymmetry(ctx.bracket, ctx.maps[camp["omega"]],
-                                               _window(ctx, camp))
-        return done(_report_verdict(rep), {"checked": rep.checked}, rep.first_witness())
-
-    if check == "witt":
-        rep = ca.check_witt_relation(ctx.carrier, int(camp.get("bound", 3)))
-        return done(_report_verdict(rep), {"checked": rep.checked}, rep.first_witness())
-
-    raise ConfigError("$.campaigns", f"unknown check {check!r}")
+def _run_fundamental_identity(ctx: BuildContext, a: dict, run: Run) -> dict:
+    mode = a.get("mode", "exhaustive")
+    if ctx.algebra is not None:
+        rep = st.verify_fundamental_identity(
+            ctx.algebra, mode=mode, samples=a.get("samples", 1000),
+            seed=run.seed, workers=run.workers)
+        return _from_report(rep, counts={"checked": rep.checked, "covered": rep.covered},
+                            seed=rep.seed)
+    window = ctx.basis if ctx.basis is not None else _window(ctx, a)
+    rep = br.check_fi_window(ctx.bracket, window, mode=mode,
+                             samples=a.get("samples", 500), seed=run.seed)
+    return _from_report(rep, counts={"checked": rep.checked,
+                                     "covered": rep.notes.get("covered", 0)},
+                        seed=run.seed, notes={})
 
 
-def _run_kernel_ideal(ctx: BuildContext, camp: dict, name: str, check: str,
-                      seed: int, t0: float) -> CampaignResult:
+def _run_simplicity(ctx: BuildContext, a: dict, run: Run) -> dict:
+    expect = a.get("expect", "simple")
+    try:
+        cert = st.certify_simplicity(
+            ctx.algebra, budget=run.budget or a.get("budget", st.DEFAULT_LINE_BUDGET),
+            seed=run.seed)
+    except st.BudgetExceeded as e:
+        return {"verdict": "refused", "counts": {"required": e.required, "budget": e.budget},
+                "notes": {"reason": str(e)}}
+    return {"verdict": "pass" if cert.verdict == expect else "fail",
+            "counts": {"lines_checked": cert.lines_checked},
+            "witness": _subspace_summary(cert.witness, ctx.algebra.labels),
+            "seed": cert.seed,
+            "notes": {"certificate": cert.verdict, "method": cert.method,
+                      "expected": expect, **cert.notes}}
+
+
+def _run_kernel_ideal(ctx: BuildContext, a: dict, run: Run) -> dict:
     """Kernel of the hom functional: ideal, codimension 1, contains the
     derived algebra; certification path depends on the dimension."""
-    if ctx.hom is None:
-        raise ConfigError("$.campaigns", "kernel-ideal needs a group-wedge bracket")
-    G = ctx.carrier
-    f = ctx.field
+    G, hom = ctx.carrier, ctx.bracket.hom
     dim = G.dim()
-    notes: Dict[str, object] = {}
-
-    def done(verdict, counts, witness=None):
-        return CampaignResult(name, check, verdict, counts, witness, seed,
-                              round(time.monotonic() - t0, 6), notes)
-
     if dim is not None and dim <= KERNEL_TABULATION_LIMIT and ctx.algebra is not None:
         L = ctx.algebra
-        values = [ctx.hom(g) for g in G.basis_indices()]
-        ker = kernel_of_functional(f, values)
+        ker = kernel_of_functional(ctx.field, [hom(g) for g in G.basis_indices()])
+        cert = st.certify_simplicity(L, seed=run.seed)
         checks = {
             "codim_one": ker.codim == 1,
             "is_ideal": st.is_ideal(L, ker),
             "is_maximal": st.is_maximal_codim1(L, ker),
             "contains_derived": ker.contains_subspace(st.derived_algebra(L)),
+            "certified_non_simple": cert.verdict == "non-simple",
+            "witness_is_kernel": cert.witness == ker,
         }
-        cert = st.certify_simplicity(L, seed=seed)
-        checks["certified_non_simple"] = cert.verdict == "non-simple"
-        checks["witness_is_kernel"] = cert.witness == ker
-        notes.update(checks)
-        notes["method"] = cert.method
-        ok = all(checks.values())
-        return done("pass" if ok else "fail",
-                    {"kernel_dim": ker.dim, "lines_checked": cert.lines_checked},
-                    _subspace_summary(ker, L.labels))
+        return {"verdict": "pass" if all(checks.values()) else "fail",
+                "counts": {"kernel_dim": ker.dim, "lines_checked": cert.lines_checked},
+                "witness": _subspace_summary(ker, L.labels), "seed": run.seed,
+                "notes": {**checks, "method": cert.method}}
 
-    cert, rep = br.group_kernel_certificate(ctx.hom, seed=seed)
-    notes["method"] = cert.method
-    notes.update({k: v for k, v in rep.notes.items()})
+    cert, rep = br.group_kernel_certificate(hom, seed=run.seed)
     ok = cert.verdict == "non-simple" and rep.passed
-    return done("pass" if ok else "fail", {"checked": rep.checked},
-                _subspace_summary(cert.witness))
+    return {"verdict": "pass" if ok else "fail", "counts": {"checked": rep.checked},
+            "witness": _subspace_summary(cert.witness), "seed": run.seed,
+            "notes": {"method": cert.method, **rep.notes}}
+
+
+def _series_result(ctx: BuildContext, a: dict, rep: st.SeriesReport) -> dict:
+    steps = len(rep.terms) - 1
+    if a["expect"] == "vanishes":
+        ok = rep.vanished and steps == a.get("at_step", steps)
+    else:
+        ok = rep.stabilized and rep.dims[-1] == ctx.algebra.dim
+    return {"verdict": "pass" if ok else "fail", "counts": {"steps": steps},
+            "notes": {"dims": rep.dims, "vanished": rep.vanished,
+                      "stabilized": rep.stabilized, "expected": a["expect"]}}
+
+
+def _run_functional_conditions(ctx: BuildContext, a: dict, run: Run) -> dict:
+    rep = ca.check_functional_bracket_conditions(
+        *(a.get(k) for k in _FUNCTIONALS), _window(ctx, a))
+    return _from_report(rep, notes={k: sub.passed for k, sub in rep.details.items()})
+
+
+def _run_grading(ctx: BuildContext, a: dict, run: Run) -> ca.CheckReport:
+    bound = a.get("bound", 4)
+    A = ctx.carrier
+    plus = [A.one()] + [A.monomial((i,)) + A.monomial((-i,)) for i in range(1, bound + 1)]
+    minus = [A.monomial((i,)) - A.monomial((-i,)) for i in range(1, bound + 1)]
+    return br.check_grading(ctx.bracket, a.get("delta"), plus, minus, A.window(bound))
+
+
+def _run_ideal_divisibility(ctx: BuildContext, a: dict, run: Run) -> ca.CheckReport:
+    A, f = ctx.carrier, ctx.field
+    p = f.characteristic
+    sign = f.one if a.get("sign", "+") == "+" else f.neg(f.one)
+    gen = A.monomial((p,)) + A.monomial((-p,), sign)
+    c = a.get("cofactor_bound", 2)
+    return br.check_principal_ideal_membership(ctx.bracket, gen, range(-c, c + 1),
+                                               a.get("argument_bound", 3))
+
+
+_FUNCTIONALS = ("alpha", "beta", "gamma", "delta", "omega")
+_SERIES = {"expect": _one_of("vanishes", "stabilizes-full"), "at_step": POSITIVE}
+
+# runners look module functions up when they run, so that wrappers installed
+# on the modules (the benchmark's tracer) see every call
+CHECKS = {
+    "skew": Check(lambda ctx, a, run: st.verify_skew(ctx.algebra),
+                  needs=(_structure_constants,)),
+    "alternating": Check(
+        lambda ctx, a, run: _from_report(
+            br.check_alternating(ctx.bracket, _window(ctx, a), seed=run.seed), seed=run.seed),
+        {"bound": POSITIVE}),
+    "trilinear": Check(
+        lambda ctx, a, run: _from_report(
+            br.check_trilinear(ctx.bracket, _window(ctx, a), seed=run.seed), seed=run.seed),
+        {"bound": POSITIVE}),
+    "fundamental-identity": Check(
+        _run_fundamental_identity,
+        {"bound": POSITIVE, "mode": _one_of("exhaustive", "sampled"), "samples": POSITIVE}),
+    "simplicity": Check(
+        _run_simplicity,
+        {"budget": POSITIVE, "expect": _one_of("simple", "non-simple", "evidence-only")},
+        needs=(_structure_constants,)),
+    "kernel-ideal": Check(_run_kernel_ideal, needs=(
+        lambda ctx: None if isinstance(ctx.bracket, br.GroupWedgeBracket)
+        else "needs the wedge bracket of a group hom",)),
+    "derived-series": Check(
+        lambda ctx, a, run: _series_result(ctx, a, st.derived_series(ctx.algebra)),
+        _SERIES, ("expect",), (_structure_constants,)),
+    "lower-central-series": Check(
+        lambda ctx, a, run: _series_result(ctx, a, st.lower_central_series(ctx.algebra)),
+        _SERIES, ("expect",), (_structure_constants,)),
+    "anticommute": Check(
+        lambda ctx, a, run: ca.check_anticommute(a["omega"], a["delta"], _window(ctx, a, 8)),
+        {"omega": MAP, "delta": MAP, "bound": POSITIVE}, ("omega", "delta")),
+    "derivation-law": Check(
+        lambda ctx, a, run: ca.check_derivation(a["map"], _window(ctx, a)),
+        {"map": MAP, "bound": POSITIVE}, ("map",)),
+    "involution-law": Check(
+        lambda ctx, a, run: ca.check_involution(a["map"], _window(ctx, a)),
+        {"map": MAP, "bound": POSITIVE}, ("map",)),
+    "functional-conditions": Check(
+        _run_functional_conditions,
+        {**dict.fromkeys(_FUNCTIONALS, MAP), "bound": POSITIVE}),
+    "closed-vs-determinant": Check(
+        lambda ctx, a, run: br.check_agreement(
+            ctx.bracket, br.DeterminantBracket(ctx.carrier, a["rows"]), _window(ctx, a)),
+        {"rows": ROWS, "bound": POSITIVE}, ("rows",)),
+    "homomorphism": Check(
+        lambda ctx, a, run: br.check_homomorphism(
+            a["map"], ctx.bracket, a["target"], _window(ctx, a, 5),
+            intertwine=a.get("intertwine", []),
+            require_invertible=a.get("require_invertible", False),
+            exclude_indices=[ctx.carrier.unit_index()] if a.get("exclude_unit") else []),
+        {"map": MAP_CONFIG, "target": TARGET_CONFIG, "intertwine": INTERTWINE,
+         "exclude_unit": FLAG, "require_invertible": FLAG, "bound": POSITIVE},
+        ("map", "target")),
+    "grading": Check(_run_grading, {"delta": MAP, "bound": POSITIVE}),
+    "ideal-divisibility": Check(
+        _run_ideal_divisibility,
+        {"sign": _one_of("+", "-"), "cofactor_bound": POSITIVE, "argument_bound": POSITIVE},
+        needs=(lambda ctx: None if ctx.field.characteristic > 2 else "needs ch F = p > 2",)),
+    "parity-vanishing": Check(
+        lambda ctx, a, run: br.check_parity_family_vanishing(ctx.field, a.get("bound", 8)),
+        {"bound": POSITIVE}),
+    "reachability": Check(
+        lambda ctx, a, run: br.laurent_reachability(ctx.field, a.get("bound", 4)),
+        {"bound": POSITIVE}),
+    "monomial-parity-agreement": Check(
+        lambda ctx, a, run: br.check_agreement(
+            br.MonomialBracket(ctx.carrier, br.parity_determinant_coefficient(ctx.field),
+                               (a.get("shift", 0) - 1,)),
+            br.LaurentParityBracket(ctx.carrier, shift=a.get("shift", 0)), _window(ctx, a, 6)),
+        {"shift": INTEGER, "bound": POSITIVE}),
+    "involution-antisymmetry": Check(
+        lambda ctx, a, run: br.check_involution_antisymmetry(
+            ctx.bracket, a["omega"], _window(ctx, a)),
+        {"omega": MAP, "bound": POSITIVE}, ("omega",)),
+    "witt": Check(lambda ctx, a, run: ca.check_witt_relation(ctx.carrier, a.get("bound", 3)),
+                  {"bound": POSITIVE}),
+}
 
 
 # ---------------------------------------------------------------------------
-# document runner
+# building and running documents
 # ---------------------------------------------------------------------------
+
+def build_context(doc: dict) -> BuildContext:
+    ctx = BuildContext(doc, field_from_descriptor(doc["field"]))
+    if "carrier" in doc:
+        ctx.carrier = _built("$.carrier", CARRIERS[doc["carrier"]["shape"]],
+                             ctx.field, doc["carrier"])
+    for name, cfg in doc.get("maps", {}).items():
+        ctx.maps[name] = _built(f"$.maps.{name}", _build_map, ctx.carrier, cfg)
+    if "bracket" in doc:
+        form = BRACKETS[doc["bracket"]["form"]]
+        built = _built("$.bracket", form.build, ctx, doc["bracket"])
+        if form.own_algebra:
+            ctx.algebra = built
+        else:
+            ctx.bracket = built
+
+    basis_cfg = doc.get("basis")
+    if ctx.algebra is not None:
+        ctx.basis = list(range(ctx.algebra.dim))
+    elif basis_cfg is not None:
+        kind = basis_cfg["kind"]
+        if kind == "carrier":
+            if ctx.carrier.dim() is None:
+                raise ConfigError("$.basis", "carrier basis requires a finite carrier")
+            ctx.basis = ctx.carrier.basis_indices()
+        elif kind == "window":
+            ctx.basis = ctx.carrier.window(int(basis_cfg["bound"]))
+        else:
+            ctx.basis = _built("$.basis.indices", lambda: [
+                ctx.carrier.parse_index(t) for t in basis_cfg["indices"]])
+        if basis_cfg.get("tabulate", True) and ctx.bracket is not None:
+            out = br.tabulate(ctx.bracket, ctx.basis, name=doc["name"])
+            if isinstance(out, br.ClosureFailure):
+                ctx.closure_failure = out
+            else:
+                ctx.algebra = out
+
+    if ctx.algebra is not None and "mutations" in doc.get("bracket", {}):
+        f = ctx.field
+        for mut in doc["bracket"]["mutations"]:
+            ctx.algebra = ctx.algebra.mutate_constant(
+                tuple(mut["args"]), int(mut["out"]), f.parse(mut["add"]))
+
+    # every campaign's requirements hold and its parameters build, before any runs
+    for k, camp in enumerate(doc["campaigns"]):
+        path = f"$.campaigns[{k}]"
+        check = CHECKS[camp["check"]]
+        for lack in filter(None, (need(ctx) for need in check.needs)):
+            raise ConfigError(path, f"check {camp['check']!r} {lack}")
+        ctx.campaign_args[camp["name"]] = {
+            key: _built(f"{path}.{key}", check.params[key].build, ctx, value)
+            for key, value in camp.items() if key in check.params}
+    return ctx
+
+
+def run_campaign(ctx: BuildContext, camp: dict, seed: int = 0,
+                 budget_override: Optional[int] = None,
+                 workers: int = 0) -> CampaignResult:
+    t0 = time.monotonic()
+    out = CHECKS[camp["check"]].run(ctx, ctx.campaign_args[camp["name"]],
+                                    Run(seed, budget_override, workers))
+    if not isinstance(out, dict):
+        out = _from_report(out)
+    return CampaignResult(camp["name"], camp["check"],
+                          duration_s=round(time.monotonic() - t0, 6), **out)
+
 
 def run_document(ctx: BuildContext, seed: int = 0, budget: Optional[int] = None,
                  workers: int = 0) -> List[CampaignResult]:

@@ -17,6 +17,7 @@ Exit codes:
     1   at least one campaign failed
     2   a campaign was refused (line budget exceeded), none failed
     64  configuration or usage error
+    70  internal error (a bug in trilie; the traceback goes to stderr)
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from typing import Optional
 
 from .bundled import bundled_names, get_bundled
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_REFUSED = 2
 EXIT_CONFIG = 64
+EXIT_INTERNAL = 70   # BSD EX_SOFTWARE
 
 
 def resolve_document(spec: str) -> BuildContext:
@@ -160,6 +163,10 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception:
+        # exit 1 must mean only "a campaign failed"
+        traceback.print_exc()
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

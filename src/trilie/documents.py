@@ -2,13 +2,13 @@
 a carrier, named maps, a bracket, a basis and a list of verification
 campaigns.
 
-`parse_document` validates structurally (unknown names, unresolved
-references, bad window bounds, FI modes and sample counts) and then builds
-every object once, so that mathematical hypothesis violations (zero flip
-scale, characteristic 2, a quotient parameter that is not an odd prime)
-surface at parse time with the offending document path.  It hands back the
-build context (the document is its `.doc`), which the command line then
-verifies or exports without building again.
+Every carrier shape, map rule, bracket form and check name, and each
+check's parameters and build requirements, come from the tables in
+`campaigns` (`CARRIERS`, `ENDO_RULES`, `FUNCTIONAL_RULES`, `BRACKETS`,
+`CHECKS`), the single source of names.  `parse_document` validates against
+them and then builds every object once, so that violated hypotheses and
+unmet campaign requirements surface at parse time with the offending
+document path.  It returns the build context (the document is its `.doc`).
 """
 
 from __future__ import annotations
@@ -17,34 +17,6 @@ import json
 from typing import Any, Dict, List
 
 DOCUMENT_VERSION = 1
-
-KNOWN_CARRIERS = {"laurent", "group", "quotient-laurent", "poly-truncated"}
-KNOWN_ENDO_RULES = {
-    "identity", "monomial-scale", "laurent-derivation",
-    "variable-scaling-derivation", "laurent-flip", "group-negation",
-    "hom-derivation", "monomial-shift", "table-map", "id-minus",
-}
-KNOWN_FUNCTIONAL_RULES = {
-    "alternating-sign", "constant-one", "exponent-value", "hom-functional",
-    "table-functional",
-}
-KNOWN_BRACKETS = {
-    "determinant", "group-wedge", "laurent-flip", "laurent-parity",
-    "quotient-parity", "monomial-parity", "gamma", "metric-extension",
-    "lie-lift",
-}
-ALGEBRA_ONLY_BRACKETS = {"gamma", "metric-extension", "lie-lift"}
-KNOWN_CHECKS = {
-    "skew", "alternating", "trilinear", "fundamental-identity", "simplicity",
-    "kernel-ideal", "derived-series", "lower-central-series", "anticommute",
-    "derivation-law", "involution-law", "functional-conditions",
-    "closed-vs-determinant", "homomorphism", "grading", "ideal-divisibility",
-    "parity-vanishing", "reachability", "monomial-parity-agreement",
-    "involution-antisymmetry", "witt",
-}
-FI_MODES = {"exhaustive", "sampled"}
-# checks that need tabulated structure constants
-ALGEBRA_CHECKS = {"skew", "simplicity", "derived-series", "lower-central-series"}
 
 
 class ConfigError(ValueError):
@@ -66,6 +38,11 @@ def _require_keys(obj: dict, path: str, required: List[str]):
         _require(key in obj, path, f"missing required field {key!r}")
 
 
+def known_name(table: dict, name) -> bool:
+    """Whether a document value is one of the names of a table."""
+    return isinstance(name, str) and name in table
+
+
 def validate_document(doc: Any) -> Dict:
     """Structural validation; returns the document unchanged."""
     _require(isinstance(doc, dict), "$", "document must be a JSON object")
@@ -84,13 +61,16 @@ def validate_document(doc: Any) -> Dict:
         _require(isinstance(field.get("p"), int), "$.field.p",
                  "prime field needs an integer modulus")
 
+    # deferred: campaigns imports this module
+    from .campaigns import BRACKETS, CARRIERS, CHECKS, MAP_CONFIG
+
     bracket = doc.get("bracket")
     if bracket is not None:
         _require(isinstance(bracket, dict) and "form" in bracket, "$.bracket",
                  "bracket needs a 'form'")
-        _require(bracket["form"] in KNOWN_BRACKETS, "$.bracket.form",
+        _require(known_name(BRACKETS, bracket["form"]), "$.bracket.form",
                  f"unknown bracket form {bracket['form']!r}")
-        if bracket["form"] in ALGEBRA_ONLY_BRACKETS:
+        if BRACKETS[bracket["form"]].own_algebra:
             _require("carrier" not in doc, "$.carrier",
                      f"bracket form {bracket['form']!r} builds its own algebra; "
                      "remove the carrier")
@@ -100,16 +80,14 @@ def validate_document(doc: Any) -> Dict:
 
     carrier = doc.get("carrier")
     if carrier is not None:
-        _require(isinstance(carrier, dict) and carrier.get("shape") in KNOWN_CARRIERS,
+        _require(isinstance(carrier, dict) and known_name(CARRIERS, carrier.get("shape")),
                  "$.carrier.shape", f"unknown carrier shape {carrier.get('shape')!r}")
 
     maps = doc.get("maps", {})
     _require(isinstance(maps, dict), "$.maps", "maps must be an object")
-    for name, rule in maps.items():
-        path = f"$.maps.{name}"
-        _require(isinstance(rule, dict) and "rule" in rule, path, "map needs a 'rule'")
-        _require(rule["rule"] in KNOWN_ENDO_RULES | KNOWN_FUNCTIONAL_RULES, path,
-                 f"unknown rule {rule['rule']!r}")
+    _require(not maps or carrier is not None, "$.maps", "maps need a carrier")
+    for name, cfg in maps.items():
+        MAP_CONFIG.require(cfg, maps, f"$.maps.{name}")
 
     basis = doc.get("basis")
     if basis is not None:
@@ -131,27 +109,19 @@ def validate_document(doc: Any) -> Dict:
         path = f"$.campaigns[{k}]"
         _require(isinstance(camp, dict), path, "campaign must be an object")
         _require_keys(camp, path, ["name", "check"])
-        _require(camp["check"] in KNOWN_CHECKS, f"{path}.check",
+        _require(known_name(CHECKS, camp["check"]), f"{path}.check",
                  f"unknown check {camp['check']!r}")
         _require(camp["name"] not in seen, f"{path}.name",
                  f"duplicate campaign name {camp['name']!r}")
         seen.add(camp["name"])
-        for key in ("bound", "samples", "budget", "cofactor_bound", "argument_bound",
-                    "shift", "at_step"):
-            if key in camp:
-                _require(isinstance(camp[key], int), f"{path}.{key}",
-                         f"{key} must be an integer")
-        if "samples" in camp:
-            _require(camp["samples"] > 0, f"{path}.samples",
-                     "samples must be positive")
-        if camp["check"] == "fundamental-identity":
-            _require(camp.get("mode", "exhaustive") in FI_MODES, f"{path}.mode",
-                     f"unknown mode {camp.get('mode')!r} (expected one of "
-                     f"{', '.join(sorted(FI_MODES))})")
-        for key in ("omega", "delta", "alpha", "beta", "gamma", "map"):
-            if key in camp and isinstance(camp[key], str):
-                _require(camp[key] in maps, f"{path}.{key}",
-                         f"unresolved map reference {camp[key]!r}")
+        check = CHECKS[camp["check"]]
+        for key in check.required:
+            _require(key in camp, f"{path}.{key}", f"missing required field {key!r}")
+        for key, value in camp.items():
+            if key not in ("name", "check"):
+                _require(key in check.params, f"{path}.{key}",
+                         f"check {camp['check']!r} takes no parameter {key!r}")
+                check.params[key].require(value, maps, f"{path}.{key}")
     return doc
 
 

@@ -176,6 +176,9 @@ class VerificationReport:
     seed: Optional[int] = None
     notes: Dict[str, object] = dc_field(default_factory=dict)
 
+    def first_witness(self) -> Optional[dict]:
+        return self.witness
+
 
 @dataclass
 class SeriesReport:

@@ -6,8 +6,9 @@ simplicity campaign enumerates 2.4M lines); everything else runs here.
 
 import pytest
 
+from trilie import structure as st
 from trilie.bundled import bundled_names, get_bundled
-from trilie.campaigns import overall_verdict, run_document
+from trilie.campaigns import build_context, overall_verdict, run_document
 from trilie.documents import parse_document, render_document
 
 FAST_BUNDLED = [n for n in bundled_names() if n != "laurent-quotient-p5"]
@@ -36,3 +37,17 @@ def test_quotient_p5_document_parses():
     # heavy campaigns run in the acceptance gate; here just validate the doc
     ctx = parse_document(render_document(get_bundled("laurent-quotient-p5")))
     assert ctx.doc["carrier"]["p"] == 5
+
+
+@pytest.mark.parametrize("name, expect, verdict, dims", [
+    ("dirac-gamma", "stabilizes-full", "pass", [4, 4]),
+    # solvable but not nilpotent: the lower central series stops at dim 3
+    ("gl2-trace-lift", "vanishes", "fail", [4, 3, 3]),
+])
+def test_lower_central_series_campaign(name, expect, verdict, dims):
+    doc = get_bundled(name)
+    doc["campaigns"] = [{"name": "lcs", "check": "lower-central-series", "expect": expect}]
+    ctx = build_context(doc)
+    (result,) = run_document(ctx)
+    assert result.verdict == verdict
+    assert result.notes["dims"] == dims == st.lower_central_series(ctx.algebra).dims

@@ -114,6 +114,18 @@ def test_verify_builds_the_document_once(tmp_path, monkeypatch, capsys):
     assert calls == ["laurent-quotient-p3"] * 2
 
 
+def test_unexpected_exception_exits_internal(tmp_path, monkeypatch, capsys):
+    import trilie.campaigns as campaigns
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(campaigns, "run_campaign", broken)
+    assert main(["verify", "laurent-quotient-p3", "--out-dir", str(tmp_path)]) == 70
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
 def test_export_structure_constants(tmp_path, capsys):
     out = tmp_path / "q3.json"
     assert main(["export", "laurent-quotient-p3", "--out", str(out)]) == 0

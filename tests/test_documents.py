@@ -144,20 +144,108 @@ def test_structure_checks_need_tabulation():
         parse_document(render_document(doc))
 
 
-@pytest.mark.parametrize("extra, path", [
-    ({"mode": "bogus"}, "$.campaigns[0].mode"),
-    ({"mode": "sampled", "samples": 0}, "$.campaigns[0].samples"),
+SIGN = {"sign": {"rule": "monomial-scale", "base": "-1"}}
+
+
+def _campaign_case(check, path, maps=None, **params):
+    return pytest.param({"name": "c", "check": check, **params}, maps or {}, path,
+                        id=f"{check}-{path.rsplit('.', 1)[-1]}")
+
+
+@pytest.mark.parametrize("campaign, maps, path", [
+    _campaign_case("fundamental-identity", "$.campaigns[0].mode", mode="bogus"),
+    _campaign_case("fundamental-identity", "$.campaigns[0].samples",
+                   mode="sampled", samples=0),
+    # each of these validated and then crashed at run time
+    _campaign_case("closed-vs-determinant", "$.campaigns[0].rows", SIGN,
+                   rows=["sign", "id", "nosuch"]),
+    _campaign_case("anticommute", "$.campaigns[0].delta", SIGN, omega="sign"),
+    _campaign_case("derivation-law", "$.campaigns[0].map"),
+    _campaign_case("involution-antisymmetry", "$.campaigns[0].omega"),
+    _campaign_case("alternating", "$.campaigns[0].bound", bound=-1),
+    # each of these passed, or failed, without checking what it says
+    _campaign_case("grading", "$.campaigns[0].bound", bound=0),
+    _campaign_case("witt", "$.campaigns[0].bound", bound=-1),
+    _campaign_case("derived-series", "$.campaigns[0].expect"),
+    _campaign_case("lower-central-series", "$.campaigns[0].expect", expect="bogus"),
+    _campaign_case("simplicity", "$.campaigns[0].expect", expect="bogus"),
+    _campaign_case("alternating", "$.campaigns[0].bund", bund=3),
+    # inline homomorphism configs go through the rule and form tables
+    _campaign_case("homomorphism", "$.campaigns[0].target",
+                   map={"rule": "identity"}, target={"form": "mystery"}),
+    _campaign_case("homomorphism", "$.campaigns[0].map",
+                   map={"rule": "mystery"}, target={"form": "quotient-parity"}),
+    _campaign_case("homomorphism", "$.campaigns[0].intertwine",
+                   map={"rule": "identity"}, target={"form": "quotient-parity"},
+                   intertwine=[{"name": "x", "source": {"rule": "identity"}}]),
 ])
-def test_bad_fi_mode_and_zero_samples_are_rejected(extra, path, tmp_path, capsys):
+def test_bad_campaigns_are_rejected(campaign, maps, path, tmp_path, capsys):
     doc = minimal_quotient_doc()
-    doc["campaigns"][0].update(extra)
+    doc["maps"] = maps
+    doc["campaigns"] = [campaign]
     with pytest.raises(ConfigError) as info:
         validate_document(doc)
     assert info.value.path == path
     file = tmp_path / "doc.json"
     file.write_text(render_document(doc))
     assert main(["verify", str(file), "--out-dir", str(tmp_path)]) == 64
-    assert path in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
+
+
+def laurent_doc(field):
+    doc = minimal_quotient_doc()
+    doc["field"] = field
+    doc["carrier"] = {"shape": "laurent"}
+    doc["bracket"] = {"form": "laurent-parity", "shift": 0}
+    doc["basis"] = {"kind": "window", "bound": 2, "tabulate": False}
+    return doc
+
+
+@pytest.mark.parametrize("doc, campaign, path", [
+    pytest.param(minimal_quotient_doc(), {"check": "kernel-ideal"}, "$.campaigns[1]",
+                 id="kernel-ideal-without-hom"),
+    pytest.param(laurent_doc({"kind": "rationals"}), {"check": "ideal-divisibility"},
+                 "$.campaigns[1]", id="ideal-divisibility-over-q"),
+    pytest.param(laurent_doc({"kind": "rationals"}),
+                 {"check": "homomorphism", "map": {"rule": "identity"},
+                  "target": {"form": "laurent-flip", "lambdas": ["0"]}},
+                 "$.campaigns[1].target", id="homomorphism-zero-flip-target"),
+])
+def test_campaign_requirements_fail_before_any_campaign_runs(doc, campaign, path, tmp_path,
+                                                             capsys):
+    doc["campaigns"] = [{"name": "fi", "check": "fundamental-identity"},
+                        {"name": "c", **campaign}]
+    validate_document(doc)
+    with pytest.raises(ConfigError) as info:
+        parse_document(render_document(doc))
+    assert info.value.path == path
+    file = tmp_path / "doc.json"
+    file.write_text(render_document(doc))
+    assert main(["verify", str(file), "--out-dir", str(tmp_path)]) == 64
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
+    assert not (tmp_path / "t.report.json").exists()
+
+
+@pytest.mark.parametrize("patch, path", [
+    pytest.param({"carrier": {"shape": "quotient-laurent"}}, "$.carrier", id="carrier-without-p"),
+    pytest.param({"maps": {"f": {"rule": "id-minus", "inner": {"rule": "mystery"}}}},
+                 "$.maps.f", id="id-minus-unknown-inner-rule"),
+    pytest.param({"bracket": {"form": "gamma"}, "carrier": None, "basis": None,
+                  "maps": {"f": {"rule": "identity"}}}, "$.maps", id="maps-without-carrier"),
+])
+def test_validated_documents_do_not_crash_while_building(patch, path, tmp_path, capsys):
+    doc = minimal_quotient_doc()
+    doc.update(patch)
+    doc = {k: v for k, v in doc.items() if v is not None}
+    with pytest.raises(ConfigError) as info:
+        parse_document(render_document(doc))
+    assert info.value.path == path
+    file = tmp_path / "doc.json"
+    file.write_text(render_document(doc))
+    assert main(["verify", str(file), "--out-dir", str(tmp_path)]) == 64
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_explicit_basis_indices_parse():
