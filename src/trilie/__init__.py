@@ -61,6 +61,7 @@ from .lifts import (
 )
 from .structure import (
     BudgetExceeded,
+    CheckReport,
     FiniteNLieAlgebra,
     SimplicityCertificate,
     certify_simplicity,

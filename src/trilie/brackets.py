@@ -18,7 +18,6 @@ from .carriers import (
     AlgebraElement,
     CarrierAlgebra,
     CarrierMismatchError,
-    CheckReport,
     Endomorphism,
     Functional,
     GroupAlgebra,
@@ -28,7 +27,7 @@ from .carriers import (
     QuotientLaurentAlgebra,
 )
 from .fields import Field
-from .structure import FiniteNLieAlgebra, _fi_cases, _fi_scan, _perm_sign
+from .structure import CheckReport, FiniteNLieAlgebra, _fi_cases, _fi_scan, _perm_sign
 
 _PERMS3 = [(p, _perm_sign(p)) for p in itertools.permutations(range(3))]
 
@@ -395,14 +394,12 @@ def check_alternating(bracket: TriBracket, window: Sequence, seed: int = 0,
     carrier = bracket.carrier
     f = carrier.field
     rng = random.Random(seed)
-    checked = 0
-    failures = []
+    rep = CheckReport("alternating multiplication")
     for i, j in itertools.product(window[: min(len(window), 8)], repeat=2):
         val = bracket.eval_indices(i, i, j)
-        checked += 1
-        if not val.is_zero() and len(failures) < 5:
-            failures.append({"triple": [carrier.index_str(i)] * 2 + [carrier.index_str(j)],
-                             "value": str(val)})
+        if rep.fails(not val.is_zero()):
+            rep.failures.append({"triple": [carrier.index_str(i)] * 2 + [carrier.index_str(j)],
+                                 "value": str(val)})
     for _ in range(samples):
         a, b, c = (rng.choice(window) for _ in range(3))
         base = bracket.eval_indices(a, b, c)
@@ -410,11 +407,10 @@ def check_alternating(bracket: TriBracket, window: Sequence, seed: int = 0,
             args = [(a, b, c)[t] for t in perm]
             got = bracket.eval_indices(*args)
             want = base if sign == 1 else base.scale(f.embed(-1))
-            checked += 1
-            if got != want and len(failures) < 5:
-                failures.append({"triple": [carrier.index_str(x) for x in args],
-                                 "got": str(got), "want": str(want)})
-    return CheckReport("alternating multiplication", not failures, checked, failures)
+            if rep.fails(got != want):
+                rep.failures.append({"triple": [carrier.index_str(x) for x in args],
+                                     "got": str(got), "want": str(want)})
+    return rep
 
 
 def check_trilinear(bracket: TriBracket, window: Sequence, seed: int = 0,
@@ -423,33 +419,30 @@ def check_trilinear(bracket: TriBracket, window: Sequence, seed: int = 0,
     carrier = bracket.carrier
     f = carrier.field
     rng = random.Random(seed)
-    failures = []
+    rep = CheckReport("trilinearity")
     for _ in range(samples):
         x, y, c, d = (carrier.monomial(rng.choice(window)) for _ in range(4))
         a_s, b_s = f.random_element(rng), f.random_element(rng)
         lhs = bracket(x.scale(a_s) + y.scale(b_s), c, d)
         rhs = bracket(x, c, d).scale(a_s) + bracket(y, c, d).scale(b_s)
-        if lhs != rhs and len(failures) < 5:
-            failures.append({"got": str(lhs), "want": str(rhs)})
-    return CheckReport("trilinearity", not failures, samples, failures)
+        if rep.fails(lhs != rhs):
+            rep.failures.append({"got": str(lhs), "want": str(rhs)})
+    return rep
 
 
 def check_agreement(closed: TriBracket, oracle: TriBracket, window: Sequence) -> CheckReport:
     """Exact equality of two brackets on every ordered window triple."""
-    checked = 0
-    failures = []
     carrier = closed.carrier
+    rep = CheckReport("closed form agrees with determinant oracle")
     for a, b, c in itertools.product(window, repeat=3):
         lhs = closed.eval_indices(a, b, c)
         rhs = oracle.eval_indices(a, b, c)
-        checked += 1
-        if lhs != rhs and len(failures) < 5:
-            failures.append({
+        if rep.fails(lhs != rhs):
+            rep.failures.append({
                 "triple": [carrier.index_str(x) for x in (a, b, c)],
                 "closed": str(lhs), "determinant": str(rhs),
             })
-    return CheckReport("closed form agrees with determinant oracle",
-                       not failures, checked, failures)
+    return rep
 
 
 def check_involution_antisymmetry(bracket: TriBracket, omega: Endomorphism,
@@ -457,17 +450,15 @@ def check_involution_antisymmetry(bracket: TriBracket, omega: Endomorphism,
     """w([x,y,z]) = -[w(x), w(y), w(z)] on all window triples."""
     carrier = bracket.carrier
     f = carrier.field
-    checked = 0
-    failures = []
+    rep = CheckReport("involution anti-equivariance")
     for a, b, c in itertools.combinations(window, 3):
         xs = [carrier.monomial(i) for i in (a, b, c)]
         lhs = omega(bracket(*xs))
         rhs = bracket(*[omega(x) for x in xs]).scale(f.embed(-1))
-        checked += 1
-        if lhs != rhs and len(failures) < 5:
-            failures.append({"triple": [carrier.index_str(x) for x in (a, b, c)],
-                             "lhs": str(lhs), "rhs": str(rhs)})
-    return CheckReport("involution anti-equivariance", not failures, checked, failures)
+        if rep.fails(lhs != rhs):
+            rep.failures.append({"triple": [carrier.index_str(x) for x in (a, b, c)],
+                                 "lhs": str(lhs), "rhs": str(rhs)})
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -494,14 +485,13 @@ def check_fi_window(bracket: TriBracket, window: Sequence, mode: str = "exhausti
             terms = memo[t] = bracket.eval_indices(*t).terms
         return terms
 
-    checked, found = _fi_scan(evaluate, carrier.field,
-                              _fi_cases(window, 3, mode, samples, seed), keep=5)
+    checked, found = _fi_scan(evaluate, carrier.field, _fi_cases(window, 3, mode, samples, seed))
     failures = [{"x": [carrier.index_str(i) for i in xs],
                  "y": [carrier.index_str(i) for i in ys],
                  "residual": str(AlgebraElement(carrier, res))}
                 for xs, ys, res in found]
-    return CheckReport("fundamental identity on the window", not failures,
-                       checked, failures, notes={"covered": len(window) ** 5})
+    return CheckReport("fundamental identity on the window", checked, failures,
+                       notes={"covered": len(window) ** 5})
 
 
 # ---------------------------------------------------------------------------
@@ -523,61 +513,46 @@ def check_homomorphism(sigma: Endomorphism, source: TriBracket, target: TriBrack
     in the report) for maps whose rule degenerates there.
     """
     carrier = source.carrier
-    f = carrier.field
     excluded = set(exclude_indices)
     win = [i for i in window if i not in excluded]
-    checked = 0
-    failures = []
-    notes: Dict[str, object] = {}
+    rep = CheckReport("sigma([a,b,c]) = [sigma a, sigma b, sigma c]")
     if excluded:
-        notes["excluded_indices"] = [carrier.index_str(i) for i in excluded]
+        rep.notes["excluded_indices"] = [carrier.index_str(i) for i in excluded]
         u = carrier.unit_index()
         if u is not None:
             img = sigma(carrier.monomial(u))
-            notes["unit_image"] = str(img)
-            notes["unit_fixed"] = img == carrier.monomial(u)
+            rep.notes["unit_image"] = str(img)
+            rep.notes["unit_fixed"] = img == carrier.monomial(u)
 
     for a, b, c in itertools.combinations(win, 3):
         xs = [carrier.monomial(i) for i in (a, b, c)]
         lhs = sigma(source(*xs))
         rhs = target(*[sigma(x) for x in xs])
-        checked += 1
-        if lhs != rhs and len(failures) < 5:
-            failures.append({"triple": [carrier.index_str(x) for x in (a, b, c)],
-                             "lhs": str(lhs), "rhs": str(rhs)})
+        if rep.fails(lhs != rhs):
+            rep.failures.append({"triple": [carrier.index_str(x) for x in (a, b, c)],
+                                 "lhs": str(lhs), "rhs": str(rhs)})
 
-    details = {}
     for name, m_src, m_tgt in intertwine:
-        sub_fail = []
+        sub = rep.details[name] = CheckReport(f"sigma.{name}_src = {name}_tgt.sigma")
         for i in win:
             x = carrier.monomial(i)
             lhs = sigma(m_src(x))
             rhs = m_tgt(sigma(x))
-            if lhs != rhs and len(sub_fail) < 5:
-                sub_fail.append({"index": carrier.index_str(i),
-                                 "lhs": str(lhs), "rhs": str(rhs)})
-        details[name] = CheckReport(f"sigma.{name}_src = {name}_tgt.sigma",
-                                    not sub_fail, len(win), sub_fail)
+            if sub.fails(lhs != rhs):
+                sub.failures.append({"index": carrier.index_str(i),
+                                     "lhs": str(lhs), "rhs": str(rhs)})
 
     if require_invertible:
-        seen = {}
-        inv_fail = []
+        sub = rep.details["invertible_on_window"] = CheckReport(
+            "sigma maps window monomials to distinct nonzero monomials")
+        seen = set()
         for i in win:
             img = sigma(carrier.monomial(i))
-            if len(img.terms) != 1:
-                inv_fail.append({"index": carrier.index_str(i), "image": str(img)})
-                continue
-            (j, coeff), = img.terms.items()
-            if f.is_zero(coeff) or j in seen:
-                inv_fail.append({"index": carrier.index_str(i), "image": str(img)})
-            seen[j] = i
-        details["invertible_on_window"] = CheckReport(
-            "sigma maps window monomials to distinct nonzero monomials",
-            not inv_fail, len(win), inv_fail[:5])
-
-    passed = not failures and all(r.passed for r in details.values())
-    return CheckReport("sigma([a,b,c]) = [sigma a, sigma b, sigma c]",
-                       passed, checked, failures, details, notes)
+            if sub.fails(len(img.terms) != 1 or not seen.isdisjoint(img.terms)):
+                sub.failures.append({"index": carrier.index_str(i), "image": str(img)})
+            if len(img.terms) == 1:
+                seen.update(img.terms)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -609,16 +584,13 @@ def check_grading(bracket: TriBracket, delta: Optional[Endomorphism],
     if sb.dim != len(window):
         raise ValueError("plus + minus does not span the enumerated window")
 
-    checked = 0
-    failures = []
+    rep = CheckReport("graded pieces are abelian subalgebras")
     for name, part in (("plus", plus_elements), ("minus", minus_elements)):
         for xs in itertools.combinations(part, 3):
             val = bracket(*xs)
-            checked += 1
-            if not val.is_zero() and len(failures) < 5:
-                failures.append({"part": name, "value": str(val)})
+            if rep.fails(not val.is_zero()):
+                rep.failures.append({"part": name, "value": str(val)})
 
-    details = {}
     if delta is not None:
         plus_span = SpanBuilder(f, len(window))
         for v in plus_coords:
@@ -626,16 +598,14 @@ def check_grading(bracket: TriBracket, delta: Optional[Endomorphism],
         minus_span = SpanBuilder(f, len(window))
         for v in minus_coords:
             minus_span.add(v)
-        swap_fail = []
-        for x in plus_elements:
-            if not minus_span.contains(coordinates(delta(x), window)):
-                swap_fail.append({"from": "plus", "element": str(x), "image": str(delta(x))})
-        for x in minus_elements:
-            if not plus_span.contains(coordinates(delta(x), window)):
-                swap_fail.append({"from": "minus", "element": str(x), "image": str(delta(x))})
-        details["delta_swaps_pieces"] = CheckReport(
-            "delta(plus) in minus and delta(minus) in plus",
-            not swap_fail, len(plus_elements) + len(minus_elements), swap_fail[:5])
+        sub = rep.details["delta_swaps_pieces"] = CheckReport(
+            "delta(plus) in minus and delta(minus) in plus")
+        for name, part, other in (("plus", plus_elements, minus_span),
+                                  ("minus", minus_elements, plus_span)):
+            for x in part:
+                if sub.fails(not other.contains(coordinates(delta(x), window))):
+                    sub.failures.append({"from": name, "element": str(x),
+                                         "image": str(delta(x))})
 
     mixed_nonzero = 0
     mixed_total = 0
@@ -643,12 +613,9 @@ def check_grading(bracket: TriBracket, delta: Optional[Endomorphism],
         mixed_total += 1
         if not bracket(*xs).is_zero():
             mixed_nonzero += 1
-    notes = {"mixed_triples_observed": mixed_total,
-             "mixed_triples_nonzero": mixed_nonzero}
-
-    passed = not failures and all(r.passed for r in details.values())
-    return CheckReport("graded pieces are abelian subalgebras", passed, checked,
-                       failures, details, notes)
+    rep.notes = {"mixed_triples_observed": mixed_total,
+                 "mixed_triples_nonzero": mixed_nonzero}
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -701,22 +668,17 @@ def check_principal_ideal_membership(bracket: TriBracket, generator: AlgebraElem
                                      argument_bound: int) -> CheckReport:
     """All brackets [g*t^j, t^a, t^b] are divisible by g, by exact division."""
     carrier = bracket.carrier
-    checked = 0
-    failures = []
+    rep = CheckReport("bracket values stay divisible by the ideal generator")
     for j in cofactor_exponents:
         x = generator * carrier.monomial((j,))
         for a in range(-argument_bound, argument_bound + 1):
             for b in range(-argument_bound, argument_bound + 1):
                 val = bracket(x, carrier.monomial((a,)), carrier.monomial((b,)))
-                checked += 1
-                if val.is_zero():
-                    continue
-                _, rem = laurent_divmod(val, generator)
-                if not rem.is_zero() and len(failures) < 5:
-                    failures.append({"cofactor": j, "args": [a, b],
-                                     "value": str(val), "remainder": str(rem)})
-    return CheckReport("bracket values stay divisible by the ideal generator",
-                       not failures, checked, failures)
+                rem = val if val.is_zero() else laurent_divmod(val, generator)[1]
+                if rep.fails(not rem.is_zero()):
+                    rep.failures.append({"cofactor": j, "args": [a, b],
+                                         "value": str(val), "remainder": str(rem)})
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -759,14 +721,15 @@ def group_kernel_certificate(hom: GroupHom, seed: int = 0, spot_samples: int = 4
         )
 
     attained = sorted(set(values), key=f.render)
-    failures = []
-    checked = 0
+    report = CheckReport(
+        "phi vanishes on every bracket (kernel is a maximal ideal)",
+        notes={"kernel_dim": ker.dim, "codim": ker.codim,
+               "hom_value_classes": len(attained)})
     for a in attained:
         for b in attained:
             for c in attained:
-                checked += 1
-                if not f.is_zero(P(a, b, c)) and len(failures) < 5:
-                    failures.append({"hom_values": [f.render(x) for x in (a, b, c)]})
+                if report.fails(not f.is_zero(P(a, b, c))):
+                    report.failures.append({"hom_values": [f.render(x) for x in (a, b, c)]})
 
     # seeded spot checks: evaluate actual brackets and compare with the fiber
     # polynomial, and probe [v, e_A, e_B] membership for v in the kernel
@@ -776,11 +739,9 @@ def group_kernel_certificate(hom: GroupHom, seed: int = 0, spot_samples: int = 4
     for _ in range(spot_samples):
         g, h, w = (rng.choice(basis) for _ in range(3))
         val = phi(bracket.eval_indices(g, h, w))
-        checked += 1
-        if val != P(hom(g), hom(h), hom(w)) or not f.is_zero(val):
-            if len(failures) < 5:
-                failures.append({"triple": [G.index_str(x) for x in (g, h, w)],
-                                 "phi": f.render(val)})
+        if report.fails(val != P(hom(g), hom(h), hom(w)) or not f.is_zero(val)):
+            report.failures.append({"triple": [G.index_str(x) for x in (g, h, w)],
+                                    "phi": f.render(val)})
     for _ in range(spot_samples // 4):
         v = G.zero()
         for _ in range(2):
@@ -788,18 +749,12 @@ def group_kernel_certificate(hom: GroupHom, seed: int = 0, spot_samples: int = 4
             v = v + G.element({basis[i]: c for i, c in enumerate(row)
                                if not f.is_zero(c)})
         x = bracket(v, G.monomial(rng.choice(basis)), G.monomial(rng.choice(basis)))
-        checked += 1
-        if not f.is_zero(phi(x)) and len(failures) < 5:
-            failures.append({"kernel_probe": str(x)})
+        if report.fails(not f.is_zero(phi(x))):
+            report.failures.append({"kernel_probe": str(x)})
 
-    report = CheckReport(
-        "phi vanishes on every bracket (kernel is a maximal ideal)",
-        not failures, checked, failures,
-        notes={"kernel_dim": ker.dim, "codim": ker.codim,
-               "hom_value_classes": len(attained)})
     cert = SimplicityCertificate(
         "non-simple" if report.passed else "evidence-only",
-        "kernel-functional", checked, ker if report.passed else None, seed=seed,
+        "kernel-functional", report.checked, ker if report.passed else None, seed=seed,
         notes={"witness": "kernel of the hom functional",
                "derived_algebra_inside_witness": report.passed})
     return cert, report
@@ -812,17 +767,14 @@ def group_kernel_certificate(hom: GroupHom, seed: int = 0, spot_samples: int = 4
 def check_parity_family_vanishing(field: Field, bound: int) -> CheckReport:
     """The coefficient of [t^l, t^m, t^{-m+1}] under the plain-derivative
     parity bracket vanishes exactly when l = m or l = -m+1."""
-    checked = 0
-    failures = []
+    rep = CheckReport("coefficient vanishing classification")
     for l in range(-bound, bound + 1):
         for m in range(-bound, bound + 1):
             c = parity_coefficient(field, l, m, -m + 1)
             expect_zero = l == m or l == -m + 1
-            checked += 1
-            if field.is_zero(c) != expect_zero and len(failures) < 5:
-                failures.append({"l": l, "m": m, "coefficient": field.render(c)})
-    return CheckReport("coefficient vanishing classification", not failures,
-                       checked, failures)
+            if rep.fails(field.is_zero(c) != expect_zero):
+                rep.failures.append({"l": l, "m": m, "coefficient": field.render(c)})
+    return rep
 
 
 def laurent_reachability(field: Field, bound: int, arg_bound: Optional[int] = None) -> CheckReport:
@@ -833,8 +785,7 @@ def laurent_reachability(field: Field, bound: int, arg_bound: Optional[int] = No
     if arg_bound is None:
         arg_bound = bound + 2
     args = range(-arg_bound, arg_bound + 1)
-    checked = 0
-    failures = []
+    rep = CheckReport("window monomials generate each other")
     for j in window:
         for l in window:
             ok = False
@@ -847,8 +798,6 @@ def laurent_reachability(field: Field, bound: int, arg_bound: Optional[int] = No
                         break
                 if ok:
                     break
-            checked += 1
-            if not ok and len(failures) < 5:
-                failures.append({"from": j, "to": l})
-    return CheckReport("window monomials generate each other", not failures,
-                       checked, failures)
+            if rep.fails(not ok):
+                rep.failures.append({"from": j, "to": l})
+    return rep

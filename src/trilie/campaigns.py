@@ -226,10 +226,18 @@ MAP = Param(lambda v, maps: isinstance(v, str) and v in maps, "unresolved map re
             lambda ctx, v: ctx.maps[v])
 ROWS = Param(lambda v, maps: isinstance(v, list) and all(r == "id" or MAP.ok(r, maps) for r in v),
              "rows are \"id\" or map names; unresolved map reference in",
-             lambda ctx, v: ["id" if r == "id" else ctx.maps[r] for r in v])
-MAP_CONFIG = Param(lambda v, maps: isinstance(v, dict) and (
-    known_name(ENDO_RULES, v.get("rule")) or known_name(FUNCTIONAL_RULES, v.get("rule"))),
-    "unknown or missing map rule in", lambda ctx, v: _build_map(ctx.carrier, v))
+             lambda ctx, v: br.DeterminantBracket(
+                 ctx.carrier, ["id" if r == "id" else ctx.maps[r] for r in v]))
+
+
+def _map_config_ok(v, maps, rules=(ENDO_RULES, FUNCTIONAL_RULES)) -> bool:
+    """A map config names a rule of `rules`; an id-minus wraps an endomorphism's."""
+    return (isinstance(v, dict) and any(known_name(t, v.get("rule")) for t in rules)
+            and (v["rule"] != "id-minus" or _map_config_ok(v.get("inner"), maps, (ENDO_RULES,))))
+
+
+MAP_CONFIG = Param(_map_config_ok, "unknown or missing map rule in",
+                   lambda ctx, v: _build_map(ctx.carrier, v))
 TARGET_CONFIG = Param(
     lambda v, maps: (isinstance(v, dict) and known_name(BRACKETS, v.get("form"))
                      and not BRACKETS[v["form"]].own_algebra),
@@ -244,9 +252,32 @@ INTERTWINE = Param(
                      _build_map(ctx.carrier, e["target"])) for e in v])
 
 
-def _structure_constants(ctx: "BuildContext") -> Optional[str]:
+# build requirements: need(ctx, camp) returns what the document lacks for the
+# campaign `camp`, or None
+
+def _structure_constants(ctx: "BuildContext", camp: dict) -> Optional[str]:
     why = str(ctx.closure_failure) if ctx.closure_failure else "no finite tabulated basis"
     return None if ctx.algebra is not None else f"needs structure constants: {why}"
+
+
+def _need(holds: Callable[["BuildContext", dict], bool], lack: str):
+    return lambda ctx, camp: None if holds(ctx, camp) else lack
+
+
+_BRACKET = _need(lambda ctx, camp: ctx.bracket is not None or ctx.algebra is not None,
+                 "needs a bracket")
+_CARRIER_BRACKET = _need(lambda ctx, camp: ctx.bracket is not None, "needs a bracket on a carrier")
+_WEDGE_BRACKET = _need(lambda ctx, camp: isinstance(ctx.bracket, br.GroupWedgeBracket),
+                       "needs the wedge bracket of a group hom")
+_LAURENT = _need(lambda ctx, camp: isinstance(ctx.carrier, ca.LaurentAlgebra)
+                 and ctx.carrier.nvars == 1, "needs a one-variable Laurent carrier")
+_CHAR_NOT_TWO = _need(lambda ctx, camp: ctx.field.characteristic != 2, "needs ch F != 2")
+_ODD_PRIME = _need(lambda ctx, camp: ctx.field.characteristic > 2, "needs ch F = p > 2")
+# a functional condition is checked when all of its maps are given
+_CONDITION = _need(lambda ctx, camp: "alpha" in camp or {"beta", "delta"} <= camp.keys()
+                   or {"gamma", "delta", "omega"} <= camp.keys(),
+                   "enables no condition: give alpha, beta with delta, "
+                   "or gamma with delta and omega")
 
 
 def _subspace_summary(s: Optional[Subspace], labels=None, limit: int = 5) -> Optional[dict]:
@@ -280,11 +311,12 @@ Run = namedtuple("Run", "seed budget workers")
 @dataclass(frozen=True)
 class Check:
     """A campaign check: its parameters (`required` ones must be given), its
-    build requirements (each returns what is lacking, or None) and runner."""
-    run: Callable[[BuildContext, dict, Run], Union[dict, ca.CheckReport]]
+    build requirements (each `need(ctx, camp)` returns what is lacking, or
+    None) and runner."""
+    run: Callable[[BuildContext, dict, Run], Union[dict, st.CheckReport]]
     params: Dict[str, Param] = dc_field(default_factory=dict)
     required: Tuple[str, ...] = ()
-    needs: Tuple[Callable[[BuildContext], Optional[str]], ...] = ()
+    needs: Tuple[Callable[[BuildContext, dict], Optional[str]], ...] = ()
 
 
 def _window(ctx: BuildContext, args: dict, default_bound: int = 3) -> list:
@@ -301,14 +333,14 @@ def _run_fundamental_identity(ctx: BuildContext, a: dict, run: Run) -> dict:
         rep = st.verify_fundamental_identity(
             ctx.algebra, mode=mode, samples=a.get("samples", 1000),
             seed=run.seed, workers=run.workers)
-        return _from_report(rep, counts={"checked": rep.checked, "covered": rep.covered},
-                            seed=rep.seed)
-    window = ctx.basis if ctx.basis is not None else _window(ctx, a)
-    rep = br.check_fi_window(ctx.bracket, window, mode=mode,
-                             samples=a.get("samples", 500), seed=run.seed)
-    return _from_report(rep, counts={"checked": rep.checked,
-                                     "covered": rep.notes.get("covered", 0)},
-                        seed=run.seed, notes={})
+        seed = run.seed if mode == "sampled" else None
+    else:
+        window = ctx.basis if ctx.basis is not None else _window(ctx, a)
+        rep = br.check_fi_window(ctx.bracket, window, mode=mode,
+                                 samples=a.get("samples", 500), seed=run.seed)
+        seed = run.seed
+    return _from_report(rep, counts={"checked": rep.checked, "covered": rep.notes["covered"]},
+                        seed=seed, notes={})
 
 
 def _run_simplicity(ctx: BuildContext, a: dict, run: Run) -> dict:
@@ -374,7 +406,7 @@ def _run_functional_conditions(ctx: BuildContext, a: dict, run: Run) -> dict:
     return _from_report(rep, notes={k: sub.passed for k, sub in rep.details.items()})
 
 
-def _run_grading(ctx: BuildContext, a: dict, run: Run) -> ca.CheckReport:
+def _run_grading(ctx: BuildContext, a: dict, run: Run) -> st.CheckReport:
     bound = a.get("bound", 4)
     A = ctx.carrier
     plus = [A.one()] + [A.monomial((i,)) + A.monomial((-i,)) for i in range(1, bound + 1)]
@@ -382,7 +414,7 @@ def _run_grading(ctx: BuildContext, a: dict, run: Run) -> ca.CheckReport:
     return br.check_grading(ctx.bracket, a.get("delta"), plus, minus, A.window(bound))
 
 
-def _run_ideal_divisibility(ctx: BuildContext, a: dict, run: Run) -> ca.CheckReport:
+def _run_ideal_divisibility(ctx: BuildContext, a: dict, run: Run) -> st.CheckReport:
     A, f = ctx.carrier, ctx.field
     p = f.characteristic
     sign = f.one if a.get("sign", "+") == "+" else f.neg(f.one)
@@ -403,21 +435,20 @@ CHECKS = {
     "alternating": Check(
         lambda ctx, a, run: _from_report(
             br.check_alternating(ctx.bracket, _window(ctx, a), seed=run.seed), seed=run.seed),
-        {"bound": POSITIVE}),
+        {"bound": POSITIVE}, needs=(_CARRIER_BRACKET,)),
     "trilinear": Check(
         lambda ctx, a, run: _from_report(
             br.check_trilinear(ctx.bracket, _window(ctx, a), seed=run.seed), seed=run.seed),
-        {"bound": POSITIVE}),
+        {"bound": POSITIVE}, needs=(_CARRIER_BRACKET,)),
     "fundamental-identity": Check(
         _run_fundamental_identity,
-        {"bound": POSITIVE, "mode": _one_of("exhaustive", "sampled"), "samples": POSITIVE}),
+        {"bound": POSITIVE, "mode": _one_of("exhaustive", "sampled"), "samples": POSITIVE},
+        needs=(_BRACKET,)),
     "simplicity": Check(
         _run_simplicity,
         {"budget": POSITIVE, "expect": _one_of("simple", "non-simple", "evidence-only")},
         needs=(_structure_constants,)),
-    "kernel-ideal": Check(_run_kernel_ideal, needs=(
-        lambda ctx: None if isinstance(ctx.bracket, br.GroupWedgeBracket)
-        else "needs the wedge bracket of a group hom",)),
+    "kernel-ideal": Check(_run_kernel_ideal, needs=(_WEDGE_BRACKET,)),
     "derived-series": Check(
         lambda ctx, a, run: _series_result(ctx, a, st.derived_series(ctx.algebra)),
         _SERIES, ("expect",), (_structure_constants,)),
@@ -435,11 +466,10 @@ CHECKS = {
         {"map": MAP, "bound": POSITIVE}, ("map",)),
     "functional-conditions": Check(
         _run_functional_conditions,
-        {**dict.fromkeys(_FUNCTIONALS, MAP), "bound": POSITIVE}),
+        {**dict.fromkeys(_FUNCTIONALS, MAP), "bound": POSITIVE}, needs=(_CONDITION,)),
     "closed-vs-determinant": Check(
-        lambda ctx, a, run: br.check_agreement(
-            ctx.bracket, br.DeterminantBracket(ctx.carrier, a["rows"]), _window(ctx, a)),
-        {"rows": ROWS, "bound": POSITIVE}, ("rows",)),
+        lambda ctx, a, run: br.check_agreement(ctx.bracket, a["rows"], _window(ctx, a)),
+        {"rows": ROWS, "bound": POSITIVE}, ("rows",), (_CARRIER_BRACKET,)),
     "homomorphism": Check(
         lambda ctx, a, run: br.check_homomorphism(
             a["map"], ctx.bracket, a["target"], _window(ctx, a, 5),
@@ -448,12 +478,13 @@ CHECKS = {
             exclude_indices=[ctx.carrier.unit_index()] if a.get("exclude_unit") else []),
         {"map": MAP_CONFIG, "target": TARGET_CONFIG, "intertwine": INTERTWINE,
          "exclude_unit": FLAG, "require_invertible": FLAG, "bound": POSITIVE},
-        ("map", "target")),
-    "grading": Check(_run_grading, {"delta": MAP, "bound": POSITIVE}),
+        ("map", "target"), (_CARRIER_BRACKET,)),
+    "grading": Check(_run_grading, {"delta": MAP, "bound": POSITIVE},
+                     needs=(_CARRIER_BRACKET, _LAURENT, _CHAR_NOT_TWO)),
     "ideal-divisibility": Check(
         _run_ideal_divisibility,
         {"sign": _one_of("+", "-"), "cofactor_bound": POSITIVE, "argument_bound": POSITIVE},
-        needs=(lambda ctx: None if ctx.field.characteristic > 2 else "needs ch F = p > 2",)),
+        needs=(_CARRIER_BRACKET, _LAURENT, _ODD_PRIME)),
     "parity-vanishing": Check(
         lambda ctx, a, run: br.check_parity_family_vanishing(ctx.field, a.get("bound", 8)),
         {"bound": POSITIVE}),
@@ -465,13 +496,13 @@ CHECKS = {
             br.MonomialBracket(ctx.carrier, br.parity_determinant_coefficient(ctx.field),
                                (a.get("shift", 0) - 1,)),
             br.LaurentParityBracket(ctx.carrier, shift=a.get("shift", 0)), _window(ctx, a, 6)),
-        {"shift": INTEGER, "bound": POSITIVE}),
+        {"shift": INTEGER, "bound": POSITIVE}, needs=(_LAURENT, _CHAR_NOT_TWO)),
     "involution-antisymmetry": Check(
         lambda ctx, a, run: br.check_involution_antisymmetry(
             ctx.bracket, a["omega"], _window(ctx, a)),
-        {"omega": MAP, "bound": POSITIVE}, ("omega",)),
+        {"omega": MAP, "bound": POSITIVE}, ("omega",), (_CARRIER_BRACKET,)),
     "witt": Check(lambda ctx, a, run: ca.check_witt_relation(ctx.carrier, a.get("bound", 3)),
-                  {"bound": POSITIVE}),
+                  {"bound": POSITIVE}, needs=(_LAURENT,)),
 }
 
 
@@ -525,7 +556,7 @@ def build_context(doc: dict) -> BuildContext:
     for k, camp in enumerate(doc["campaigns"]):
         path = f"$.campaigns[{k}]"
         check = CHECKS[camp["check"]]
-        for lack in filter(None, (need(ctx) for need in check.needs)):
+        for lack in filter(None, (need(ctx, camp) for need in check.needs)):
             raise ConfigError(path, f"check {camp['check']!r} {lack}")
         ctx.campaign_args[camp["name"]] = {
             key: _built(f"{path}.{key}", check.params[key].build, ctx, value)

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .fields import Field, FieldError, require_same_field
+from .fields import Field
+from .structure import CheckReport
 
 
 class CarrierMismatchError(ValueError):
@@ -842,64 +843,37 @@ class Functional:
 # law checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckReport:
-    law: str
-    passed: bool
-    checked: int
-    failures: List[dict] = dc_field(default_factory=list)
-    details: Dict[str, "CheckReport"] = dc_field(default_factory=dict)
-    notes: Dict[str, object] = dc_field(default_factory=dict)
-
-    def first_witness(self) -> Optional[dict]:
-        if self.failures:
-            return self.failures[0]
-        for sub in self.details.values():
-            w = sub.first_witness()
-            if w is not None:
-                return w
-        return None
-
-
-_MAX_WITNESSES = 5
-
-
 def check_derivation(f: Endomorphism, window: Sequence) -> CheckReport:
     """Leibniz law D(xy) = D(x)y + xD(y) on all pairs from the window."""
     carrier = f.carrier
-    checked = 0
-    failures = []
+    rep = CheckReport("D(xy) = D(x)y + xD(y)")
     for a, b in itertools.combinations_with_replacement(window, 2):
         xa, xb = carrier.monomial(a), carrier.monomial(b)
         lhs = f(xa * xb)
         rhs = f(xa) * xb + xa * f(xb)
-        checked += 1
-        if lhs != rhs and len(failures) < _MAX_WITNESSES:
-            failures.append({
+        if rep.fails(lhs != rhs):
+            rep.failures.append({
                 "pair": [carrier.index_str(a), carrier.index_str(b)],
                 "lhs": str(lhs), "rhs": str(rhs),
             })
-    return CheckReport("D(xy) = D(x)y + xD(y)", not failures, checked, failures)
+    return rep
 
 
 def check_involution(f: Endomorphism, window: Sequence) -> CheckReport:
     """Multiplicativity on pairs and f(f(x)) = x on singletons."""
     carrier = f.carrier
-    checked = 0
-    failures = []
+    rep = CheckReport("f(xy) = f(x)f(y) and f^2 = id")
     for a in window:
         xa = carrier.monomial(a)
-        checked += 1
-        if f(f(xa)) != xa and len(failures) < _MAX_WITNESSES:
-            failures.append({"index": carrier.index_str(a), "law": "f(f(x)) = x",
-                             "value": str(f(f(xa)))})
+        if rep.fails(f(f(xa)) != xa):
+            rep.failures.append({"index": carrier.index_str(a), "law": "f(f(x)) = x",
+                                 "value": str(f(f(xa)))})
     for a, b in itertools.combinations_with_replacement(window, 2):
         xa, xb = carrier.monomial(a), carrier.monomial(b)
-        checked += 1
-        if f(xa * xb) != f(xa) * f(xb) and len(failures) < _MAX_WITNESSES:
-            failures.append({"pair": [carrier.index_str(a), carrier.index_str(b)],
-                             "law": "f(xy) = f(x)f(y)"})
-    return CheckReport("f(xy) = f(x)f(y) and f^2 = id", not failures, checked, failures)
+        if rep.fails(f(xa * xb) != f(xa) * f(xb)):
+            rep.failures.append({"pair": [carrier.index_str(a), carrier.index_str(b)],
+                                 "law": "f(xy) = f(x)f(y)"})
+    return rep
 
 
 def check_anticommute(omega: Endomorphism, delta: Endomorphism, window: Sequence) -> CheckReport:
@@ -907,15 +881,13 @@ def check_anticommute(omega: Endomorphism, delta: Endomorphism, window: Sequence
     carrier = omega.carrier
     if carrier != delta.carrier:
         raise CarrierMismatchError("maps live on different carriers")
-    checked = 0
-    failures = []
+    rep = CheckReport("omega.delta + delta.omega = 0")
     for a in window:
         xa = carrier.monomial(a)
         val = omega(delta(xa)) + delta(omega(xa))
-        checked += 1
-        if not val.is_zero() and len(failures) < _MAX_WITNESSES:
-            failures.append({"index": carrier.index_str(a), "value": str(val)})
-    return CheckReport("omega.delta + delta.omega = 0", not failures, checked, failures)
+        if rep.fails(not val.is_zero()):
+            rep.failures.append({"index": carrier.index_str(a), "value": str(val)})
+    return rep
 
 
 def check_functional_bracket_conditions(
@@ -931,58 +903,50 @@ def check_functional_bracket_conditions(
     beta kills derivation commutators x D(y) - y D(x), and gamma takes the
     same value on x D(y) - y D(x) and omega(x) D(y) - omega(y) D(x).
 
-    Each supplied condition is evaluated on all window pairs; the report
-    carries one sub-report per condition.
+    Each condition whose maps are all supplied is evaluated on all window
+    pairs; the report carries one sub-report per condition.  A call that
+    enables no condition is an error.
     """
-    details = {}
-    carrier = None
-    for obj in (alpha, beta, gamma, delta, omega):
-        if obj is not None:
-            carrier = obj.carrier
-            break
-    if carrier is None:
-        raise ValueError("nothing to check")
-
+    carrier = next((obj.carrier for obj in (alpha, beta, gamma, delta, omega)
+                    if obj is not None), None)
     pairs = list(itertools.combinations_with_replacement(window, 2))
+    details = {}
 
     if alpha is not None:
-        failures = []
+        sub = details["alpha_kills_products"] = CheckReport("alpha(xy) = 0")
         for a, b in pairs:
             val = alpha(carrier.monomial(a) * carrier.monomial(b))
-            if not carrier.field.is_zero(val) and len(failures) < _MAX_WITNESSES:
-                failures.append({"pair": [carrier.index_str(a), carrier.index_str(b)],
-                                 "value": carrier.field.render(val)})
-        details["alpha_kills_products"] = CheckReport(
-            "alpha(xy) = 0", not failures, len(pairs), failures)
+            if sub.fails(not carrier.field.is_zero(val)):
+                sub.failures.append({"pair": [carrier.index_str(a), carrier.index_str(b)],
+                                     "value": carrier.field.render(val)})
 
     if beta is not None and delta is not None:
-        failures = []
+        sub = details["beta_kills_derivation_commutators"] = CheckReport(
+            "beta(x D(y) - y D(x)) = 0")
         for a, b in pairs:
             xa, xb = carrier.monomial(a), carrier.monomial(b)
             val = beta(xa * delta(xb) - xb * delta(xa))
-            if not carrier.field.is_zero(val) and len(failures) < _MAX_WITNESSES:
-                failures.append({"pair": [carrier.index_str(a), carrier.index_str(b)],
-                                 "value": carrier.field.render(val)})
-        details["beta_kills_derivation_commutators"] = CheckReport(
-            "beta(x D(y) - y D(x)) = 0", not failures, len(pairs), failures)
+            if sub.fails(not carrier.field.is_zero(val)):
+                sub.failures.append({"pair": [carrier.index_str(a), carrier.index_str(b)],
+                                     "value": carrier.field.render(val)})
 
     if gamma is not None and delta is not None and omega is not None:
-        failures = []
+        sub = details["gamma_twist_balance"] = CheckReport(
+            "gamma(x D(y) - y D(x)) = gamma(w(x) D(y) - w(y) D(x))")
         for a, b in pairs:
             xa, xb = carrier.monomial(a), carrier.monomial(b)
             lhs = gamma(xa * delta(xb) - xb * delta(xa))
             rhs = gamma(omega(xa) * delta(xb) - omega(xb) * delta(xa))
-            if lhs != rhs and len(failures) < _MAX_WITNESSES:
-                failures.append({"pair": [carrier.index_str(a), carrier.index_str(b)],
-                                 "lhs": carrier.field.render(lhs),
-                                 "rhs": carrier.field.render(rhs)})
-        details["gamma_twist_balance"] = CheckReport(
-            "gamma(x D(y) - y D(x)) = gamma(w(x) D(y) - w(y) D(x))",
-            not failures, len(pairs), failures)
+            if sub.fails(lhs != rhs):
+                sub.failures.append({"pair": [carrier.index_str(a), carrier.index_str(b)],
+                                     "lhs": carrier.field.render(lhs),
+                                     "rhs": carrier.field.render(rhs)})
 
-    passed = all(r.passed for r in details.values())
-    checked = sum(r.checked for r in details.values())
-    return CheckReport("functional bracket conditions", passed, checked, [], details)
+    if not details:
+        raise ValueError("nothing to check: give alpha, beta with delta, "
+                         "or gamma with delta and omega")
+    return CheckReport("functional bracket conditions",
+                       sum(r.checked for r in details.values()), details=details)
 
 
 def check_witt_relation(carrier: LaurentAlgebra, bound: int) -> CheckReport:
@@ -991,8 +955,7 @@ def check_witt_relation(carrier: LaurentAlgebra, bound: int) -> CheckReport:
     if not isinstance(carrier, LaurentAlgebra) or carrier.nvars != 1:
         raise ValueError("the Witt relation check is one-variable")
     f = carrier.field
-    checked = 0
-    failures = []
+    rep = CheckReport("[t^m d, t^n d] = (n-m) t^{m+n} d")
     for m in range(-bound, bound + 1):
         Dm = Endomorphism(carrier, LaurentDerivation(m + 1))
         for n in range(-bound, bound + 1):
@@ -1001,12 +964,10 @@ def check_witt_relation(carrier: LaurentAlgebra, bound: int) -> CheckReport:
                 x = carrier.monomial((j,))
                 lhs = Dm(Dn(x)) - Dn(Dm(x))
                 rhs = carrier.monomial((m + n + j,), f.embed((n - m) * j))
-                checked += 1
-                if lhs != rhs and len(failures) < _MAX_WITNESSES:
-                    failures.append({"m": m, "n": n, "input": carrier.index_str((j,)),
-                                     "lhs": str(lhs), "rhs": str(rhs)})
-    return CheckReport("[t^m d, t^n d] = (n-m) t^{m+n} d", not failures,
-                       checked, failures)
+                if rep.fails(lhs != rhs):
+                    rep.failures.append({"m": m, "n": n, "input": carrier.index_str((j,)),
+                                         "lhs": str(lhs), "rhs": str(rhs)})
+    return rep
 
 
 # ---------------------------------------------------------------------------

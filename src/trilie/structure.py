@@ -165,31 +165,57 @@ def algebra_from_dict(doc: dict) -> FiniteNLieAlgebra:
 # reports
 # ---------------------------------------------------------------------------
 
+# a check keeps the witnesses of at most this many failing cases
+MAX_WITNESSES = 5
+
+
 @dataclass
-class VerificationReport:
+class CheckReport:
+    """A finite law check: the cases it counted, the first `MAX_WITNESSES`
+    failing cases as witnesses, named sub-checks and notes.  It passed when
+    no case failed and every sub-check passed."""
     law: str
-    passed: bool
-    checked: int
-    covered: int
-    witness: Optional[dict] = None
-    mode: str = "exhaustive"
-    seed: Optional[int] = None
+    checked: int = 0
+    failures: List[dict] = dc_field(default_factory=list)
+    details: Dict[str, "CheckReport"] = dc_field(default_factory=dict)
     notes: Dict[str, object] = dc_field(default_factory=dict)
 
+    @property
+    def passed(self) -> bool:
+        return not self.failures and all(r.passed for r in self.details.values())
+
+    def fails(self, bad: bool) -> bool:
+        """Count one case; true when it failed and its witness is still wanted."""
+        self.checked += 1
+        return bad and len(self.failures) < MAX_WITNESSES
+
     def first_witness(self) -> Optional[dict]:
-        return self.witness
+        if self.failures:
+            return self.failures[0]
+        for sub in self.details.values():
+            w = sub.first_witness()
+            if w is not None:
+                return w
+        return None
 
 
 @dataclass
 class SeriesReport:
     kind: str                       # "derived" | "lower-central"
     terms: List[Subspace]
-    stabilized: bool
-    vanished: bool
 
     @property
     def dims(self) -> List[int]:
         return [t.dim for t in self.terms]
+
+    @property
+    def vanished(self) -> bool:
+        return self.terms[-1].dim == 0
+
+    @property
+    def stabilized(self) -> bool:
+        return (not self.vanished and len(self.terms) > 1
+                and self.terms[-1].dim == self.terms[-2].dim)
 
 
 @dataclass
@@ -206,30 +232,27 @@ class SimplicityCertificate:
 # skew-symmetry
 # ---------------------------------------------------------------------------
 
-def verify_skew(L: FiniteNLieAlgebra) -> VerificationReport:
+def verify_skew(L: FiniteNLieAlgebra) -> CheckReport:
     """Evaluator respects permutation signs and kills repeated arguments."""
     f = L.field
-    checked = 0
-    witness = None
+    rep = CheckReport("skew-symmetry")
     for key in itertools.combinations(range(L.dim), L.arity):
         base = L.bracket_indices(key)
         for perm in itertools.permutations(range(L.arity)):
             tup = tuple(key[t] for t in perm)
-            sign = _perm_sign(perm)
             got = L.bracket_indices(tup)
-            want = base if sign == 1 else {l: f.neg(c) for l, c in base.items()}
-            checked += 1
-            if got != want and witness is None:
-                witness = {"tuple": list(tup), "got": _render_sparse(L, got),
-                           "want": _render_sparse(L, want)}
+            want = base if _perm_sign(perm) == 1 else {l: f.neg(c) for l, c in base.items()}
+            if rep.fails(got != want):
+                rep.failures.append({"tuple": list(tup), "got": _render_sparse(L, got),
+                                     "want": _render_sparse(L, want)})
     # repeated arguments vanish
     for key in itertools.combinations_with_replacement(range(L.dim), L.arity):
         if len(set(key)) == L.arity:
             continue
-        checked += 1
-        if L.bracket_indices(key) and witness is None:
-            witness = {"tuple": list(key), "got": _render_sparse(L, L.bracket_indices(key))}
-    return VerificationReport("skew-symmetry", witness is None, checked, checked, witness)
+        got = L.bracket_indices(key)
+        if rep.fails(bool(got)):
+            rep.failures.append({"tuple": list(key), "got": _render_sparse(L, got)})
+    return rep
 
 
 def _render_sparse(L: FiniteNLieAlgebra, vec: Dict[int, object]) -> str:
@@ -282,17 +305,17 @@ def _fi_cases(window: Sequence, n: int, mode: str = "exhaustive", samples: int =
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _fi_scan(evaluate, f: Field, cases: Iterable[Tuple[tuple, tuple]], keep: int = 1):
-    """Residual of every case: (cases checked, first `keep` (xs, ys, residual)
-    with a nonzero residual)."""
+def _fi_scan(evaluate, f: Field, cases: Iterable[Tuple[tuple, tuple]]):
+    """Residual of every case: (cases checked, the first `MAX_WITNESSES`
+    (xs, ys, residual) with a nonzero residual)."""
     checked = 0
-    failures = []
+    found = []
     for xs, ys in cases:
         res = _fi_residual(evaluate, f, xs, ys)
         checked += 1
-        if res and len(failures) < keep:
-            failures.append((xs, ys, res))
-    return checked, failures
+        if res and len(found) < MAX_WITNESSES:
+            found.append((xs, ys, res))
+    return checked, found
 
 
 def _fi_scan_table(L: FiniteNLieAlgebra, xs: Optional[List[tuple]],
@@ -304,14 +327,15 @@ def _fi_scan_table(L: FiniteNLieAlgebra, xs: Optional[List[tuple]],
 
 def verify_fundamental_identity(L: FiniteNLieAlgebra, mode: str = "exhaustive",
                                 samples: int = 1000, seed: int = 0,
-                                workers: int = 0) -> VerificationReport:
+                                workers: int = 0) -> CheckReport:
     """FI residual [[x1..xn],y2..yn] - sum_i [x1..[xi,y2..yn]..xn] on basis
     tuples, from the one case enumerator (`_fi_cases`) and residual shared
     with `brackets.check_fi_window`.
 
-    `covered` counts the full d^(2n-1) tuple space that exhaustive mode spans.
-    Exhaustive mode with `workers` > 1 scans chunks of the x-tuples in
-    separate processes; the witness stays the first in enumeration order.
+    `notes["covered"]` counts the full d^(2n-1) tuple space that exhaustive
+    mode spans.  Exhaustive mode with `workers` > 1 scans chunks of the
+    x-tuples in separate processes; the witnesses stay the first in
+    enumeration order.
     """
     if mode == "exhaustive" and workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -323,12 +347,12 @@ def verify_fundamental_identity(L: FiniteNLieAlgebra, mode: str = "exhaustive",
                                   [xtuples[i:i + size] for i in range(0, len(xtuples), size)]))
     else:
         parts = [_fi_scan_table(L, None, mode, samples, seed)]
-    checked = sum(got for got, _ in parts)
-    witness = next(({"x": list(xs), "y": list(ys), "residual": _render_sparse(L, res)}
-                    for _, found in parts for xs, ys, res in found), None)
-    return VerificationReport("fundamental identity", witness is None, checked,
-                              L.dim ** (2 * L.arity - 1), witness, mode=mode,
-                              seed=seed if mode == "sampled" else None)
+    found = [case for _, cases in parts for case in cases][:MAX_WITNESSES]
+    return CheckReport(
+        "fundamental identity", sum(got for got, _ in parts),
+        [{"x": list(xs), "y": list(ys), "residual": _render_sparse(L, res)}
+         for xs, ys, res in found],
+        notes={"covered": L.dim ** (2 * L.arity - 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +429,8 @@ def _series(L: FiniteNLieAlgebra, kind: str, step, max_steps: int) -> SeriesRepo
     for _ in range(max_steps):
         terms.append(step(terms[-1]))
         if terms[-1].dim in (0, terms[-2].dim):
-            vanished = terms[-1].dim == 0
-            return SeriesReport(kind, terms, stabilized=not vanished, vanished=vanished)
-    return SeriesReport(kind, terms, stabilized=False, vanished=False)
+            break
+    return SeriesReport(kind, terms)
 
 
 def derived_series(L: FiniteNLieAlgebra, max_steps: int = 20) -> SeriesReport:

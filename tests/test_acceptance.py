@@ -81,9 +81,9 @@ def timed_fi(L, limit, cid, covered_expected):
     t0 = time.monotonic()
     rep = verify_fundamental_identity(L)
     dt = time.monotonic() - t0
-    criterion(cid, rep.passed and rep.covered == covered_expected and dt < limit,
+    criterion(cid, rep.passed and rep.notes["covered"] == covered_expected and dt < limit,
               f"{L.name or 'algebra'} dim {L.dim}: residual zero on all "
-              f"{rep.covered} basis 5-tuples (limit {limit}s)", dt)
+              f"{rep.notes['covered']} basis 5-tuples (limit {limit}s)", dt)
 
 
 # ---------------------------------------------------------------------------

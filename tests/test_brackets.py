@@ -13,12 +13,15 @@ from trilie.carriers import (
     GroupHomDerivation,
     GroupNegation,
     HypothesisViolation,
+    IdentityRule,
     LaurentAlgebra,
     LaurentDerivation,
     LaurentFlip,
     MonomialScale,
     QuotientLaurentAlgebra,
+    check_derivation,
 )
+from trilie.structure import MAX_WITNESSES
 from trilie.brackets import (
     ClosureFailure,
     DeterminantBracket,
@@ -478,3 +481,19 @@ def test_parity_family_vanishing_classification():
 def test_laurent_reachability():
     report = laurent_reachability(QQ, 4)
     assert report.passed
+
+
+@pytest.mark.parametrize("run, cases", [
+    # the identity is no derivation: D(xy) = xy but D(x)y + xD(y) = 2xy
+    pytest.param(lambda A: check_derivation(Endomorphism(A, IdentityRule()), A.window(3)),
+                 28, id="derivation"),
+    pytest.param(lambda A: check_agreement(LaurentParityBracket(A, shift=0),
+                                           LaurentParityBracket(A, shift=2), A.window(2)),
+                 125, id="agreement"),
+])
+def test_failing_check_keeps_capped_witnesses_and_counts_every_case(run, cases):
+    rep = run(LaurentAlgebra(QQ, 1))
+    assert not rep.passed
+    assert rep.checked == cases
+    assert len(rep.failures) == MAX_WITNESSES == 5
+    assert rep.first_witness() == rep.failures[0]

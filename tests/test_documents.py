@@ -3,6 +3,7 @@ import copy
 import pytest
 
 from trilie.bundled import BUNDLED, bundled_names, get_bundled
+from trilie.campaigns import CHECKS
 from trilie.cli import main
 from trilie.documents import (
     ConfigError,
@@ -178,6 +179,9 @@ def _campaign_case(check, path, maps=None, **params):
     _campaign_case("homomorphism", "$.campaigns[0].intertwine",
                    map={"rule": "identity"}, target={"form": "quotient-parity"},
                    intertwine=[{"name": "x", "source": {"rule": "identity"}}]),
+    pytest.param({"name": "c", "check": "homomorphism", "target": {"form": "quotient-parity"},
+                  "map": {"rule": "id-minus", "inner": "identity"}}, {},
+                 "$.campaigns[0].map", id="homomorphism-id-minus-inner-not-an-object"),
 ])
 def test_bad_campaigns_are_rejected(campaign, maps, path, tmp_path, capsys):
     doc = minimal_quotient_doc()
@@ -202,6 +206,11 @@ def laurent_doc(field):
     return doc
 
 
+def _requirement_case(name, check, path="$.campaigns[1]", **params):
+    return pytest.param(get_bundled(name), {"check": check, **params}, path,
+                        id=f"{check}-on-{name}")
+
+
 @pytest.mark.parametrize("doc, campaign, path", [
     pytest.param(minimal_quotient_doc(), {"check": "kernel-ideal"}, "$.campaigns[1]",
                  id="kernel-ideal-without-hom"),
@@ -211,9 +220,26 @@ def laurent_doc(field):
                  {"check": "homomorphism", "map": {"rule": "identity"},
                   "target": {"form": "laurent-flip", "lambdas": ["0"]}},
                  "$.campaigns[1].target", id="homomorphism-zero-flip-target"),
+    # each of these validated and then crashed at run time
+    _requirement_case("dirac-gamma", "alternating"),
+    _requirement_case("dirac-gamma", "trilinear"),
+    _requirement_case("dirac-gamma", "closed-vs-determinant", rows=["id", "id", "id"]),
+    _requirement_case("laurent-quotient-p3", "witt"),
+    _requirement_case("laurent-quotient-p3", "ideal-divisibility"),
+    _requirement_case("cyclic-group-f3", "grading"),
+    _requirement_case("poly-beta-bracket", "monomial-parity-agreement"),
+    _requirement_case("laurent-flip-unit", "closed-vs-determinant", "$.campaigns[1].rows",
+                      rows=["id"]),
+    pytest.param(laurent_doc({"kind": "prime", "p": 2}) | {"bracket": {"form": "monomial-parity"}},
+                 {"check": "grading"}, "$.campaigns[1]", id="grading-in-characteristic-2"),
+    pytest.param(laurent_doc({"kind": "rationals"}) | {"bracket": None},
+                 {"check": "reachability"}, "$.campaigns[0]", id="fundamental-identity-no-bracket"),
+    # this one passed with checked=0
+    _requirement_case("poly-beta-bracket", "functional-conditions", beta="beta"),
 ])
 def test_campaign_requirements_fail_before_any_campaign_runs(doc, campaign, path, tmp_path,
                                                              capsys):
+    doc = {k: v for k, v in doc.items() if v is not None}
     doc["campaigns"] = [{"name": "fi", "check": "fundamental-identity"},
                         {"name": "c", **campaign}]
     validate_document(doc)
@@ -225,13 +251,15 @@ def test_campaign_requirements_fail_before_any_campaign_runs(doc, campaign, path
     assert main(["verify", str(file), "--out-dir", str(tmp_path)]) == 64
     err = capsys.readouterr().err
     assert path in err and "Traceback" not in err
-    assert not (tmp_path / "t.report.json").exists()
+    assert not list(tmp_path.glob("*.report.json"))
 
 
 @pytest.mark.parametrize("patch, path", [
     pytest.param({"carrier": {"shape": "quotient-laurent"}}, "$.carrier", id="carrier-without-p"),
     pytest.param({"maps": {"f": {"rule": "id-minus", "inner": {"rule": "mystery"}}}},
                  "$.maps.f", id="id-minus-unknown-inner-rule"),
+    pytest.param({"maps": {"f": {"rule": "id-minus", "inner": "identity"}}},
+                 "$.maps.f", id="id-minus-inner-not-an-object"),
     pytest.param({"bracket": {"form": "gamma"}, "carrier": None, "basis": None,
                   "maps": {"f": {"rule": "identity"}}}, "$.maps", id="maps-without-carrier"),
 ])
@@ -246,6 +274,26 @@ def test_validated_documents_do_not_crash_while_building(patch, path, tmp_path, 
     file.write_text(render_document(doc))
     assert main(["verify", str(file), "--out-dir", str(tmp_path)]) == 64
     assert "Traceback" not in capsys.readouterr().err
+
+
+PROBES = ["laurent-flip-unit", "laurent-quotient-p3", "cyclic-group-f3", "poly-beta-bracket",
+          "dirac-gamma"]
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_every_check_is_refused_or_runs_to_a_verdict(name, tmp_path, capsys):
+    # each check alone, with no parameters, on a probe document: a document
+    # that validates must not crash (exit 70) while it builds or runs
+    exits = {}
+    for check in CHECKS:
+        doc = get_bundled(name)
+        doc["campaigns"] = [{"name": "c", "check": check}]
+        file = tmp_path / "doc.json"
+        file.write_text(render_document(doc))
+        exits[check] = main(["verify", str(file), "--out-dir", str(tmp_path)])
+    assert "Traceback" not in capsys.readouterr().err
+    assert {check: code for check, code in exits.items() if code not in (0, 1, 2, 64)} == {}
+    assert exits["fundamental-identity"] == 0
 
 
 def test_explicit_basis_indices_parse():

@@ -161,7 +161,7 @@ def test_gamma_algebra_structure():
 def test_gamma_algebra_fi_and_derived():
     L = gamma_algebra()
     rep = verify_fundamental_identity(L)
-    assert rep.passed and rep.covered == 4 ** 5
+    assert rep.passed and rep.notes["covered"] == 4 ** 5
     assert verify_skew(L).passed
     assert derived_algebra(L).dim == 4
 

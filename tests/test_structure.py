@@ -77,7 +77,7 @@ def test_fi_cyclic_group_exhaustive_counts():
     _, _, _, L, _ = cyclic_group_algebra(3)
     rep = verify_fundamental_identity(L)
     assert rep.passed
-    assert rep.covered == 3 ** 5 == 243
+    assert rep.notes["covered"] == 3 ** 5 == 243
 
 
 def test_fi_detects_corrupted_constant():
@@ -90,7 +90,7 @@ def test_fi_detects_corrupted_constant():
     bad = L.mutate_constant(key, out, L.field.one)
     rep = verify_fundamental_identity(bad)
     assert not rep.passed
-    assert rep.witness is not None and "residual" in rep.witness
+    assert rep.first_witness() is not None and "residual" in rep.first_witness()
 
 
 def test_fi_sampled_mode_is_deterministic():
