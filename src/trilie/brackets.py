@@ -472,20 +472,13 @@ def check_fi_window(bracket: TriBracket, window: Sequence, mode: str = "exhausti
 
     One case enumerator and one residual serve this and the tabulated
     `structure.verify_fundamental_identity`; `notes["covered"]` counts the
-    full |window|^5 tuple space that exhaustive mode spans.  Basis brackets
-    are memoized per call on the ordered triple, without sign completion,
-    so a non-alternating bracket is evaluated as it is.
+    full |window|^5 tuple space that exhaustive mode spans.  The scan
+    memoizes the basis brackets on the ordered triple, without sign
+    completion, so a non-alternating bracket is evaluated as it is.
     """
     carrier = bracket.carrier
-    memo: Dict[tuple, Dict] = {}
-
-    def evaluate(t):
-        terms = memo.get(t)
-        if terms is None:
-            terms = memo[t] = bracket.eval_indices(*t).terms
-        return terms
-
-    checked, found = _fi_scan(evaluate, carrier.field, _fi_cases(window, 3, mode, samples, seed))
+    checked, found = _fi_scan(lambda t: bracket.eval_indices(*t).terms, carrier.field,
+                              _fi_cases(window, 3, mode, samples, seed))
     failures = [{"x": [carrier.index_str(i) for i in xs],
                  "y": [carrier.index_str(i) for i in ys],
                  "residual": str(AlgebraElement(carrier, res))}

@@ -67,13 +67,16 @@ class CampaignResult:
 
 def _built(path: str, build: Callable, *args):
     """`build(*args)`; what builders raise for a bad config (ValueError, a
-    violated hypothesis included, or KeyError) is reported at `path`."""
+    violated hypothesis included, KeyError, or TypeError for a field of the
+    wrong JSON type) is reported at `path`."""
     try:
         return build(*args)
     except ValueError as e:
         raise ConfigError(path, str(e)) from None
     except KeyError as e:
         raise ConfigError(path, f"missing field or unknown name {e}") from None
+    except TypeError as e:
+        raise ConfigError(path, f"a field has the wrong type: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +137,10 @@ def _build_map(carrier, cfg: dict) -> Union[ca.Endomorphism, ca.Functional]:
     return ca.Endomorphism(carrier, ENDO_RULES[rule](carrier, cfg))
 
 
-# build(ctx, cfg) returns a bracket on the carrier, or the algebra if own_algebra
-Form = namedtuple("Form", "build own_algebra", defaults=(False,))
+# build(ctx, cfg) returns a bracket on the carrier, or the algebra if
+# own_algebra; `carriers` names the carrier shapes the form is defined on
+# (empty: any shape)
+Form = namedtuple("Form", "build carriers own_algebra", defaults=((), False))
 
 
 def _build_lie(field: Field, cfg) -> lifts.LieAlgebra:
@@ -180,19 +185,31 @@ def _metric_extension(ctx: "BuildContext", cfg: dict) -> st.FiniteNLieAlgebra:
 
 BRACKETS = {
     "determinant": Form(_determinant),
-    "group-wedge": Form(lambda ctx, cfg: br.GroupWedgeBracket(_build_hom(ctx.carrier, cfg["hom"]))),
+    "group-wedge": Form(lambda ctx, cfg: br.GroupWedgeBracket(_build_hom(ctx.carrier, cfg["hom"])),
+                        ("group",)),
     "laurent-flip": Form(lambda ctx, cfg: br.LaurentFlipBracket(
-        ctx.carrier, [ctx.field.parse(x) for x in cfg["lambdas"]], int(cfg.get("var", 0)))),
+        ctx.carrier, [ctx.field.parse(x) for x in cfg["lambdas"]], int(cfg.get("var", 0))),
+        ("laurent",)),
     "laurent-parity": Form(lambda ctx, cfg: br.LaurentParityBracket(
-        ctx.carrier, int(cfg.get("shift", 0)))),
-    "quotient-parity": Form(lambda ctx, cfg: br.QuotientParityBracket(ctx.carrier)),
+        ctx.carrier, int(cfg.get("shift", 0))), ("laurent",)),
+    "quotient-parity": Form(lambda ctx, cfg: br.QuotientParityBracket(ctx.carrier),
+                            ("quotient-laurent",)),
     "monomial-parity": Form(lambda ctx, cfg: br.MonomialBracket(
         ctx.carrier, br.parity_determinant_coefficient(ctx.field),
-        (int(cfg.get("shift", -1)),))),
+        (int(cfg.get("shift", -1)),)), ("laurent",)),
     "gamma": Form(_gamma, own_algebra=True),
     "metric-extension": Form(_metric_extension, own_algebra=True),
     "lie-lift": Form(_lie_lift, own_algebra=True),
 }
+
+
+def _build_bracket(ctx: "BuildContext", cfg: dict):
+    """`BRACKETS[form].build`, on a carrier of a shape the form is defined on."""
+    form = BRACKETS[cfg["form"]]
+    if form.carriers and ctx.doc["carrier"]["shape"] not in form.carriers:
+        raise ValueError(f"bracket form {cfg['form']!r} needs a {' or '.join(form.carriers)} "
+                         f"carrier, not {ctx.doc['carrier']['shape']}")
+    return form.build(ctx, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +259,7 @@ TARGET_CONFIG = Param(
     lambda v, maps: (isinstance(v, dict) and known_name(BRACKETS, v.get("form"))
                      and not BRACKETS[v["form"]].own_algebra),
     "needs a bracket form on the carrier; unknown bracket form in",
-    lambda ctx, v: BRACKETS[v["form"]].build(ctx, v))
+    _build_bracket)
 INTERTWINE = Param(
     lambda v, maps: isinstance(v, list) and all(
         isinstance(e, dict) and "name" in e and MAP_CONFIG.ok(e.get("source"), maps)
@@ -518,9 +535,8 @@ def build_context(doc: dict) -> BuildContext:
     for name, cfg in doc.get("maps", {}).items():
         ctx.maps[name] = _built(f"$.maps.{name}", _build_map, ctx.carrier, cfg)
     if "bracket" in doc:
-        form = BRACKETS[doc["bracket"]["form"]]
-        built = _built("$.bracket", form.build, ctx, doc["bracket"])
-        if form.own_algebra:
+        built = _built("$.bracket", _build_bracket, ctx, doc["bracket"])
+        if BRACKETS[doc["bracket"]["form"]].own_algebra:
             ctx.algebra = built
         else:
             ctx.bracket = built

@@ -71,10 +71,17 @@ class FiniteNLieAlgebra:
             cleaned = {l: c for l, c in vec.items() if not field.is_zero(c)}
             if cleaned:
                 self.constants[key] = cleaned
+        # key -> negation of its stored vector, made on first use
+        self._negated: Dict[Tuple[int, ...], Dict[int, object]] = {}
 
     # -- evaluation ------------------------------------------------------
     def bracket_indices(self, idxs: Sequence[int]) -> Dict[int, object]:
-        """Sparse bracket of basis elements in any order (sign-completed)."""
+        """Sparse bracket of basis elements in any order (sign-completed).
+
+        The result is shared, not copied: the stored vector for an even
+        permutation of its key, its cached negation for an odd one.  Callers
+        must not mutate it.
+        """
         if len(set(idxs)) != self.arity:
             return {}
         order = sorted(range(self.arity), key=lambda t: idxs[t])
@@ -86,11 +93,13 @@ class FiniteNLieAlgebra:
         inv = [0] * self.arity
         for pos, t in enumerate(order):
             inv[t] = pos
-        sign = _perm_sign(inv)
-        if sign == 1:
-            return dict(vec)
-        f = self.field
-        return {l: f.neg(c) for l, c in vec.items()}
+        if _perm_sign(inv) == 1:
+            return vec
+        neg = self._negated.get(key)
+        if neg is None:
+            f = self.field
+            neg = self._negated[key] = {l: f.neg(c) for l, c in vec.items()}
+        return neg
 
     def bracket_sparse(self, vecs: Sequence[Dict[int, object]]) -> Dict[int, object]:
         """Multilinear extension on sparse coordinate dicts."""
@@ -268,20 +277,26 @@ def _render_sparse(L: FiniteNLieAlgebra, vec: Dict[int, object]) -> str:
 
 def _fi_residual(evaluate, f: Field, xs: Tuple, ys: Tuple) -> Dict[object, object]:
     """[[x1..xn],y2..yn] - sum_i [x1..[xi,y2..yn]..xn] on basis indices, where
-    `evaluate` brackets an index tuple into a sparse {index: coeff} dict."""
-    res: Dict[object, object] = {}
+    `evaluate` brackets an index tuple into a sparse {index: coeff} dict.
+
+    Products accumulate with the elements' own + and *; each coordinate is
+    normalized once at the end, and the zero ones are dropped.
+    """
+    acc: Dict[object, object] = {}
     for i in range(-1, len(xs)):  # i = -1: the left side; i >= 0: the i-th term
         for l, c in evaluate(xs if i < 0 else (xs[i],) + ys).items():
             if i < 0:
                 vec = evaluate((l,) + ys)
             else:
-                c, vec = f.neg(c), evaluate(xs[:i] + (l,) + xs[i + 1:])
+                c, vec = -c, evaluate(xs[:i] + (l,) + xs[i + 1:])
             for m, d in vec.items():
-                s = f.add(res.get(m, f.zero), f.mul(c, d))
-                if f.is_zero(s):
-                    res.pop(m, None)
-                else:
-                    res[m] = s
+                s = acc.get(m)
+                acc[m] = c * d if s is None else s + c * d
+    res = {}
+    for m, s in acc.items():
+        s = f.normalize(s)
+        if not f.is_zero(s):
+            res[m] = s
     return res
 
 
@@ -305,9 +320,28 @@ def _fi_cases(window: Sequence, n: int, mode: str = "exhaustive", samples: int =
     raise ValueError(f"unknown mode {mode!r}")
 
 
+class _Memo(dict):
+    """fn(key) for each key, computed on the first lookup and then kept."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        out = self[key] = self.fn(key)
+        return out
+
+
 def _fi_scan(evaluate, f: Field, cases: Iterable[Tuple[tuple, tuple]]):
     """Residual of every case: (cases checked, the first `MAX_WITNESSES`
-    (xs, ys, residual) with a nonzero residual)."""
+    (xs, ys, residual) with a nonzero residual).
+
+    This is the one memo of every FI check: each distinct ordered index tuple
+    is evaluated once per scan, and the residuals share what `evaluate`
+    returned (they only read it).  No sign completion happens here, so a
+    non-alternating bracket is evaluated as it is.
+    """
+    evaluate = _Memo(evaluate).__getitem__
     checked = 0
     found = []
     for xs, ys in cases:
@@ -329,13 +363,14 @@ def verify_fundamental_identity(L: FiniteNLieAlgebra, mode: str = "exhaustive",
                                 samples: int = 1000, seed: int = 0,
                                 workers: int = 0) -> CheckReport:
     """FI residual [[x1..xn],y2..yn] - sum_i [x1..[xi,y2..yn]..xn] on basis
-    tuples, from the one case enumerator (`_fi_cases`) and residual shared
-    with `brackets.check_fi_window`.
+    tuples, from the one case enumerator (`_fi_cases`), residual and memoized
+    scan (`_fi_scan`) shared with `brackets.check_fi_window`; each distinct
+    ordered tuple is looked up in the structure constants once per scan.
 
     `notes["covered"]` counts the full d^(2n-1) tuple space that exhaustive
     mode spans.  Exhaustive mode with `workers` > 1 scans chunks of the
-    x-tuples in separate processes; the witnesses stay the first in
-    enumeration order.
+    x-tuples in separate processes, each with its own memo; the witnesses
+    stay the first in enumeration order.
     """
     if mode == "exhaustive" and workers > 1:
         from concurrent.futures import ProcessPoolExecutor

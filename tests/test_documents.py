@@ -262,6 +262,17 @@ def test_campaign_requirements_fail_before_any_campaign_runs(doc, campaign, path
                  "$.maps.f", id="id-minus-inner-not-an-object"),
     pytest.param({"bracket": {"form": "gamma"}, "carrier": None, "basis": None,
                   "maps": {"f": {"rule": "identity"}}}, "$.maps", id="maps-without-carrier"),
+    pytest.param({"carrier": {"shape": "laurent"}}, "$.bracket",
+                 id="bracket-form-on-a-carrier-of-the-wrong-shape"),
+    pytest.param({"carrier": {"shape": "laurent"}, "bracket": {"form": "laurent-flip",
+                                                                "lambdas": 3}},
+                 "$.bracket", id="builder-field-of-the-wrong-type"),
+    pytest.param({"carrier": {"shape": "laurent"},
+                  "bracket": {"form": "laurent-parity", "shift": 0},
+                  "basis": {"kind": "window", "bound": 2, "tabulate": False},
+                  "campaigns": [{"name": "h", "check": "homomorphism", "map": {"rule": "identity"},
+                                 "target": {"form": "quotient-parity"}}]},
+                 "$.campaigns[0].target", id="target-form-on-a-carrier-of-the-wrong-shape"),
 ])
 def test_validated_documents_do_not_crash_while_building(patch, path, tmp_path, capsys):
     doc = minimal_quotient_doc()
