@@ -16,7 +16,8 @@ Exit codes:
     0   every campaign passed
     1   at least one campaign failed
     2   a campaign was refused (line budget exceeded), none failed
-    64  configuration or usage error
+    64  configuration or usage error (including a --budget that is not a
+        positive integer)
     70  internal error (a bug in trilie; the traceback goes to stderr)
 """
 
@@ -52,8 +53,27 @@ def resolve_document(spec: str) -> BuildContext:
     raise ConfigError("$", f"{spec!r} is neither a bundled document nor a file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises `ConfigError` where argparse would exit 2, which means
+    "refused" here, so that a usage error exits 64."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(self.prog, message)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def create_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trilie",
         description="Construct 3-Lie algebras exactly and verify their claimed "
                     "properties on finite bases.",
@@ -69,7 +89,7 @@ def create_parser() -> argparse.ArgumentParser:
     p.add_argument("doc", metavar="DOC")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampled modes (default 0)")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_positive_int, default=None,
                    help="line budget override for simplicity certification")
     p.add_argument("--parallel", action="store_true",
                    help="fan tabulated identity checks out over processes")
@@ -148,8 +168,8 @@ def cmd_export(ctx: BuildContext, out: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = create_parser().parse_args(argv)
     try:
+        args = create_parser().parse_args(argv)
         if args.command == "list-bundled":
             return cmd_list_bundled()
         ctx = resolve_document(args.doc)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .carriers import HypothesisViolation
 from .fields import Field, GaussianRational, QI
 from .linalg import Matrix, rref
-from .structure import FiniteNLieAlgebra, _fi_cases, _fi_scan
+from .structure import _EMPTY, FiniteNLieAlgebra, _fi_cases, _fi_scan
 
 
 class LieAlgebra:
@@ -40,12 +40,15 @@ class LieAlgebra:
         self._check_jacobi()
 
     def bracket_indices(self, i: int, j: int) -> Dict[int, object]:
-        if i == j:
-            return {}
+        """Sparse [x_i, x_j]; a zero bracket is the shared read-only empty
+        mapping, which callers must not mutate."""
+        vec = self.constants.get((i, j) if i < j else (j, i))
+        if not vec:
+            return _EMPTY
         if i < j:
-            return dict(self.constants.get((i, j), {}))
+            return dict(vec)
         f = self.field
-        return {k: f.neg(c) for k, c in self.constants.get((j, i), {}).items()}
+        return {k: f.neg(c) for k, c in vec.items()}
 
     def bracket_sparse(self, u: Dict[int, object], v: Dict[int, object]) -> Dict[int, object]:
         f = self.field

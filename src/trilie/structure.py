@@ -15,6 +15,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fields import Field, PrimeField
@@ -49,6 +50,10 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
+# the one value of every zero bracket: read-only, so sharing it is safe
+_EMPTY: Dict[int, object] = MappingProxyType({})
+
+
 class FiniteNLieAlgebra:
     """Skew structure constants: {(i1<...<in): {l: coeff}} over a field."""
 
@@ -79,16 +84,16 @@ class FiniteNLieAlgebra:
         """Sparse bracket of basis elements in any order (sign-completed).
 
         The result is shared, not copied: the stored vector for an even
-        permutation of its key, its cached negation for an odd one.  Callers
-        must not mutate it.
+        permutation of its key, its cached negation for an odd one, and one
+        read-only empty mapping for a zero bracket.  Callers must not mutate it.
         """
         if len(set(idxs)) != self.arity:
-            return {}
+            return _EMPTY
         order = sorted(range(self.arity), key=lambda t: idxs[t])
         key = tuple(idxs[t] for t in order)
         vec = self.constants.get(key)
         if not vec:
-            return {}
+            return _EMPTY
         # sign of the permutation sending the sorted tuple to the given one
         inv = [0] * self.arity
         for pos, t in enumerate(order):
@@ -499,7 +504,11 @@ def certify_simplicity(L: FiniteNLieAlgebra, budget: int = DEFAULT_LINE_BUDGET,
     Over F_p (line count within budget): enumerate one representative per
     1-dimensional subspace and check that the ideal closure of each line is
     the whole algebra.  Sound and complete: any proper nonzero ideal contains
-    a line whose closure stays inside it.  Over characteristic-zero fields:
+    a line whose closure stays inside it.  Each line is decided by ranks mod
+    p over the row stacks of `_line_stacks`, computed by the one eliminator
+    `_eliminate` in a dtype that provably cannot wrap (Python integers past
+    int64); a proper closure is recomputed by `ideal_closure` as the witness.
+    Over characteristic-zero fields:
     closures from each basis vector plus seeded random vectors give an
     evidence-only verdict, never "simple".
     """
@@ -550,171 +559,151 @@ def _ad_matrices(L: FiniteNLieAlgebra) -> List[List[List[int]]]:
     return mats
 
 
-def _certify_prime_exhaustive(L: FiniteNLieAlgebra, L1: Subspace) -> SimplicityCertificate:
+def _fits(dtype, p: int, terms: int) -> bool:
+    """Whether `dtype` holds a sum of `terms` products of residues mod p."""
     import numpy as np
 
+    return dtype == object or terms * (p - 1) ** 2 <= np.iinfo(dtype).max
+
+
+def _residue_dtype(p: int, terms: int):
+    """The narrowest integer dtype that `_fits` (p, terms), else Python ints."""
+    import numpy as np
+
+    return next((np.dtype(t) for t in (np.int16, np.int32, np.int64)
+                 if _fits(np.dtype(t), p, terms)), np.dtype(object))
+
+
+def _certify_prime_exhaustive(L: FiniteNLieAlgebra, L1: Subspace) -> SimplicityCertificate:
     p, d = L.field.p, L.dim
-    mats = [np.array(m, dtype=np.int64) % p for m in _ad_matrices(L)]
-    gens = [np.eye(d, dtype=np.int64)] + mats
-
-    # Basis of the unital matrix algebra generated by the ad maps.  The ideal
-    # closure of a line F.v is exactly span{B v} over this basis, so a single
-    # rank computation decides each line.
-    algebra_basis = _matrix_algebra_basis(gens, p)
-    stack16 = np.stack([g.astype(np.int16) for g in gens])
-    basis_stack = np.stack([b.astype(np.int16) for b in algebra_basis])
-    # a short prefix of the generator stack decides most lines; only the
-    # leftovers pay for the full stack, and only genuine candidates pay for
-    # the complete algebra-basis check
-    tier1 = stack16[: min(d + 3, stack16.shape[0])]
-
+    stacks = _line_stacks(L)
+    # Python-int rows take far more memory than fixed-width ones
+    chunk = 32768 if stacks[0].dtype != object else 1024
     checked = 0
-    chunk = 32768
-    for k0, start, V in _canonical_line_chunks(p, d, chunk):
-        V16 = V.astype(np.int16)
-        W = np.einsum("rij,bj->bri", tier1, V16) % p
-        full = _batched_full_rank(W, p, d)
-        checked += V.shape[0]
-        if full.all():
-            continue
-        rest = np.nonzero(~full)[0]
-        W2 = np.einsum("rij,bj->bri", stack16, V16[rest]) % p
-        full2 = _batched_full_rank(W2, p, d)
-        for t, bi in enumerate(rest):
-            if full2[t]:
-                continue
-            v = V[bi]
-            Wv = (basis_stack.astype(np.int64) @ v.astype(np.int64)) % p
-            if _rank_mod_p(Wv, p) == d:
-                continue  # the generator stack alone was not enough; closure is full
+    for V in _canonical_line_chunks(p, d, chunk, stacks[0].dtype):
+        proper = _proper_lines(stacks, V, p)
+        if proper.size:
             # genuine proper closure: recompute it with the exact fixed-point
             # iteration and return it as the witness
-            row = [int(x) for x in v]
+            row = [int(x) for x in V[proper[0]]]
             witness = ideal_closure(L, Subspace(L.field, d, [row]))
-            position = checked - V.shape[0] + int(bi) + 1
             return SimplicityCertificate("non-simple", "exhaustive-1dim",
-                                         position, witness)
+                                         checked + int(proper[0]) + 1, witness)
+        checked += V.shape[0]
     return SimplicityCertificate("simple", "exhaustive-1dim", checked, None,
                                  notes={"derived_dim": L1.dim})
 
 
-def _canonical_line_chunks(p: int, d: int, chunk: int):
+def _line_stacks(L: FiniteNLieAlgebra):
+    """Row stacks of d x d matrices mod p that decide the lines of L over F_p.
+
+    The ideal closure of a line F.v is span{B v} over a basis B of the unital
+    algebra generated by the ad maps, so the last stack, that basis, decides
+    every line exactly.  The ones before it (a prefix of the generators, then
+    all of them) span part of that algebra: rank d there already proves a
+    full closure, more cheaply.  A stack no smaller than the next is dropped.
+    Entries use the narrowest dtype holding a d-term product sum mod p.
+    """
+    import numpy as np
+
+    p, d = L.field.p, L.dim
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    gens = np.array([eye] + _ad_matrices(L), dtype=_residue_dtype(p, d)) % p
+    stacks = [gens[: d + 3], gens, _matrix_algebra_basis(gens, p)]
+    return [s for s, after in zip(stacks, stacks[1:]) if len(s) < len(after)] + stacks[-1:]
+
+
+def _proper_lines(stacks, V, p: int):
+    """Indices of the lines (rows of V) whose closure `_line_stacks` finds
+    proper.  Each stack settles the lines it proves full; a rank below d is
+    trusted only from the last, exact stack."""
+    import numpy as np
+
+    d = V.shape[1]
+    assert _fits(V.dtype, p, d)
+    left = np.arange(V.shape[0])
+    for S in stacks:
+        W = np.einsum("rij,bj->bri", S, V[left]) % p
+        left = left[_eliminate(W, p).sum(axis=1) < d]
+    return left
+
+
+def _canonical_line_chunks(p: int, d: int, chunk: int, dtype):
     """Canonical projective representatives: first nonzero coordinate is 1,
     enumerated by pivot position then lexicographic tail, in chunks."""
     import numpy as np
 
     for k in range(d):
-        tail = d - 1 - k
-        total = p ** tail
+        total = p ** (d - 1 - k)
         for start in range(0, total, chunk):
             cnt = min(chunk, total - start)
-            V = np.zeros((cnt, d), dtype=np.int16)
+            V = np.zeros((cnt, d), dtype=dtype)
             V[:, k] = 1
-            x = np.arange(start, start + cnt, dtype=np.int64)
+            x = np.arange(start, start + cnt, dtype=object if dtype == object else np.int64)
             for col in range(d - 1, k, -1):
-                V[:, col] = (x % p).astype(np.int16)
+                V[:, col] = x % p
                 x //= p
-            yield k, start, V
+            yield V
 
 
-def _batched_full_rank(W, p: int, d: int):
-    """Row-rank == d test for a batch of integer matrices mod p, vectorized."""
+def _eliminate(W, p: int):
+    """Row-reduce a C-contiguous batch W (B, r, c) of matrices with entries
+    in [0, p) modulo p, in place; returns the (B, r) mask of pivot rows, whose
+    row sums are the ranks.
+
+    This is the one mod-p pivot search of the module.  Rows are never
+    swapped: column by column, the first row that is not yet a pivot and has
+    a nonzero entry becomes the pivot, and every other such row r turns into
+    piv*r - r[col]*pivot_row.  That fraction-free step needs no inverse, and
+    its values stay within (p-1)^2 in magnitude, which W's dtype must hold.
+    Rows that are zero in the column are left alone, so sparse matrices cost
+    little, and a pivot row never changes once chosen: leading rows whose
+    first nonzero entries lie in distinct columns, as the pivot rows of an
+    earlier call do, all become pivots and come out as they went in.
+    """
     import numpy as np
 
-    Wk = W % p
-    B, r, _ = Wk.shape
-    inv_table = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int16)
-    ptr = np.zeros(B, dtype=np.int64)
-    rowidx = np.arange(r, dtype=np.int64)
-    for col in range(d):
-        colv = Wk[:, :, col]
-        valid = (colv != 0) & (rowidx[None, :] >= ptr[:, None])
-        has = valid.any(axis=1)
-        if not has.any():
+    assert _fits(W.dtype, p, 1) and W.flags.c_contiguous
+    B, r, c = W.shape
+    rows = W.reshape(B * r, c)      # a view, so the updates land in W
+    pivots = np.zeros(B * r, dtype=bool)
+    for col in range(c):
+        live = (rows[:, col] != 0) & ~pivots
+        if not live.any():
             continue
-        piv = valid.argmax(axis=1)
-        b = np.nonzero(has)[0]
-        pr, tr = piv[b], ptr[b]
-        tmp = Wk[b, pr].copy()
-        Wk[b, pr] = Wk[b, tr]
-        Wk[b, tr] = tmp
-        pv = Wk[b, tr, col]
-        Wk[b, tr] = (Wk[b, tr] * inv_table[pv][:, None]) % p
-        colnow = Wk[b, :, col]
-        mask = (rowidx[None, :] > tr[:, None])
-        factor = np.where(mask, colnow, 0)
-        Wk[b] = (Wk[b] - factor[:, :, None] * Wk[b, tr][:, None, :]) % p
-        ptr[b] = tr + 1
-        if (ptr >= d).all():
-            break
-    return ptr >= d
-
-
-def _rank_mod_p(M, p: int) -> int:
-    import numpy as np
-
-    A = (M % p).astype(np.int64)
-    rows, cols = A.shape
-    rank = 0
-    for col in range(cols):
-        sub = A[rank:, col]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        i = rank + int(nz[0])
-        if i != rank:
-            A[[rank, i]] = A[[i, rank]]
-        inv = pow(int(A[rank, col]), p - 2, p)
-        A[rank] = (A[rank] * inv) % p
-        other = np.nonzero(A[rank + 1:, col])[0]
-        if other.size:
-            idx = other + rank + 1
-            A[idx] = (A[idx] - A[idx, col][:, None] * A[rank][None, :]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+        # flat index of each matrix's first live row (of its row 0 if none)
+        head = live.reshape(B, r).argmax(axis=1) + np.arange(0, B * r, r)
+        pivots[head[live[head]]] = True
+        live[head] = False
+        clear = np.flatnonzero(live)
+        P, X = rows[head[clear // r], col:], rows[clear, col:]
+        rows[clear, col:] = (P[:, :1] * X - X[:, :1] * P) % p
+    return pivots.reshape(B, r)
 
 
 def _matrix_algebra_basis(gens, p: int):
-    """Basis of the unital algebra generated by `gens` inside d x d matrices."""
+    """Basis (r, d, d) of the unital algebra generated by the stack `gens`
+    of d x d matrices mod p, where gens[0] is the identity.
+
+    Candidates are eliminated in blocks under the basis found so far: the
+    basis rows come first, so they stay pivots, and the candidates that
+    become pivots are new members.  The next block is the products of the
+    newest members with every generator, about 1,024 rows; it ends when every
+    member has been multiplied out or the basis spans all d x d matrices.
+    """
     import numpy as np
 
-    d = gens[0].shape[0]
-    rows = []            # echelon rows (normalized, int64) of flattened members
-    pivots = []
-    basis = []
-
-    def reduce(vec):
-        v = vec % p
-        for row, piv in zip(rows, pivots):
-            c = v[piv]
-            if c:
-                v = (v - c * row) % p
-        return v
-
-    def insert(mat) -> bool:
-        v = reduce(mat.reshape(-1).astype(np.int64))
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        v = (v * pow(int(v[piv]), p - 2, p)) % p
-        rows.append(v)
-        pivots.append(piv)
-        basis.append(mat % p)
-        return True
-
-    work = []
-    for g in gens:
-        if insert(g):
-            work.append(g % p)
-    while work:
-        m = work.pop()
-        for g in gens[1:]:
-            prod = (m @ g) % p
-            if insert(prod):
-                work.append(prod)
-        if len(basis) == d * d:
-            break
-    return basis
+    d = gens.shape[1]
+    assert _fits(gens.dtype, p, d)
+    take = max(1, 1024 // len(gens))
+    basis, members, block = gens[:0].reshape(0, d * d), gens[:0], gens
+    while True:
+        stack = np.concatenate([basis, block.reshape(-1, d * d)])
+        pivots = _eliminate(stack[None], p)[0]
+        new = stack[len(basis):][pivots[len(basis):]]
+        members = np.concatenate([members, new.reshape(-1, d, d)])
+        basis = stack[pivots]
+        if not len(members) or len(basis) == d * d:
+            return basis.reshape(-1, d, d)
+        block = (members[-take:, None] @ gens[1:]) % p
+        members = members[:-take]

@@ -158,3 +158,29 @@ def test_cyclic_group_kernel_campaign_details(tmp_path):
     assert kernel["notes"]["witness_is_kernel"] is True
     assert kernel["notes"]["is_maximal"] is True
     assert kernel["counts"]["kernel_dim"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "laurent-quotient-p3", "--bogus"],
+    ["verify", "laurent-quotient-p3", "--budget", "abc"],
+    ["verify", "laurent-quotient-p3", "--budget", "0"],
+    ["verify", "laurent-quotient-p3", "--budget", "-3"],
+    ["verify"],
+    ["frobnicate"],
+    [],
+])
+def test_usage_errors_exit_64_and_run_nothing(argv, tmp_path, capsys):
+    # 2 would mean "a campaign was refused"; a bad command line is a usage error
+    assert main([*argv, "--out-dir", str(tmp_path)] if argv[:1] == ["verify"]
+                else argv) == 64
+    captured = capsys.readouterr()
+    assert "usage: trilie" in captured.err and "REFUSED" not in captured.out
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_still_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

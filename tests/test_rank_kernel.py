@@ -1,0 +1,189 @@
+"""The one mod-p eliminator and the line decisions built on it, against exact
+oracles.
+
+The eliminator is compared with `linalg.SpanBuilder` over `PrimeField(p)`
+(Python integers, no overflow) on batches with planted rank deficiency, at
+primes on both sides of every dtype boundary.  The tiered line decision is
+compared with the fixed-point `ideal_closure` on algebras whose lines are all
+proper (a nilpotent algebra) or all full (the simple A_4), written in a
+seeded random basis so that no line is special.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from trilie.fields import PrimeField
+from trilie.linalg import SpanBuilder, Subspace
+from trilie.structure import (
+    FiniteNLieAlgebra,
+    _canonical_line_chunks,
+    _eliminate,
+    _line_stacks,
+    _matrix_algebra_basis,
+    _perm_sign,
+    _proper_lines,
+    _residue_dtype,
+    certify_simplicity,
+    ideal_closure,
+    is_ideal,
+)
+
+PRIMES = [2, 3, 89, 181, 191, 251, 65521, 2 ** 31 - 1, 4294967291]
+
+
+def span(p, rows, width):
+    sb = SpanBuilder(PrimeField(p), width)
+    for row in rows:
+        sb.add([int(x) for x in row])
+    return sb.to_subspace()
+
+
+@st.composite
+def planted_batches(draw):
+    """(p, batch): each matrix is an r x k times a k x c matrix mod p, so its
+    rank is at most k; k runs from 0 to min(r, c)."""
+    p = draw(st.sampled_from(PRIMES))
+    n, r, c = (draw(st.integers(1, m)) for m in (4, 7, 7))
+    entry = st.integers(0, p - 1)
+    batch = []
+    for _ in range(n):
+        k = draw(st.integers(0, min(r, c)))
+        A = [[draw(entry) for _ in range(k)] for _ in range(r)]
+        C = [[draw(entry) for _ in range(c)] for _ in range(k)]
+        batch.append([[sum(A[i][t] * C[t][j] for t in range(k)) % p for j in range(c)]
+                      for i in range(r)])
+    return p, batch
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_batches())
+def test_eliminator_ranks_and_rows_match_span_builder(case):
+    p, batch = case
+    W = np.array(batch, dtype=_residue_dtype(p, 1))
+    pivots = _eliminate(W, p)
+    for m, reduced, piv in zip(batch, W, pivots):
+        want = span(p, m, len(m[0]))
+        assert piv.sum() == want.dim
+        # the pivot rows, as reduced, span the row space of the input
+        assert span(p, reduced[piv], len(m[0])) == want
+
+
+def test_eliminator_keeps_leading_rows_with_distinct_first_columns():
+    # what _matrix_algebra_basis relies on: its basis rows, in any order
+    p = 251
+    rng = np.random.default_rng(3)
+    lead = np.triu(rng.integers(1, p, size=(4, 6)))[[2, 0, 3, 1]]
+    rest = rng.integers(0, p, size=(5, 6))
+    W = np.concatenate([lead, rest])[None].astype(_residue_dtype(p, 1))
+    pivots = _eliminate(W, p)[0]
+    assert pivots[:4].all() and pivots.sum() == 6
+    assert (W[0, :4] == lead).all()
+
+
+@pytest.mark.parametrize("p, terms, dtype", [
+    (89, 4, np.int16),      # A_4 over F_89: 4 * 88^2 = 30,976
+    (5, 10, np.int16),      # the p = 5 quotient
+    (181, 1, np.int16), (191, 1, np.int32), (46341, 1, np.int32),
+    (46349, 1, np.int64), (2 ** 31 - 1, 2, np.int64),
+    (2 ** 31 - 1, 3, object), (4294967291, 1, object),
+])
+def test_residue_dtype_is_the_narrowest_that_holds_the_sum(p, terms, dtype):
+    assert _residue_dtype(p, terms) == np.dtype(dtype)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 251, 65521]), st.integers(2, 4), st.integers(1, 3),
+       st.randoms(use_true_random=False))
+def test_matrix_algebra_basis_spans_the_generated_algebra(p, d, count, rnd):
+    gens = [np.eye(d, dtype=np.int64)]
+    for _ in range(count):
+        # sparse generators, so that proper subalgebras come up
+        g = np.zeros((d, d), dtype=np.int64)
+        for _ in range(rnd.randrange(1, d + 1)):
+            g[rnd.randrange(d), rnd.randrange(d)] = rnd.randrange(p)
+        gens.append(g)
+    stack = np.array(gens, dtype=_residue_dtype(p, d)) % p
+    got = span(p, _matrix_algebra_basis(stack, p).reshape(-1, d * d), d * d)
+    # oracle: words in the generators, in Python integers, until closed
+    sb, queue = SpanBuilder(PrimeField(p), d * d), []
+    for g in gens:
+        if sb.add([int(x) % p for x in g.reshape(-1)]):
+            queue.append(g.astype(object) % p)
+    while queue:
+        m = queue.pop()
+        for g in gens[1:]:
+            prod = (m @ g.astype(object)) % p
+            if sb.add([int(x) for x in prod.reshape(-1)]):
+                queue.append(prod)
+    assert got == sb.to_subspace()
+
+
+# ---------------------------------------------------------------------------
+# line decisions
+# ---------------------------------------------------------------------------
+
+def nilpotent(p):
+    """[e1, e2, e3] = e0: every ideal closure is span{v, e0}, so proper."""
+    return FiniteNLieAlgebra(PrimeField(p), 4, 3, {(1, 2, 3): {0: 1}})
+
+
+def a4(p):
+    """Filippov's simple A_4: [e_i, e_j, e_k] = eps_ijkl e_l."""
+    return FiniteNLieAlgebra(PrimeField(p), 4, 3, {
+        key: {l: _perm_sign(key + (l,)) % p}
+        for key in itertools.combinations(range(4), 3)
+        for l in set(range(4)) - set(key)})
+
+
+def in_random_basis(L, seed):
+    """L written in the basis f_a = sum_j T[a][j] e_j for a seeded random
+    invertible T."""
+    F, d, rng = L.field, L.dim, random.Random(seed)
+    while True:
+        T = [[rng.randrange(F.p) for _ in range(d)] for _ in range(d)]
+        aug = SpanBuilder(F, 2 * d)
+        for a in range(d):
+            aug.add(T[a] + [int(a == b) for b in range(d)])
+        if aug.pivots == list(range(d)):
+            break
+    Tinv = [row[d:] for row in aug.rows]      # [T | I] reduces to [I | T^-1]
+    f = [{j: c for j, c in enumerate(row) if c} for row in T]
+    constants = {}
+    for key in itertools.combinations(range(d), L.arity):
+        y = L.bracket_sparse([f[a] for a in key])
+        constants[key] = {m: sum(y.get(j, 0) * Tinv[j][m] for j in range(d)) % F.p
+                          for m in range(d)}
+    return FiniteNLieAlgebra(F, d, L.arity, constants)
+
+
+@pytest.mark.parametrize("p", [251, 1009])
+@pytest.mark.parametrize("make, proper", [(nilpotent, True), (a4, False)])
+def test_line_decisions_match_ideal_closure(p, make, proper):
+    L = in_random_basis(make(p), seed=p)
+    stacks = _line_stacks(L)
+    V = next(_canonical_line_chunks(p, L.dim, 4000, stacks[0].dtype))
+    got = set(_proper_lines(stacks, V, p).tolist())
+    assert got == (set(range(len(V))) if proper else set())
+    for i in range(len(V)):
+        closure = ideal_closure(L, Subspace(L.field, L.dim, [[int(x) for x in V[i]]]))
+        assert (closure.dim < L.dim) == (i in got), i
+
+
+@pytest.mark.parametrize("p", [251, 4294967291])
+def test_certificate_stops_at_the_first_line_of_a_nilpotent_algebra(p):
+    L = in_random_basis(nilpotent(p), seed=p)
+    cert = certify_simplicity(L, budget=p ** 3 + p ** 2 + p + 1)
+    assert cert.verdict == "non-simple" and cert.lines_checked == 1
+    first = [1, 0, 0, 0]
+    assert cert.witness == ideal_closure(L, Subspace(L.field, 4, [first]))
+    assert cert.witness.dim == 2 and is_ideal(L, cert.witness)
+
+
+def test_line_enumeration_past_int64():
+    # a modulus past int64 (trial division makes PrimeField too slow here)
+    V = next(_canonical_line_chunks(2 ** 64 + 13, 3, 3, np.dtype(object)))
+    assert V.tolist() == [[1, 0, 0], [1, 0, 1], [1, 0, 2]]
