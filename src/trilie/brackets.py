@@ -4,7 +4,9 @@ The determinant bracket (three row operators: maps, functionals or the
 identity, expanded as a formal 3x3 determinant) is the single source of
 truth; the closed forms (group algebra wedge, Laurent flip, parity
 coefficient families, quotient form, monomial form) are optimizations that
-are verified against it, never trusted on their own.
+are verified against it, never trusted on their own.  Its basis path
+`DeterminantBracket.eval_indices` is memoized per bracket; its `__call__`
+on general elements is the unmemoized definition, and the oracle of that path.
 """
 
 from __future__ import annotations
@@ -77,7 +79,15 @@ class TriBracket:
 
 class DeterminantBracket(TriBracket):
     """Formal 3x3 determinant whose rows are maps/functionals applied to the
-    three arguments; functional rows contribute scalar cofactors."""
+    three arguments; functional rows contribute scalar cofactors.
+
+    `__call__` on general elements is the unmemoized definition and the
+    oracle of the basis path.  `eval_indices` is that basis path, memoized
+    per instance: each row is applied to each basis index once, the first
+    two algebra-valued rows are multiplied once per ordered index pair, and
+    each of the six signed permutation terms then takes at most one more
+    carrier product, summed into a fresh element.
+    """
 
     def __init__(self, carrier: CarrierAlgebra, rows: Sequence[Row]):
         super().__init__(carrier)
@@ -89,6 +99,10 @@ class DeterminantBracket(TriBracket):
         for kind, obj in self.rows:
             if kind != "id" and obj.carrier != carrier:
                 raise CarrierMismatchError("row operator lives on a different carrier")
+        self._algebra_rows = [r for r, (kind, _) in enumerate(self.rows) if kind != "func"]
+        self._func_rows = [r for r, (kind, _) in enumerate(self.rows) if kind == "func"]
+        self._images: Dict[Tuple[int, object], object] = {}
+        self._pairs: Dict[Tuple[object, object], Dict] = {}
 
     def __call__(self, a, b, c):
         elems = (a, b, c)
@@ -111,9 +125,54 @@ class DeterminantBracket(TriBracket):
                 total = total + alg.scale(scal)
         return total
 
+    def _image(self, row: int, idx):
+        """Row `row` applied to the basis monomial at `idx`: an element for
+        `id` and endomorphism rows, a scalar for functional rows; memoized."""
+        val = self._images.get((row, idx))
+        if val is None:
+            kind, obj = self.rows[row]
+            x = self.carrier.monomial(idx)
+            val = self._images[row, idx] = x if kind == "id" else obj(x)
+        return val
+
+    def _pair(self, a, b) -> Dict:
+        """Terms of the product of the first two algebra-valued rows at the
+        ordered index pair (a, b); memoized."""
+        terms = self._pairs.get((a, b))
+        if terms is None:
+            r0, r1 = self._algebra_rows[:2]
+            terms = self._pairs[a, b] = (self._image(r0, a) * self._image(r1, b)).terms
+        return terms
+
     def eval_indices(self, i, j, k):
-        m = self.carrier.monomial
-        return self(m(i), m(j), m(k))
+        f = self.carrier.field
+        args = (i, j, k)
+        mul = self.carrier.mul_indices
+        acc: Dict = {}
+        for perm, sign in _PERMS3:
+            scal = f.one if sign == 1 else f.embed(-1)
+            for r in self._func_rows:
+                scal = f.mul(scal, self._image(r, args[perm[r]]))
+            if f.is_zero(scal):
+                continue
+            idxs = [args[perm[r]] for r in self._algebra_rows]
+            terms = (self._image(self._algebra_rows[0], idxs[0]).terms if len(idxs) == 1
+                     else self._pair(idxs[0], idxs[1]))
+            if len(idxs) < 3:
+                products = [(x, scal * c) for x, c in terms.items()]
+            else:  # the last factor is multiplied straight into the sum
+                last = self._image(self._algebra_rows[2], idxs[2]).terms
+                products = [(z, scal * cx * cy * cz) for x, cx in terms.items()
+                            for y, cy in last.items() for z, cz in mul(x, y)]
+            for z, c in products:
+                s = acc.get(z)
+                acc[z] = c if s is None else s + c
+        out = {}
+        for idx, s in acc.items():
+            s = f.normalize(s)
+            if not f.is_zero(s):
+                out[idx] = s
+        return AlgebraElement(self.carrier, out)
 
 
 def functional_det(f1: Functional, f2: Functional, f3: Functional,
@@ -195,12 +254,17 @@ class LaurentFlipBracket(TriBracket):
         if any(f.is_zero(l) for l in self.lambdas):
             raise HypothesisViolation("the flip-involution bracket requires lambda != 0")
         self.var = var
+        self._scales: Dict[tuple, object] = {}
 
     def _scale(self, exps):
-        f = self.carrier.field
-        c = f.one
-        for lam, r in zip(self.lambdas, exps):
-            c = f.mul(c, f.pow(lam, r))
+        """L(r) = prod_s lambda_s^{r_s}, cached per exponent tuple."""
+        c = self._scales.get(exps)
+        if c is None:
+            f = self.carrier.field
+            c = f.one
+            for lam, r in zip(self.lambdas, exps):
+                c = f.mul(c, f.pow(lam, r))
+            self._scales[exps] = c
         return c
 
     def eval_indices(self, r, i, n):

@@ -362,10 +362,9 @@ def _run_fundamental_identity(ctx: BuildContext, a: dict, run: Run) -> dict:
 
 def _run_simplicity(ctx: BuildContext, a: dict, run: Run) -> dict:
     expect = a.get("expect", "simple")
+    budget = a.get("budget", st.DEFAULT_LINE_BUDGET) if run.budget is None else run.budget
     try:
-        cert = st.certify_simplicity(
-            ctx.algebra, budget=run.budget or a.get("budget", st.DEFAULT_LINE_BUDGET),
-            seed=run.seed)
+        cert = st.certify_simplicity(ctx.algebra, budget=budget, seed=run.seed)
     except st.BudgetExceeded as e:
         return {"verdict": "refused", "counts": {"required": e.required, "budget": e.budget},
                 "notes": {"reason": str(e)}}
@@ -583,6 +582,8 @@ def build_context(doc: dict) -> BuildContext:
 def run_campaign(ctx: BuildContext, camp: dict, seed: int = 0,
                  budget_override: Optional[int] = None,
                  workers: int = 0) -> CampaignResult:
+    if budget_override is not None and budget_override <= 0:
+        raise ConfigError("budget", f"must be a positive integer, not {budget_override!r}")
     t0 = time.monotonic()
     out = CHECKS[camp["check"]].run(ctx, ctx.campaign_args[camp["name"]],
                                     Run(seed, budget_override, workers))

@@ -328,18 +328,40 @@ class GaussianRationals(Field):
         return {"kind": "gaussian-rationals"}
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality: deterministic Miller-Rabin below `_MR_EXACT_BELOW`,
+    trial division above it, so no verdict rests on a probabilistic test."""
     if n < 2:
         return False
-    if n < 4:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_EXACT_BELOW:
+        d = 43
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -9,7 +9,7 @@ import pytest
 from trilie import structure as st
 from trilie.bundled import bundled_names, get_bundled
 from trilie.campaigns import build_context, overall_verdict, run_document
-from trilie.documents import parse_document, render_document
+from trilie.documents import ConfigError, parse_document, render_document
 
 FAST_BUNDLED = [n for n in bundled_names() if n != "laurent-quotient-p5"]
 
@@ -51,3 +51,15 @@ def test_lower_central_series_campaign(name, expect, verdict, dims):
     (result,) = run_document(ctx)
     assert result.verdict == verdict
     assert result.notes["dims"] == dims == st.lower_central_series(ctx.algebra).dims
+
+
+def test_library_budget_overrides_the_document_and_must_be_positive():
+    ctx = parse_document(render_document(get_bundled("laurent-quotient-p3")))
+    simplicity = [c["name"] for c in ctx.doc["campaigns"] if c["check"] == "simplicity"]
+    for budget in (0, -3):
+        with pytest.raises(ConfigError, match="positive"):
+            run_document(ctx, budget=budget)
+    by_name = {r.name: r for r in run_document(ctx, budget=10)}
+    assert [by_name[n].counts for n in simplicity] == [{"required": 364, "budget": 10}]
+    by_name = {r.name: r for r in run_document(ctx)}
+    assert [by_name[n].verdict for n in simplicity] == ["pass"]

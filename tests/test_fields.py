@@ -1,7 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from trilie.fields import (
     GaussianRational,
@@ -117,6 +119,40 @@ def test_prime_field_requires_prime():
     with pytest.raises(FieldError):
         PrimeField(6)
     assert is_prime(2) and is_prime(97) and not is_prime(1)
+
+
+# strong pseudoprimes to every prime base up to 7, 11, 13, 17, 23 and 37
+STRONG_PSEUDOPRIMES = [3215031751, 2152302898747, 3474749660383, 341550071728321,
+                       3825123056546413051, 318665857834031151167461]
+
+
+def test_is_prime_matches_sympy_on_ranges():
+    rng = random.Random(0)
+    starts = [0, 2 ** 31 - 100, 10 ** 12] + [rng.randrange(2 ** e) for e in (20, 40, 64, 80)]
+    for start in starts:
+        for n in range(start, start + 300):
+            assert is_prime(n) == sympy.isprime(n), n
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not sympy.isprime(n)
+    assert not is_prime(n)
+
+
+def test_is_prime_above_the_exact_bound_uses_trial_division():
+    # 43 is the first trial divisor, and the product is past
+    # 3,317,044,064,679,887,385,961,981
+    n = 43 * sympy.nextprime(10 ** 23)
+    assert n > 3317044064679887385961981
+    assert not is_prime(n)
+
+
+def test_large_prime_field_builds_quickly():
+    t0 = time.monotonic()
+    F = PrimeField(2 ** 64 + 13)
+    assert time.monotonic() - t0 < 1.0
+    assert F.mul(F.inv(3), 3) == 1
 
 
 def test_descriptor_round_trip():
