@@ -534,7 +534,7 @@ def check_fi_window(bracket: TriBracket, window: Sequence, mode: str = "exhausti
     """Fundamental-identity residual on window basis 5-tuples, evaluated
     exactly in the carrier (results may leave the window; that is fine).
 
-    One case enumerator and one residual serve this and the tabulated
+    One case enumerator and one scan serve this and the tabulated
     `structure.verify_fundamental_identity`; `notes["covered"]` counts the
     full |window|^5 tuple space that exhaustive mode spans.  The scan
     memoizes the basis brackets on the ordered triple, without sign

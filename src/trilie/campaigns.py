@@ -527,7 +527,7 @@ CHECKS = {
 # ---------------------------------------------------------------------------
 
 def build_context(doc: dict) -> BuildContext:
-    ctx = BuildContext(doc, field_from_descriptor(doc["field"]))
+    ctx = BuildContext(doc, _built("$.field", field_from_descriptor, doc["field"]))
     if "carrier" in doc:
         ctx.carrier = _built("$.carrier", CARRIERS[doc["carrier"]["shape"]],
                              ctx.field, doc["carrier"])

@@ -843,14 +843,21 @@ class Functional:
 # law checks
 # ---------------------------------------------------------------------------
 
+def _window_images(f: Endomorphism, window: Sequence):
+    """The window monomials and their images under f, by index: each image is
+    computed once, not once per pair."""
+    x = {a: f.carrier.monomial(a) for a in window}
+    return x, {a: f(xa) for a, xa in x.items()}
+
+
 def check_derivation(f: Endomorphism, window: Sequence) -> CheckReport:
     """Leibniz law D(xy) = D(x)y + xD(y) on all pairs from the window."""
     carrier = f.carrier
     rep = CheckReport("D(xy) = D(x)y + xD(y)")
+    x, fx = _window_images(f, window)
     for a, b in itertools.combinations_with_replacement(window, 2):
-        xa, xb = carrier.monomial(a), carrier.monomial(b)
-        lhs = f(xa * xb)
-        rhs = f(xa) * xb + xa * f(xb)
+        lhs = f(x[a] * x[b])
+        rhs = fx[a] * x[b] + x[a] * fx[b]
         if rep.fails(lhs != rhs):
             rep.failures.append({
                 "pair": [carrier.index_str(a), carrier.index_str(b)],
@@ -863,14 +870,14 @@ def check_involution(f: Endomorphism, window: Sequence) -> CheckReport:
     """Multiplicativity on pairs and f(f(x)) = x on singletons."""
     carrier = f.carrier
     rep = CheckReport("f(xy) = f(x)f(y) and f^2 = id")
+    x, fx = _window_images(f, window)
     for a in window:
-        xa = carrier.monomial(a)
-        if rep.fails(f(f(xa)) != xa):
+        ffx = f(fx[a])
+        if rep.fails(ffx != x[a]):
             rep.failures.append({"index": carrier.index_str(a), "law": "f(f(x)) = x",
-                                 "value": str(f(f(xa)))})
+                                 "value": str(ffx)})
     for a, b in itertools.combinations_with_replacement(window, 2):
-        xa, xb = carrier.monomial(a), carrier.monomial(b)
-        if rep.fails(f(xa * xb) != f(xa) * f(xb)):
+        if rep.fails(f(x[a] * x[b]) != fx[a] * fx[b]):
             rep.failures.append({"pair": [carrier.index_str(a), carrier.index_str(b)],
                                  "law": "f(xy) = f(x)f(y)"})
     return rep

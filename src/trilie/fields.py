@@ -332,23 +332,26 @@ class GaussianRationals(Field):
 # below this bound (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# above that bound only a factor below this limit decides anything
+_TRIAL_LIMIT = 1 << 20
 
 
 def is_prime(n: int) -> bool:
     """Exact primality: deterministic Miller-Rabin below `_MR_EXACT_BELOW`,
-    trial division above it, so no verdict rests on a probabilistic test."""
+    so no verdict rests on a probabilistic test.  Above it, a factor below
+    `_TRIAL_LIMIT` proves n composite; without one, n is undecided and
+    `FieldError` is raised."""
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
     if n >= _MR_EXACT_BELOW:
-        d = 43
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
+        if any(n % d == 0 for d in range(43, _TRIAL_LIMIT, 2)):
+            return False
+        raise FieldError(f"cannot decide whether {n} is prime: it is past the "
+                         f"exact Miller-Rabin bound and has no factor below "
+                         f"{_TRIAL_LIMIT}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

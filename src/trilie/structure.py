@@ -280,31 +280,6 @@ def _render_sparse(L: FiniteNLieAlgebra, vec: Dict[int, object]) -> str:
 # fundamental identity
 # ---------------------------------------------------------------------------
 
-def _fi_residual(evaluate, f: Field, xs: Tuple, ys: Tuple) -> Dict[object, object]:
-    """[[x1..xn],y2..yn] - sum_i [x1..[xi,y2..yn]..xn] on basis indices, where
-    `evaluate` brackets an index tuple into a sparse {index: coeff} dict.
-
-    Products accumulate with the elements' own + and *; each coordinate is
-    normalized once at the end, and the zero ones are dropped.
-    """
-    acc: Dict[object, object] = {}
-    for i in range(-1, len(xs)):  # i = -1: the left side; i >= 0: the i-th term
-        for l, c in evaluate(xs if i < 0 else (xs[i],) + ys).items():
-            if i < 0:
-                vec = evaluate((l,) + ys)
-            else:
-                c, vec = -c, evaluate(xs[:i] + (l,) + xs[i + 1:])
-            for m, d in vec.items():
-                s = acc.get(m)
-                acc[m] = c * d if s is None else s + c * d
-    res = {}
-    for m, s in acc.items():
-        s = f.normalize(s)
-        if not f.is_zero(s):
-            res[m] = s
-    return res
-
-
 def _fi_cases(window: Sequence, n: int, mode: str = "exhaustive", samples: int = 0,
               seed: int = 0, xs: Optional[Iterable[tuple]] = None
               ) -> Iterable[Tuple[tuple, tuple]]:
@@ -328,6 +303,8 @@ def _fi_cases(window: Sequence, n: int, mode: str = "exhaustive", samples: int =
 class _Memo(dict):
     """fn(key) for each key, computed on the first lookup and then kept."""
 
+    __slots__ = ("fn",)
+
     def __init__(self, fn):
         super().__init__()
         self.fn = fn
@@ -338,20 +315,53 @@ class _Memo(dict):
 
 
 def _fi_scan(evaluate, f: Field, cases: Iterable[Tuple[tuple, tuple]]):
-    """Residual of every case: (cases checked, the first `MAX_WITNESSES`
-    (xs, ys, residual) with a nonzero residual).
+    """FI residual [[x1..xn],y2..yn] - sum_i [x1..[xi,y2..yn]..xn] of every
+    case on basis indices, where `evaluate` brackets an index tuple into a
+    sparse {index: coeff} dict.  Returns (cases checked, the first
+    `MAX_WITNESSES` (xs, ys, residual) with a nonzero residual).
 
     This is the one memo of every FI check: each distinct ordered index tuple
     is evaluated once per scan, and the residuals share what `evaluate`
     returned (they only read it).  No sign completion happens here, so a
-    non-alternating bracket is evaluated as it is.
+    non-alternating bracket is evaluated as it is.  The memo is keyed by a
+    tuple's tail, then its head: memo[ys] is the ad map a -> [a, ys], so the
+    left side and the [xi, ys] need no fresh key, nor does putting l in the
+    first slot of xs.  A run of cases with the same x-tuple reads [xs] and
+    slices the other slots once.  Products accumulate with the elements' own
+    + and *; each coordinate is normalized once at the end, and the zero ones
+    are dropped.
     """
-    evaluate = _Memo(evaluate).__getitem__
-    checked = 0
-    found = []
+    memo = _Memo(lambda tail: _Memo(lambda head: evaluate((head,) + tail)))
+    checked, found, last = 0, [], None
     for xs, ys in cases:
-        res = _fi_residual(evaluate, f, xs, ys)
+        if xs != last:
+            last, x0, row0 = xs, xs[0], memo[xs[1:]]
+            top = row0[x0].items()
+            # xi <- l for i >= 1 is memo[xs[1:i] + (l,) + xs[i+1:]][x0]
+            slots = [(xs[i], xs[1:i], xs[i + 1:]) for i in range(1, len(xs))]
+        col = memo[ys]
+        acc: Dict[object, object] = {}
+        for l, c in top:
+            for m, d in col[l].items():
+                s = acc.get(m)
+                acc[m] = c * d if s is None else s + c * d
+        for l, c in col[x0].items():
+            c = -c
+            for m, d in row0[l].items():
+                s = acc.get(m)
+                acc[m] = c * d if s is None else s + c * d
+        for x, pre, post in slots:
+            for l, c in col[x].items():
+                c = -c
+                for m, d in memo[pre + (l,) + post][x0].items():
+                    s = acc.get(m)
+                    acc[m] = c * d if s is None else s + c * d
         checked += 1
+        res = {}
+        for m, s in acc.items():
+            s = f.normalize(s)
+            if not f.is_zero(s):
+                res[m] = s
         if res and len(found) < MAX_WITNESSES:
             found.append((xs, ys, res))
     return checked, found
@@ -368,8 +378,8 @@ def verify_fundamental_identity(L: FiniteNLieAlgebra, mode: str = "exhaustive",
                                 samples: int = 1000, seed: int = 0,
                                 workers: int = 0) -> CheckReport:
     """FI residual [[x1..xn],y2..yn] - sum_i [x1..[xi,y2..yn]..xn] on basis
-    tuples, from the one case enumerator (`_fi_cases`), residual and memoized
-    scan (`_fi_scan`) shared with `brackets.check_fi_window`; each distinct
+    tuples, from the one case enumerator (`_fi_cases`) and memoized scan
+    (`_fi_scan`) shared with `brackets.check_fi_window`; each distinct
     ordered tuple is looked up in the structure constants once per scan.
 
     `notes["covered"]` counts the full d^(2n-1) tuple space that exhaustive
@@ -560,10 +570,19 @@ def _ad_matrices(L: FiniteNLieAlgebra) -> List[List[List[int]]]:
 
 
 def _fits(dtype, p: int, terms: int) -> bool:
-    """Whether `dtype` holds a sum of `terms` products of residues mod p."""
+    """Whether `dtype` holds a sum of `terms` products of residues mod p, of
+    either sign, and its reduction by `_reduce`, whose intermediate can
+    exceed it by p - 1 in magnitude (p(p-1) for one product)."""
     import numpy as np
 
-    return dtype == object or terms * (p - 1) ** 2 <= np.iinfo(dtype).max
+    return dtype == object or terms * (p - 1) ** 2 + p - 1 <= np.iinfo(dtype).max
+
+
+def _reduce(x, p: int):
+    """x mod p, in place, as x - (x // p) * p: numpy's `%` gives the same
+    residues on fixed-width integers but takes several times as long."""
+    x -= x // p * p
+    return x
 
 
 def _residue_dtype(p: int, terms: int):
@@ -623,7 +642,7 @@ def _proper_lines(stacks, V, p: int):
     assert _fits(V.dtype, p, d)
     left = np.arange(V.shape[0])
     for S in stacks:
-        W = np.einsum("rij,bj->bri", S, V[left]) % p
+        W = _reduce(np.einsum("rij,bj->bri", S, V[left]), p)
         left = left[_eliminate(W, p).sum(axis=1) < d]
     return left
 
@@ -655,7 +674,8 @@ def _eliminate(W, p: int):
     swapped: column by column, the first row that is not yet a pivot and has
     a nonzero entry becomes the pivot, and every other such row r turns into
     piv*r - r[col]*pivot_row.  That fraction-free step needs no inverse, and
-    its values stay within (p-1)^2 in magnitude, which W's dtype must hold.
+    its values stay within (p-1)^2 in magnitude, and reducing them within
+    p(p-1), which W's dtype must hold.
     Rows that are zero in the column are left alone, so sparse matrices cost
     little, and a pivot row never changes once chosen: leading rows whose
     first nonzero entries lie in distinct columns, as the pivot rows of an
@@ -677,7 +697,7 @@ def _eliminate(W, p: int):
         live[head] = False
         clear = np.flatnonzero(live)
         P, X = rows[head[clear // r], col:], rows[clear, col:]
-        rows[clear, col:] = (P[:, :1] * X - X[:, :1] * P) % p
+        rows[clear, col:] = _reduce(P[:, :1] * X - X[:, :1] * P, p)
     return pivots.reshape(B, r)
 
 
@@ -705,5 +725,5 @@ def _matrix_algebra_basis(gens, p: int):
         basis = stack[pivots]
         if not len(members) or len(basis) == d * d:
             return basis.reshape(-1, d, d)
-        block = (members[-take:, None] @ gens[1:]) % p
+        block = _reduce(members[-take:, None] @ gens[1:], p)
         members = members[:-take]

@@ -180,6 +180,27 @@ def test_zero_map_is_a_derivation():
     assert check_derivation(zero_map, A.window(2)).passed
 
 
+class CountingEndomorphism(Endomorphism):
+    calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return super().__call__(x)
+
+
+def test_law_checks_map_each_window_monomial_once():
+    A = GroupAlgebra(QQ, free_rank=4)
+    alpha = GroupHom(A, free_values=[Fraction(1, 2)] * 4)
+    window = A.window(1)                          # 81 monomials, 3,321 pairs
+    pairs = len(window) * (len(window) + 1) // 2
+    astar = CountingEndomorphism(A, GroupHomDerivation(alpha))
+    assert check_derivation(astar, window).checked == pairs
+    assert astar.calls == len(window) + pairs     # not 3 per pair
+    neg = CountingEndomorphism(A, GroupNegation())
+    assert check_involution(neg, window).checked == len(window) + pairs
+    assert neg.calls == 2 * len(window) + pairs
+
+
 def test_group_negation_is_involution():
     A = GroupAlgebra(QQ, free_rank=2)
     w = Endomorphism(A, GroupNegation())

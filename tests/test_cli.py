@@ -184,3 +184,16 @@ def test_help_still_exits_zero(argv, capsys):
         main(argv)
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p", [91, -7, 2 ** 89 - 1])
+def test_field_errors_exit_64(p, tmp_path, capsys):
+    # a composite, a negative and an undecided modulus are configuration
+    # errors at $.field, never internal errors
+    doc = get_bundled("laurent-quotient-p3")
+    doc["field"]["p"] = p
+    path = tmp_path / "doc.json"
+    path.write_text(render_document(doc))
+    assert main(["verify", str(path), "--out-dir", str(tmp_path / "out")]) == 64
+    err = capsys.readouterr().err
+    assert "$.field" in err and "Traceback" not in err

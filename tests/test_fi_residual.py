@@ -1,18 +1,20 @@
-"""The shared FI residual and scan against unmemoized oracles.
+"""The shared FI scan against unmemoized oracles.
 
 The oracle is the definition itself, evaluated on carrier elements:
-[[x1,x2,x3],y1,y2] - sum_i [x1..[xi,y1,y2]..x3].  The shared residual works on
-basis indices through a sparse bracket table; both must give the same carrier
+[[x1,x2,x3],y1,y2] - sum_i [x1..[xi,y1,y2]..x3].  The scan works on basis
+indices through a sparse bracket table; both must give the same carrier
 element for every basis case, including the non-alternating negative control.
-Tabulated FI, whose scan memoizes the shared structure-constant vectors, is
-compared with the same definition evaluated through the multilinear bracket
-on random tables, and the checks must leave those vectors as they were.
+The scan, whose memo shares the evaluated vectors across cases, is compared
+with the same definition evaluated through a multilinear bracket on random
+tables of arity 2 and 3, alternating or not, and the checks must leave the
+structure-constant vectors as they were.
 """
 
 import collections
 import copy
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,8 +27,8 @@ from trilie.carriers import AlgebraElement
 from trilie.fields import QI, QQ, GaussianRational, PrimeField
 from trilie.structure import (
     FiniteNLieAlgebra,
+    MAX_WITNESSES,
     _fi_cases,
-    _fi_residual,
     _fi_scan,
     _perm_sign,
     certify_simplicity,
@@ -64,9 +66,10 @@ def test_residual_matches_element_oracle(name):
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.tuples(index, index, index), st.tuples(index, index))
     def check(xs, ys):
-        res = _fi_residual(lambda t: bracket.eval_indices(*t).terms,
-                           carrier.field, xs, ys)
-        assert AlgebraElement(carrier, res) == residual_case(bracket, xs, ys)
+        checked, found = _fi_scan(lambda t: bracket.eval_indices(*t).terms,
+                                  carrier.field, [(xs, ys)])
+        res = found[0][2] if found else {}
+        assert checked == 1 and AlgebraElement(carrier, res) == residual_case(bracket, xs, ys)
 
     check()
 
@@ -117,13 +120,13 @@ def tables(draw, f):
 
 
 def oracle_residual(L, xs, ys):
-    """[[x1,x2,x3],y1,y2] - sum_i [x1..[xi,y1,y2]..x3] through the
+    """[[x1..xn],y2..yn] - sum_i [x1..[xi,y2..yn]..xn] through the
     multilinear bracket and the field's own operations."""
     f = L.field
     ex = [{i: f.one} for i in xs]
     ey = [{j: f.one} for j in ys]
     out = dict(L.bracket_sparse([L.bracket_sparse(ex)] + ey))
-    for t in range(3):
+    for t in range(len(xs)):
         args = list(ex)
         args[t] = L.bracket_sparse([ex[t]] + ey)
         for l, c in L.bracket_sparse(args).items():
@@ -211,3 +214,101 @@ def test_scan_evaluates_each_distinct_tuple_once(mode):
         checked, _ = _fi_scan(evaluate, L.field,
                               _fi_cases(range(L.dim), 3, mode, samples=500, seed=5))
         assert checked > 0 and calls and set(calls.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# the scan against the oracle on random tables, alternating or not
+# ---------------------------------------------------------------------------
+
+class RawTable:
+    """An n-ary bracket given on ordered basis tuples as it is: no sign
+    completion, so it need not be alternating, and a tuple with a repeated
+    index may have a nonzero bracket."""
+
+    def __init__(self, f, table):
+        self.field, self.table = f, table
+
+    def evaluate(self, t):
+        return self.table.get(t, {})
+
+    def bracket_sparse(self, vecs):
+        f = self.field
+        out = {}
+        for combo in itertools.product(*[v.items() for v in vecs]):
+            coeff = f.one
+            for _, c in combo:
+                coeff = f.mul(coeff, c)
+            for l, c in self.evaluate(tuple(i for i, _ in combo)).items():
+                s = f.add(out.get(l, f.zero), f.mul(coeff, c))
+                if f.is_zero(s):
+                    out.pop(l, None)
+                else:
+                    out[l] = s
+        return out
+
+
+@st.composite
+def fi_problems(draw):
+    """(bracket, evaluate, cases): an alternating table (sign-completed by
+    the algebra) or a raw one of arity 2 or 3, and the exhaustive or sampled
+    cases of `_fi_cases`, or listed cases with repeated indices and runs of
+    repeated x-tuples."""
+    f = draw(st.sampled_from(FIELDS))
+    n = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(n, 5))
+    vec = st.dictionaries(st.integers(0, d - 1), scalars(f), max_size=2)
+    if draw(st.booleans()):
+        keys = list(itertools.combinations(range(d), n))
+        alg = FiniteNLieAlgebra(f, d, n, draw(st.dictionaries(st.sampled_from(keys), vec,
+                                                                max_size=5)))
+        evaluate = alg.bracket_indices
+    else:
+        keys = list(itertools.product(range(d), repeat=n))
+        alg = RawTable(f, draw(st.dictionaries(st.sampled_from(keys), vec, max_size=12)))
+        evaluate = alg.evaluate
+    mode = draw(st.sampled_from(["exhaustive", "sampled", "listed"]))
+    if mode == "listed":
+        index = st.integers(0, d - 1)
+        runs = draw(st.lists(st.tuples(st.tuples(*[index] * n),
+                                       st.lists(st.tuples(*[index] * (n - 1)),
+                                                min_size=1, max_size=4)),
+                             min_size=1, max_size=12))
+        cases = [(xs, ys) for xs, yss in runs for ys in yss]
+    else:
+        cases = list(_fi_cases(range(d), n, mode, samples=draw(st.integers(1, 60)),
+                               seed=draw(st.integers(0, 99))))
+    return alg, evaluate, cases
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fi_problems())
+def test_scan_matches_the_oracle_on_random_tables(problem):
+    alg, evaluate, cases = problem
+    want = [(xs, ys, res) for xs, ys in cases
+            for res in [oracle_residual(alg, xs, ys)] if res]
+    assert _fi_scan(evaluate, alg.field, cases) == (len(cases), want[:MAX_WITNESSES])
+
+
+def test_tabulated_fi_reports_the_oracle_witnesses_on_the_mutated_control():
+    L = build_context(get_bundled("control-mutated-quotient")).algebra
+    checked, want = oracle_report(L, list(_fi_cases(range(L.dim), 3)))
+    rep = verify_fundamental_identity(L)
+    assert len(want) == MAX_WITNESSES
+    assert (rep.checked, rep.failures) == (checked, want)
+
+
+def test_fi_scan_memory_stays_lean():
+    # the memo holds the evaluator's own dicts, keyed by index tuples once:
+    # at p = 11 (d = 22) the scan peaks near 1.2 MiB, and at 2.6 MiB when
+    # per-x-tuple memos and tuple copies are kept for the whole scan
+    doc = get_bundled("laurent-quotient-p5")
+    doc["field"]["p"] = doc["carrier"]["p"] = 11
+    L = build_context(doc).algebra
+    tracemalloc.start()
+    try:
+        rep = verify_fundamental_identity(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.checked == 355_740 and rep.passed
+    assert peak < 1.5 * 2 ** 20, peak

@@ -148,6 +148,15 @@ def test_is_prime_above_the_exact_bound_uses_trial_division():
     assert not is_prime(n)
 
 
+def test_undecided_modulus_past_the_exact_bound_is_a_field_error():
+    # 2^89 - 1 is prime, but past the Miller-Rabin bound only a small factor
+    # decides anything; without one, the field refuses quickly
+    t0 = time.monotonic()
+    with pytest.raises(FieldError, match="cannot decide"):
+        PrimeField(2 ** 89 - 1)
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_large_prime_field_builds_quickly():
     t0 = time.monotonic()
     F = PrimeField(2 ** 64 + 13)

@@ -14,6 +14,7 @@ import random
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from trilie.fields import PrimeField
@@ -22,10 +23,12 @@ from trilie.structure import (
     FiniteNLieAlgebra,
     _canonical_line_chunks,
     _eliminate,
+    _fits,
     _line_stacks,
     _matrix_algebra_basis,
     _perm_sign,
     _proper_lines,
+    _reduce,
     _residue_dtype,
     certify_simplicity,
     ideal_closure,
@@ -93,6 +96,31 @@ def test_eliminator_keeps_leading_rows_with_distinct_first_columns():
 ])
 def test_residue_dtype_is_the_narrowest_that_holds_the_sum(p, terms, dtype):
     assert _residue_dtype(p, terms) == np.dtype(dtype)
+
+
+@pytest.mark.parametrize("dtype, p", [
+    (np.int16, 181), (np.int32, 46337), (np.int64, 3037000493), (object, 2 ** 89 - 1),
+])
+def test_reduce_matches_numpy_mod_over_the_kernels_value_range(dtype, p):
+    # p is the largest prime whose one-product reduction the dtype admits;
+    # the kernel's values are what `_fits` admits: |x| + p - 1 <= max
+    dtype = np.dtype(dtype)
+    if dtype == object:
+        hi = p ** 3
+    else:
+        assert _fits(dtype, p, 1) and not _fits(dtype, sympy.nextprime(p), 1)
+        hi = int(np.iinfo(dtype).max)
+    lo = -(hi - (p - 1))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(lo, hi), max_size=40))
+    def check(values):
+        x = np.array(values + [lo, hi, lo + 1, hi - 1, 0, -1, p, -p, (p - 1) ** 2,
+                               -(p - 1) ** 2], dtype=dtype)
+        want = x % p
+        assert _reduce(x, p) is x and (x == want).all()
+
+    check()
 
 
 @settings(max_examples=40, deadline=None)
