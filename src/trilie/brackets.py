@@ -26,7 +26,9 @@ from .carriers import (
     GroupHom,
     HypothesisViolation,
     LaurentAlgebra,
+    LaurentFlip,
     QuotientLaurentAlgebra,
+    _check_variable,
 )
 from .fields import Field
 from .structure import CheckReport, FiniteNLieAlgebra, _fi_cases, _fi_scan, _perm_sign
@@ -62,16 +64,9 @@ class TriBracket:
         for x in (a, b, c):
             if x.carrier != self.carrier:
                 raise CarrierMismatchError("bracket applied to a foreign element")
-        f = self.carrier.field
-        total = self.carrier.zero()
-        for (i, ca) in a.terms.items():
-            for (j, cb) in b.terms.items():
-                cab = f.mul(ca, cb)
-                for (k, cc) in c.terms.items():
-                    term = self.eval_indices(i, j, k)
-                    if term.terms:
-                        total = total + term.scale(f.mul(cab, cc))
-        return total
+        return AlgebraElement(self.carrier, self.carrier.field.combine(
+            (z, ca * cb * cc * cz) for i, ca in a.terms.items() for j, cb in b.terms.items()
+            for k, cc in c.terms.items() for z, cz in self.eval_indices(i, j, k).terms.items()))
 
     def describe(self) -> str:
         return type(self).__name__
@@ -86,7 +81,7 @@ class DeterminantBracket(TriBracket):
     per instance: each row is applied to each basis index once, the first
     two algebra-valued rows are multiplied once per ordered index pair, and
     each of the six signed permutation terms then takes at most one more
-    carrier product, summed into a fresh element.
+    carrier product, and `Field.combine` sums them.
     """
 
     def __init__(self, carrier: CarrierAlgebra, rows: Sequence[Row]):
@@ -148,7 +143,7 @@ class DeterminantBracket(TriBracket):
         f = self.carrier.field
         args = (i, j, k)
         mul = self.carrier.mul_indices
-        acc: Dict = {}
+        products = []
         for perm, sign in _PERMS3:
             scal = f.one if sign == 1 else f.embed(-1)
             for r in self._func_rows:
@@ -159,20 +154,12 @@ class DeterminantBracket(TriBracket):
             terms = (self._image(self._algebra_rows[0], idxs[0]).terms if len(idxs) == 1
                      else self._pair(idxs[0], idxs[1]))
             if len(idxs) < 3:
-                products = [(x, scal * c) for x, c in terms.items()]
+                products += [(x, scal * c) for x, c in terms.items()]
             else:  # the last factor is multiplied straight into the sum
                 last = self._image(self._algebra_rows[2], idxs[2]).terms
-                products = [(z, scal * cx * cy * cz) for x, cx in terms.items()
-                            for y, cy in last.items() for z, cz in mul(x, y)]
-            for z, c in products:
-                s = acc.get(z)
-                acc[z] = c if s is None else s + c
-        out = {}
-        for idx, s in acc.items():
-            s = f.normalize(s)
-            if not f.is_zero(s):
-                out[idx] = s
-        return AlgebraElement(self.carrier, out)
+                products += [(z, scal * cx * cy * cz) for x, cx in terms.items()
+                             for y, cy in last.items() for z, cz in mul(x, y)]
+        return AlgebraElement(self.carrier, f.combine(products))
 
 
 def functional_det(f1: Functional, f2: Functional, f3: Functional,
@@ -223,19 +210,10 @@ class GroupWedgeBracket(TriBracket):
 
     def eval_indices(self, g, h, w):
         G: GroupAlgebra = self.carrier
-        f = G.field
-        out: Dict = {}
-        for (x, y, z) in ((g, h, w), (h, w, g), (w, g, h)):
-            # cyclic: coefficient a(z - y), target y + z - x
-            c = self.hom(G.sub_indices(z, y))
-            idx = G.sub_indices(G.add_indices(y, z), x)
-            if not f.is_zero(c):
-                s = f.add(out.get(idx, f.zero), c)
-                if f.is_zero(s):
-                    out.pop(idx, None)
-                else:
-                    out[idx] = s
-        return AlgebraElement(G, out)
+        # cyclic: coefficient a(z - y), target y + z - x
+        return AlgebraElement(G, G.field.combine(
+            (G.sub_indices(G.add_indices(y, z), x), self.hom(G.sub_indices(z, y)))
+            for x, y, z in ((g, h, w), (h, w, g), (w, g, h))))
 
 
 class LaurentFlipBracket(TriBracket):
@@ -247,40 +225,16 @@ class LaurentFlipBracket(TriBracket):
     def __init__(self, carrier: LaurentAlgebra, lambdas: Sequence, var: int = 0):
         super().__init__(carrier)
         _require_char_not_two(carrier.field, "the flip-involution bracket")
-        f = carrier.field
-        self.lambdas = tuple(f.normalize(l) for l in lambdas)
-        if len(self.lambdas) != carrier.nvars:
-            raise ValueError("one scale factor per variable required")
-        if any(f.is_zero(l) for l in self.lambdas):
-            raise HypothesisViolation("the flip-involution bracket requires lambda != 0")
+        self.flip = LaurentFlip(lambdas)
+        self.flip.check(carrier)
+        _check_variable(var, carrier)
         self.var = var
-        self._scales: Dict[tuple, object] = {}
-
-    def _scale(self, exps):
-        """L(r) = prod_s lambda_s^{r_s}, cached per exponent tuple."""
-        c = self._scales.get(exps)
-        if c is None:
-            f = self.carrier.field
-            c = f.one
-            for lam, r in zip(self.lambdas, exps):
-                c = f.mul(c, f.pow(lam, r))
-            self._scales[exps] = c
-        return c
 
     def eval_indices(self, r, i, n):
-        f = self.carrier.field
-        j = self.var
-        out: Dict = {}
-        for (x, y, z) in ((r, i, n), (i, n, r), (n, r, i)):
-            coeff = f.mul(self._scale(x), f.embed(z[j] - y[j]))
-            idx = tuple(b + c - a for a, b, c in zip(x, y, z))
-            if not f.is_zero(coeff):
-                s = f.add(out.get(idx, f.zero), coeff)
-                if f.is_zero(s):
-                    out.pop(idx, None)
-                else:
-                    out[idx] = s
-        return AlgebraElement(self.carrier, out)
+        f, j = self.carrier.field, self.var
+        return AlgebraElement(self.carrier, f.combine(
+            (tuple(b + c - a for a, b, c in zip(x, y, z)), self.flip.scale(f, x) * (z[j] - y[j]))
+            for x, y, z in ((r, i, n), (i, n, r), (n, r, i))))
 
 
 def parity_coefficient(field: Field, l: int, m: int, n: int):

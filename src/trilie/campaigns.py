@@ -94,8 +94,6 @@ CARRIERS = {
 
 
 def _build_hom(carrier, cfg: dict) -> ca.GroupHom:
-    if not isinstance(carrier, ca.GroupAlgebra):
-        raise ValueError("homs need a group-algebra carrier")
     f = carrier.field
     return ca.GroupHom(
         carrier,
@@ -104,42 +102,71 @@ def _build_hom(carrier, cfg: dict) -> ca.GroupHom:
     )
 
 
-# rule name -> build(carrier, cfg)
+def _on_carrier(ctx: "BuildContext", what: str, table: dict, name: str):
+    """`table[name]` (a `Rule` or `Form`), if it is defined on the shape of
+    the document's carrier."""
+    entry = table[name]
+    if entry.carriers and ctx.doc["carrier"]["shape"] not in entry.carriers:
+        raise ValueError(f"{what} {name!r} needs a {' or '.join(entry.carriers)} carrier, "
+                         f"not {ctx.doc['carrier']['shape']}")
+    return entry
+
+
+# build(ctx, cfg) returns the rule of a map, which checks its parameters
+# against the carrier when the map is built; `carriers` names the carrier
+# shapes the rule is defined on (empty: any shape)
+Rule = namedtuple("Rule", "build carriers", defaults=((),))
+# the shapes whose basis indices are exponents
+_EXPONENTS = ("laurent", "quotient-laurent")
+
+
+def _rule(ctx: "BuildContext", table: dict, cfg: dict) -> ca.MapRule:
+    return _on_carrier(ctx, "map rule", table, cfg["rule"]).build(ctx, cfg)
+
+
 ENDO_RULES = {
-    "identity": lambda A, cfg: ca.IdentityRule(),
-    "monomial-scale": lambda A, cfg: ca.MonomialScale(A.field.parse(cfg["base"])),
-    "laurent-derivation": lambda A, cfg: ca.LaurentDerivation(int(cfg.get("power", 1))),
-    "variable-scaling-derivation":
-        lambda A, cfg: ca.VariableScalingDerivation(int(cfg.get("var", 0))),
-    "laurent-flip": lambda A, cfg: ca.LaurentFlip(tuple(A.field.parse(x) for x in cfg["lambdas"])),
-    "group-negation": lambda A, cfg: ca.GroupNegation(),
-    "hom-derivation": lambda A, cfg: ca.GroupHomDerivation(_build_hom(A, cfg["hom"])),
-    "monomial-shift": lambda A, cfg: ca.MonomialShift(
-        int(cfg.get("offset", 0)), A.field.parse(cfg["coeff"]) if "coeff" in cfg else None),
-    "table-map": lambda A, cfg: ca.TableMap(
-        [[A.field.parse(x) for x in row] for row in cfg["entries"]]),
-    "id-minus": lambda A, cfg: ca.IdMinus(ENDO_RULES[cfg["inner"]["rule"]](A, cfg["inner"])),
+    "identity": Rule(lambda ctx, cfg: ca.IdentityRule()),
+    "monomial-scale": Rule(lambda ctx, cfg: ca.MonomialScale(ctx.field.parse(cfg["base"])),
+                           _EXPONENTS),
+    "laurent-derivation": Rule(lambda ctx, cfg: ca.LaurentDerivation(int(cfg.get("power", 1))),
+                               _EXPONENTS),
+    "variable-scaling-derivation": Rule(
+        lambda ctx, cfg: ca.VariableScalingDerivation(int(cfg.get("var", 0))), ("laurent",)),
+    "laurent-flip": Rule(
+        lambda ctx, cfg: ca.LaurentFlip(tuple(ctx.field.parse(x) for x in cfg["lambdas"])),
+        _EXPONENTS),
+    "group-negation": Rule(lambda ctx, cfg: ca.GroupNegation(),
+                           ("laurent", "group", "quotient-laurent")),
+    "hom-derivation": Rule(
+        lambda ctx, cfg: ca.GroupHomDerivation(_build_hom(ctx.carrier, cfg["hom"])), ("group",)),
+    "monomial-shift": Rule(lambda ctx, cfg: ca.MonomialShift(
+        int(cfg.get("offset", 0)), ctx.field.parse(cfg["coeff"]) if "coeff" in cfg else None),
+        ("laurent",)),
+    "table-map": Rule(lambda ctx, cfg: ca.TableMap(
+        [[ctx.field.parse(x) for x in row] for row in cfg["entries"]]), ("poly-truncated",)),
+    "id-minus": Rule(lambda ctx, cfg: ca.IdMinus(_rule(ctx, ENDO_RULES, cfg["inner"]))),
 }
 FUNCTIONAL_RULES = {
-    "alternating-sign": lambda A, cfg: ca.AlternatingSign(),
-    "constant-one": lambda A, cfg: ca.ConstantOne(),
-    "exponent-value": lambda A, cfg: ca.ExponentValue(int(cfg.get("var", 0))),
-    "hom-functional": lambda A, cfg: ca.GroupHomFunctional(_build_hom(A, cfg["hom"])),
-    "table-functional":
-        lambda A, cfg: ca.TableFunctional([A.field.parse(x) for x in cfg["values"]]),
+    "alternating-sign": Rule(lambda ctx, cfg: ca.AlternatingSign(), _EXPONENTS),
+    "constant-one": Rule(lambda ctx, cfg: ca.ConstantOne()),
+    "exponent-value": Rule(lambda ctx, cfg: ca.ExponentValue(int(cfg.get("var", 0))),
+                           _EXPONENTS),
+    "hom-functional": Rule(
+        lambda ctx, cfg: ca.GroupHomFunctional(_build_hom(ctx.carrier, cfg["hom"])), ("group",)),
+    "table-functional": Rule(
+        lambda ctx, cfg: ca.TableFunctional([ctx.field.parse(x) for x in cfg["values"]]),
+        ("poly-truncated",)),
 }
 
 
-def _build_map(carrier, cfg: dict) -> Union[ca.Endomorphism, ca.Functional]:
-    rule = cfg["rule"]
-    if rule in FUNCTIONAL_RULES:
-        return ca.Functional(carrier, FUNCTIONAL_RULES[rule](carrier, cfg))
-    return ca.Endomorphism(carrier, ENDO_RULES[rule](carrier, cfg))
+def _build_map(ctx: "BuildContext", cfg: dict) -> Union[ca.Endomorphism, ca.Functional]:
+    if cfg["rule"] in FUNCTIONAL_RULES:
+        return ca.Functional(ctx.carrier, _rule(ctx, FUNCTIONAL_RULES, cfg))
+    return ca.Endomorphism(ctx.carrier, _rule(ctx, ENDO_RULES, cfg))
 
 
 # build(ctx, cfg) returns a bracket on the carrier, or the algebra if
 # own_algebra; `carriers` names the carrier shapes the form is defined on
-# (empty: any shape)
 Form = namedtuple("Form", "build carriers own_algebra", defaults=((), False))
 
 
@@ -204,12 +231,7 @@ BRACKETS = {
 
 
 def _build_bracket(ctx: "BuildContext", cfg: dict):
-    """`BRACKETS[form].build`, on a carrier of a shape the form is defined on."""
-    form = BRACKETS[cfg["form"]]
-    if form.carriers and ctx.doc["carrier"]["shape"] not in form.carriers:
-        raise ValueError(f"bracket form {cfg['form']!r} needs a {' or '.join(form.carriers)} "
-                         f"carrier, not {ctx.doc['carrier']['shape']}")
-    return form.build(ctx, cfg)
+    return _on_carrier(ctx, "bracket form", BRACKETS, cfg["form"]).build(ctx, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +275,18 @@ def _map_config_ok(v, maps, rules=(ENDO_RULES, FUNCTIONAL_RULES)) -> bool:
             and (v["rule"] != "id-minus" or _map_config_ok(v.get("inner"), maps, (ENDO_RULES,))))
 
 
-MAP_CONFIG = Param(_map_config_ok, "unknown or missing map rule in",
-                   lambda ctx, v: _build_map(ctx.carrier, v))
+def _map_of(kind: str, rules: dict) -> Param:
+    """A reference to a named map built by one of `rules`."""
+    return Param(lambda v, maps: MAP.ok(v, maps) and maps[v]["rule"] in rules,
+                 f"must name {kind}; unresolved map reference or another kind of map:",
+                 MAP.build)
+
+
+ENDO = _map_of("an endomorphism", ENDO_RULES)
+FUNCTIONAL = _map_of("a functional", FUNCTIONAL_RULES)
+MAP_CONFIG = Param(_map_config_ok, "unknown or missing map rule in", _build_map)
+ENDO_CONFIG = Param(lambda v, maps: _map_config_ok(v, maps, (ENDO_RULES,)),
+                    "unknown or missing endomorphism rule in", _build_map)
 TARGET_CONFIG = Param(
     lambda v, maps: (isinstance(v, dict) and known_name(BRACKETS, v.get("form"))
                      and not BRACKETS[v["form"]].own_algebra),
@@ -262,11 +294,11 @@ TARGET_CONFIG = Param(
     _build_bracket)
 INTERTWINE = Param(
     lambda v, maps: isinstance(v, list) and all(
-        isinstance(e, dict) and "name" in e and MAP_CONFIG.ok(e.get("source"), maps)
-        and MAP_CONFIG.ok(e.get("target"), maps) for e in v),
-    "must list {name, source, target} entries with known map rules, not",
-    lambda ctx, v: [(e["name"], _build_map(ctx.carrier, e["source"]),
-                     _build_map(ctx.carrier, e["target"])) for e in v])
+        isinstance(e, dict) and "name" in e and ENDO_CONFIG.ok(e.get("source"), maps)
+        and ENDO_CONFIG.ok(e.get("target"), maps) for e in v),
+    "must list {name, source, target} entries with known endomorphism rules, not",
+    lambda ctx, v: [(e["name"], _build_map(ctx, e["source"]), _build_map(ctx, e["target"]))
+                    for e in v])
 
 
 # build requirements: need(ctx, camp) returns what the document lacks for the
@@ -473,16 +505,17 @@ CHECKS = {
         _SERIES, ("expect",), (_structure_constants,)),
     "anticommute": Check(
         lambda ctx, a, run: ca.check_anticommute(a["omega"], a["delta"], _window(ctx, a, 8)),
-        {"omega": MAP, "delta": MAP, "bound": POSITIVE}, ("omega", "delta")),
+        {"omega": ENDO, "delta": ENDO, "bound": POSITIVE}, ("omega", "delta")),
     "derivation-law": Check(
         lambda ctx, a, run: ca.check_derivation(a["map"], _window(ctx, a)),
-        {"map": MAP, "bound": POSITIVE}, ("map",)),
+        {"map": ENDO, "bound": POSITIVE}, ("map",)),
     "involution-law": Check(
         lambda ctx, a, run: ca.check_involution(a["map"], _window(ctx, a)),
-        {"map": MAP, "bound": POSITIVE}, ("map",)),
+        {"map": ENDO, "bound": POSITIVE}, ("map",)),
     "functional-conditions": Check(
         _run_functional_conditions,
-        {**dict.fromkeys(_FUNCTIONALS, MAP), "bound": POSITIVE}, needs=(_CONDITION,)),
+        {"alpha": FUNCTIONAL, "beta": FUNCTIONAL, "gamma": FUNCTIONAL, "delta": ENDO,
+         "omega": ENDO, "bound": POSITIVE}, needs=(_CONDITION,)),
     "closed-vs-determinant": Check(
         lambda ctx, a, run: br.check_agreement(ctx.bracket, a["rows"], _window(ctx, a)),
         {"rows": ROWS, "bound": POSITIVE}, ("rows",), (_CARRIER_BRACKET,)),
@@ -492,10 +525,10 @@ CHECKS = {
             intertwine=a.get("intertwine", []),
             require_invertible=a.get("require_invertible", False),
             exclude_indices=[ctx.carrier.unit_index()] if a.get("exclude_unit") else []),
-        {"map": MAP_CONFIG, "target": TARGET_CONFIG, "intertwine": INTERTWINE,
+        {"map": ENDO_CONFIG, "target": TARGET_CONFIG, "intertwine": INTERTWINE,
          "exclude_unit": FLAG, "require_invertible": FLAG, "bound": POSITIVE},
         ("map", "target"), (_CARRIER_BRACKET,)),
-    "grading": Check(_run_grading, {"delta": MAP, "bound": POSITIVE},
+    "grading": Check(_run_grading, {"delta": ENDO, "bound": POSITIVE},
                      needs=(_CARRIER_BRACKET, _LAURENT, _CHAR_NOT_TWO)),
     "ideal-divisibility": Check(
         _run_ideal_divisibility,
@@ -516,7 +549,7 @@ CHECKS = {
     "involution-antisymmetry": Check(
         lambda ctx, a, run: br.check_involution_antisymmetry(
             ctx.bracket, a["omega"], _window(ctx, a)),
-        {"omega": MAP, "bound": POSITIVE}, ("omega",), (_CARRIER_BRACKET,)),
+        {"omega": ENDO, "bound": POSITIVE}, ("omega",), (_CARRIER_BRACKET,)),
     "witt": Check(lambda ctx, a, run: ca.check_witt_relation(ctx.carrier, a.get("bound", 3)),
                   {"bound": POSITIVE}, needs=(_LAURENT,)),
 }
@@ -532,7 +565,7 @@ def build_context(doc: dict) -> BuildContext:
         ctx.carrier = _built("$.carrier", CARRIERS[doc["carrier"]["shape"]],
                              ctx.field, doc["carrier"])
     for name, cfg in doc.get("maps", {}).items():
-        ctx.maps[name] = _built(f"$.maps.{name}", _build_map, ctx.carrier, cfg)
+        ctx.maps[name] = _built(f"$.maps.{name}", _build_map, ctx, cfg)
     if "bracket" in doc:
         built = _built("$.bracket", _build_bracket, ctx, doc["bracket"])
         if BRACKETS[doc["bracket"]["form"]].own_algebra:

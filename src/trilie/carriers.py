@@ -14,6 +14,7 @@ objects defined on basis indices and extended linearly, with checkable laws
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -38,6 +39,8 @@ class CarrierAlgebra:
     """Commutative associative algebra given by a basis-index product rule."""
 
     shape = "abstract"
+    # exponent variables of a monomial index (none: indices are not exponents)
+    nvars = 0
 
     def __init__(self, field: Field):
         self.field = field
@@ -89,12 +92,10 @@ class CarrierAlgebra:
         return self.monomial(u)
 
     def element(self, terms) -> "AlgebraElement":
-        out: Dict = {}
-        for idx, c in dict(terms).items():
+        terms = dict(terms)
+        for idx in terms:
             self.validate_index(idx)
-            if not self.field.is_zero(c):
-                out[idx] = c
-        return AlgebraElement(self, out)
+        return AlgebraElement(self, self.field.sparse(terms))
 
     def __eq__(self, other):
         return self is other or (
@@ -259,6 +260,7 @@ class QuotientLaurentAlgebra(CarrierAlgebra):
     """
 
     shape = "quotient-laurent"
+    nvars = 1
 
     def __init__(self, field: Field, p: int):
         super().__init__(field)
@@ -325,9 +327,7 @@ class TableAlgebra(CarrierAlgebra):
         self.name = name
         self.table = {}
         for (i, j), terms in table.items():
-            key = (min(i, j), max(i, j))
-            cleaned = {k: c for k, c in terms.items() if not field.is_zero(c)}
-            self.table[key] = cleaned
+            self.table[(min(i, j), max(i, j))] = field.sparse(terms)
         self._spot_check_associativity()
 
     def _signature(self):
@@ -419,15 +419,8 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._check(other)
-        f = self.field
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            s = f.add(out.get(idx, f.zero), c)
-            if f.is_zero(s):
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        return AlgebraElement(self.carrier, out)
+        return AlgebraElement(self.carrier, self.field.combine(
+            itertools.chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
         return self + (-other)
@@ -445,18 +438,10 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check(other)
-            f = self.field
-            out: Dict = {}
-            for i, ci in self.terms.items():
-                for j, cj in other.terms.items():
-                    cij = f.mul(ci, cj)
-                    for k, ck in self.carrier.mul_indices(i, j):
-                        s = f.add(out.get(k, f.zero), f.mul(cij, ck))
-                        if f.is_zero(s):
-                            out.pop(k, None)
-                        else:
-                            out[k] = s
-            return AlgebraElement(self.carrier, out)
+            mul = self.carrier.mul_indices
+            return AlgebraElement(self.carrier, self.field.combine(
+                (k, ci * cj * ck) for i, ci in self.terms.items()
+                for j, cj in other.terms.items() for k, ck in mul(i, j)))
         if isinstance(other, int):
             return self.scale(self.field.embed(other))
         return self.scale(other)
@@ -544,24 +529,39 @@ class GroupHom:
         return all(f.is_zero(v) for v in self.free_values + self.torsion_values)
 
     def __call__(self, g) -> object:
-        f = self.carrier.field
-        total = f.zero
-        for x, v in zip(g[: self.carrier.free_rank], self.free_values):
-            total = f.add(total, f.mul(f.embed(x), v))
-        for x, v in zip(g[self.carrier.free_rank:], self.torsion_values):
-            total = f.add(total, f.mul(f.embed(x), v))
-        return total
+        values = self.free_values + self.torsion_values
+        return self.carrier.field.normalize(sum(x * v for x, v in zip(g, values)))
 
 
 # ---------------------------------------------------------------------------
 # endomorphisms and functionals
 # ---------------------------------------------------------------------------
 
-class EndoRule:
-    def image(self, carrier: CarrierAlgebra, idx) -> List[Tuple[object, object]]:
-        raise NotImplementedError
+def _check_variable(var: int, carrier: CarrierAlgebra) -> None:
+    if not 0 <= var < carrier.nvars:
+        raise ValueError(f"variable index {var} is out of range for a carrier with "
+                         f"{carrier.nvars} exponent variable(s)")
+
+
+class MapRule:
+    """How a map acts on basis indices; `one_variable` rules read the
+    exponent m of t^m."""
+
+    one_variable = False
+
+    def check(self, carrier: CarrierAlgebra) -> None:
+        """Raise ValueError unless the rule's parameters suit `carrier`; run
+        once, when a map is built from the rule."""
+        if self.one_variable and carrier.nvars != 1:
+            raise ValueError(f"{self.describe()} needs a carrier with one exponent variable, "
+                             f"not {carrier.nvars}")
 
     def describe(self) -> str:
+        raise NotImplementedError
+
+
+class EndoRule(MapRule):
+    def image(self, carrier: CarrierAlgebra, idx) -> List[Tuple[object, object]]:
         raise NotImplementedError
 
 
@@ -579,8 +579,15 @@ class MonomialScale(EndoRule):
     base = -1 is the sign involution family member; base = +1 the identity.
     """
 
+    one_variable = True
+
     def __init__(self, base):
         self.base = base
+
+    def check(self, carrier):
+        super().check(carrier)
+        if carrier.field.is_zero(carrier.field.normalize(self.base)):
+            raise HypothesisViolation("monomial scale requires base != 0")
 
     def image(self, carrier, idx):
         m = idx[0] if isinstance(idx, tuple) else idx
@@ -592,6 +599,8 @@ class MonomialScale(EndoRule):
 
 class LaurentDerivation(EndoRule):
     """t^l * d/dt on one-variable carriers: t^m -> m t^{m+l-1}."""
+
+    one_variable = True
 
     def __init__(self, power: int):
         self.power = power
@@ -615,6 +624,9 @@ class VariableScalingDerivation(EndoRule):
     def __init__(self, var: int = 0):
         self.var = var
 
+    def check(self, carrier):
+        _check_variable(self.var, carrier)
+
     def image(self, carrier, idx):
         return [(idx, carrier.field.embed(idx[self.var]))]
 
@@ -623,22 +635,31 @@ class VariableScalingDerivation(EndoRule):
 
 
 class LaurentFlip(EndoRule):
-    """t^r -> (prod_s lambda_s^{r_s}) t^{-r}; lambda_s must be nonzero."""
+    """t^r -> L(r) t^{-r} with L(r) = prod_s lambda_s^{r_s}; one lambda_s per
+    variable, each nonzero."""
 
     def __init__(self, lambdas: Sequence):
         self.lambdas = tuple(lambdas)
+        self._scales: Dict[tuple, object] = {}
+
+    def check(self, carrier):
+        f = carrier.field
+        if len(self.lambdas) != carrier.nvars:
+            raise ValueError("one scale factor per variable required")
+        if any(f.is_zero(f.normalize(lam)) for lam in self.lambdas):
+            raise HypothesisViolation("flip involution requires lambda != 0")
+
+    def scale(self, field: Field, exps: tuple):
+        """L(r) for the exponent tuple r, cached per tuple."""
+        c = self._scales.get(exps)
+        if c is None:
+            c = self._scales[exps] = field.normalize(
+                math.prod(field.pow(lam, r) for lam, r in zip(self.lambdas, exps)))
+        return c
 
     def image(self, carrier, idx):
-        f = carrier.field
         exps = idx if isinstance(idx, tuple) else (idx,)
-        if len(self.lambdas) != len(exps):
-            raise ValueError("one scale factor per variable required")
-        c = f.one
-        for lam, r in zip(self.lambdas, exps):
-            if f.is_zero(lam):
-                raise HypothesisViolation("flip involution requires lambda != 0")
-            c = f.mul(c, f.pow(lam, r))
-        return [(carrier.neg_index(idx), c)]
+        return [(carrier.neg_index(idx), self.scale(carrier.field, exps))]
 
     def describe(self):
         return "lambda^r t^-r flip"
@@ -673,6 +694,11 @@ class TableMap(EndoRule):
     def __init__(self, entries: Sequence[Sequence]):
         self.entries = [list(r) for r in entries]
 
+    def check(self, carrier):
+        d = carrier.dim()
+        if len(self.entries) != d or any(len(r) != d for r in self.entries):
+            raise ValueError(f"a map of a {d}-dimensional carrier needs a {d} x {d} table")
+
     def image(self, carrier, idx):
         f = carrier.field
         out = []
@@ -687,6 +713,8 @@ class TableMap(EndoRule):
 
 class MonomialShift(EndoRule):
     """t^m -> coeff * t^{m+offset} on one-variable Laurent carriers."""
+
+    one_variable = True
 
     def __init__(self, offset: int, coeff=None):
         self.offset = offset
@@ -708,16 +736,13 @@ class IdMinus(EndoRule):
     def __init__(self, inner: EndoRule):
         self.inner = inner
 
+    def check(self, carrier):
+        self.inner.check(carrier)
+
     def image(self, carrier, idx):
         f = carrier.field
-        out = {idx: f.one}
-        for j, c in self.inner.image(carrier, idx):
-            s = f.sub(out.get(j, f.zero), c)
-            if f.is_zero(s):
-                out.pop(j, None)
-            else:
-                out[j] = s
-        return list(out.items())
+        return list(f.combine(itertools.chain(
+            [(idx, f.one)], ((j, -c) for j, c in self.inner.image(carrier, idx)))).items())
 
     def describe(self):
         return f"identity minus ({self.inner.describe()})"
@@ -727,44 +752,31 @@ class Endomorphism:
     """Linear map of a carrier, defined on basis indices, extended linearly."""
 
     def __init__(self, carrier: CarrierAlgebra, rule: EndoRule, name: str = ""):
+        rule.check(carrier)
         self.carrier = carrier
         self.rule = rule
         self.name = name or rule.describe()
 
-    def image_of_index(self, idx) -> AlgebraElement:
-        f = self.carrier.field
-        out: Dict = {}
-        for j, c in self.rule.image(self.carrier, idx):
-            if not f.is_zero(c):
-                s = f.add(out.get(j, f.zero), c)
-                if f.is_zero(s):
-                    out.pop(j, None)
-                else:
-                    out[j] = s
-        return AlgebraElement(self.carrier, out)
-
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if x.carrier != self.carrier:
             raise CarrierMismatchError("endomorphism applied to a foreign element")
-        acc = self.carrier.zero()
-        for idx, c in x.terms.items():
-            acc = acc + self.image_of_index(idx).scale(c)
-        return acc
+        return AlgebraElement(self.carrier, self.carrier.field.combine(
+            (j, c * d) for idx, c in x.terms.items()
+            for j, d in self.rule.image(self.carrier, idx)))
 
     def __repr__(self):
         return f"Endo({self.name})"
 
 
-class FunctionalRule:
+class FunctionalRule(MapRule):
     def value(self, carrier: CarrierAlgebra, idx):
-        raise NotImplementedError
-
-    def describe(self) -> str:
         raise NotImplementedError
 
 
 class AlternatingSign(FunctionalRule):
     """t^m -> (-1)^m (one-variable)."""
+
+    one_variable = True
 
     def value(self, carrier, idx):
         m = idx[0] if isinstance(idx, tuple) else idx
@@ -787,6 +799,9 @@ class ExponentValue(FunctionalRule):
 
     def __init__(self, var: int = 0):
         self.var = var
+
+    def check(self, carrier):
+        _check_variable(self.var, carrier)
 
     def value(self, carrier, idx):
         m = idx[self.var] if isinstance(idx, tuple) else idx
@@ -813,6 +828,11 @@ class TableFunctional(FunctionalRule):
     def __init__(self, values: Sequence):
         self.values = list(values)
 
+    def check(self, carrier):
+        if len(self.values) != carrier.dim():
+            raise ValueError(f"a functional of a {carrier.dim()}-dimensional carrier "
+                             f"needs {carrier.dim()} values")
+
     def value(self, carrier, idx):
         return self.values[idx]
 
@@ -822,6 +842,7 @@ class TableFunctional(FunctionalRule):
 
 class Functional:
     def __init__(self, carrier: CarrierAlgebra, rule: FunctionalRule, name: str = ""):
+        rule.check(carrier)
         self.carrier = carrier
         self.rule = rule
         self.name = name or rule.describe()
@@ -829,11 +850,8 @@ class Functional:
     def __call__(self, x: AlgebraElement):
         if x.carrier != self.carrier:
             raise CarrierMismatchError("functional applied to a foreign element")
-        f = self.carrier.field
-        total = f.zero
-        for idx, c in x.terms.items():
-            total = f.add(total, f.mul(c, self.rule.value(self.carrier, idx)))
-        return total
+        return self.carrier.field.normalize(
+            sum(c * self.rule.value(self.carrier, idx) for idx, c in x.terms.items()))
 
     def __repr__(self):
         return f"Functional({self.name})"
@@ -1009,8 +1027,6 @@ def classify_involutions(carrier: LaurentAlgebra) -> List[InvolutionFamily]:
                             name=f"sign involution eps={eps}")
 
     def make_flip(lam) -> Endomorphism:
-        if carrier.field.is_zero(lam):
-            raise HypothesisViolation("flip involution requires lambda != 0")
         return Endomorphism(carrier, LaurentFlip((lam,)),
                             name="flip involution")
 

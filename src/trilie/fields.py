@@ -4,6 +4,12 @@ Field objects are descriptors: they carry the arithmetic while the element
 values stay lightweight (`fractions.Fraction` for Q, `GaussianRational` for
 Q(i), plain int residues in [0, p) for F_p).  Every operation is exact; there
 is no floating point anywhere in this package.
+
+Sparse vectors are {index: coefficient} dicts holding only normalized, nonzero
+coefficients, and every sum of them is formed one way: `Field.combine` adds
+(index, coefficient) terms with the values' own `+` (products in the terms may
+use their own `*`, so an F_p term may be an unreduced int), and `Field.sparse`
+then normalizes each coordinate once and drops the zero ones.
 """
 
 from __future__ import annotations
@@ -159,6 +165,24 @@ class Field:
         """Recanonicalize a raw value (idempotent on valid elements)."""
         raise NotImplementedError
 
+    def combine(self, terms) -> dict:
+        """The sparse sum of (index, coefficient) pairs: coefficients of one
+        index are added with their own `+`, then `sparse` normalizes."""
+        acc = {}
+        for k, c in terms:
+            s = acc.get(k)
+            acc[k] = c if s is None else s + c
+        return self.sparse(acc)
+
+    def sparse(self, acc: dict) -> dict:
+        """{index: raw sum} -> its normalized, nonzero coordinates."""
+        out = {}
+        for k, s in acc.items():
+            s = self.normalize(s)
+            if not self.is_zero(s):
+                out[k] = s
+        return out
+
     def validate(self, a) -> None:
         if self.normalize(a) != a:
             raise FieldError(f"{a!r} is not a canonical element of {self}")
@@ -227,7 +251,7 @@ class Rationals(Field):
         return Fraction(n)
 
     def normalize(self, a):
-        return Fraction(a)
+        return a if isinstance(a, Fraction) else Fraction(a)
 
     def render(self, a):
         return _render_fraction(a)

@@ -51,18 +51,8 @@ class LieAlgebra:
         return {k: f.neg(c) for k, c in vec.items()}
 
     def bracket_sparse(self, u: Dict[int, object], v: Dict[int, object]) -> Dict[int, object]:
-        f = self.field
-        out: Dict[int, object] = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                ab = f.mul(a, b)
-                for k, c in self.bracket_indices(i, j).items():
-                    s = f.add(out.get(k, f.zero), f.mul(ab, c))
-                    if f.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        return out
+        return self.field.combine((k, a * b * c) for i, a in u.items() for j, b in v.items()
+                                  for k, c in self.bracket_indices(i, j).items())
 
     def _check_jacobi(self):
         # the Jacobi identity is the fundamental identity at arity 2
@@ -93,13 +83,12 @@ def general_linear(field: Field, m: int) -> LieAlgebra:
         for q in range(p + 1, dim):
             a, b = divmod(p, m)
             c, d = divmod(q, m)
-            f = field
-            vec: Dict[int, object] = {}
+            terms = []
             if b == c:
-                vec[idx(a, d)] = f.add(vec.get(idx(a, d), f.zero), f.one)
+                terms.append((idx(a, d), 1))
             if d == a:
-                vec[idx(c, b)] = f.sub(vec.get(idx(c, b), f.zero), f.one)
-            vec = {k: v for k, v in vec.items() if not f.is_zero(v)}
+                terms.append((idx(c, b), -1))
+            vec = field.combine(terms)
             if vec:
                 constants[(p, q)] = vec
     labels = [f"E{a + 1}{b + 1}" for a in range(m) for b in range(m)]
@@ -161,17 +150,8 @@ def lie_lift(lie: LieAlgebra, f_values: Sequence, name: str = "") -> FiniteNLieA
             )
     constants = {}
     for i, j, k in itertools.combinations(range(lie.dim), 3):
-        vec: Dict[int, object] = {}
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            fa = vals[a]
-            if f.is_zero(fa):
-                continue
-            for l, cl in lie.bracket_indices(b, c).items():
-                s = f.add(vec.get(l, f.zero), f.mul(fa, cl))
-                if f.is_zero(s):
-                    vec.pop(l, None)
-                else:
-                    vec[l] = s
+        vec = f.combine((l, vals[a] * cl) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+                        for l, cl in lie.bracket_indices(b, c).items())
         if vec:
             constants[(i, j, k)] = vec
     return FiniteNLieAlgebra(f, lie.dim, 3, constants, lie.labels,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from types import MappingProxyType
@@ -108,20 +109,10 @@ class FiniteNLieAlgebra:
 
     def bracket_sparse(self, vecs: Sequence[Dict[int, object]]) -> Dict[int, object]:
         """Multilinear extension on sparse coordinate dicts."""
-        f = self.field
-        out: Dict[int, object] = {}
-        for combo in itertools.product(*[v.items() for v in vecs]):
-            idxs = [i for i, _ in combo]
-            coeff = f.one
-            for _, c in combo:
-                coeff = f.mul(coeff, c)
-            for l, c in self.bracket_indices(idxs).items():
-                s = f.add(out.get(l, f.zero), f.mul(coeff, c))
-                if f.is_zero(s):
-                    out.pop(l, None)
-                else:
-                    out[l] = s
-        return out
+        return self.field.combine(
+            (l, math.prod(c for _, c in combo) * d)
+            for combo in itertools.product(*[v.items() for v in vecs])
+            for l, d in self.bracket_indices([i for i, _ in combo]).items())
 
     # -- helpers -----------------------------------------------------------
     def basis_row(self, i: int) -> List:
@@ -328,8 +319,7 @@ def _fi_scan(evaluate, f: Field, cases: Iterable[Tuple[tuple, tuple]]):
     left side and the [xi, ys] need no fresh key, nor does putting l in the
     first slot of xs.  A run of cases with the same x-tuple reads [xs] and
     slices the other slots once.  Products accumulate with the elements' own
-    + and *; each coordinate is normalized once at the end, and the zero ones
-    are dropped.
+    + and *, and `Field.sparse` normalizes the residual once at the end.
     """
     memo = _Memo(lambda tail: _Memo(lambda head: evaluate((head,) + tail)))
     checked, found, last = 0, [], None
@@ -357,11 +347,7 @@ def _fi_scan(evaluate, f: Field, cases: Iterable[Tuple[tuple, tuple]]):
                     s = acc.get(m)
                     acc[m] = c * d if s is None else s + c * d
         checked += 1
-        res = {}
-        for m, s in acc.items():
-            s = f.normalize(s)
-            if not f.is_zero(s):
-                res[m] = s
+        res = f.sparse(acc)
         if res and len(found) < MAX_WITNESSES:
             found.append((xs, ys, res))
     return checked, found

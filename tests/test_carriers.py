@@ -12,6 +12,7 @@ from trilie.carriers import (
     Endomorphism,
     ExponentValue,
     Functional,
+    FunctionalRule,
     GroupAlgebra,
     GroupHom,
     GroupHomDerivation,
@@ -262,7 +263,7 @@ def test_multivariable_flip_anticommutes_with_scaling_derivations():
 def test_indicator_functional_kills_window_products():
     A = GroupAlgebra(QQ, free_rank=1)
     # nonzero only at e_5, outside the sums of the |g| <= 2 window
-    class Indicator:
+    class Indicator(FunctionalRule):
         def value(self, carrier, idx):
             return QQ.one if idx == (5,) else QQ.zero
 
@@ -286,7 +287,7 @@ def test_constant_one_fails_derivation_commutator_condition():
 def test_zero_functionals_pass_everything():
     A = laurent()
 
-    class Zero:
+    class Zero(FunctionalRule):
         def value(self, carrier, idx):
             return QQ.zero
 

@@ -3,7 +3,7 @@ import copy
 import pytest
 
 from trilie.bundled import BUNDLED, bundled_names, get_bundled
-from trilie.campaigns import CHECKS
+from trilie.campaigns import CHECKS, ENDO_RULES, FUNCTIONAL_RULES
 from trilie.cli import main
 from trilie.documents import (
     ConfigError,
@@ -146,6 +146,7 @@ def test_structure_checks_need_tabulation():
 
 
 SIGN = {"sign": {"rule": "monomial-scale", "base": "-1"}}
+ONE = {"one": {"rule": "constant-one"}}
 
 
 def _campaign_case(check, path, maps=None, **params):
@@ -182,6 +183,16 @@ def _campaign_case(check, path, maps=None, **params):
     pytest.param({"name": "c", "check": "homomorphism", "target": {"form": "quotient-parity"},
                   "map": {"rule": "id-minus", "inner": "identity"}}, {},
                  "$.campaigns[0].map", id="homomorphism-id-minus-inner-not-an-object"),
+    # a map of the wrong kind crashed, or (a functional as delta) passed
+    pytest.param({"name": "c", "check": "derivation-law", "map": "one"}, ONE,
+                 "$.campaigns[0].map", id="derivation-law-of-a-functional"),
+    pytest.param({"name": "c", "check": "functional-conditions", "alpha": "sign"}, SIGN,
+                 "$.campaigns[0].alpha", id="functional-conditions-alpha-an-endomorphism"),
+    pytest.param({"name": "c", "check": "functional-conditions", "beta": "one", "delta": "one"},
+                 ONE, "$.campaigns[0].delta", id="functional-conditions-delta-a-functional"),
+    pytest.param({"name": "c", "check": "homomorphism", "target": {"form": "quotient-parity"},
+                  "map": {"rule": "constant-one"}}, {},
+                 "$.campaigns[0].map", id="homomorphism-of-a-functional"),
 ])
 def test_bad_campaigns_are_rejected(campaign, maps, path, tmp_path, capsys):
     doc = minimal_quotient_doc()
@@ -254,6 +265,17 @@ def test_campaign_requirements_fail_before_any_campaign_runs(doc, campaign, path
     assert not list(tmp_path.glob("*.report.json"))
 
 
+def _map_case(carrier, rule, name, path="$.maps.m"):
+    """A document whose one campaign checks the map `m` on `carrier`."""
+    camp = ({"check": "functional-conditions", "alpha": "m"} if rule["rule"] in FUNCTIONAL_RULES
+            else {"check": "involution-law", "map": "m"})
+    return pytest.param({"carrier": carrier, "bracket": None, "basis": None, "maps": {"m": rule},
+                         "campaigns": [{"name": "c", **camp}]}, path, id=name)
+
+
+LAURENT, POLY = {"shape": "laurent"}, {"shape": "poly-truncated", "n": 3}
+
+
 @pytest.mark.parametrize("patch, path", [
     pytest.param({"carrier": {"shape": "quotient-laurent"}}, "$.carrier", id="carrier-without-p"),
     pytest.param({"maps": {"f": {"rule": "id-minus", "inner": {"rule": "mystery"}}}},
@@ -273,6 +295,30 @@ def test_campaign_requirements_fail_before_any_campaign_runs(doc, campaign, path
                   "campaigns": [{"name": "h", "check": "homomorphism", "map": {"rule": "identity"},
                                  "target": {"form": "quotient-parity"}}]},
                  "$.campaigns[0].target", id="target-form-on-a-carrier-of-the-wrong-shape"),
+    pytest.param({"carrier": LAURENT, "bracket": {"form": "laurent-flip", "lambdas": ["1"],
+                                                  "var": 1}},
+                 "$.bracket", id="flip-bracket-variable-out-of-range"),
+    # each of these exited 70 with a traceback
+    _map_case(LAURENT, {"rule": "laurent-flip", "lambdas": ["0"]}, "zero-flip-scale"),
+    _map_case(LAURENT, {"rule": "laurent-flip", "lambdas": ["1", "1"]}, "flip-scale-count"),
+    _map_case(LAURENT, {"rule": "monomial-scale", "base": "0"}, "zero-monomial-scale-base"),
+    _map_case(POLY, {"rule": "table-map", "entries": [["1", "0"], ["0", "1"]]},
+              "table-map-of-the-wrong-size"),
+    _map_case(POLY, {"rule": "table-functional", "values": ["1"]},
+              "table-functional-of-the-wrong-size"),
+    _map_case({"shape": "quotient-laurent", "p": 3}, {"rule": "monomial-shift"},
+              "monomial-shift-on-quotient"),
+    _map_case(POLY, {"rule": "monomial-shift"}, "monomial-shift-on-poly"),
+    _map_case(POLY, {"rule": "laurent-derivation"}, "laurent-derivation-on-poly"),
+    _map_case({"shape": "laurent", "vars": 2}, {"rule": "laurent-derivation"},
+              "laurent-derivation-on-two-variables"),
+    _map_case(LAURENT, {"rule": "variable-scaling-derivation", "var": 3},
+              "scaling-derivation-variable-out-of-range"),
+    _map_case(LAURENT, {"rule": "exponent-value", "var": 2},
+              "exponent-value-variable-out-of-range"),
+    _map_case(POLY, {"rule": "group-negation"}, "group-negation-on-poly"),
+    _map_case(POLY, {"rule": "id-minus", "inner": {"rule": "group-negation"}},
+              "id-minus-inner-rule-on-the-wrong-shape"),
 ])
 def test_validated_documents_do_not_crash_while_building(patch, path, tmp_path, capsys):
     doc = minimal_quotient_doc()
@@ -305,6 +351,43 @@ def test_every_check_is_refused_or_runs_to_a_verdict(name, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     assert {check: code for check, code in exits.items() if code not in (0, 1, 2, 64)} == {}
     assert exits["fundamental-identity"] == 0
+
+
+CARRIER_SHAPES = {
+    "laurent": LAURENT,
+    "laurent-2": {"shape": "laurent", "vars": 2},
+    "group": {"shape": "group", "free": 1, "torsion": [2]},
+    "quotient-laurent": {"shape": "quotient-laurent", "p": 3},
+    "poly-truncated": POLY,
+}
+# one value for each parameter a rule has no default for
+RULE_PARAMETERS = {
+    "monomial-scale": {"base": "-1"},
+    "laurent-flip": {"lambdas": ["2"]},
+    "hom-derivation": {"hom": {"free": ["1"], "torsion": ["0"]}},
+    "hom-functional": {"hom": {"free": ["1"], "torsion": ["0"]}},
+    "table-map": {"entries": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+    "table-functional": {"values": ["1", "0", "0"]},
+    "id-minus": {"inner": {"rule": "identity"}},
+}
+
+
+@pytest.mark.parametrize("shape", CARRIER_SHAPES)
+@pytest.mark.parametrize("rule", [*ENDO_RULES, *FUNCTIONAL_RULES])
+def test_every_map_rule_is_refused_or_runs_on_every_carrier(rule, shape, tmp_path, capsys):
+    doc = minimal_quotient_doc()
+    del doc["bracket"], doc["basis"]
+    doc["field"], doc["carrier"] = {"kind": "rationals"}, CARRIER_SHAPES[shape]
+    doc["maps"] = {"m": {"rule": rule, **RULE_PARAMETERS.get(rule, {})}}
+    doc["campaigns"] = (
+        [{"name": "c", "check": "functional-conditions", "alpha": "m"}] if rule in FUNCTIONAL_RULES
+        else [{"name": "c", "check": "involution-law", "map": "m"},
+              {"name": "d", "check": "derivation-law", "map": "m"}])
+    validate_document(doc)
+    file = tmp_path / "doc.json"
+    file.write_text(render_document(doc))
+    assert main(["verify", str(file), "--out-dir", str(tmp_path)]) in (0, 1, 64)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_explicit_basis_indices_parse():

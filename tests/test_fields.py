@@ -1,9 +1,11 @@
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from trilie.fields import (
     GaussianRational,
@@ -93,6 +95,56 @@ def test_field_axioms(F):
         assert F.add(a, F.neg(a)) == F.zero
         if not F.is_zero(a):
             assert F.mul(a, F.inv(a)) == F.one
+
+
+# ---------------------------------------------------------------------------
+# the one sparse sum
+# ---------------------------------------------------------------------------
+
+SUM_FIELDS = [QQ, QI, PrimeField(2), PrimeField(101), PrimeField(2**61 - 1)]
+
+
+def raw_values(F):
+    """Field values and the raw values sums meet: ints everywhere, and for
+    F_p ints outside [0, p), as the values' own `-` and `*` leave them."""
+    ints = st.integers(-3 * F.characteristic - 3, 3 * F.characteristic + 3)
+    if F is QQ:
+        return st.one_of(ints, st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+    if F is QI:
+        q = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+        return st.one_of(ints, st.builds(GaussianRational, q, q))
+    return st.one_of(ints, st.integers(0, F.p - 1))
+
+
+def naive_sum(F, terms):
+    out = {}
+    for k, c in terms:
+        s = F.add(out.get(k, F.zero), F.normalize(c))
+        if F.is_zero(s):
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_combine_is_the_naive_sum_of_normalized_terms(data):
+    F = data.draw(st.sampled_from(SUM_FIELDS))
+    values = raw_values(F)
+    # products of one to three raw factors, on few indices so they repeat
+    products = st.lists(values, min_size=1, max_size=3).map(math.prod)
+    terms = data.draw(st.lists(st.tuples(st.integers(0, 4), products), max_size=12))
+    # and terms that cancel some of them
+    terms += [(k, -c) for k, c in data.draw(st.lists(st.sampled_from(terms), max_size=4)
+                                            if terms else st.just([]))]
+    terms = data.draw(st.permutations(terms))
+    got = F.combine(terms)
+    assert got == naive_sum(F, terms)
+    for c in got.values():
+        assert type(c) is type(F.zero) and F.normalize(c) == c and not F.is_zero(c)
+        if F.characteristic:
+            assert 0 < c < F.p
 
 
 @pytest.mark.parametrize("F", [QQ, QI, PrimeField(5)])
