@@ -165,15 +165,9 @@ class DeterminantBracket(TriBracket):
 def functional_det(f1: Functional, f2: Functional, f3: Functional,
                    a: AlgebraElement, b: AlgebraElement, c: AlgebraElement):
     """Scalar 3x3 determinant of three functionals applied to three elements."""
-    field = a.field
-    vals = [[f(x) for x in (a, b, c)] for f in (f1, f2, f3)]
-    total = field.zero
-    for perm, sign in _PERMS3:
-        term = field.one
-        for r, pos in enumerate(perm):
-            term = field.mul(term, vals[r][pos])
-        total = field.add(total, term if sign == 1 else field.neg(term))
-    return total
+    v1, v2, v3 = ([f(x) for x in (a, b, c)] for f in (f1, f2, f3))
+    return a.field.normalize(sum(sign * v1[i] * v2[j] * v3[k]
+                                 for (i, j, k), sign in _PERMS3))
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +661,7 @@ def laurent_divmod(numer: AlgebraElement, denom: AlgebraElement) -> Tuple[Algebr
             continue
         Q[k] = c
         for t, dcoeff in enumerate(D):
-            N[k + t] = f.sub(N[k + t], f.mul(c, dcoeff))
+            N[k + t] = f.normalize(N[k + t] - c * dcoeff)
     shift = n_min - d_min
     quot = carrier.element({(k + shift,): c for k, c in enumerate(Q)})
     rem = carrier.element({(k + n_min,): c for k, c in enumerate(N)})
@@ -725,11 +719,8 @@ def group_kernel_certificate(hom: GroupHom, seed: int = 0, spot_samples: int = 4
     ker = kernel_of_functional(f, values)
 
     def P(a, b, c):
-        return f.add(
-            f.add(f.mul(f.sub(c, b), f.sub(f.add(b, c), a)),
-                  f.mul(f.sub(a, c), f.sub(f.add(a, c), b))),
-            f.mul(f.sub(b, a), f.sub(f.add(a, b), c)),
-        )
+        return f.normalize((c - b) * (b + c - a) + (a - c) * (a + c - b)
+                           + (b - a) * (a + b - c))
 
     attained = sorted(set(values), key=f.render)
     report = CheckReport(

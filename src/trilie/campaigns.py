@@ -559,6 +559,23 @@ CHECKS = {
 # building and running documents
 # ---------------------------------------------------------------------------
 
+def _parse_indices(carrier: ca.CarrierAlgebra, texts: List[str]) -> list:
+    """The basis indices an explicit basis names, each once."""
+    seen = {}
+    for t in texts:
+        i = carrier.parse_index(t)
+        if i in seen:
+            raise ValueError(f"{seen[i]!r} and {t!r} name the same basis element "
+                             f"{carrier.index_str(i)}")
+        seen[i] = t
+    return list(seen)
+
+
+def _mutate(algebra: st.FiniteNLieAlgebra, mut: dict) -> st.FiniteNLieAlgebra:
+    return algebra.mutate_constant(tuple(mut["args"]), mut["out"],
+                                   algebra.field.parse(mut["add"]))
+
+
 def build_context(doc: dict) -> BuildContext:
     ctx = BuildContext(doc, _built("$.field", field_from_descriptor, doc["field"]))
     if "carrier" in doc:
@@ -585,8 +602,8 @@ def build_context(doc: dict) -> BuildContext:
         elif kind == "window":
             ctx.basis = ctx.carrier.window(int(basis_cfg["bound"]))
         else:
-            ctx.basis = _built("$.basis.indices", lambda: [
-                ctx.carrier.parse_index(t) for t in basis_cfg["indices"]])
+            ctx.basis = _built("$.basis.indices", _parse_indices, ctx.carrier,
+                               basis_cfg["indices"])
         if basis_cfg.get("tabulate", True) and ctx.bracket is not None:
             out = br.tabulate(ctx.bracket, ctx.basis, name=doc["name"])
             if isinstance(out, br.ClosureFailure):
@@ -594,11 +611,12 @@ def build_context(doc: dict) -> BuildContext:
             else:
                 ctx.algebra = out
 
-    if ctx.algebra is not None and "mutations" in doc.get("bracket", {}):
-        f = ctx.field
-        for mut in doc["bracket"]["mutations"]:
-            ctx.algebra = ctx.algebra.mutate_constant(
-                tuple(mut["args"]), int(mut["out"]), f.parse(mut["add"]))
+    mutations = doc.get("bracket", {}).get("mutations", [])
+    if mutations and ctx.algebra is None:
+        raise ConfigError("$.bracket.mutations", "mutations change a tabulated table, "
+                          "and this document tabulates none")
+    for k, mut in enumerate(mutations):
+        ctx.algebra = _built(f"$.bracket.mutations[{k}]", _mutate, ctx.algebra, mut)
 
     # every campaign's requirements hold and its parameters build, before any runs
     for k, camp in enumerate(doc["campaigns"]):

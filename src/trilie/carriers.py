@@ -112,6 +112,21 @@ class CarrierAlgebra:
         return ()
 
 
+def _parse_exponents(text: str, nvars: int) -> tuple:
+    """Exponents of a monomial written "1", "t^a" or "t1^a*t2^b" (an omitted
+    power is 1); ValueError unless it names variables 1..nvars."""
+    exps = [0] * nvars
+    if text.strip() != "1":
+        for part in text.split("*"):
+            name, _, power = part.partition("^")
+            name = name.strip()
+            var = "1" if name == "t" else name[1:]
+            if name[:1] != "t" or not var.isdigit() or not 1 <= int(var) <= nvars:
+                raise ValueError(f"bad monomial {text!r} for {nvars} variable(s)")
+            exps[int(var) - 1] = int(power) if power else 1
+    return tuple(exps)
+
+
 class LaurentAlgebra(CarrierAlgebra):
     """F[t_1^-1..t_k^-1, t_1..t_k]; indices are integer exponent tuples."""
 
@@ -152,16 +167,7 @@ class LaurentAlgebra(CarrierAlgebra):
         return "*".join(parts)
 
     def parse_index(self, text: str):
-        s = text.strip()
-        if s == "1":
-            return (0,) * self.nvars
-        exps = [0] * self.nvars
-        for part in s.split("*"):
-            name, _, power = part.partition("^")
-            name = name.strip()
-            k = 0 if name == "t" else int(name[1:]) - 1
-            exps[k] = int(power) if power else 1
-        return tuple(exps)
+        return _parse_exponents(text, self.nvars)
 
 
 class GroupAlgebra(CarrierAlgebra):
@@ -246,10 +252,10 @@ class GroupAlgebra(CarrierAlgebra):
         free_part, _, tor_part = body.partition("|")
         free = tuple(int(x) for x in free_part.split(",") if x.strip() != "")
         tor = tuple(int(x) for x in tor_part.split(",") if x.strip() != "")
-        idx = free + tor
-        if len(idx) != self.rank:
-            raise ValueError(f"group element {text!r} has wrong rank for {self._signature()}")
-        return self.reduce_index(idx)
+        if (len(free), len(tor)) != (self.free_rank, len(self.torsion)):
+            raise ValueError(f"group element {text!r} does not match the free rank and "
+                             f"torsion orders {self._signature()}")
+        return self.reduce_index(free + tor)
 
 
 class QuotientLaurentAlgebra(CarrierAlgebra):
@@ -302,10 +308,7 @@ class QuotientLaurentAlgebra(CarrierAlgebra):
         return "1" if i == 0 else f"t^{i}"
 
     def parse_index(self, text: str):
-        s = text.strip()
-        e = 0 if s == "1" else int(s.split("^")[1])
-        e = self.reduce_exponent(e)
-        return e
+        return self.reduce_exponent(_parse_exponents(text, 1)[0])
 
 
 class TableAlgebra(CarrierAlgebra):
@@ -543,6 +546,16 @@ def _check_variable(var: int, carrier: CarrierAlgebra) -> None:
                          f"{carrier.nvars} exponent variable(s)")
 
 
+def _table_dim(carrier: CarrierAlgebra) -> int:
+    """The dimension d of a carrier whose basis indices are 0..d-1, the
+    positions at which a table rule reads its entries."""
+    d = carrier.dim()
+    if d is None or carrier.basis_indices() != list(range(d)):
+        raise ValueError(f"a table rule needs a finite carrier indexed 0..d-1, "
+                         f"not a {carrier.shape} carrier")
+    return d
+
+
 class MapRule:
     """How a map acts on basis indices; `one_variable` rules read the
     exponent m of t^m."""
@@ -695,7 +708,7 @@ class TableMap(EndoRule):
         self.entries = [list(r) for r in entries]
 
     def check(self, carrier):
-        d = carrier.dim()
+        d = _table_dim(carrier)
         if len(self.entries) != d or any(len(r) != d for r in self.entries):
             raise ValueError(f"a map of a {d}-dimensional carrier needs a {d} x {d} table")
 
@@ -829,9 +842,9 @@ class TableFunctional(FunctionalRule):
         self.values = list(values)
 
     def check(self, carrier):
-        if len(self.values) != carrier.dim():
-            raise ValueError(f"a functional of a {carrier.dim()}-dimensional carrier "
-                             f"needs {carrier.dim()} values")
+        d = _table_dim(carrier)
+        if len(self.values) != d:
+            raise ValueError(f"a functional of a {d}-dimensional carrier needs {d} values")
 
     def value(self, carrier, idx):
         return self.values[idx]

@@ -70,6 +70,8 @@ def validate_document(doc: Any) -> Dict:
                  "bracket needs a 'form'")
         _require(known_name(BRACKETS, bracket["form"]), "$.bracket.form",
                  f"unknown bracket form {bracket['form']!r}")
+        _require(isinstance(bracket.get("mutations", []), list), "$.bracket.mutations",
+                 "mutations must be a list")
         if BRACKETS[bracket["form"]].own_algebra:
             _require("carrier" not in doc, "$.carrier",
                      f"bracket form {bracket['form']!r} builds its own algebra; "
@@ -91,6 +93,7 @@ def validate_document(doc: Any) -> Dict:
 
     basis = doc.get("basis")
     if basis is not None:
+        _require(isinstance(basis, dict), "$.basis", "basis must be an object")
         kind = basis.get("kind")
         _require(kind in {"carrier", "window", "explicit"}, "$.basis.kind",
                  f"unknown basis kind {kind!r}")
@@ -98,8 +101,10 @@ def validate_document(doc: Any) -> Dict:
             _require(isinstance(basis.get("bound"), int) and basis["bound"] >= 0,
                      "$.basis.bound", "window basis needs a finite integer bound")
         if kind == "explicit":
-            _require(isinstance(basis.get("indices"), list) and basis["indices"],
-                     "$.basis.indices", "explicit basis needs an index list")
+            indices = basis.get("indices")
+            _require(isinstance(indices, list) and indices
+                     and all(isinstance(t, str) for t in indices),
+                     "$.basis.indices", "explicit basis needs a list of index strings")
 
     campaigns = doc["campaigns"]
     _require(isinstance(campaigns, list) and campaigns, "$.campaigns",

@@ -5,6 +5,12 @@ values stay lightweight (`fractions.Fraction` for Q, `GaussianRational` for
 Q(i), plain int residues in [0, p) for F_p).  Every operation is exact; there
 is no floating point anywhere in this package.
 
+There is one scalar rule: compute with the values' own operators, then
+`normalize` once.  `Field.add/sub/mul/neg/embed` are defined only in the base
+class as exactly that, so a field supplies just `normalize` (Fraction, Q(i),
+or the residue mod p), `inv` and its text forms; a fold such as a dot product
+sums raw products and normalizes the total, and `is_zero` is truthiness.
+
 Sparse vectors are {index: coefficient} dicts holding only normalized, nonzero
 coefficients, and every sum of them is formed one way: `Field.combine` adds
 (index, coefficient) terms with the values' own `+` (products in the terms may
@@ -115,7 +121,8 @@ def _render_fraction(q: Fraction) -> str:
 
 
 class Field:
-    """Base descriptor.  Subclasses implement exact arithmetic on raw values."""
+    """Base descriptor: the arithmetic is the values' own operators followed
+    by the subclass's `normalize`."""
 
     kind: str
     characteristic: int
@@ -129,23 +136,23 @@ class Field:
         raise NotImplementedError
 
     def add(self, a, b):
-        raise NotImplementedError
+        return self.normalize(a + b)
 
     def sub(self, a, b):
-        raise NotImplementedError
+        return self.normalize(a - b)
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return self.normalize(a * b)
 
     def neg(self, a):
-        raise NotImplementedError
+        return self.normalize(-a)
 
     def inv(self, a):
         raise NotImplementedError
 
     def embed(self, n: int):
         """Canonical image of a signed integer (ring homomorphism Z -> F)."""
-        raise NotImplementedError
+        return self.normalize(n)
 
     def pow(self, a, n: int):
         if n < 0:
@@ -159,7 +166,7 @@ class Field:
         return out
 
     def is_zero(self, a) -> bool:
-        return a == self.zero
+        return not a
 
     def normalize(self, a):
         """Recanonicalize a raw value (idempotent on valid elements)."""
@@ -179,7 +186,7 @@ class Field:
         out = {}
         for k, s in acc.items():
             s = self.normalize(s)
-            if not self.is_zero(s):
+            if s:
                 out[k] = s
         return out
 
@@ -191,6 +198,12 @@ class Field:
         raise NotImplementedError
 
     def parse(self, text: str):
+        """The element a scalar string names; ValueError for anything else."""
+        if not isinstance(text, str):
+            raise ValueError(f"a scalar is written as a string, not {text!r}")
+        return self._parse(text.strip())
+
+    def _parse(self, text: str):
         raise NotImplementedError
 
     def random_element(self, rng, nonzero=False):
@@ -230,25 +243,10 @@ class Rationals(Field):
     def one(self):
         return _Q_ONE
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("division by zero in Q")
         return 1 / a
-
-    def embed(self, n):
-        return Fraction(n)
 
     def normalize(self, a):
         return a if isinstance(a, Fraction) else Fraction(a)
@@ -256,8 +254,8 @@ class Rationals(Field):
     def render(self, a):
         return _render_fraction(a)
 
-    def parse(self, text):
-        return Fraction(text.strip())
+    def _parse(self, text):
+        return Fraction(text)
 
     def random_element(self, rng, nonzero=False):
         while True:
@@ -285,23 +283,8 @@ class GaussianRationals(Field):
     def i(self):
         return GaussianRational(0, 1)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         return a.inverse()
-
-    def embed(self, n):
-        return GaussianRational(n)
 
     def normalize(self, a):
         if isinstance(a, GaussianRational):
@@ -317,8 +300,8 @@ class GaussianRationals(Field):
         sign = "+" if a.im > 0 else "-"
         return f"{_render_fraction(a.re)}{sign}{im}"
 
-    def parse(self, text):
-        s = text.strip().replace(" ", "")
+    def _parse(self, text):
+        s = text.replace(" ", "")
         if not s.endswith("i"):
             return GaussianRational(Fraction(s))
         body = s[:-1]
@@ -409,25 +392,10 @@ class PrimeField(Field):
     def one(self):
         return 1
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
         return pow(a, self.p - 2, self.p)
-
-    def embed(self, n):
-        return n % self.p
 
     def normalize(self, a):
         return a % self.p
@@ -435,8 +403,8 @@ class PrimeField(Field):
     def render(self, a):
         return str(a)
 
-    def parse(self, text):
-        return int(text.strip()) % self.p
+    def _parse(self, text):
+        return int(text) % self.p
 
     def random_element(self, rng, nonzero=False):
         return rng.randint(1 if nonzero else 0, self.p - 1)

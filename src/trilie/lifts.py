@@ -6,69 +6,36 @@ lift as the standard instance), the two-dimensional metric extension of a
 metric Lie algebra, and the four-dimensional algebra of Dirac gamma matrices
 with [x,y,z] = [[x,y] g5, z] computed inside the full 4x4 matrix algebra over
 Q(i) and certified to land back in the span.
+
+A Lie algebra here is a `FiniteNLieAlgebra` of arity 2 (`LieAlgebra`), read
+with `bracket_indices((i, j))` and checked for the Jacobi identity by the
+same FI scan as every other table.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .carriers import HypothesisViolation
 from .fields import Field, GaussianRational, QI
 from .linalg import Matrix, rref
-from .structure import _EMPTY, FiniteNLieAlgebra, _fi_cases, _fi_scan
+from .structure import FiniteNLieAlgebra, _ad_matrices, _fi_scan_table
 
 
-class LieAlgebra:
-    """Ordinary Lie algebra by structure constants {(i<j): {k: coeff}};
-    antisymmetry is built in and the Jacobi identity is checked on
-    construction."""
+class LieAlgebra(FiniteNLieAlgebra):
+    """Ordinary Lie algebra: the skew structure-constant table of arity 2,
+    {(i<j): {k: coeff}}, read as `bracket_indices((i, j))` like any
+    `FiniteNLieAlgebra`.  The Jacobi identity, which is the fundamental
+    identity at arity 2, is checked on construction."""
 
     def __init__(self, field: Field, dim: int, constants: Dict, labels: Optional[List[str]] = None,
                  name: str = ""):
-        self.field = field
-        self.dim = dim
-        self.name = name
-        self.labels = list(labels) if labels else [f"x{i}" for i in range(dim)]
-        self.constants = {}
-        for (i, j), vec in constants.items():
-            if not i < j:
-                raise ValueError("constants must be keyed by increasing pairs")
-            cleaned = {k: c for k, c in vec.items() if not field.is_zero(c)}
-            if cleaned:
-                self.constants[(i, j)] = cleaned
-        self._check_jacobi()
-
-    def bracket_indices(self, i: int, j: int) -> Dict[int, object]:
-        """Sparse [x_i, x_j]; a zero bracket is the shared read-only empty
-        mapping, which callers must not mutate."""
-        vec = self.constants.get((i, j) if i < j else (j, i))
-        if not vec:
-            return _EMPTY
-        if i < j:
-            return dict(vec)
-        f = self.field
-        return {k: f.neg(c) for k, c in vec.items()}
-
-    def bracket_sparse(self, u: Dict[int, object], v: Dict[int, object]) -> Dict[int, object]:
-        return self.field.combine((k, a * b * c) for i, a in u.items() for j, b in v.items()
-                                  for k, c in self.bracket_indices(i, j).items())
-
-    def _check_jacobi(self):
-        # the Jacobi identity is the fundamental identity at arity 2
-        _, bad = _fi_scan(lambda t: self.bracket_indices(*t), self.field,
-                          _fi_cases(range(self.dim), 2))
+        super().__init__(field, dim, 2, constants, labels, name)
+        _, bad = _fi_scan_table(self, None)
         if bad:
             xs, ys, _ = bad[0]
             raise ValueError(f"Jacobi identity fails at basis x={xs}, y={ys}")
-
-    def ad_matrix(self, i: int) -> List[List]:
-        f = self.field
-        m = [[f.zero] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            for k, c in self.bracket_indices(i, j).items():
-                m[k][j] = c
-        return m
 
 
 def general_linear(field: Field, m: int) -> LieAlgebra:
@@ -114,18 +81,15 @@ def trace_functional(field: Field, m: int) -> List:
 
 
 def killing_form(lie: LieAlgebra) -> List[List]:
-    """B(x_i, x_j) = trace(ad x_i . ad x_j)."""
-    f = lie.field
-    ads = [lie.ad_matrix(i) for i in range(lie.dim)]
-    B = [[f.zero] * lie.dim for _ in range(lie.dim)]
-    for i in range(lie.dim):
-        for j in range(i, lie.dim):
-            t = f.zero
-            for r in range(lie.dim):
-                for s in range(lie.dim):
-                    t = f.add(t, f.mul(ads[i][r][s], ads[j][s][r]))
-            B[i][j] = t
-            B[j][i] = t
+    """B(x_i, x_j) = trace(ad x_i . ad x_j).  `_ad_matrices` gives the right
+    multiplications R_j = -ad x_j; the two signs cancel in trace(R_i R_j)."""
+    f, d = lie.field, lie.dim
+    R = _ad_matrices(lie)
+    B = [[f.zero] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            B[i][j] = B[j][i] = f.normalize(sum(R[i][r][s] * R[j][s][r]
+                                                for r in range(d) for s in range(d)))
     return B
 
 
@@ -140,9 +104,7 @@ def lie_lift(lie: LieAlgebra, f_values: Sequence, name: str = "") -> FiniteNLieA
     if len(vals) != lie.dim:
         raise ValueError("functional values must match the dimension")
     for i, j in itertools.combinations(range(lie.dim), 2):
-        total = f.zero
-        for k, c in lie.bracket_indices(i, j).items():
-            total = f.add(total, f.mul(c, vals[k]))
+        total = f.normalize(sum(c * vals[k] for k, c in lie.bracket_indices((i, j)).items()))
         if not f.is_zero(total):
             raise HypothesisViolation(
                 f"the functional does not vanish on the derived algebra: "
@@ -151,7 +113,7 @@ def lie_lift(lie: LieAlgebra, f_values: Sequence, name: str = "") -> FiniteNLieA
     constants = {}
     for i, j, k in itertools.combinations(range(lie.dim), 3):
         vec = f.combine((l, vals[a] * cl) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
-                        for l, cl in lie.bracket_indices(b, c).items())
+                        for l, cl in lie.bracket_indices((b, c)).items())
         if vec:
             constants[(i, j, k)] = vec
     return FiniteNLieAlgebra(f, lie.dim, 3, constants, lie.labels,
@@ -187,10 +149,7 @@ def metric_extension(lie: LieAlgebra, B: Sequence[Sequence], name: str = "") -> 
         raise HypothesisViolation("the bilinear form is degenerate")
 
     def b_bracket(i, j, k):
-        total = f.zero
-        for s, c in lie.bracket_indices(i, j).items():
-            total = f.add(total, f.mul(c, B[s][k]))
-        return total
+        return f.normalize(sum(c * B[s][k] for s, c in lie.bracket_indices((i, j)).items()))
 
     for i, j, k in itertools.product(range(m), repeat=3):
         # invariance: B([x_i,x_j], x_k) = -B(x_j, [x_i,x_k])
@@ -204,9 +163,9 @@ def metric_extension(lie: LieAlgebra, B: Sequence[Sequence], name: str = "") -> 
     x0 = m
     constants = {}
     for i, j in itertools.combinations(range(m), 2):
-        vec = lie.bracket_indices(i, j)
+        vec = lie.bracket_indices((i, j))
         if vec:
-            constants[(i, j, x0)] = dict(vec)
+            constants[(i, j, x0)] = vec
     for i, j, k in itertools.combinations(range(m), 3):
         c = b_bracket(i, j, k)
         if not f.is_zero(c):

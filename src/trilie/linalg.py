@@ -42,7 +42,7 @@ def _reduce_row(field: Field, row: list, pivots: List[int], rows: List[list]) ->
     for prow, pcol in zip(rows, pivots):
         c = row[pcol]
         if not field.is_zero(c):
-            row = [field.sub(x, field.mul(c, y)) for x, y in zip(row, prow)]
+            row = [field.normalize(x - c * y) for x, y in zip(row, prow)]
     return row
 
 
@@ -81,7 +81,7 @@ class SpanBuilder:
         for i, prow in enumerate(self.rows):
             c = prow[pcol]
             if not f.is_zero(c):
-                self.rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(prow, row)]
+                self.rows[i] = [f.normalize(x - c * y) for x, y in zip(prow, row)]
         at = next((k for k, p in enumerate(self.pivots) if p > pcol), len(self.pivots))
         self.rows.insert(at, row)
         self.pivots.insert(at, pcol)
@@ -169,13 +169,9 @@ class Subspace:
         stacked = self.basis + other.basis
         coeffs = kernel(Matrix(self.field, [list(col) for col in zip(*stacked)]))
         f = self.field
-        vecs = []
-        for c in coeffs.basis:
-            v = [f.zero] * self.ambient
-            for x, row in zip(c[: self.dim], self.basis):
-                if not f.is_zero(x):
-                    v = [f.add(a, f.mul(x, b)) for a, b in zip(v, row)]
-            vecs.append(v)
+        columns = list(zip(*self.basis))
+        vecs = [[f.normalize(sum(x * b for x, b in zip(c, col))) for col in columns]
+                for c in coeffs.basis]
         return Subspace(self.field, self.ambient, vecs)
 
     def __eq__(self, other):

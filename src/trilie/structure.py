@@ -6,7 +6,8 @@ fundamental-identity verification, ideal closure, derived and lower central
 series, maximality, simplicity certification over prime fields (exhaustive
 enumeration of one representative per line), and homomorphism checks.
 
-The verification code is arity-generic; all bundled constructors are 3-ary.
+The verification code is arity-generic: the bundled constructors are 3-ary,
+and an ordinary Lie algebra (`lifts.LieAlgebra`) is the same table at arity 2.
 """
 
 from __future__ import annotations
@@ -68,12 +69,18 @@ class FiniteNLieAlgebra:
         self.meta = dict(meta) if meta else {}
         self.labels = list(labels) if labels else [f"x{i}" for i in range(dim)]
         self.constants: Dict[Tuple[int, ...], Dict[int, object]] = {}
+        def in_basis(i):
+            return isinstance(i, int) and not isinstance(i, bool) and 0 <= i < dim
+
         for key, vec in constants.items():
             key = tuple(key)
-            if len(key) != arity or any(not 0 <= i < dim for i in key):
+            if len(key) != arity or not all(map(in_basis, key)):
                 raise ValueError(f"bad structure-constant key {key}")
             if list(key) != sorted(key) or len(set(key)) != arity:
                 raise ValueError(f"structure-constant key {key} must be strictly increasing")
+            if not all(map(in_basis, vec)):
+                raise ValueError(f"structure constant of {key} has an output index "
+                                 f"that is not one of 0..{dim - 1}")
             cleaned = {l: c for l, c in vec.items() if not field.is_zero(c)}
             if cleaned:
                 self.constants[key] = cleaned

@@ -26,6 +26,8 @@ from trilie.carriers import (
     MonomialScale,
     MonomialShift,
     QuotientLaurentAlgebra,
+    TableFunctional,
+    TableMap,
     check_anticommute,
     check_derivation,
     check_functional_bracket_conditions,
@@ -393,6 +395,33 @@ def test_index_text_round_trips():
     assert G.parse_index(G.index_str((1, 0, 1))) == (1, 0, 1)
     Q3 = QuotientLaurentAlgebra(PrimeField(3), 3)
     assert Q3.parse_index("t^-3") == 3
+
+
+@pytest.mark.parametrize("carrier, text", [
+    (laurent(), "t3^1"), (laurent(), "t0"), (laurent(), "x^2"), (laurent(nvars=2), "t^x"),
+    (QuotientLaurentAlgebra(PrimeField(3), 3), "x"),
+    (QuotientLaurentAlgebra(PrimeField(3), 3), "t2^1"),
+    (GroupAlgebra(QQ, torsion=[3]), "e(1)"),
+    (truncated_polynomial_algebra(QQ, 3), "y"),
+])
+def test_malformed_index_text_is_a_value_error(carrier, text):
+    with pytest.raises(ValueError):
+        carrier.parse_index(text)
+
+
+def test_table_rules_need_a_carrier_indexed_from_zero():
+    # t^-2 is basis index -2 of this carrier: a table read by position would
+    # send it to row -2, "t^4", which is not even a basis index
+    Q3 = QuotientLaurentAlgebra(PrimeField(3), 3)
+    identity = [[int(i == j) for j in range(6)] for i in range(6)]
+    with pytest.raises(ValueError, match="indexed 0..d-1"):
+        Endomorphism(Q3, TableMap(identity))
+    with pytest.raises(ValueError, match="indexed 0..d-1"):
+        Functional(Q3, TableFunctional([1] * 6))
+    # a carrier indexed 0..d-1 takes them
+    A = truncated_polynomial_algebra(QQ, 2)
+    assert Endomorphism(A, TableMap([[1, 0], [0, 1]]))(A.monomial(1)) == A.monomial(1)
+    assert Functional(A, TableFunctional([QQ.one, QQ.zero]))(A.monomial(0)) == QQ.one
 
 
 def test_coordinates():

@@ -276,6 +276,19 @@ def _map_case(carrier, rule, name, path="$.maps.m"):
 LAURENT, POLY = {"shape": "laurent"}, {"shape": "poly-truncated", "n": 3}
 
 
+def _explicit_case(indices, name, **patch):
+    """The minimal quotient document, with `patch`, on an explicit basis."""
+    return pytest.param({"basis": {"kind": "explicit", "indices": indices}, **patch},
+                        "$.basis.indices", id=name)
+
+
+def _mutation_case(mutation, name):
+    """The minimal quotient document with one mutation of its table, like
+    the bundled `control-mutated-quotient`."""
+    return pytest.param({"bracket": {"form": "quotient-parity", "mutations": [mutation]}},
+                        "$.bracket.mutations[0]", id=name)
+
+
 @pytest.mark.parametrize("patch, path", [
     pytest.param({"carrier": {"shape": "quotient-laurent"}}, "$.carrier", id="carrier-without-p"),
     pytest.param({"maps": {"f": {"rule": "id-minus", "inner": {"rule": "mystery"}}}},
@@ -319,6 +332,39 @@ LAURENT, POLY = {"shape": "laurent"}, {"shape": "poly-truncated", "n": 3}
     _map_case(POLY, {"rule": "group-negation"}, "group-negation-on-poly"),
     _map_case(POLY, {"rule": "id-minus", "inner": {"rule": "group-negation"}},
               "id-minus-inner-rule-on-the-wrong-shape"),
+    # these exited 70, but the last, which tabulated a 7-dimensional table
+    _explicit_case([5], "index-not-a-string"),
+    _explicit_case(["t3^1"], "variable-out-of-range", carrier=LAURENT,
+                   field={"kind": "rationals"},
+                   bracket={"form": "laurent-parity", "shift": 0}),
+    _explicit_case(["x"], "malformed-quotient-index"),
+    _explicit_case(["e(|1)", "e(|4)"], "group-indices-reducing-to-one-element",
+                   carrier={"shape": "group", "torsion": [3]},
+                   bracket={"form": "group-wedge", "hom": {"torsion": ["1"]}}),
+    _explicit_case(["t^-2", "t^-1", "1", "t^1", "t^2", "t^3", "t^-3"],
+                   "quotient-index-reducing-to-another"),
+    # each of these exited 70
+    _mutation_case({"args": [0, 1, 2], "out": 99, "add": "1"}, "output-index-out-of-range"),
+    _mutation_case({"args": [0, 1, 99], "out": 0, "add": "1"}, "argument-out-of-range"),
+    _mutation_case({"args": [2, 1, 0], "out": 0, "add": "1"}, "arguments-not-increasing"),
+    _mutation_case({"args": [0, 1], "out": 0, "add": "1"}, "arguments-of-the-wrong-arity"),
+    _mutation_case({"args": [0, 1, 2], "out": 0, "add": "x"}, "unparsable-increment"),
+    _mutation_case({"args": [0, 1, 2], "out": 0}, "missing-increment"),
+    # these built without complaint: indices that are not integers, and a
+    # mutation of no table, which left the bracket it was to break intact
+    _mutation_case({"args": [0, 1, 2], "out": 1.5, "add": "1"}, "fractional-output-index"),
+    _mutation_case({"args": [0, 1, 2], "out": True, "add": "1"}, "boolean-output-index"),
+    pytest.param({"bracket": {"form": "quotient-parity",
+                              "mutations": [{"args": [0, 1, 2], "out": 0, "add": "1"}]},
+                  "basis": {"kind": "carrier", "tabulate": False}},
+                 "$.bracket.mutations", id="mutations-without-a-table"),
+    pytest.param({"bracket": {"form": "quotient-parity",
+                              "mutations": {"args": [0, 1, 2], "out": 0, "add": "1"}}},
+                 "$.bracket.mutations", id="mutations-not-a-list"),
+    # scalars are strings: a JSON number exited 70 wherever a scalar is read
+    _mutation_case({"args": [0, 1, 2], "out": 0, "add": 1}, "increment-not-a-string"),
+    _map_case(LAURENT, {"rule": "monomial-scale", "base": -1}, "scalar-not-a-string"),
+    pytest.param({"basis": 5}, "$.basis", id="basis-not-an-object"),
 ])
 def test_validated_documents_do_not_crash_while_building(patch, path, tmp_path, capsys):
     doc = minimal_quotient_doc()

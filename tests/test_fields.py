@@ -147,6 +147,48 @@ def test_combine_is_the_naive_sum_of_normalized_terms(data):
             assert 0 < c < F.p
 
 
+# ---------------------------------------------------------------------------
+# the one scalar rule
+# ---------------------------------------------------------------------------
+
+def field_values(F):
+    """Canonical elements of F."""
+    q = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+    if F is QQ:
+        return q
+    if F is QI:
+        return st.builds(GaussianRational, q, q)
+    return st.integers(0, F.p - 1)
+
+
+def explicit_ops(F):
+    """add, sub, mul, neg and embed written out per field: the values' own
+    operators for Q and Q(i), residues mod p for F_p."""
+    if F.characteristic:
+        p = F.p
+        return ((lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p),
+                (lambda a, b: (a * b) % p), (lambda a: (-a) % p), (lambda n: n % p))
+    embed = Fraction if F is QQ else GaussianRational
+    return ((lambda a, b: a + b), (lambda a, b: a - b), (lambda a, b: a * b),
+            (lambda a: -a), embed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_base_class_arithmetic_is_the_explicit_definition(data):
+    F = data.draw(st.sampled_from(SUM_FIELDS))
+    a, b = data.draw(field_values(F)), data.draw(field_values(F))
+    n = data.draw(st.integers(-3 * F.characteristic - 9, 3 * F.characteristic + 9))
+    add, sub, mul, neg, embed = explicit_ops(F)
+    for got, want in ((F.add(a, b), add(a, b)), (F.sub(a, b), sub(a, b)),
+                      (F.mul(a, b), mul(a, b)), (F.neg(a), neg(a)), (F.embed(n), embed(n))):
+        assert got == want and type(got) is type(want)
+    raw = data.draw(raw_values(F))
+    if F.characteristic:
+        raw = data.draw(st.sampled_from([raw, F.p, -F.p, 0]))
+    assert F.is_zero(raw) == (raw == F.zero)
+
+
 @pytest.mark.parametrize("F", [QQ, QI, PrimeField(5)])
 def test_canonical_form_idempotent(F):
     rng = random.Random(3)

@@ -19,7 +19,12 @@ from trilie.lifts import (
     sl2,
     trace_functional,
 )
-from trilie.structure import derived_algebra, verify_fundamental_identity, verify_skew
+from trilie.structure import (
+    FiniteNLieAlgebra,
+    derived_algebra,
+    verify_fundamental_identity,
+    verify_skew,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -29,14 +34,43 @@ from trilie.structure import derived_algebra, verify_fundamental_identity, verif
 def test_gl2_commutator_table():
     gl = general_linear(QQ, 2)
     # [E12, E21] = E11 - E22 with row-major indices E12=1, E21=2
-    assert gl.bracket_indices(1, 2) == {0: Fraction(1), 3: Fraction(-1)}
-    assert gl.bracket_indices(2, 1) == {0: Fraction(-1), 3: Fraction(1)}
+    assert gl.bracket_indices((1, 2)) == {0: Fraction(1), 3: Fraction(-1)}
+    assert gl.bracket_indices((2, 1)) == {0: Fraction(-1), 3: Fraction(1)}
+
+
+def test_lie_algebra_is_the_arity_2_table():
+    gl = general_linear(QQ, 2)
+    assert isinstance(gl, FiniteNLieAlgebra) and gl.arity == 2
+    assert verify_skew(gl).passed
+    assert verify_fundamental_identity(gl).passed
+
+
+@pytest.mark.parametrize("constants", [
+    {(0, 5): {1: Fraction(1)}},         # a key outside the basis
+    {(0, 1): {7: Fraction(1)}},         # an output index outside the basis
+])
+def test_lie_table_keys_and_outputs_must_lie_in_the_basis(constants):
+    with pytest.raises(ValueError):
+        LieAlgebra(QQ, 2, constants)
 
 
 def test_jacobi_validation_rejects_bad_constants():
     with pytest.raises(ValueError, match="Jacobi"):
         LieAlgebra(QQ, 3, {(0, 1): {2: Fraction(1)}, (0, 2): {0: Fraction(1)},
                            (1, 2): {0: Fraction(1)}})
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+@pytest.mark.parametrize("m", [2, 3])
+def test_gl_killing_form_matches_the_trace_formula(field, m):
+    # B(X, Y) = 2m tr(XY) - 2 tr(X) tr(Y) on gl(m); E_ab E_cd = d_bc E_ad
+    units = [(a, b) for a in range(m) for b in range(m)]
+    B = killing_form(general_linear(field, m))
+    for i, (a, b) in enumerate(units):
+        for j, (c, d) in enumerate(units):
+            tr_xy = int(b == c and a == d)
+            want = 2 * m * tr_xy - 2 * int(a == b) * int(c == d)
+            assert B[i][j] == field.embed(want)
 
 
 def test_sl2_killing_form():
