@@ -572,8 +572,14 @@ def _parse_indices(carrier: ca.CarrierAlgebra, texts: List[str]) -> list:
 
 
 def _mutate(algebra: st.FiniteNLieAlgebra, mut: dict) -> st.FiniteNLieAlgebra:
-    return algebra.mutate_constant(tuple(mut["args"]), mut["out"],
-                                   algebra.field.parse(mut["add"]))
+    # checked here, not by the table: true and 1.0 hash like 1, so they would
+    # silently name an entry that already exists
+    args, out = mut["args"], mut["out"]
+    if not (isinstance(args, list) and all(INTEGER.ok(a, None) for a in args)
+            and INTEGER.ok(out, None)):
+        raise ValueError(f"args must be a list of integers and out an integer, "
+                         f"not {args!r} and {out!r}")
+    return algebra.mutate_constant(tuple(args), out, algebra.field.parse(mut["add"]))
 
 
 def build_context(doc: dict) -> BuildContext:
@@ -613,8 +619,7 @@ def build_context(doc: dict) -> BuildContext:
 
     mutations = doc.get("bracket", {}).get("mutations", [])
     if mutations and ctx.algebra is None:
-        raise ConfigError("$.bracket.mutations", "mutations change a tabulated table, "
-                          "and this document tabulates none")
+        raise ConfigError("$.bracket.mutations", f"a mutation {_structure_constants(ctx, {})}")
     for k, mut in enumerate(mutations):
         ctx.algebra = _built(f"$.bracket.mutations[{k}]", _mutate, ctx.algebra, mut)
 

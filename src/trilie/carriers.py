@@ -121,7 +121,8 @@ def _parse_exponents(text: str, nvars: int) -> tuple:
             name, _, power = part.partition("^")
             name = name.strip()
             var = "1" if name == "t" else name[1:]
-            if name[:1] != "t" or not var.isdigit() or not 1 <= int(var) <= nvars:
+            if (name[:1] != "t" or not var.isdigit() or not 1 <= int(var) <= nvars
+                    or exps[int(var) - 1]):
                 raise ValueError(f"bad monomial {text!r} for {nvars} variable(s)")
             exps[int(var) - 1] = int(power) if power else 1
     return tuple(exps)

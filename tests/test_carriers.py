@@ -399,6 +399,7 @@ def test_index_text_round_trips():
 
 @pytest.mark.parametrize("carrier, text", [
     (laurent(), "t3^1"), (laurent(), "t0"), (laurent(), "x^2"), (laurent(nvars=2), "t^x"),
+    (laurent(nvars=2), "t1^2*t1^3"), (laurent(), "t^2*t1"),
     (QuotientLaurentAlgebra(PrimeField(3), 3), "x"),
     (QuotientLaurentAlgebra(PrimeField(3), 3), "t2^1"),
     (GroupAlgebra(QQ, torsion=[3]), "e(1)"),

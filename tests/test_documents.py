@@ -354,6 +354,13 @@ def _mutation_case(mutation, name):
     # mutation of no table, which left the bracket it was to break intact
     _mutation_case({"args": [0, 1, 2], "out": 1.5, "add": "1"}, "fractional-output-index"),
     _mutation_case({"args": [0, 1, 2], "out": True, "add": "1"}, "boolean-output-index"),
+    # true and 1.0 hash like 1: on an entry that exists they shifted it
+    _mutation_case({"args": [0, 1, 5], "out": True, "add": "1"},
+                   "boolean-output-index-of-an-existing-entry"),
+    _mutation_case({"args": [0, True, 2], "out": 4, "add": "1"},
+                   "boolean-argument-of-an-existing-key"),
+    _mutation_case({"args": [0, 1.0, 2], "out": 4, "add": "1"},
+                   "fractional-argument-of-an-existing-key"),
     pytest.param({"bracket": {"form": "quotient-parity",
                               "mutations": [{"args": [0, 1, 2], "out": 0, "add": "1"}]},
                   "basis": {"kind": "carrier", "tabulate": False}},
@@ -377,6 +384,17 @@ def test_validated_documents_do_not_crash_while_building(patch, path, tmp_path, 
     file.write_text(render_document(doc))
     assert main(["verify", str(file), "--out-dir", str(tmp_path)]) == 64
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_mutations_of_an_unclosed_basis_say_where_it_escapes():
+    doc = minimal_quotient_doc()
+    doc.update(field={"kind": "rationals"}, carrier=LAURENT,
+               bracket={"form": "laurent-parity", "shift": 0,
+                        "mutations": [{"args": [0, 1, 2], "out": 0, "add": "1"}]},
+               basis={"kind": "window", "bound": 2})
+    with pytest.raises(ConfigError, match="escapes the basis at t\\^-4") as info:
+        parse_document(render_document(doc))
+    assert info.value.path == "$.bracket.mutations"
 
 
 PROBES = ["laurent-flip-unit", "laurent-quotient-p3", "cyclic-group-f3", "poly-beta-bracket",
