@@ -162,12 +162,15 @@ class DeterminantBracket(TriBracket):
         return AlgebraElement(self.carrier, f.combine(products))
 
 
+def _det3(r1, r2, r3):
+    """The raw 3x3 determinant of three rows of scalars."""
+    return sum(sign * r1[i] * r2[j] * r3[k] for (i, j, k), sign in _PERMS3)
+
+
 def functional_det(f1: Functional, f2: Functional, f3: Functional,
                    a: AlgebraElement, b: AlgebraElement, c: AlgebraElement):
     """Scalar 3x3 determinant of three functionals applied to three elements."""
-    v1, v2, v3 = ([f(x) for x in (a, b, c)] for f in (f1, f2, f3))
-    return a.field.normalize(sum(sign * v1[i] * v2[j] * v3[k]
-                                 for (i, j, k), sign in _PERMS3))
+    return a.field.normalize(_det3(*([f(x) for x in (a, b, c)] for f in (f1, f2, f3))))
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +329,19 @@ class MonomialBracket(TriBracket):
         return self.carrier.monomial(idx, coeff)
 
 
-def parity_determinant_coefficient(field: Field):
-    """The skew function f(l,m,n) = det[[(-1)^l,(-1)^m,(-1)^n],[1,1,1],[l,m,n]]
-    on integer (1-tuple) indices; equals the parity coefficient."""
+# the rows (-1)^e, 1 and e of the parity coefficient's determinant
+PARITY_ROWS = (lambda e: -1 if e % 2 else 1, lambda e: 1, lambda e: e)
+
+
+def parity_determinant_coefficient(field: Field, rows: Sequence[Callable] = PARITY_ROWS):
+    """The skew function f(l,m,n) = det[[r(l), r(m), r(n)] for r in rows] on
+    integer (1-tuple) indices, evaluated in the field's arithmetic.  With the
+    default rows, det[[(-1)^l,(-1)^m,(-1)^n],[1,1,1],[l,m,n]], it equals
+    `parity_coefficient`, which `monomial-parity-agreement` checks."""
 
     def f(a, b, c):
-        return parity_coefficient(field, a[0], b[0], c[0])
+        return field.normalize(_det3(*([field.embed(r(x[0])) for x in (a, b, c)]
+                                        for r in rows)))
 
     return f
 

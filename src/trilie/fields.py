@@ -1,9 +1,10 @@
 """Exact scalar arithmetic over Q, Q(i) and prime fields F_p.
 
 Field objects are descriptors: they carry the arithmetic while the element
-values stay lightweight (`fractions.Fraction` for Q, `GaussianRational` for
-Q(i), plain int residues in [0, p) for F_p).  Every operation is exact; there
-is no floating point anywhere in this package.
+values stay lightweight (for Q a Python int when integral and a
+`fractions.Fraction` with denominator > 1 otherwise, `GaussianRational` with
+components of that same form for Q(i), plain int residues in [0, p) for F_p).
+Every operation is exact; there is no floating point anywhere in this package.
 
 There is one scalar rule: compute with the values' own operators, then
 `normalize` once.  `Field.add/sub/mul/neg/embed` are defined only in the base
@@ -20,10 +21,11 @@ then normalizes each coordinate once and drops the zero ones.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Any, Union
 
-Scalar = Any  # Fraction | GaussianRational | int, depending on the field
+Scalar = Any  # int | Fraction | GaussianRational, depending on the field
 
 
 class FieldError(ValueError):
@@ -34,14 +36,27 @@ class FieldMismatchError(FieldError):
     """Raised when values tagged with different field descriptors meet."""
 
 
+def _rational(a):
+    """The canonical rational equal to `a` (an int, a Fraction, or anything
+    `Fraction` reads): an int when it is integral, otherwise a Fraction whose
+    denominator is > 1."""
+    if type(a) is not int:
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        if a.denominator == 1:
+            return a.numerator
+    return a
+
+
 class GaussianRational:
-    """a + b*i with exact rational components."""
+    """a + b*i with exact rational components, each canonical as in Q: an int
+    when integral, a Fraction with denominator > 1 otherwise."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", _rational(re))
+        object.__setattr__(self, "im", _rational(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -96,7 +111,7 @@ class GaussianRational:
         n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return GaussianRational(Fraction(self.re, n), Fraction(-self.im, n))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -114,7 +129,7 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-def _render_fraction(q: Fraction) -> str:
+def _render_fraction(q) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -191,7 +206,10 @@ class Field:
         return out
 
     def validate(self, a) -> None:
-        if self.normalize(a) != a:
+        """FieldError unless `a` is its own normalization, in value and in
+        type (so Q refuses `Fraction(3)` and F_p refuses `True`)."""
+        n = self.normalize(a)
+        if n != a or type(n) is not type(a):
             raise FieldError(f"{a!r} is not a canonical element of {self}")
 
     def render(self, a) -> str:
@@ -227,39 +245,42 @@ class Field:
 
 
 # field elements are immutable, so the constants are shared
-_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
 _QI_ZERO, _QI_ONE = GaussianRational(0), GaussianRational(1)
 
 
 class Rationals(Field):
+    """Q.  An element is a Python int when integral and a `Fraction` with
+    denominator > 1 otherwise; `normalize` maps every rational to that form,
+    so equal elements are also equal in type."""
+
     kind = "rationals"
     characteristic = 0
 
     @property
     def zero(self):
-        return _Q_ZERO
+        return 0
 
     @property
     def one(self):
-        return _Q_ONE
+        return 1
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("division by zero in Q")
-        return 1 / a
+        return _rational(Fraction(1, a))
 
     def normalize(self, a):
-        return a if isinstance(a, Fraction) else Fraction(a)
+        return _rational(a)
 
     def render(self, a):
         return _render_fraction(a)
 
     def _parse(self, text):
-        return Fraction(text)
+        return _rational(text)
 
     def random_element(self, rng, nonzero=False):
         while True:
-            a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            a = _rational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
             if a != 0 or not nonzero:
                 return a
 
@@ -284,7 +305,7 @@ class GaussianRationals(Field):
         return GaussianRational(0, 1)
 
     def inv(self, a):
-        return a.inverse()
+        return self.normalize(a).inverse()
 
     def normalize(self, a):
         if isinstance(a, GaussianRational):
@@ -303,7 +324,7 @@ class GaussianRationals(Field):
     def _parse(self, text):
         s = text.replace(" ", "")
         if not s.endswith("i"):
-            return GaussianRational(Fraction(s))
+            return GaussianRational(s)
         body = s[:-1]
         # split real and imaginary parts on the last +/- that is not a sign
         # inside a fraction or a leading sign
@@ -313,14 +334,8 @@ class GaussianRationals(Field):
                 break
         else:
             re_part, im_part = "", body
-        if im_part in ("", "+"):
-            im = Fraction(1)
-        elif im_part == "-":
-            im = Fraction(-1)
-        else:
-            im = Fraction(im_part)
-        re = Fraction(re_part) if re_part else Fraction(0)
-        return GaussianRational(re, im)
+        im = {"": 1, "+": 1, "-": -1}.get(im_part, im_part)
+        return GaussianRational(re_part or 0, im)
 
     def random_element(self, rng, nonzero=False):
         while True:
@@ -339,26 +354,69 @@ class GaussianRationals(Field):
 # below this bound (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
-# above that bound only a factor below this limit decides anything
+# above that bound, n - 1 is factored by trial division below this limit
 _TRIAL_LIMIT = 1 << 20
+# and a Pocklington witness is searched for among the bases below this one
+_WITNESS_LIMIT = 1000
+
+
+def _trial_factors(m: int):
+    """The primes below `_TRIAL_LIMIT` that divide m > 0, and the cofactor
+    of m left after dividing them all out."""
+    primes, d = [], 2
+    while d < _TRIAL_LIMIT and d * d <= m:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1 if d == 2 else 2
+    if 1 < m < _TRIAL_LIMIT:
+        primes, m = primes + [m], 1
+    return primes, m
+
+
+def _pocklington(n: int) -> bool:
+    """Primality of an odd n by Pocklington's theorem: if F divides n - 1,
+    F^2 > n, and for every prime q | F some a has a^(n-1) = 1 and
+    gcd(a^((n-1)/q) - 1, n) = 1 (mod n), then n is prime.  F is the part of
+    n - 1 proven prime: its factors below `_TRIAL_LIMIT`, and the cofactor
+    when `is_prime` proves it.  A failed Fermat test or a proper gcd proves
+    n composite; anything else leaves n undecided and raises `FieldError`."""
+    qs, r = _trial_factors(n - 1)
+    if r > 1:
+        try:
+            r_proven = is_prime(r)
+        except FieldError:
+            r_proven = False
+        if r_proven:
+            qs, r = qs + [r], 1
+    if ((n - 1) // r) ** 2 > n:
+        for a in range(2, _WITNESS_LIMIT):
+            if pow(a, n - 1, n) != 1:
+                return False
+            g = math.gcd(pow(a, (n - 1) // qs[0], n) - 1, n)
+            if 1 < g < n:
+                return False
+            if g == 1:
+                qs = qs[1:]
+                if not qs:
+                    return True
+    raise FieldError(f"cannot decide whether {n} is prime: it passes Miller-Rabin "
+                     f"but is past its exact bound, and the factors of n - 1 below "
+                     f"{_TRIAL_LIMIT} give no Pocklington certificate")
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: deterministic Miller-Rabin below `_MR_EXACT_BELOW`,
-    so no verdict rests on a probabilistic test.  Above it, a factor below
-    `_TRIAL_LIMIT` proves n composite; without one, n is undecided and
+    """Exact primality; no verdict rests on a probabilistic test.  A strong
+    Miller-Rabin witness among `_MR_BASES` proves n composite, and below
+    `_MR_EXACT_BELOW` having none proves it prime.  Above that bound only a
+    Pocklington certificate proves n prime; without one, n is undecided and
     `FieldError` is raised."""
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    if n >= _MR_EXACT_BELOW:
-        if any(n % d == 0 for d in range(43, _TRIAL_LIMIT, 2)):
-            return False
-        raise FieldError(f"cannot decide whether {n} is prime: it is past the "
-                         f"exact Miller-Rabin bound and has no factor below "
-                         f"{_TRIAL_LIMIT}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -372,7 +430,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT_BELOW or _pocklington(n)
 
 
 class PrimeField(Field):

@@ -44,6 +44,7 @@ from trilie.brackets import (
     pair_bracket_delta,
     pair_bracket_omega,
     parity_coefficient,
+    PARITY_ROWS,
     parity_determinant_coefficient,
     tabulate,
 )
@@ -366,6 +367,25 @@ def test_monomial_bracket_matches_parity_closed_form():
         pb = LaurentParityBracket(A, shift=2 * k)
         for l, m, n in itertools.product(range(-3, 4), repeat=3):
             assert mb.eval_indices((l,), (m,), (n,)) == pb.eval_indices((l,), (m,), (n,))
+
+
+@pytest.mark.parametrize("row, wrong", [
+    (0, lambda e: -1 if e % 3 else 1),   # a sign of period 3, not 2
+    (1, lambda e: e * e),                # e^2 where the row of ones was
+    (2, lambda e: 2 * e),                # 2e where e was
+])
+def test_monomial_parity_agreement_catches_a_wrong_determinant_row(row, wrong):
+    # the determinant is evaluated from its rows, so the agreement check is
+    # not the parity coefficient compared with itself
+    A = LaurentAlgebra(QQ, 1)
+    parity = LaurentParityBracket(A, shift=2)
+    rows = list(PARITY_ROWS)
+    assert check_agreement(MonomialBracket(A, parity_determinant_coefficient(QQ, rows), (1,)),
+                           parity, A.window(6)).passed
+    rows[row] = wrong
+    report = check_agreement(MonomialBracket(A, parity_determinant_coefficient(QQ, rows), (1,)),
+                             parity, A.window(6))
+    assert not report.passed and report.checked == 13 ** 3
 
 
 def test_monomial_bracket_zero_function_is_abelian():

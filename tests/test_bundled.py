@@ -4,9 +4,12 @@ The p = 5 quotient document is exercised by the acceptance gate instead (its
 simplicity campaign enumerates 2.4M lines); everything else runs here.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from trilie import structure as st
+from trilie.fields import GaussianRational
 from trilie.bundled import bundled_names, get_bundled
 from trilie.campaigns import build_context, overall_verdict, run_document
 from trilie.documents import ConfigError, parse_document, render_document
@@ -24,6 +27,31 @@ def test_bundled_document_meets_expectation(name):
     assert got == expect, f"{name}: {got} != {expect}: {detail}"
     if expect == "any-fail":
         assert all(r.witness is not None for r in results if r.verdict == "fail")
+
+
+def canonical_rational(q):
+    """An int, or a Fraction whose denominator is > 1: never a float, never
+    an integral Fraction."""
+    return type(q) is int or (type(q) is Fraction and q.denominator > 1)
+
+
+def test_bundled_structure_constants_over_q_and_qi_are_canonical():
+    # whatever layer computed them, the tabulated constants of the Q and Q(i)
+    # documents are canonical rationals (per component for Q(i))
+    tabulated = []
+    for name in bundled_names():
+        doc = get_bundled(name)
+        if doc["field"]["kind"] not in ("rationals", "gaussian-rationals"):
+            continue
+        algebra = parse_document(render_document(doc)).algebra
+        if algebra is None:
+            continue
+        tabulated.append(name)
+        for key, vec in algebra.constants.items():
+            for c in vec.values():
+                parts = (c.re, c.im) if type(c) is GaussianRational else (c,)
+                assert all(map(canonical_rational, parts)), (name, key, c)
+    assert "dirac-gamma" in tabulated and "gl2-trace-lift" in tabulated, tabulated
 
 
 def test_every_bundled_document_names_its_construction():

@@ -186,10 +186,12 @@ def test_help_still_exits_zero(argv, capsys):
     assert "usage:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("p", [91, -7, 2 ** 89 - 1])
-def test_field_errors_exit_64(p, tmp_path, capsys):
+@pytest.mark.parametrize("p", [91, -7, "undecided_safe_prime"])
+def test_field_errors_exit_64(p, request, tmp_path, capsys):
     # a composite, a negative and an undecided modulus are configuration
     # errors at $.field, never internal errors
+    if isinstance(p, str):
+        p = request.getfixturevalue(p)
     doc = get_bundled("laurent-quotient-p3")
     doc["field"]["p"] = p
     path = tmp_path / "doc.json"

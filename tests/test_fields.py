@@ -105,15 +105,32 @@ SUM_FIELDS = [QQ, QI, PrimeField(2), PrimeField(101), PrimeField(2**61 - 1)]
 
 
 def raw_values(F):
-    """Field values and the raw values sums meet: ints everywhere, and for
-    F_p ints outside [0, p), as the values' own `-` and `*` leave them."""
+    """Field values and the raw values sums meet: ints everywhere, Fractions
+    (integral ones too) for Q and Q(i), and for F_p ints outside [0, p), as
+    the values' own `-` and `*` leave them."""
     ints = st.integers(-3 * F.characteristic - 3, 3 * F.characteristic + 3)
+    q = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
     if F is QQ:
-        return st.one_of(ints, st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+        return st.one_of(ints, q)
     if F is QI:
-        q = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
-        return st.one_of(ints, st.builds(GaussianRational, q, q))
+        return st.one_of(ints, q, st.builds(GaussianRational, q, q))
     return st.one_of(ints, st.integers(0, F.p - 1))
+
+
+def canonical_rational(q):
+    """An int, or a Fraction whose denominator is > 1."""
+    return type(q) is int or (type(q) is Fraction and q.denominator > 1)
+
+
+def is_canonical(F, c):
+    """The canonical form of an element of F: a canonical rational for Q, a
+    GaussianRational of two for Q(i), an int in [0, p) for F_p."""
+    if F is QQ:
+        return canonical_rational(c)
+    if F is QI:
+        return (type(c) is GaussianRational and canonical_rational(c.re)
+                and canonical_rational(c.im))
+    return type(c) is int and 0 <= c < F.p
 
 
 def naive_sum(F, terms):
@@ -142,20 +159,22 @@ def test_combine_is_the_naive_sum_of_normalized_terms(data):
     got = F.combine(terms)
     assert got == naive_sum(F, terms)
     for c in got.values():
-        assert type(c) is type(F.zero) and F.normalize(c) == c and not F.is_zero(c)
-        if F.characteristic:
-            assert 0 < c < F.p
+        assert is_canonical(F, c) and F.normalize(c) == c and not F.is_zero(c)
 
 
 # ---------------------------------------------------------------------------
 # the one scalar rule
 # ---------------------------------------------------------------------------
 
+def integral_to_int(q):
+    return q.numerator if q.denominator == 1 else q
+
+
 def field_values(F):
     """Canonical elements of F."""
     q = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
     if F is QQ:
-        return q
+        return q.map(integral_to_int)
     if F is QI:
         return st.builds(GaussianRational, q, q)
     return st.integers(0, F.p - 1)
@@ -163,14 +182,19 @@ def field_values(F):
 
 def explicit_ops(F):
     """add, sub, mul, neg and embed written out per field: the values' own
-    operators for Q and Q(i), residues mod p for F_p."""
+    operators for Q (an integral result as an int) and Q(i), residues mod p
+    for F_p."""
     if F.characteristic:
         p = F.p
         return ((lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p),
                 (lambda a, b: (a * b) % p), (lambda a: (-a) % p), (lambda n: n % p))
-    embed = Fraction if F is QQ else GaussianRational
+    if F is QQ:
+        return ((lambda a, b: integral_to_int(Fraction(a + b))),
+                (lambda a, b: integral_to_int(Fraction(a - b))),
+                (lambda a, b: integral_to_int(Fraction(a * b))),
+                (lambda a: integral_to_int(Fraction(-a))), (lambda n: n))
     return ((lambda a, b: a + b), (lambda a, b: a - b), (lambda a, b: a * b),
-            (lambda a: -a), embed)
+            (lambda a: -a), GaussianRational)
 
 
 @settings(max_examples=300, deadline=None)
@@ -182,11 +206,44 @@ def test_base_class_arithmetic_is_the_explicit_definition(data):
     add, sub, mul, neg, embed = explicit_ops(F)
     for got, want in ((F.add(a, b), add(a, b)), (F.sub(a, b), sub(a, b)),
                       (F.mul(a, b), mul(a, b)), (F.neg(a), neg(a)), (F.embed(n), embed(n))):
-        assert got == want and type(got) is type(want)
+        assert got == want and type(got) is type(want) and is_canonical(F, got)
     raw = data.draw(raw_values(F))
     if F.characteristic:
         raw = data.draw(st.sampled_from([raw, F.p, -F.p, 0]))
     assert F.is_zero(raw) == (raw == F.zero)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rational_results_are_canonical(data):
+    # no operation of Q or Q(i) returns a float or an integral Fraction,
+    # whatever raw rationals it is given
+    F = data.draw(st.sampled_from([QQ, QI]))
+    a, b = data.draw(raw_values(F)), data.draw(raw_values(F))
+    n = data.draw(st.integers(-4, 4))
+    got = [F.add(a, b), F.sub(a, b), F.mul(a, b), F.neg(a), F.embed(n), F.normalize(a)]
+    if not F.is_zero(a):
+        got += [F.inv(a), F.pow(a, n)]
+    got += F.combine([(0, a), (1, b), (0, a * b)]).values()
+    for c in got:
+        assert is_canonical(F, c), c
+
+
+def test_inverse_of_an_integer_is_an_exact_fraction():
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert type(QQ.inv(Fraction(1, 3))) is int
+    half = QI.inv(GaussianRational(2))
+    assert half.re == Fraction(1, 2) and type(half.re) is Fraction and type(half.im) is int
+
+
+def test_validate_refuses_a_value_of_the_wrong_type():
+    QQ.validate(3)
+    QQ.validate(Fraction(1, 2))
+    QI.validate(GaussianRational(3))
+    for F, a in ((QQ, Fraction(3)), (QQ, Fraction(-4, 2)), (QQ, 0.5), (QI, 3),
+                 (QI, Fraction(1, 2)), (PrimeField(5), True), (PrimeField(5), 7)):
+        with pytest.raises(FieldError):
+            F.validate(a)
 
 
 @pytest.mark.parametrize("F", [QQ, QI, PrimeField(5)])
@@ -234,20 +291,49 @@ def test_is_prime_rejects_strong_pseudoprimes(n):
     assert not is_prime(n)
 
 
-def test_is_prime_above_the_exact_bound_uses_trial_division():
-    # 43 is the first trial divisor, and the product is past
-    # 3,317,044,064,679,887,385,961,981
-    n = 43 * sympy.nextprime(10 ** 23)
-    assert n > 3317044064679887385961981
-    assert not is_prime(n)
+def test_composites_above_the_exact_bound_are_refuted():
+    # past 3,317,044,064,679,887,385,961,981 a Miller-Rabin witness still
+    # proves compositeness, with or without a small factor
+    for n in (43 * sympy.nextprime(10 ** 23),
+              sympy.nextprime(10 ** 25) * sympy.nextprime(10 ** 26),
+              (2 ** 89 - 1) * (2 ** 61 - 1), 561 * sympy.nextprime(10 ** 30)):
+        assert n > 3317044064679887385961981
+        assert not is_prime(n)
 
 
-def test_undecided_modulus_past_the_exact_bound_is_a_field_error():
-    # 2^89 - 1 is prime, but past the Miller-Rabin bound only a small factor
-    # decides anything; without one, the field refuses quickly
+def test_prime_past_the_exact_bound_is_proven_by_pocklington():
+    # 2^89 - 1 is past the Miller-Rabin bound; n - 1 factors into primes
+    # below 2^20 times the prime 2931542417, which certifies n
+    t0 = time.monotonic()
+    F = PrimeField(2 ** 89 - 1)
+    assert time.monotonic() - t0 < 1.0
+    assert F.mul(F.inv(3), 3) == 1
+
+
+def test_verdicts_past_the_exact_bound_match_sympy():
+    # every verdict is sympy's; a prime may stay undecided, but not all do
+    rng = random.Random(0)
+    lo = 3317044064679887385961981
+    proven = 0
+    for n in [rng.randrange(lo, 2 ** 100) | 1 for _ in range(60)] + \
+             [sympy.nextprime(rng.randrange(lo, 2 ** 100)) for _ in range(12)]:
+        try:
+            got = is_prime(n)
+        except FieldError:
+            assert sympy.isprime(n)
+            continue
+        assert got == sympy.isprime(n), n
+        proven += got
+    assert proven >= 3
+
+
+def test_undecided_modulus_past_the_exact_bound_is_a_field_error(undecided_safe_prime):
+    # n = 2q + 1 is prime, but q has no certificate, so n - 1 offers none
+    # either, and the field refuses quickly
+    assert sympy.isprime(undecided_safe_prime)
     t0 = time.monotonic()
     with pytest.raises(FieldError, match="cannot decide"):
-        PrimeField(2 ** 89 - 1)
+        PrimeField(undecided_safe_prime)
     assert time.monotonic() - t0 < 1.0
 
 
