@@ -29,6 +29,7 @@ from trilie.brackets import (
     LaurentFlipBracket,
     LaurentParityBracket,
     MonomialBracket,
+    PARITY_ROWS,
     QuotientParityBracket,
     StructureBackedBracket,
     check_agreement,
@@ -44,7 +45,6 @@ from trilie.brackets import (
     pair_bracket_delta,
     pair_bracket_omega,
     parity_coefficient,
-    PARITY_ROWS,
     parity_determinant_coefficient,
     tabulate,
 )
