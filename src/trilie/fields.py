@@ -1,10 +1,11 @@
 """Exact scalar arithmetic over Q, Q(i) and prime fields F_p.
 
 Field objects are descriptors: they carry the arithmetic while the element
-values stay lightweight (for Q a Python int when integral and a
-`fractions.Fraction` with denominator > 1 otherwise, `GaussianRational` with
-components of that same form for Q(i), plain int residues in [0, p) for F_p).
-Every operation is exact; there is no floating point anywhere in this package.
+values stay lightweight: for Q a Python int when integral and otherwise a
+`fractions.Fraction` with denominator > 1, for Q(i) a `GaussianRational` whose
+components have that form, for F_p a plain int residue in [0, p).  Every
+operation is exact, and the Q inverses divide with `Fraction`, so there
+is no floating point anywhere in this package.
 
 There is one scalar rule: compute with the values' own operators, then
 `normalize` once.  `Field.add/sub/mul/neg/embed` are defined only in the base
