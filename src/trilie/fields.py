@@ -9,9 +9,10 @@ is no floating point anywhere in this package.
 
 There is one scalar rule: compute with the values' own operators, then
 `normalize` once.  `Field.add/sub/mul/neg/embed` are defined only in the base
-class as exactly that, so a field supplies just `normalize` (Fraction, Q(i),
-or the residue mod p), `inv` and its text forms; a fold such as a dot product
-sums raw products and normalizes the total, and `is_zero` is truthiness.
+class as exactly that, so a field supplies just `normalize` (the canonical
+rational, Q(i) value or residue mod p), `inv` and its text forms; a fold such
+as a dot product sums raw products and normalizes the total, and `is_zero` is
+truthiness.
 
 Sparse vectors are {index: coefficient} dicts holding only normalized, nonzero
 coefficients, and every sum of them is formed one way: `Field.combine` adds
