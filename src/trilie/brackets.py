@@ -333,15 +333,15 @@ class MonomialBracket(TriBracket):
 PARITY_ROWS = (lambda e: -1 if e % 2 else 1, lambda e: 1, lambda e: e)
 
 
-def parity_determinant_coefficient(field: Field, rows: Sequence[Callable] = PARITY_ROWS):
-    """The skew function f(l,m,n) = det[[r(l), r(m), r(n)] for r in rows] on
-    integer (1-tuple) indices, evaluated in the field's arithmetic.  With the
-    default rows, det[[(-1)^l,(-1)^m,(-1)^n],[1,1,1],[l,m,n]], it equals
-    `parity_coefficient`, which `monomial-parity-agreement` checks."""
+def parity_determinant_coefficient(field: Field):
+    """The skew function f(l,m,n) = det[[(-1)^l,(-1)^m,(-1)^n],[1,1,1],[l,m,n]]
+    on integer (1-tuple) indices, evaluated from `PARITY_ROWS` in the field's
+    arithmetic.  It equals `parity_coefficient`, which
+    `monomial-parity-agreement` checks."""
 
     def f(a, b, c):
         return field.normalize(_det3(*([field.embed(r(x[0])) for x in (a, b, c)]
-                                        for r in rows)))
+                                        for r in PARITY_ROWS)))
 
     return f
 

@@ -23,6 +23,7 @@ then normalizes each coordinate once and drops the zero ones.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Any, Union
@@ -365,13 +366,15 @@ _WITNESS_LIMIT = 1000
 def _trial_factors(m: int):
     """The primes below `_TRIAL_LIMIT` that divide m > 0, and the cofactor
     of m left after dividing them all out."""
-    primes, d = [], 2
-    while d < _TRIAL_LIMIT and d * d <= m:
+    primes, bound = [], math.isqrt(m) + 1
+    for d in itertools.chain((2,), range(3, _TRIAL_LIMIT, 2)):
+        if d >= bound:
+            break
         if m % d == 0:
             primes.append(d)
             while m % d == 0:
                 m //= d
-        d += 1 if d == 2 else 2
+            bound = math.isqrt(m) + 1
     if 1 < m < _TRIAL_LIMIT:
         primes, m = primes + [m], 1
     return primes, m
