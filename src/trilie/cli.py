@@ -33,6 +33,7 @@ from typing import Optional
 from .bundled import bundled_names, get_bundled
 from .campaigns import BuildContext, report_document, run_document
 from .documents import ConfigError, parse_document, render_document
+from .structure import available_cores
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -137,7 +138,7 @@ def cmd_describe(doc: dict) -> int:
 
 def cmd_verify(ctx: BuildContext, seed: int, budget: Optional[int], parallel: bool,
                out_dir: str) -> int:
-    workers = min(4, os.cpu_count() or 1) if parallel else 0
+    workers = min(4, available_cores()) if parallel else 0
     results = run_document(ctx, seed=seed, budget=budget, workers=workers)
     for r in results:
         counts = " ".join(f"{k}={v}" for k, v in sorted(r.counts.items()))

@@ -41,9 +41,12 @@ class FieldMismatchError(FieldError):
 
 def _rational(a):
     """The canonical rational equal to `a` (an int, a Fraction, or anything
-    `Fraction` reads): an int when it is integral, otherwise a Fraction whose
-    denominator is > 1."""
+    but a float that `Fraction` reads): an int when it is integral, otherwise
+    a Fraction whose denominator is > 1.  A float is refused: it is not
+    exact, so it has no place in an exact field."""
     if type(a) is not int:
+        if isinstance(a, float):
+            raise FieldError(f"{a!r} is a float, not an exact rational")
         if type(a) is not Fraction:
             a = Fraction(a)
         if a.denominator == 1:

@@ -511,6 +511,9 @@ def certify_simplicity(L: FiniteNLieAlgebra, budget: int = DEFAULT_LINE_BUDGET,
     p over the row stacks of `_line_stacks`, computed by the one eliminator
     `_eliminate` in a dtype that provably cannot wrap (Python integers past
     int64); a proper closure is recomputed by `ideal_closure` as the witness.
+    The lines are decided on every available core, and the certificate is
+    the same for any number of cores: `notes["lines_per_stack"]` counts the
+    lines each stack settled, and they sum to `lines_checked`.
     Over characteristic-zero fields:
     closures from each basis vector plus seeded random vectors give an
     evidence-only verdict, never "simple".
@@ -586,24 +589,67 @@ def _residue_dtype(p: int, terms: int):
                  if _fits(np.dtype(t), p, terms)), np.dtype(object))
 
 
+def available_cores() -> int:
+    """The number of cores this process may run on: its CPU affinity where
+    the platform reports one, else the machine's CPU count."""
+    import os
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _certify_prime_exhaustive(L: FiniteNLieAlgebra, L1: Subspace) -> SimplicityCertificate:
+    """Decide the lines of `_canonical_line_chunks` in order, one chunk per
+    call of `_proper_lines`, on one thread per available core (numpy releases
+    the GIL in the kernel).  At most one chunk per thread is in flight, and
+    results are taken in enumeration order: the first chunk with a proper
+    line cancels the rest, so the verdict, witness, `lines_checked` and
+    per-stack counts do not depend on the number of threads.
+    """
+    from collections import deque
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
     p, d = L.field.p, L.dim
     stacks = _line_stacks(L)
-    # Python-int rows take far more memory than fixed-width ones
-    chunk = 32768 if stacks[0].dtype != object else 1024
-    checked = 0
-    for V in _canonical_line_chunks(p, d, chunk, stacks[0].dtype):
-        proper = _proper_lines(stacks, V, p)
-        if proper.size:
-            # genuine proper closure: recompute it with the exact fixed-point
-            # iteration and return it as the witness
-            row = [int(x) for x in V[proper[0]]]
-            witness = ideal_closure(L, Subspace(L.field, d, [row]))
-            return SimplicityCertificate("non-simple", "exhaustive-1dim",
-                                         checked + int(proper[0]) + 1, witness)
-        checked += V.shape[0]
+    workers = available_cores()
+    # one chunk per thread in flight, 32,768 lines in all (1,024 for
+    # Python-int rows, which take far more memory than fixed-width ones)
+    chunk = max(1, (32768 if stacks[0].dtype != object else 1024) // workers)
+    chunks = _canonical_line_chunks(p, d, chunk, stacks[0].dtype)
+    checked, per_stack, row = 0, np.zeros(len(stacks), dtype=np.int64), None
+    pool = ThreadPoolExecutor(max_workers=workers)
+
+    def submit(V):
+        return V, pool.submit(_proper_lines, stacks, V, p)
+
+    try:
+        pending = deque(map(submit, itertools.islice(chunks, workers)))
+        while pending:
+            V, future = pending.popleft()
+            proper, settled = future.result()
+            # lines up to and including the first proper one
+            cut = int(proper[0]) + 1 if proper.size else len(V)
+            checked += cut
+            per_stack += np.bincount(settled[:cut], minlength=len(stacks))
+            if proper.size:
+                row = [int(x) for x in V[proper[0]]]
+                break
+            pending.extend(map(submit, itertools.islice(chunks, 1)))
+    finally:
+        # drop the chunks not yet started, and wait for the running ones
+        pool.shutdown(cancel_futures=True)
+    notes = {"lines_per_stack": per_stack.tolist()}
+    if row is not None:
+        # genuine proper closure: recompute it with the exact fixed-point
+        # iteration and return it as the witness
+        witness = ideal_closure(L, Subspace(L.field, d, [row]))
+        return SimplicityCertificate("non-simple", "exhaustive-1dim", checked, witness,
+                                     notes=notes)
     return SimplicityCertificate("simple", "exhaustive-1dim", checked, None,
-                                 notes={"derived_dim": L1.dim})
+                                 notes={"derived_dim": L1.dim, **notes})
 
 
 def _line_stacks(L: FiniteNLieAlgebra):
@@ -626,18 +672,22 @@ def _line_stacks(L: FiniteNLieAlgebra):
 
 
 def _proper_lines(stacks, V, p: int):
-    """Indices of the lines (rows of V) whose closure `_line_stacks` finds
-    proper.  Each stack settles the lines it proves full; a rank below d is
-    trusted only from the last, exact stack."""
+    """The lines (rows of V) whose closure `_line_stacks` finds proper: their
+    indices, and for every line the index in `stacks` of the stack that
+    settled it.  Each stack settles the lines it proves full; a rank below d
+    is trusted only from the last, exact stack, which settles every line left."""
     import numpy as np
 
     d = V.shape[1]
     assert _fits(V.dtype, p, d)
     left = np.arange(V.shape[0])
-    for S in stacks:
+    settled = np.full(V.shape[0], len(stacks) - 1, dtype=np.int8)
+    for i, S in enumerate(stacks):
         W = _reduce(np.einsum("rij,bj->bri", S, V[left]), p)
-        left = left[_eliminate(W, p).sum(axis=1) < d]
-    return left
+        full = _eliminate(W, p).sum(axis=1) == d
+        settled[left[full]] = i
+        left = left[~full]
+    return left, settled
 
 
 def _canonical_line_chunks(p: int, d: int, chunk: int, dtype):

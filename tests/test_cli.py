@@ -97,6 +97,26 @@ def test_verify_parallel_flag(tmp_path, capsys):
         assert fi and (fi[0]["witness"] is not None) == (want == 1)
 
 
+@pytest.mark.parametrize("parallel, cores, workers", [
+    (True, 1, 1), (True, 3, 3), (True, 16, 4), (False, 16, 0)])
+def test_parallel_pool_is_sized_by_the_available_cores(tmp_path, monkeypatch, capsys,
+                                                       parallel, cores, workers):
+    import trilie.cli as cli
+
+    seen = []
+    run = cli.run_document
+
+    def recording(ctx, **kwargs):
+        seen.append(kwargs["workers"])
+        return run(ctx, **kwargs)
+
+    monkeypatch.setattr(cli, "available_cores", lambda: cores)
+    monkeypatch.setattr(cli, "run_document", recording)
+    flags = ["--parallel"] if parallel else []
+    assert main(["verify", "cyclic-group-f3", *flags, "--out-dir", str(tmp_path)]) == 0
+    assert seen == [workers]
+
+
 def test_verify_builds_the_document_once(tmp_path, monkeypatch, capsys):
     import trilie.campaigns as campaigns
 

@@ -246,6 +246,21 @@ def test_validate_refuses_a_value_of_the_wrong_type():
             F.validate(a)
 
 
+@pytest.mark.parametrize("make", [QQ.normalize, QI.normalize,
+                                  lambda a: GaussianRational(a),
+                                  lambda a: GaussianRational(1, a)])
+@pytest.mark.parametrize("a", [0.5, 1.0, -0.25])
+def test_a_float_is_refused_not_made_rational(make, a):
+    with pytest.raises(FieldError, match="float"):
+        make(a)
+
+
+def test_strings_and_ints_still_parse_as_rationals():
+    assert QQ.parse("3/6") == Fraction(1, 2) and QQ.parse("0.25") == Fraction(1, 4)
+    assert QQ.normalize(4) == 4 and type(QQ.parse("4/2")) is int
+    assert QI.parse("1/2+3i") == GaussianRational(Fraction(1, 2), 3)
+
+
 @pytest.mark.parametrize("F", [QQ, QI, PrimeField(5)])
 def test_canonical_form_idempotent(F):
     rng = random.Random(3)

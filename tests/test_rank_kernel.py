@@ -6,21 +6,31 @@ The eliminator is compared with `linalg.SpanBuilder` over `PrimeField(p)`
 primes on both sides of every dtype boundary.  The tiered line decision is
 compared with the fixed-point `ideal_closure` on algebras whose lines are all
 proper (a nilpotent algebra) or all full (the simple A_4), written in a
-seeded random basis so that no line is special.
+seeded random basis so that no line is special.  The threaded certificate is
+compared with a serial loop that decides one line at a time, at several
+thread counts and chunk sizes.
 """
 
 import itertools
+import os
 import random
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import trilie.structure as structure
+from trilie.bundled import get_bundled
+from trilie.documents import parse_document, render_document
 from trilie.fields import PrimeField
 from trilie.linalg import SpanBuilder, Subspace
 from trilie.structure import (
     FiniteNLieAlgebra,
+    available_cores,
     _canonical_line_chunks,
     _eliminate,
     _fits,
@@ -194,8 +204,11 @@ def test_line_decisions_match_ideal_closure(p, make, proper):
     L = in_random_basis(make(p), seed=p)
     stacks = _line_stacks(L)
     V = next(_canonical_line_chunks(p, L.dim, 4000, stacks[0].dtype))
-    got = set(_proper_lines(stacks, V, p).tolist())
+    got, settled = _proper_lines(stacks, V, p)
+    got = set(got.tolist())
     assert got == (set(range(len(V))) if proper else set())
+    # only the last, exact stack settles a proper line
+    assert all(settled[i] == len(stacks) - 1 for i in got)
     for i in range(len(V)):
         closure = ideal_closure(L, Subspace(L.field, L.dim, [[int(x) for x in V[i]]]))
         assert (closure.dim < L.dim) == (i in got), i
@@ -215,3 +228,205 @@ def test_line_enumeration_past_int64():
     # a modulus past int64 (trial division makes PrimeField too slow here)
     V = next(_canonical_line_chunks(2 ** 64 + 13, 3, 3, np.dtype(object)))
     assert V.tolist() == [[1, 0, 0], [1, 0, 1], [1, 0, 2]]
+
+
+# ---------------------------------------------------------------------------
+# the threaded line pipeline
+# ---------------------------------------------------------------------------
+
+def a4_plus_center(p, s=1):
+    """A_4 (+) F z in the basis e_0 = u_0 + s z, e_1..e_3 = u_1..u_3, e_4 = z,
+    with z central: e_0 generates everything, and a line is proper exactly
+    when its z coordinate s x_0 + x_4 or its u part is zero, so the first
+    proper line is e_0 - s e_4, the line numbered -s mod p (from 0)."""
+    constants = {}
+    for key in itertools.combinations(range(4), 3):
+        (l,) = set(range(4)) - set(key)
+        sign = _perm_sign(key + (l,)) % p
+        # u_0 = e_0 - s e_4
+        constants[key] = {0: sign, 4: -s * sign % p} if l == 0 else {l: sign}
+    return FiniteNLieAlgebra(PrimeField(p), 5, 3, constants)
+
+
+def laurent_quotient_p3():
+    return parse_document(render_document(get_bundled("laurent-quotient-p3"))).algebra
+
+
+def serial_certificate(L):
+    """(verdict, lines_checked, witness, lines per stack, first proper line)
+    of a plain loop that decides one line at a time."""
+    p, d = L.field.p, L.dim
+    stacks = _line_stacks(L)
+    counts = [0] * len(stacks)
+    checked = 0
+    for V in _canonical_line_chunks(p, d, 4096, stacks[0].dtype):
+        for line in V:
+            proper, settled = _proper_lines(stacks, line[None], p)
+            checked += 1
+            counts[settled[0]] += 1
+            if proper.size:
+                line = [int(x) for x in line]
+                witness = ideal_closure(L, Subspace(L.field, d, [line]))
+                return "non-simple", checked, witness, counts, line
+    return "simple", checked, None, counts, None
+
+
+PIPELINE_CASES = {
+    "a4-p5": (lambda: a4(5), "simple", 156),
+    "a4-p7-random-basis": (lambda: in_random_basis(a4(7), seed=7), "simple", 400),
+    "laurent-quotient-p3": (laurent_quotient_p3, "simple", 364),
+    "a4+center-p7": (lambda: a4_plus_center(7), "non-simple", 7),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PIPELINE_CASES))
+def pipeline_case(request):
+    make, verdict, lines = PIPELINE_CASES[request.param]
+    L = make()
+    want = serial_certificate(L)
+    assert want[:2] == (verdict, lines)
+    return L, want
+
+
+def small_chunks(monkeypatch, size):
+    """Make the certificate enumerate its lines in chunks of `size`."""
+    real = structure._canonical_line_chunks
+    monkeypatch.setattr(structure, "_canonical_line_chunks",
+                        lambda p, d, chunk, dtype: real(p, d, size, dtype))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("size", [2, 5])
+def test_pipeline_certificate_matches_a_serial_loop(pipeline_case, workers, size,
+                                                    monkeypatch):
+    L, (verdict, lines, witness, counts, line) = pipeline_case
+    monkeypatch.setattr(structure, "available_cores", lambda: workers)
+    small_chunks(monkeypatch, size)
+    real = structure._proper_lines
+
+    def witness_chunk_last(stacks, V, p):
+        # the chunk that holds the first proper line finishes after the
+        # chunks behind it, which the certificate must not take first
+        if line is not None and (V == line).all(axis=1).any():
+            time.sleep(0.05)
+        return real(stacks, V, p)
+
+    monkeypatch.setattr(structure, "_proper_lines", witness_chunk_last)
+    cert = certify_simplicity(L)
+    assert (cert.verdict, cert.lines_checked, cert.witness) == (verdict, lines, witness)
+    assert cert.notes["lines_per_stack"] == counts
+    assert sum(counts) == lines
+    if witness is not None:
+        assert witness.dim == 4 and is_ideal(L, witness)
+
+
+def test_pipeline_with_more_threads_than_cores_switching_often(monkeypatch):
+    L = laurent_quotient_p3()
+    verdict, lines, _, counts, _ = serial_certificate(L)
+    monkeypatch.setattr(structure, "available_cores", lambda: 8)
+    small_chunks(monkeypatch, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cert = certify_simplicity(L)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (cert.verdict, cert.lines_checked) == (verdict, lines) == ("simple", 364)
+    assert cert.notes["lines_per_stack"] == counts
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pipeline_keeps_at_most_one_chunk_per_thread_in_flight(workers, monkeypatch):
+    monkeypatch.setattr(structure, "available_cores", lambda: workers)
+    real_chunks, real_lines = structure._canonical_line_chunks, structure._proper_lines
+    lock, drawn, done, sizes, ahead = threading.Lock(), [0], [0], [], []
+
+    def chunks(p, d, chunk, dtype):
+        sizes.append(chunk)
+        for V in real_chunks(p, d, 8, dtype):
+            with lock:
+                ahead.append(drawn[0] - done[0])
+                drawn[0] += 1
+            yield V
+
+    def slow_lines(stacks, V, p):
+        time.sleep(0.005)
+        out = real_lines(stacks, V, p)
+        with lock:
+            done[0] += 1
+        return out
+
+    monkeypatch.setattr(structure, "_canonical_line_chunks", chunks)
+    monkeypatch.setattr(structure, "_proper_lines", slow_lines)
+    cert = certify_simplicity(a4(5))
+    assert cert.verdict == "simple" and cert.lines_checked == 156
+    # 32,768 lines in flight in all, and never a chunk drawn past the window
+    # (the pivot blocks of 125, 25, 5 and 1 lines make 22 chunks of 8)
+    assert sizes == [32768 // workers] and drawn[0] == 22
+    assert max(ahead) == workers - 1
+
+
+def failing_chunk(monkeypatch, index):
+    """Make the call of `_proper_lines` on chunk `index` (from 0) raise."""
+    real, calls = structure._proper_lines, itertools.count()
+
+    def failing(stacks, V, p):
+        if next(calls) == index:
+            raise ZeroDivisionError(f"chunk {index}")
+        return real(stacks, V, p)
+
+    monkeypatch.setattr(structure, "_proper_lines", failing)
+
+
+def test_chunk_error_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(structure, "available_cores", lambda: 3)
+    small_chunks(monkeypatch, 4)
+    failing_chunk(monkeypatch, 5)
+    with pytest.raises(ZeroDivisionError, match="chunk 5"):
+        certify_simplicity(a4(5))
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: a4(5), False), (lambda: a4_plus_center(7), False), (lambda: a4(5), True)])
+def test_no_worker_thread_outlives_the_call(make, error, monkeypatch):
+    monkeypatch.setattr(structure, "available_cores", lambda: 3)
+    small_chunks(monkeypatch, 4)
+    if error:
+        failing_chunk(monkeypatch, 5)
+    before = set(threading.enumerate())
+    try:
+        certify_simplicity(make())
+    except ZeroDivisionError:
+        assert error
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_object_rows_give_the_same_certificate_on_threads(workers, monkeypatch):
+    # p past the int64 bound: Python-int rows, 1,024 lines in flight, and the
+    # first proper line is line 2,000, some chunks in
+    p = 4294967291
+    L = a4_plus_center(p, s=-2000)
+    assert _line_stacks(L)[0].dtype == object
+    # the witness is in the first 4,096 lines: enumerate no more than those
+    real = structure._canonical_line_chunks
+    monkeypatch.setattr(structure, "_canonical_line_chunks", lambda p, d, chunk, dtype:
+                        itertools.islice(real(p, d, chunk, dtype), -(-4096 // chunk)))
+    monkeypatch.setattr(structure, "available_cores", lambda: 1)
+    want = certify_simplicity(L, budget=p ** 5)
+    assert (want.verdict, want.lines_checked) == ("non-simple", 2001)
+    assert sum(want.notes["lines_per_stack"]) == 2001 and want.witness.dim == 4
+    monkeypatch.setattr(structure, "available_cores", lambda: workers)
+    got = certify_simplicity(L, budget=p ** 5)
+    assert (got.verdict, got.lines_checked, got.witness, got.notes) == \
+        (want.verdict, want.lines_checked, want.witness, want.notes)
+
+
+def test_available_cores_follows_the_affinity_mask(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert available_cores() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert available_cores() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert available_cores() == 6
