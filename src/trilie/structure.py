@@ -615,9 +615,11 @@ def _certify_prime_exhaustive(L: FiniteNLieAlgebra, L1: Subspace) -> SimplicityC
     p, d = L.field.p, L.dim
     stacks = _line_stacks(L)
     workers = available_cores()
-    # one chunk per thread in flight, 32,768 lines in all (1,024 for
-    # Python-int rows, which take far more memory than fixed-width ones)
-    chunk = max(1, (32768 if stacks[0].dtype != object else 1024) // workers)
+    # one chunk per thread in flight, 24,576 lines in all (1,024 for
+    # Python-int rows, which take far more memory than fixed-width ones):
+    # each thread allocates in a heap of its own, and two chunks of 16,384
+    # lines raised the peak RSS of certifying A_4 over F_89 by 3% on 2 cores
+    chunk = max(1, (24576 if stacks[0].dtype != object else 1024) // workers)
     chunks = _canonical_line_chunks(p, d, chunk, stacks[0].dtype)
     checked, per_stack, row = 0, np.zeros(len(stacks), dtype=np.int64), None
     pool = ThreadPoolExecutor(max_workers=workers)

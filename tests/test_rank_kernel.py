@@ -360,9 +360,9 @@ def test_pipeline_keeps_at_most_one_chunk_per_thread_in_flight(workers, monkeypa
     monkeypatch.setattr(structure, "_proper_lines", slow_lines)
     cert = certify_simplicity(a4(5))
     assert cert.verdict == "simple" and cert.lines_checked == 156
-    # 32,768 lines in flight in all, and never a chunk drawn past the window
+    # 24,576 lines in flight in all, and never a chunk drawn past the window
     # (the pivot blocks of 125, 25, 5 and 1 lines make 22 chunks of 8)
-    assert sizes == [32768 // workers] and drawn[0] == 22
+    assert sizes == [24576 // workers] and drawn[0] == 22
     assert max(ahead) == workers - 1
 
 
