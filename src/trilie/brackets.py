@@ -2,16 +2,31 @@
 
 The determinant bracket (three row operators: maps, functionals or the
 identity, expanded as a formal 3x3 determinant) is the single source of
-truth; the closed forms (group algebra wedge, Laurent flip, parity
-coefficient families, quotient form, monomial form) are optimizations that
-are verified against it, never trusted on their own.  Its basis path
-`DeterminantBracket.eval_indices` is memoized per bracket; its `__call__`
-on general elements is the unmemoized definition, and the oracle of that path.
+truth.  Its basis path `DeterminantBracket.eval_indices` is memoized per
+bracket; its `__call__` on general elements is the unmemoized definition,
+and the oracle of that path.  On a group algebra (a Laurent ring is F[Z^k],
+the quotient F[Z_2p]) the determinant with rows (omega, id, delta) is one
+closed form, `ClosedFormBracket`, for a character chi, an additive map a,
+sigma in {id, -} and a shift s:
+
+    [e_x, e_y, e_z] = sum over the cyclic shifts of (x, y, z) of
+                      chi(x) (a(z) - a(y)) e_{sigma(x)+y+z+s}
+
+    form              chi(x)                 a(x)       sigma  s
+    group-wedge       1                      alpha(x)   -      0
+    laurent-flip      prod_s lambda_s^{x_s}  x_var      -      0
+    laurent-parity    (-1)^x                 x          id     shift - 1
+    quotient-parity   (-1)^x                 x mod p    id     -1
+    monomial-parity   (-1)^x                 x          id     shift
+
+so `monomial-parity` at shift k is `laurent-parity` at shift k + 1.  The
+closed form is verified against the determinant, never trusted on its own.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -22,7 +37,6 @@ from .carriers import (
     CarrierMismatchError,
     Endomorphism,
     Functional,
-    GroupAlgebra,
     GroupHom,
     HypothesisViolation,
     LaurentAlgebra,
@@ -67,9 +81,6 @@ class TriBracket:
         return AlgebraElement(self.carrier, self.carrier.field.combine(
             (z, ca * cb * cc * cz) for i, ca in a.terms.items() for j, cb in b.terms.items()
             for k, cc in c.terms.items() for z, cz in self.eval_indices(i, j, k).terms.items()))
-
-    def describe(self) -> str:
-        return type(self).__name__
 
 
 class DeterminantBracket(TriBracket):
@@ -196,42 +207,53 @@ def _require_char_not_two(field: Field, what: str):
         raise HypothesisViolation(f"{what} assumes characteristic != 2, got {field}")
 
 
-class GroupWedgeBracket(TriBracket):
-    """[e_g,e_h,e_w] = a(w-h) e_{h+w-g} + a(g-w) e_{g+w-h} + a(h-g) e_{g+h-w}
-    for a group hom a: G -> F^+ (closed form of the determinant bracket with
-    rows: negation involution, identity, hom-scaling derivation)."""
+class ClosedFormBracket(TriBracket):
+    """The closed form of the module docstring, on the carrier's `exponents`
+    and `add_indices`: chi(x) = prod_s bases_s^{x_s} (a `LaurentFlip`'s cache),
+    a(x) = sum_s a_s x_s, and sigma = - with s = 0 when `shift` is None.
+    `hom` is the group hom of the `group-wedge` form, for `kernel-ideal`."""
 
-    def __init__(self, hom: GroupHom):
-        super().__init__(hom.carrier)
+    def __init__(self, carrier: CarrierAlgebra, bases: Sequence, a: Sequence, shift=None,
+                 hom: Optional[GroupHom] = None):
+        super().__init__(carrier)
+        if shift is not None:
+            carrier.validate_index(shift)
+        self.chi = LaurentFlip(bases)
+        self.a = tuple(a)
+        self.shift = shift
         self.hom = hom
 
-    def eval_indices(self, g, h, w):
-        G: GroupAlgebra = self.carrier
-        # cyclic: coefficient a(z - y), target y + z - x
-        return AlgebraElement(G, G.field.combine(
-            (G.sub_indices(G.add_indices(y, z), x), self.hom(G.sub_indices(z, y)))
-            for x, y, z in ((g, h, w), (h, w, g), (w, g, h))))
+    def eval_indices(self, i, j, k):
+        C, a, mul = self.carrier, self.a, operator.mul
+        f, add, exps, chi = C.field, C.add_indices, C.exponents, self.chi.scale
+        ei, ej, ek = exps(i), exps(j), exps(k)
+        ai, aj, ak = sum(map(mul, a, ei)), sum(map(mul, a, ej)), sum(map(mul, a, ek))
+        ci, cj, ck = chi(f, ei) * (ak - aj), chi(f, ej) * (ai - ak), chi(f, ek) * (aj - ai)
+        if self.shift is not None:  # one target x + y + z + s
+            return AlgebraElement(C, f.sparse({add(add(add(i, j), k), self.shift): ci + cj + ck}))
+        neg = C.neg_index
+        return AlgebraElement(C, f.combine(((add(add(j, k), neg(i)), ci),
+                                            (add(add(k, i), neg(j)), cj),
+                                            (add(add(i, j), neg(k)), ck))))
 
 
-class LaurentFlipBracket(TriBracket):
+def GroupWedgeBracket(hom: GroupHom) -> ClosedFormBracket:
+    """[e_g,e_h,e_w] = a(w-h) e_{h+w-g} + a(g-w) e_{g+w-h} + a(h-g) e_{g+h-w}
+    for a group hom a: G -> F^+: chi = 1, sigma = -."""
+    # no bases: chi is the empty product 1, with no field arithmetic per index
+    return ClosedFormBracket(hom.carrier, (), hom.free_values + hom.torsion_values, hom=hom)
+
+
+def LaurentFlipBracket(carrier: LaurentAlgebra, lambdas: Sequence,
+                       var: int = 0) -> ClosedFormBracket:
     """[t^r,t^i,t^n] = L(r)(n_j-i_j) t^{i+n-r} + L(i)(r_j-n_j) t^{r+n-i}
     + L(n)(i_j-r_j) t^{r+i-n}, where L(r) = prod_s lambda_s^{r_s} and j is the
-    distinguished variable (closed form with rows: flip involution, identity,
-    scaling derivation of variable j)."""
-
-    def __init__(self, carrier: LaurentAlgebra, lambdas: Sequence, var: int = 0):
-        super().__init__(carrier)
-        _require_char_not_two(carrier.field, "the flip-involution bracket")
-        self.flip = LaurentFlip(lambdas)
-        self.flip.check(carrier)
-        _check_variable(var, carrier)
-        self.var = var
-
-    def eval_indices(self, r, i, n):
-        f, j = self.carrier.field, self.var
-        return AlgebraElement(self.carrier, f.combine(
-            (tuple(b + c - a for a, b, c in zip(x, y, z)), self.flip.scale(f, x) * (z[j] - y[j]))
-            for x, y, z in ((r, i, n), (i, n, r), (n, r, i))))
+    distinguished variable: chi = L, a = e_j, sigma = -."""
+    _require_char_not_two(carrier.field, "the flip-involution bracket")
+    bracket = ClosedFormBracket(carrier, lambdas, [int(s == var) for s in range(carrier.nvars)])
+    bracket.chi.check(carrier)
+    _check_variable(var, carrier)
+    return bracket
 
 
 def parity_coefficient(field: Field, l: int, m: int, n: int):
@@ -242,45 +264,36 @@ def parity_coefficient(field: Field, l: int, m: int, n: int):
     return field.embed(sgn(l) * (n - m) + sgn(m) * (l - n) + sgn(n) * (m - l))
 
 
-class LaurentParityBracket(TriBracket):
+def parity_bracket(carrier: CarrierAlgebra, shift) -> ClosedFormBracket:
+    """[t^l,t^m,t^n] = parity_coefficient(l,m,n) t^{l+m+n+s}: `monomial-parity`."""
+    if carrier.nvars != 1:
+        raise ValueError("parity bracket is one-variable")
+    return ClosedFormBracket(carrier, [carrier.field.embed(-1)], [1], shift)
+
+
+def LaurentParityBracket(carrier: LaurentAlgebra, shift: int = 0) -> ClosedFormBracket:
     """[t^l,t^m,t^n] = {(-1)^l(n-m)+(-1)^m(l-n)+(-1)^n(m-l)} t^{l+m+n+shift-1}.
 
     shift = 2k is the closed form with rows (sign involution, identity,
     t^{2k} d/dt); shift = 0 is the plain-derivative form.
     """
-
-    def __init__(self, carrier: LaurentAlgebra, shift: int = 0):
-        super().__init__(carrier)
-        if carrier.nvars != 1:
-            raise ValueError("parity bracket is one-variable")
-        _require_char_not_two(carrier.field, "the parity-coefficient bracket")
-        self.shift = shift
-
-    def eval_indices(self, li, mi, ni):
-        l, m, n = li[0], mi[0], ni[0]
-        c = parity_coefficient(self.carrier.field, l, m, n)
-        return self.carrier.monomial((l + m + n + self.shift - 1,), c)
+    bracket = parity_bracket(carrier, (shift - 1,))
+    _require_char_not_two(carrier.field, "the parity-coefficient bracket")
+    return bracket
 
 
-class QuotientParityBracket(TriBracket):
+def QuotientParityBracket(carrier: QuotientLaurentAlgebra) -> ClosedFormBracket:
     """The parity-coefficient bracket on the 2p-dimensional quotient carrier
     with exponents identified modulo t^p = t^-p; requires ch F = p > 2."""
-
-    def __init__(self, carrier: QuotientLaurentAlgebra):
-        super().__init__(carrier)
-        p = carrier.p
-        if p <= 2:
-            raise HypothesisViolation("the quotient bracket requires p > 2")
-        if carrier.field.characteristic != p:
-            raise HypothesisViolation(
-                f"the quotient bracket requires ch F = p = {p}, "
-                f"got {carrier.field}"
-            )
-
-    def eval_indices(self, l, m, n):
-        Q: QuotientLaurentAlgebra = self.carrier
-        c = parity_coefficient(Q.field, l, m, n)
-        return Q.monomial(Q.reduce_exponent(l + m + n - 1), c)
+    p = carrier.p
+    if p <= 2:
+        raise HypothesisViolation("the quotient bracket requires p > 2")
+    if carrier.field.characteristic != p:
+        raise HypothesisViolation(
+            f"the quotient bracket requires ch F = p = {p}, "
+            f"got {carrier.field}"
+        )
+    return parity_bracket(carrier, -1)
 
 
 class MonomialBracket(TriBracket):
@@ -311,22 +324,10 @@ class MonomialBracket(TriBracket):
                         f"coefficient function is not skew-symmetric at {args}"
                     )
 
-    def _index_sum(self, parts):
-        idx = None
-        for q in parts:
-            if idx is None:
-                idx = q
-                continue
-            terms = self.carrier.mul_indices(idx, q)
-            if len(terms) != 1:
-                raise ValueError("monomial bracket needs a single-term index product")
-            idx = terms[0][0]
-        return idx
-
     def eval_indices(self, a, b, c):
-        coeff = self.coeff_fn(a, b, c)
-        idx = self._index_sum([a, b, c, self.t_shift])
-        return self.carrier.monomial(idx, coeff)
+        add = self.carrier.add_indices
+        idx = add(add(add(a, b), c), self.t_shift)
+        return self.carrier.monomial(idx, self.coeff_fn(a, b, c))
 
 
 # the rows (-1)^e, 1 and e of the parity coefficient's determinant
@@ -361,7 +362,6 @@ class StructureBackedBracket(TriBracket):
 
     def eval_indices(self, i, j, k):
         vec = self.algebra.bracket_indices((self.pos[i], self.pos[j], self.pos[k]))
-        f = self.carrier.field
         return AlgebraElement(
             self.carrier, {self.basis_order[l]: c for l, c in vec.items()}
         )

@@ -221,9 +221,8 @@ BRACKETS = {
         ctx.carrier, int(cfg.get("shift", 0))), ("laurent",)),
     "quotient-parity": Form(lambda ctx, cfg: br.QuotientParityBracket(ctx.carrier),
                             ("quotient-laurent",)),
-    "monomial-parity": Form(lambda ctx, cfg: br.MonomialBracket(
-        ctx.carrier, br.parity_determinant_coefficient(ctx.field),
-        (int(cfg.get("shift", -1)),)), ("laurent",)),
+    "monomial-parity": Form(lambda ctx, cfg: br.parity_bracket(
+        ctx.carrier, (int(cfg.get("shift", -1)),)), ("laurent",)),
     "gamma": Form(_gamma, own_algebra=True),
     "metric-extension": Form(_metric_extension, own_algebra=True),
     "lie-lift": Form(_lie_lift, own_algebra=True),
@@ -316,7 +315,7 @@ def _need(holds: Callable[["BuildContext", dict], bool], lack: str):
 _BRACKET = _need(lambda ctx, camp: ctx.bracket is not None or ctx.algebra is not None,
                  "needs a bracket")
 _CARRIER_BRACKET = _need(lambda ctx, camp: ctx.bracket is not None, "needs a bracket on a carrier")
-_WEDGE_BRACKET = _need(lambda ctx, camp: isinstance(ctx.bracket, br.GroupWedgeBracket),
+_WEDGE_BRACKET = _need(lambda ctx, camp: getattr(ctx.bracket, "hom", None) is not None,
                        "needs the wedge bracket of a group hom")
 _LAURENT = _need(lambda ctx, camp: isinstance(ctx.carrier, ca.LaurentAlgebra)
                  and ctx.carrier.nvars == 1, "needs a one-variable Laurent carrier")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -53,7 +54,15 @@ class CarrierAlgebra:
         return None
 
     def mul_indices(self, i, j) -> List[Tuple[object, object]]:
-        raise NotImplementedError
+        return [(self.add_indices(i, j), self.field.one)]
+
+    # -- exponent carriers: the basis is a group, written additively -----
+    def add_indices(self, i, j):
+        raise NotImplementedError(f"{self.shape} carrier has no index addition")
+
+    def exponents(self, i) -> Tuple[int, ...]:
+        """A monomial's exponents, or a group element's coordinates."""
+        raise NotImplementedError(f"{self.shape} carrier indices are not exponents")
 
     def neg_index(self, i):
         raise NotImplementedError(f"{self.shape} carrier has no basis negation")
@@ -145,11 +154,14 @@ class LaurentAlgebra(CarrierAlgebra):
     def unit_index(self):
         return (0,) * self.nvars
 
-    def mul_indices(self, i, j):
-        return [(tuple(a + b for a, b in zip(i, j)), self.field.one)]
+    def add_indices(self, i, j):
+        return tuple(map(operator.add, i, j))
+
+    def exponents(self, i):
+        return i
 
     def neg_index(self, i):
-        return tuple(-a for a in i)
+        return tuple(map(operator.neg, i))
 
     def validate_index(self, i):
         if not (isinstance(i, tuple) and len(i) == self.nvars and all(isinstance(a, int) for a in i)):
@@ -213,11 +225,8 @@ class GroupAlgebra(CarrierAlgebra):
     def add_indices(self, i, j):
         return self.reduce_index(tuple(a + b for a, b in zip(i, j)))
 
-    def sub_indices(self, i, j):
-        return self.reduce_index(tuple(a - b for a, b in zip(i, j)))
-
-    def mul_indices(self, i, j):
-        return [(self.add_indices(i, j), self.field.one)]
+    def exponents(self, i):
+        return i
 
     def neg_index(self, i):
         return self.reduce_index(tuple(-a for a in i))
@@ -287,8 +296,11 @@ class QuotientLaurentAlgebra(CarrierAlgebra):
     def reduce_exponent(self, e: int) -> int:
         return (e - (1 - self.p)) % (2 * self.p) + (1 - self.p)
 
-    def mul_indices(self, i, j):
-        return [(self.reduce_exponent(i + j), self.field.one)]
+    def add_indices(self, i, j):
+        return self.reduce_exponent(i + j)
+
+    def exponents(self, i):
+        return (i,)
 
     def neg_index(self, i):
         return self.reduce_exponent(-i)
@@ -463,27 +475,18 @@ class AlgebraElement:
     def __hash__(self):
         return hash((self.carrier, frozenset(self.terms.items())))
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _index_sort_key(kv[0]))
-
     def __str__(self):
         if not self.terms:
             return "0"
         f = self.field
         parts = []
-        for idx, c in self.sorted_terms():
+        for idx, c in sorted(self.terms.items(), key=operator.itemgetter(0)):
             mono = self.carrier.index_str(idx)
             cs = f.render(c)
             parts.append(mono if cs == "1" else f"{cs}*{mono}")
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def _index_sort_key(idx):
-    if isinstance(idx, tuple):
-        return idx
-    return (idx,)
 
 
 def coordinates(elem: AlgebraElement, ordered_indices: Sequence) -> list:
@@ -604,7 +607,7 @@ class MonomialScale(EndoRule):
             raise HypothesisViolation("monomial scale requires base != 0")
 
     def image(self, carrier, idx):
-        m = idx[0] if isinstance(idx, tuple) else idx
+        m, = carrier.exponents(idx)
         return [(idx, carrier.field.pow(self.base, m))]
 
     def describe(self):
@@ -620,13 +623,10 @@ class LaurentDerivation(EndoRule):
         self.power = power
 
     def image(self, carrier, idx):
-        f = carrier.field
+        m, = carrier.exponents(idx)
         if isinstance(carrier, QuotientLaurentAlgebra):
-            m = idx
-            out = carrier.reduce_exponent(m + self.power - 1)
-            return [(out, f.embed(m))]
-        m = idx[0]
-        return [((m + self.power - 1,), f.embed(m))]
+            return [(carrier.reduce_exponent(m + self.power - 1), carrier.field.embed(m))]
+        return [((m + self.power - 1,), carrier.field.embed(m))]
 
     def describe(self):
         return f"t^{self.power} d/dt"
@@ -672,8 +672,7 @@ class LaurentFlip(EndoRule):
         return c
 
     def image(self, carrier, idx):
-        exps = idx if isinstance(idx, tuple) else (idx,)
-        return [(carrier.neg_index(idx), self.scale(carrier.field, exps))]
+        return [(carrier.neg_index(idx), self.scale(carrier.field, carrier.exponents(idx)))]
 
     def describe(self):
         return "lambda^r t^-r flip"
@@ -735,10 +734,8 @@ class MonomialShift(EndoRule):
         self.coeff = coeff
 
     def image(self, carrier, idx):
-        f = carrier.field
-        c = f.one if self.coeff is None else self.coeff
-        m = idx[0]
-        return [((m + self.offset,), c)]
+        c = carrier.field.one if self.coeff is None else self.coeff
+        return [(carrier.add_indices(idx, (self.offset,)), c)]
 
     def describe(self):
         return f"t^m -> c t^(m{self.offset:+d})"
@@ -793,7 +790,7 @@ class AlternatingSign(FunctionalRule):
     one_variable = True
 
     def value(self, carrier, idx):
-        m = idx[0] if isinstance(idx, tuple) else idx
+        m, = carrier.exponents(idx)
         return carrier.field.embed(-1 if m % 2 else 1)
 
     def describe(self):
@@ -818,8 +815,7 @@ class ExponentValue(FunctionalRule):
         _check_variable(self.var, carrier)
 
     def value(self, carrier, idx):
-        m = idx[self.var] if isinstance(idx, tuple) else idx
-        return carrier.field.embed(m)
+        return carrier.field.embed(carrier.exponents(idx)[self.var])
 
     def describe(self):
         return "exponent value"

@@ -601,11 +601,11 @@ def available_cores() -> int:
 
 def _certify_prime_exhaustive(L: FiniteNLieAlgebra, L1: Subspace) -> SimplicityCertificate:
     """Decide the lines of `_canonical_line_chunks` in order, one chunk per
-    call of `_proper_lines`, on one thread per available core (numpy releases
-    the GIL in the kernel).  At most one chunk per thread is in flight, and
-    results are taken in enumeration order: the first chunk with a proper
-    line cancels the rest, so the verdict, witness, `lines_checked` and
-    per-stack counts do not depend on the number of threads.
+    call of `_proper_lines`, on one thread per available core, or per chunk
+    if fewer (numpy releases the GIL in the kernel).  At most one chunk per
+    thread is in flight, and results are taken in enumeration order: the
+    first chunk with a proper line cancels the rest, so the verdict, witness,
+    `lines_checked` and per-stack counts do not depend on the number of threads.
     """
     from collections import deque
     from concurrent.futures import ThreadPoolExecutor
@@ -614,12 +614,14 @@ def _certify_prime_exhaustive(L: FiniteNLieAlgebra, L1: Subspace) -> SimplicityC
 
     p, d = L.field.p, L.dim
     stacks = _line_stacks(L)
-    workers = available_cores()
+    cores = available_cores()
     # one chunk per thread in flight, 24,576 lines in all (1,024 for
     # Python-int rows, which take far more memory than fixed-width ones):
     # each thread allocates in a heap of its own, and two chunks of 16,384
-    # lines raised the peak RSS of certifying A_4 over F_89 by 3% on 2 cores
-    chunk = max(1, (24576 if stacks[0].dtype != object else 1024) // workers)
+    # lines raised the peak RSS of certifying A_4 over F_89 by 3% on 2 cores.
+    # Never more threads than ceil(lines / chunk)
+    chunk = max(1, (24576 if stacks[0].dtype != object else 1024) // cores)
+    workers = min(cores, -(-_line_count(p, d) // chunk))
     chunks = _canonical_line_chunks(p, d, chunk, stacks[0].dtype)
     checked, per_stack, row = 0, np.zeros(len(stacks), dtype=np.int64), None
     pool = ThreadPoolExecutor(max_workers=workers)

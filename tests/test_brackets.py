@@ -2,8 +2,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trilie.fields import PrimeField, QQ
+from trilie.fields import QI, GaussianRational, PrimeField, QQ
 from trilie.carriers import (
     ConstantOne,
     Endomorphism,
@@ -19,6 +20,7 @@ from trilie.carriers import (
     LaurentFlip,
     MonomialScale,
     QuotientLaurentAlgebra,
+    VariableScalingDerivation,
     check_derivation,
 )
 from trilie import brackets
@@ -45,6 +47,7 @@ from trilie.brackets import (
     laurent_reachability,
     pair_bracket_delta,
     pair_bracket_omega,
+    parity_bracket,
     parity_coefficient,
     parity_determinant_coefficient,
     tabulate,
@@ -354,6 +357,69 @@ def test_quotient_requires_matching_characteristic():
     Q2 = QuotientLaurentAlgebra(PrimeField(2), 2)
     with pytest.raises(HypothesisViolation):
         QuotientParityBracket(Q2)
+
+
+# ---------------------------------------------------------------------------
+# the one closed form against the determinant oracle, on drawn parameters
+# ---------------------------------------------------------------------------
+
+ODD_FIELDS = [QQ, QI, PrimeField(3), PrimeField(5), PrimeField(7)]
+
+
+def scalars(f, nonzero=False):
+    """Small field elements; over Q(i) with both parts rational."""
+    q = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    if f is QI:
+        s = st.builds(GaussianRational, q, q)
+    else:
+        s = q if f is QQ else st.integers(0, f.p - 1)
+    s = s.map(f.normalize)
+    return s.filter(lambda c: not f.is_zero(c)) if nonzero else s
+
+
+@st.composite
+def closed_forms(draw):
+    """(closed form, determinant with rows (omega, id, delta) from the map
+    rules, window) for a drawn form and parameterisation."""
+    form = draw(st.sampled_from(["flip", "wedge", "parity", "monomial-parity", "quotient"]))
+    if form == "flip":
+        f, nvars = draw(st.sampled_from(ODD_FIELDS)), draw(st.integers(1, 2))
+        A, var = LaurentAlgebra(f, nvars), draw(st.integers(0, nvars - 1))
+        lambdas = [draw(scalars(f, nonzero=True)) for _ in range(nvars)]
+        return (LaurentFlipBracket(A, lambdas, var), A,
+                [LaurentFlip(lambdas), VariableScalingDerivation(var)], A.window(3 // nvars))
+    if form == "wedge":
+        # a hom on Z^a x Z_m over F_p vanishes on the torsion unless p | m
+        f = draw(st.sampled_from([PrimeField(3), PrimeField(5)]))
+        m = draw(st.sampled_from([2, 3, 4, 5, 6, 10]))
+        G = GroupAlgebra(f, free_rank=draw(st.integers(0, 2)), torsion=(m,))
+        torsion = draw(scalars(f)) if m % f.p == 0 else f.zero
+        hom = GroupHom(G, [draw(scalars(f)) for _ in range(G.free_rank)], [torsion])
+        return GroupWedgeBracket(hom), G, [GroupNegation(), GroupHomDerivation(hom)], G.window(1)
+    if form == "quotient":
+        p = draw(st.sampled_from([3, 5, 7]))
+        Q = QuotientLaurentAlgebra(PrimeField(p), p)
+        return (QuotientParityBracket(Q), Q, [MonomialScale(p - 1), LaurentDerivation(0)],
+                Q.basis_indices())
+    # the monomial-parity form at shift k is laurent-parity at k + 1, also
+    # over F_2, where it is zero
+    f = draw(st.sampled_from(ODD_FIELDS + [PrimeField(2)] * (form == "monomial-parity")))
+    A, shift = LaurentAlgebra(f, 1), draw(st.integers(-4, 4))
+    closed = (LaurentParityBracket(A, shift) if form == "parity"
+              else parity_bracket(A, (shift - 1,)))
+    return closed, A, [MonomialScale(f.embed(-1)), LaurentDerivation(shift)], A.window(4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_closed_form_equals_the_determinant_on_drawn_parameters(data):
+    closed, carrier, (omega, delta), window = data.draw(closed_forms())
+    det = DeterminantBracket(carrier, [Endomorphism(carrier, omega), "id",
+                                       Endomorphism(carrier, delta)])
+    triples = data.draw(st.lists(st.tuples(*[st.sampled_from(window)] * 3),
+                                 min_size=1, max_size=20))
+    for t in triples:
+        assert closed.eval_indices(*t) == det.eval_indices(*t), t
 
 
 # ---------------------------------------------------------------------------

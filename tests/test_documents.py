@@ -225,6 +225,11 @@ def _requirement_case(name, check, path="$.campaigns[1]", **params):
 @pytest.mark.parametrize("doc, campaign, path", [
     pytest.param(minimal_quotient_doc(), {"check": "kernel-ideal"}, "$.campaigns[1]",
                  id="kernel-ideal-without-hom"),
+    # the rows of the group-wedge form, but no hom to read off the bracket
+    pytest.param(get_bundled("cyclic-group-f3") | {"bracket": {
+        "form": "determinant", "rows": [{"endo": "neg"}, "id", {"endo": "alphastar"}]}},
+                 {"check": "kernel-ideal"}, "$.campaigns[1]",
+                 id="kernel-ideal-on-a-determinant-bracket"),
     pytest.param(laurent_doc({"kind": "rationals"}), {"check": "ideal-divisibility"},
                  "$.campaigns[1]", id="ideal-divisibility-over-q"),
     pytest.param(laurent_doc({"kind": "rationals"}),

@@ -8,9 +8,11 @@ compared with the fixed-point `ideal_closure` on algebras whose lines are all
 proper (a nilpotent algebra) or all full (the simple A_4), written in a
 seeded random basis so that no line is special.  The threaded certificate is
 compared with a serial loop that decides one line at a time, at several
-thread counts and chunk sizes.
+thread counts and chunk sizes, and, on an algebra whose lines fill many
+full-size chunks, with itself on one thread.
 """
 
+import concurrent.futures
 import itertools
 import os
 import random
@@ -343,7 +345,7 @@ def test_pipeline_keeps_at_most_one_chunk_per_thread_in_flight(workers, monkeypa
 
     def chunks(p, d, chunk, dtype):
         sizes.append(chunk)
-        for V in real_chunks(p, d, 8, dtype):
+        for V in real_chunks(p, d, 512, dtype):
             with lock:
                 ahead.append(drawn[0] - done[0])
                 drawn[0] += 1
@@ -358,12 +360,39 @@ def test_pipeline_keeps_at_most_one_chunk_per_thread_in_flight(workers, monkeypa
 
     monkeypatch.setattr(structure, "_canonical_line_chunks", chunks)
     monkeypatch.setattr(structure, "_proper_lines", slow_lines)
-    cert = certify_simplicity(a4(5))
-    assert cert.verdict == "simple" and cert.lines_checked == 156
+    # 25,260 lines: more than 24,576 // workers times (workers - 1), so
+    # every core gets a thread
+    cert = certify_simplicity(a4(29))
+    assert cert.verdict == "simple" and cert.lines_checked == 25260
     # 24,576 lines in flight in all, and never a chunk drawn past the window
-    # (the pivot blocks of 125, 25, 5 and 1 lines make 22 chunks of 8)
-    assert sizes == [24576 // workers] and drawn[0] == 22
+    # (the pivot blocks of 24,389, 841, 29 and 1 lines make 52 chunks of 512)
+    assert sizes == [24576 // workers] and drawn[0] == 52
     assert max(ahead) == workers - 1
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("make, lines", [pytest.param(lambda: a4(5), 156, id="a4-p5"),
+                                         pytest.param(laurent_quotient_p3, 364,
+                                                      id="laurent-quotient-p3")])
+def test_fewer_lines_than_one_chunk_start_one_worker_thread(make, lines, cores, monkeypatch):
+    # laurent-quotient-p3 enumerates its 364 lines in 6 chunks, one per pivot
+    monkeypatch.setattr(structure, "available_cores", lambda: cores)
+    real_pool, real_lines = concurrent.futures.ThreadPoolExecutor, structure._proper_lines
+    pools, threads = [], set()
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    def lines_on_a_thread(stacks, V, p):
+        threads.add(threading.current_thread())
+        return real_lines(stacks, V, p)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(structure, "_proper_lines", lines_on_a_thread)
+    cert = certify_simplicity(make())
+    assert (cert.verdict, cert.lines_checked) == ("simple", lines)
+    assert pools == [1] and len(threads) == 1 and threading.main_thread() not in threads
 
 
 def failing_chunk(monkeypatch, index):
@@ -384,6 +413,53 @@ def test_chunk_error_reaches_the_caller(monkeypatch):
     failing_chunk(monkeypatch, 5)
     with pytest.raises(ZeroDivisionError, match="chunk 5"):
         certify_simplicity(a4(5))
+
+
+# an algebra whose lines fill many chunks at every thread count: its first
+# proper line is line 30,000, in the second chunk on one thread and past the
+# first in-flight window on 2, 3 or 8
+FULL_SIZE_P = 65521
+
+
+def full_size_case(monkeypatch):
+    """(algebra, its certificate on one thread)."""
+    L = a4_plus_center(FULL_SIZE_P, s=-30000)
+    monkeypatch.setattr(structure, "available_cores", lambda: 1)
+    want = certify_simplicity(L, budget=FULL_SIZE_P ** 5)
+    assert (want.verdict, want.lines_checked) == ("non-simple", 30001)
+    return L, want
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_pipeline_on_full_size_chunks_matches_one_thread(workers, monkeypatch):
+    L, want = full_size_case(monkeypatch)
+    line, real = np.array([1, 0, 0, 0, 30000]), structure._proper_lines
+
+    def witness_chunk_last(stacks, V, p):
+        if (V == line).all(axis=1).any():
+            time.sleep(0.05)
+        return real(stacks, V, p)
+
+    monkeypatch.setattr(structure, "_proper_lines", witness_chunk_last)
+    monkeypatch.setattr(structure, "available_cores", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = certify_simplicity(L, budget=FULL_SIZE_P ** 5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (got.verdict, got.lines_checked, got.witness, got.notes) == \
+        (want.verdict, want.lines_checked, want.witness, want.notes)
+
+
+def test_full_size_chunk_error_reaches_the_caller_from_threads(monkeypatch):
+    L, _ = full_size_case(monkeypatch)
+    monkeypatch.setattr(structure, "available_cores", lambda: 3)
+    failing_chunk(monkeypatch, 2)
+    before = set(threading.enumerate())
+    with pytest.raises(ZeroDivisionError, match="chunk 2"):
+        certify_simplicity(L, budget=FULL_SIZE_P ** 5)
+    assert set(threading.enumerate()) == before
 
 
 @pytest.mark.parametrize("make, error", [
