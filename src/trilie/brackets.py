@@ -35,14 +35,14 @@ from .carriers import (
     AlgebraElement,
     CarrierAlgebra,
     CarrierMismatchError,
+    Character,
     Endomorphism,
     Functional,
+    GroupAlgebra,
     GroupHom,
     HypothesisViolation,
-    LaurentAlgebra,
-    LaurentFlip,
-    QuotientLaurentAlgebra,
     _check_variable,
+    _one_variable_laurent,
 )
 from .fields import Field
 from .structure import CheckReport, FiniteNLieAlgebra, _fi_cases, _fi_scan, _perm_sign
@@ -208,27 +208,27 @@ def _require_char_not_two(field: Field, what: str):
 
 
 class ClosedFormBracket(TriBracket):
-    """The closed form of the module docstring, on the carrier's `exponents`
-    and `add_indices`: chi(x) = prod_s bases_s^{x_s} (a `LaurentFlip`'s cache),
-    a(x) = sum_s a_s x_s, and sigma = - with s = 0 when `shift` is None.
-    `hom` is the group hom of the `group-wedge` form, for `kernel-ideal`."""
+    """The closed form of the module docstring on a group algebra, whose
+    indices are the group elements x: chi(x) = prod_s bases_s^{x_s} (a
+    `Character`), a(x) = sum_s a_s x_s, and sigma = - with s = 0 when `shift`
+    is None.  `hom` is the group hom of the `group-wedge` form, for
+    `kernel-ideal`."""
 
-    def __init__(self, carrier: CarrierAlgebra, bases: Sequence, a: Sequence, shift=None,
+    def __init__(self, carrier: GroupAlgebra, bases: Sequence, a: Sequence, shift=None,
                  hom: Optional[GroupHom] = None):
         super().__init__(carrier)
         if shift is not None:
             carrier.validate_index(shift)
-        self.chi = LaurentFlip(bases)
+        self.chi = Character(bases)
         self.a = tuple(a)
         self.shift = shift
         self.hom = hom
 
     def eval_indices(self, i, j, k):
         C, a, mul = self.carrier, self.a, operator.mul
-        f, add, exps, chi = C.field, C.add_indices, C.exponents, self.chi.scale
-        ei, ej, ek = exps(i), exps(j), exps(k)
-        ai, aj, ak = sum(map(mul, a, ei)), sum(map(mul, a, ej)), sum(map(mul, a, ek))
-        ci, cj, ck = chi(f, ei) * (ak - aj), chi(f, ej) * (ai - ak), chi(f, ek) * (aj - ai)
+        f, add, chi = C.field, C.add_indices, self.chi
+        ai, aj, ak = sum(map(mul, a, i)), sum(map(mul, a, j)), sum(map(mul, a, k))
+        ci, cj, ck = chi(f, i) * (ak - aj), chi(f, j) * (ai - ak), chi(f, k) * (aj - ai)
         if self.shift is not None:  # one target x + y + z + s
             return AlgebraElement(C, f.sparse({add(add(add(i, j), k), self.shift): ci + cj + ck}))
         neg = C.neg_index
@@ -241,16 +241,16 @@ def GroupWedgeBracket(hom: GroupHom) -> ClosedFormBracket:
     """[e_g,e_h,e_w] = a(w-h) e_{h+w-g} + a(g-w) e_{g+w-h} + a(h-g) e_{g+h-w}
     for a group hom a: G -> F^+: chi = 1, sigma = -."""
     # no bases: chi is the empty product 1, with no field arithmetic per index
-    return ClosedFormBracket(hom.carrier, (), hom.free_values + hom.torsion_values, hom=hom)
+    return ClosedFormBracket(hom.carrier, (), hom.values, hom=hom)
 
 
-def LaurentFlipBracket(carrier: LaurentAlgebra, lambdas: Sequence,
+def LaurentFlipBracket(carrier: GroupAlgebra, lambdas: Sequence,
                        var: int = 0) -> ClosedFormBracket:
     """[t^r,t^i,t^n] = L(r)(n_j-i_j) t^{i+n-r} + L(i)(r_j-n_j) t^{r+n-i}
     + L(n)(i_j-r_j) t^{r+i-n}, where L(r) = prod_s lambda_s^{r_s} and j is the
     distinguished variable: chi = L, a = e_j, sigma = -."""
     _require_char_not_two(carrier.field, "the flip-involution bracket")
-    bracket = ClosedFormBracket(carrier, lambdas, [int(s == var) for s in range(carrier.nvars)])
+    bracket = ClosedFormBracket(carrier, lambdas, [int(s == var) for s in range(carrier.rank)])
     bracket.chi.check(carrier)
     _check_variable(var, carrier)
     return bracket
@@ -264,14 +264,15 @@ def parity_coefficient(field: Field, l: int, m: int, n: int):
     return field.embed(sgn(l) * (n - m) + sgn(m) * (l - n) + sgn(n) * (m - l))
 
 
-def parity_bracket(carrier: CarrierAlgebra, shift) -> ClosedFormBracket:
-    """[t^l,t^m,t^n] = parity_coefficient(l,m,n) t^{l+m+n+s}: `monomial-parity`."""
-    if carrier.nvars != 1:
+def parity_bracket(carrier: GroupAlgebra, shift) -> ClosedFormBracket:
+    """[t^l,t^m,t^n] = parity_coefficient(l,m,n) t^{l+m+n+s}: `monomial-parity`.
+    chi(x) = (-1)^x is evaluated in Python ints on every field."""
+    if carrier.rank != 1:
         raise ValueError("parity bracket is one-variable")
-    return ClosedFormBracket(carrier, [carrier.field.embed(-1)], [1], shift)
+    return ClosedFormBracket(carrier, [-1], [1], shift)
 
 
-def LaurentParityBracket(carrier: LaurentAlgebra, shift: int = 0) -> ClosedFormBracket:
+def LaurentParityBracket(carrier: GroupAlgebra, shift: int = 0) -> ClosedFormBracket:
     """[t^l,t^m,t^n] = {(-1)^l(n-m)+(-1)^m(l-n)+(-1)^n(m-l)} t^{l+m+n+shift-1}.
 
     shift = 2k is the closed form with rows (sign involution, identity,
@@ -282,10 +283,10 @@ def LaurentParityBracket(carrier: LaurentAlgebra, shift: int = 0) -> ClosedFormB
     return bracket
 
 
-def QuotientParityBracket(carrier: QuotientLaurentAlgebra) -> ClosedFormBracket:
+def QuotientParityBracket(carrier: GroupAlgebra) -> ClosedFormBracket:
     """The parity-coefficient bracket on the 2p-dimensional quotient carrier
     with exponents identified modulo t^p = t^-p; requires ch F = p > 2."""
-    p = carrier.p
+    p = carrier.dim() // 2
     if p <= 2:
         raise HypothesisViolation("the quotient bracket requires p > 2")
     if carrier.field.characteristic != p:
@@ -293,7 +294,7 @@ def QuotientParityBracket(carrier: QuotientLaurentAlgebra) -> ClosedFormBracket:
             f"the quotient bracket requires ch F = p = {p}, "
             f"got {carrier.field}"
         )
-    return parity_bracket(carrier, -1)
+    return parity_bracket(carrier, (-1,))
 
 
 class MonomialBracket(TriBracket):
@@ -645,7 +646,7 @@ def laurent_divmod(numer: AlgebraElement, denom: AlgebraElement) -> Tuple[Algebr
     divisibility in the Laurent ring.
     """
     carrier = numer.carrier
-    if not isinstance(carrier, LaurentAlgebra) or carrier.nvars != 1:
+    if not _one_variable_laurent(carrier):
         raise ValueError("laurent_divmod is one-variable")
     if denom.is_zero():
         raise ZeroDivisionError("division by the zero Laurent polynomial")

@@ -317,8 +317,8 @@ _BRACKET = _need(lambda ctx, camp: ctx.bracket is not None or ctx.algebra is not
 _CARRIER_BRACKET = _need(lambda ctx, camp: ctx.bracket is not None, "needs a bracket on a carrier")
 _WEDGE_BRACKET = _need(lambda ctx, camp: getattr(ctx.bracket, "hom", None) is not None,
                        "needs the wedge bracket of a group hom")
-_LAURENT = _need(lambda ctx, camp: isinstance(ctx.carrier, ca.LaurentAlgebra)
-                 and ctx.carrier.nvars == 1, "needs a one-variable Laurent carrier")
+_LAURENT = _need(lambda ctx, camp: ca._one_variable_laurent(ctx.carrier),
+                 "needs a one-variable Laurent carrier")
 _CHAR_NOT_TWO = _need(lambda ctx, camp: ctx.field.characteristic != 2, "needs ch F != 2")
 _ODD_PRIME = _need(lambda ctx, camp: ctx.field.characteristic > 2, "needs ch F = p > 2")
 # a functional condition is checked when all of its maps are given

@@ -1,14 +1,37 @@
 """Commutative associative carrier algebras and their distinguished maps.
 
-Carriers: Laurent polynomial rings in k variables, group algebras of finitely
-generated abelian groups, quotients of one-variable Laurent rings by the
-relation t^p = t^-p, and explicit finite multiplication tables (used for
+Every carrier but a multiplication table is one group algebra F[G] of a
+finitely generated abelian group G = Z^a x Z_{m_1} x ... x Z_{m_b}
+(`GroupAlgebra`).  A basis index is the int tuple of a group element, free
+coordinates first, each torsion coordinate reduced to its lowest
+representative; e_g e_h = e_{g+h}.  The shapes differ only in those
+representatives and in one text form each:
+
+    shape             G        lowest representatives   text form
+    laurent           Z^k      (free)                   1, t^-3, t1^2*t2^-1
+    quotient-laurent  Z_2p     1-p, so t^e with e in    1, t^-2, t^3
+                               {1-p, ..., p}
+    group             Z^a x    0 on each Z_m            e(1,0|2)
+                      prod Z_m
+
+so F[t, t^-1] is F[Z], and its quotient by t^p = t^-p is F[Z_2p].
+`TableAlgebra` is an explicit finite multiplication table (used for
 truncated polynomial rings).  Elements are sparse maps from basis indices to
 nonzero field scalars.
 
 Derivations, involutions and linear functionals are first-class evaluable
 objects defined on basis indices and extended linearly, with checkable laws
-(Leibniz rule, multiplicativity + square = identity, anticommutation).
+(Leibniz rule, multiplicativity + square = identity, anticommutation).  On a
+group algebra each map rule is a character chi(g) = prod_s b_s^{g_s} or an
+additive map a(g) = sum_s a_s g_s:
+
+    CharacterMap          e_g -> c chi(g) e_{sigma(g)+s}, sigma in {id, -}
+    AdditiveDerivation    e_g -> a(g) e_{g+s}
+    CharacterFunctional   e_g -> chi(g)
+    AdditiveFunctional    e_g -> a(g)
+
+and the named rules of the documents are these with fixed parameters
+(`MonomialScale`, `LaurentFlip`, `LaurentDerivation`, ...).
 """
 
 from __future__ import annotations
@@ -40,8 +63,8 @@ class CarrierAlgebra:
     """Commutative associative algebra given by a basis-index product rule."""
 
     shape = "abstract"
-    # exponent variables of a monomial index (none: indices are not exponents)
-    nvars = 0
+    # coordinates of a group-element index (none: indices are not group elements)
+    rank = 0
 
     def __init__(self, field: Field):
         self.field = field
@@ -56,13 +79,9 @@ class CarrierAlgebra:
     def mul_indices(self, i, j) -> List[Tuple[object, object]]:
         return [(self.add_indices(i, j), self.field.one)]
 
-    # -- exponent carriers: the basis is a group, written additively -----
+    # -- group algebras: the basis is a group, written additively --------
     def add_indices(self, i, j):
         raise NotImplementedError(f"{self.shape} carrier has no index addition")
-
-    def exponents(self, i) -> Tuple[int, ...]:
-        """A monomial's exponents, or a group element's coordinates."""
-        raise NotImplementedError(f"{self.shape} carrier indices are not exponents")
 
     def neg_index(self, i):
         raise NotImplementedError(f"{self.shape} carrier has no basis negation")
@@ -123,205 +142,146 @@ class CarrierAlgebra:
 
 def _parse_exponents(text: str, nvars: int) -> tuple:
     """Exponents of a monomial written "1", "t^a" or "t1^a*t2^b" (an omitted
-    power is 1); ValueError unless it names variables 1..nvars."""
+    power is 1); ValueError unless it names variables 1..nvars, each once,
+    and every "^" is followed by a power."""
     exps = [0] * nvars
     if text.strip() != "1":
         for part in text.split("*"):
-            name, _, power = part.partition("^")
+            name, caret, power = part.partition("^")
             name = name.strip()
             var = "1" if name == "t" else name[1:]
             if (name[:1] != "t" or not var.isdigit() or not 1 <= int(var) <= nvars
-                    or exps[int(var) - 1]):
+                    or exps[int(var) - 1] or (caret and not power.strip())):
                 raise ValueError(f"bad monomial {text!r} for {nvars} variable(s)")
-            exps[int(var) - 1] = int(power) if power else 1
+            exps[int(var) - 1] = int(power) if caret else 1
     return tuple(exps)
 
 
-class LaurentAlgebra(CarrierAlgebra):
-    """F[t_1^-1..t_k^-1, t_1..t_k]; indices are integer exponent tuples."""
-
-    shape = "laurent"
-
-    def __init__(self, field: Field, nvars: int = 1):
-        super().__init__(field)
-        if nvars < 1:
-            raise ValueError("need at least one variable")
-        self.nvars = nvars
-
-    def _signature(self):
-        return (self.nvars,)
-
-    def unit_index(self):
-        return (0,) * self.nvars
-
-    def add_indices(self, i, j):
-        return tuple(map(operator.add, i, j))
-
-    def exponents(self, i):
-        return i
-
-    def neg_index(self, i):
-        return tuple(map(operator.neg, i))
-
-    def validate_index(self, i):
-        if not (isinstance(i, tuple) and len(i) == self.nvars and all(isinstance(a, int) for a in i)):
-            raise ValueError(f"bad Laurent exponent tuple {i!r} for {self.nvars} variable(s)")
-
-    def window(self, bound: int) -> List[tuple]:
-        rng = range(-bound, bound + 1)
-        return [tuple(t) for t in itertools.product(rng, repeat=self.nvars)]
-
-    def index_str(self, i):
-        if all(a == 0 for a in i):
-            return "1"
-        if self.nvars == 1:
-            return f"t^{i[0]}"
-        parts = [f"t{k + 1}^{a}" for k, a in enumerate(i) if a != 0]
-        return "*".join(parts)
-
-    def parse_index(self, text: str):
-        return _parse_exponents(text, self.nvars)
+def _parse_coordinates(text: str) -> tuple:
+    """The integers of a comma-separated list, none of them empty; "" is ()."""
+    parts = text.split(",") if text.strip() else []
+    if any(not x.strip() for x in parts):
+        raise ValueError(f"empty coordinate in {text!r}")
+    return tuple(int(x) for x in parts)
 
 
 class GroupAlgebra(CarrierAlgebra):
     """F[G] for G = Z^a x Z_{m_1} x ... x Z_{m_b}; indices are group elements
-    stored as (free..., torsion...) integer tuples with torsion residues
-    reduced into [0, m_i)."""
+    stored as (free..., torsion...) int tuples, each torsion coordinate
+    reduced into [low, low + m) (low = 0 unless `lows` says otherwise).
+    `shape` names the document shape and picks the text form: monomials for
+    "laurent" and "quotient-laurent", e(free|torsion) for "group"."""
 
-    shape = "group"
-
-    def __init__(self, field: Field, free_rank: int = 0, torsion: Sequence[int] = ()):
+    def __init__(self, field: Field, free_rank: int = 0, torsion: Sequence[int] = (),
+                 lows: Optional[Sequence[int]] = None, shape: str = "group"):
         super().__init__(field)
         self.free_rank = free_rank
         self.torsion = tuple(int(m) for m in torsion)
+        lows = (0,) * len(self.torsion) if lows is None else tuple(lows)
+        self.shape = shape
+        self.rank = free_rank + len(self.torsion)
         if free_rank < 0 or any(m < 2 for m in self.torsion):
             raise ValueError("free rank must be >= 0 and torsion orders >= 2")
-        if free_rank == 0 and not self.torsion:
+        if self.rank == 0:
             raise ValueError("trivial group not supported")
+        if len(lows) != len(self.torsion):
+            raise ValueError("one lowest representative per torsion order required")
+        # each coordinate's order (None: free) and lowest representative
+        self._orders = (None,) * free_rank + self.torsion
+        self._lows = (0,) * free_rank + lows
+        if self.torsion:  # free coordinates alone need no reduction
+            self.add_indices, self.neg_index = self._add_reduced, self._neg_reduced
 
     def _signature(self):
-        return (self.free_rank, self.torsion)
-
-    @property
-    def rank(self):
-        return self.free_rank + len(self.torsion)
+        return (self._orders, self._lows)
 
     def dim(self):
-        if self.free_rank:
-            return None
-        d = 1
-        for m in self.torsion:
-            d *= m
-        return d
+        return None if self.free_rank else math.prod(self.torsion)
 
     def unit_index(self):
         return (0,) * self.rank
 
     def reduce_index(self, i):
-        free = tuple(i[: self.free_rank])
-        tor = tuple(x % m for x, m in zip(i[self.free_rank:], self.torsion))
-        return free + tor
+        """The element `i` with each torsion coordinate at its lowest
+        representative."""
+        return tuple([x if m is None else (x - lo) % m + lo
+                      for x, m, lo in zip(i, self._orders, self._lows)])
 
     def add_indices(self, i, j):
-        return self.reduce_index(tuple(a + b for a, b in zip(i, j)))
-
-    def exponents(self, i):
-        return i
+        return tuple(map(operator.add, i, j))
 
     def neg_index(self, i):
-        return self.reduce_index(tuple(-a for a in i))
+        return tuple(map(operator.neg, i))
+
+    def _add_reduced(self, i, j):
+        return self.reduce_index(tuple(map(operator.add, i, j)))
+
+    def _neg_reduced(self, i):
+        return self.reduce_index(tuple(map(operator.neg, i)))
 
     def validate_index(self, i):
         if not (isinstance(i, tuple) and len(i) == self.rank and all(isinstance(a, int) for a in i)):
-            raise ValueError(f"bad group element {i!r}")
-        if i != self.reduce_index(i):
-            raise ValueError(f"group element {i!r} has unreduced torsion part")
+            raise ValueError(f"bad {self.shape} index {i!r}: need {self.rank} integer coordinates")
+        if self.torsion and i != self.reduce_index(i):
+            raise ValueError(f"{self.shape} index {i!r} has a torsion coordinate outside "
+                             f"its lowest representatives")
 
     def basis_indices(self):
         if self.free_rank:
-            raise NotImplementedError("group has infinite order")
-        return [tuple(t) for t in itertools.product(*(range(m) for m in self.torsion))]
+            raise NotImplementedError(f"{self.shape} carrier is infinite dimensional")
+        return self.window(0)
 
     def window(self, bound: int):
-        free = itertools.product(range(-bound, bound + 1), repeat=self.free_rank)
-        tors = list(itertools.product(*(range(m) for m in self.torsion)))
-        return [f + t for f in free for t in tors]
+        """The elements with free coordinates in [-bound, bound], and every
+        torsion coordinate."""
+        return list(itertools.product(*(range(-bound, bound + 1) if m is None else
+                                        range(lo, lo + m)
+                                        for m, lo in zip(self._orders, self._lows))))
 
     def index_str(self, i):
-        free = ",".join(str(a) for a in i[: self.free_rank])
-        tor = ",".join(str(a) for a in i[self.free_rank:])
-        if tor:
-            return f"e({free}|{tor})"
-        return f"e({free})"
+        if self.shape == "group":
+            free = ",".join(str(a) for a in i[: self.free_rank])
+            tor = ",".join(str(a) for a in i[self.free_rank:])
+            return f"e({free}|{tor})" if tor else f"e({free})"
+        if not any(i):
+            return "1"
+        if self.rank == 1:
+            return f"t^{i[0]}"
+        return "*".join(f"t{k + 1}^{a}" for k, a in enumerate(i) if a != 0)
 
     def parse_index(self, text: str):
+        if self.shape != "group":
+            return self.reduce_index(_parse_exponents(text, self.rank))
         s = text.strip()
         if not (s.startswith("e(") and s.endswith(")")):
             raise ValueError(f"bad group element text {text!r}")
-        body = s[2:-1]
-        free_part, _, tor_part = body.partition("|")
-        free = tuple(int(x) for x in free_part.split(",") if x.strip() != "")
-        tor = tuple(int(x) for x in tor_part.split(",") if x.strip() != "")
+        free_part, _, tor_part = s[2:-1].partition("|")
+        free, tor = _parse_coordinates(free_part), _parse_coordinates(tor_part)
         if (len(free), len(tor)) != (self.free_rank, len(self.torsion)):
             raise ValueError(f"group element {text!r} does not match the free rank and "
-                             f"torsion orders {self._signature()}")
+                             f"torsion orders {(self.free_rank, self.torsion)}")
         return self.reduce_index(free + tor)
 
 
-class QuotientLaurentAlgebra(CarrierAlgebra):
-    """One-variable Laurent ring modulo the identification t^p = t^-p.
+def LaurentAlgebra(field: Field, nvars: int = 1) -> GroupAlgebra:
+    """F[t_1^-1..t_k^-1, t_1..t_k] = F[Z^k]; indices are exponent tuples."""
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+    return GroupAlgebra(field, nvars, shape="laurent")
 
-    Exponents live in the canonical window {1-p, ..., p} and add modulo 2p;
-    this is the quotient by the principal ideal generated by t^p - t^-p.
-    """
 
-    shape = "quotient-laurent"
-    nvars = 1
+def QuotientLaurentAlgebra(field: Field, p: int) -> GroupAlgebra:
+    """One-variable Laurent ring modulo the identification t^p = t^-p, the
+    quotient by the principal ideal generated by t^p - t^-p: F[Z_2p], with
+    exponents (e,) in the canonical window {1-p, ..., p}."""
+    if p < 2:
+        raise ValueError("quotient parameter must be >= 2")
+    return GroupAlgebra(field, 0, (2 * p,), lows=(1 - p,), shape="quotient-laurent")
 
-    def __init__(self, field: Field, p: int):
-        super().__init__(field)
-        if p < 2:
-            raise ValueError("quotient parameter must be >= 2")
-        self.p = p
 
-    def _signature(self):
-        return (self.p,)
-
-    def dim(self):
-        return 2 * self.p
-
-    def unit_index(self):
-        return 0
-
-    def reduce_exponent(self, e: int) -> int:
-        return (e - (1 - self.p)) % (2 * self.p) + (1 - self.p)
-
-    def add_indices(self, i, j):
-        return self.reduce_exponent(i + j)
-
-    def exponents(self, i):
-        return (i,)
-
-    def neg_index(self, i):
-        return self.reduce_exponent(-i)
-
-    def validate_index(self, i):
-        if not isinstance(i, int) or not (1 - self.p <= i <= self.p):
-            raise ValueError(
-                f"quotient exponent {i!r} outside canonical window [{1 - self.p}, {self.p}]"
-            )
-
-    def basis_indices(self):
-        return list(range(1 - self.p, self.p + 1))
-
-    def window(self, bound: int):
-        return self.basis_indices()
-
-    def index_str(self, i):
-        return "1" if i == 0 else f"t^{i}"
-
-    def parse_index(self, text: str):
-        return self.reduce_exponent(_parse_exponents(text, 1)[0])
+def _one_variable_laurent(carrier) -> bool:
+    """Whether `carrier` is F[t, t^-1], the ring of the one-variable checks."""
+    return isinstance(carrier, GroupAlgebra) and carrier.shape == "laurent" and carrier.rank == 1
 
 
 class TableAlgebra(CarrierAlgebra):
@@ -520,34 +480,47 @@ class GroupHom:
             raise CarrierMismatchError("GroupHom requires a group algebra carrier")
         f = carrier.field
         self.carrier = carrier
-        self.free_values = [f.normalize(v) for v in free_values]
-        self.torsion_values = [f.normalize(v) for v in torsion_values]
-        if len(self.free_values) != carrier.free_rank or len(self.torsion_values) != len(carrier.torsion):
+        free = [f.normalize(v) for v in free_values]
+        torsion = [f.normalize(v) for v in torsion_values]
+        if len(free) != carrier.free_rank or len(torsion) != len(carrier.torsion):
             raise ValueError("generator value count does not match the group signature")
-        for m, v in zip(carrier.torsion, self.torsion_values):
+        for m, v in zip(carrier.torsion, torsion):
             if not f.is_zero(f.mul(f.embed(m), v)):
                 raise HypothesisViolation(
                     f"hom value {f.render(v)} on a torsion generator of order {m} "
                     f"violates m*alpha = 0 in {f}"
                 )
+        # one value per coordinate of a group element
+        self.values = tuple(free + torsion)
 
     def is_zero(self):
-        f = self.carrier.field
-        return all(f.is_zero(v) for v in self.free_values + self.torsion_values)
+        return not any(self.values)
 
     def __call__(self, g) -> object:
-        values = self.free_values + self.torsion_values
-        return self.carrier.field.normalize(sum(x * v for x, v in zip(g, values)))
+        return self.carrier.field.normalize(sum(map(operator.mul, g, self.values)))
 
 
 # ---------------------------------------------------------------------------
-# endomorphisms and functionals
+# map rules: characters and additive maps
 # ---------------------------------------------------------------------------
 
 def _check_variable(var: int, carrier: CarrierAlgebra) -> None:
-    if not 0 <= var < carrier.nvars:
+    if not 0 <= var < carrier.rank:
         raise ValueError(f"variable index {var} is out of range for a carrier with "
-                         f"{carrier.nvars} exponent variable(s)")
+                         f"{carrier.rank} exponent variable(s)")
+
+
+def _check_shift(shift, carrier: CarrierAlgebra) -> None:
+    if shift is not None and len(shift) != carrier.rank:
+        raise ValueError(f"a shift by {shift} needs a carrier with {len(shift)} exponent "
+                         f"variable(s), not {carrier.rank}")
+
+
+def _unit(var: int) -> tuple:
+    """The values of a(g) = g_var."""
+    if var < 0:
+        raise ValueError(f"variable index {var} is negative")
+    return (0,) * var + (1,)
 
 
 def _table_dim(carrier: CarrierAlgebra) -> int:
@@ -560,18 +533,55 @@ def _table_dim(carrier: CarrierAlgebra) -> int:
     return d
 
 
-class MapRule:
-    """How a map acts on basis indices; `one_variable` rules read the
-    exponent m of t^m."""
+class Character:
+    """chi(g) = prod_s bases_s^{g_s} on group-element indices, cached per
+    index; no bases is chi = 1 on any carrier.
 
-    one_variable = False
+    When every base is a Python int (parity's -1), chi is evaluated in ints
+    and left unnormalized, as a value of any field's arithmetic: callers sum
+    it with `Field.combine` or `Field.normalize`, which normalize once.
+    """
+
+    def __init__(self, bases: Sequence = ()):
+        self.bases = tuple(bases)
+        self._ints = all(type(b) is int for b in self.bases)
+        self._field, self._values = None, {}
+
+    def check(self, carrier: CarrierAlgebra) -> None:
+        f = carrier.field
+        if self.bases and len(self.bases) != carrier.rank:
+            raise ValueError("one scale factor per variable required")
+        if any(f.is_zero(f.normalize(b)) for b in self.bases):
+            raise HypothesisViolation("a character prod_s lambda_s^(g_s) requires lambda != 0")
+
+    def __call__(self, field: Field, g):
+        if not self.bases:
+            return 1
+        if field is not self._field:  # the cache holds the values of one field
+            self._field, self._values = field, {}
+        c = self._values.get(g)
+        if c is None:
+            c = self._values[g] = self._power_product(field, g)
+        return c
+
+    def _power_product(self, field: Field, g):
+        if not self._ints:
+            return field.normalize(math.prod(field.pow(b, e) for b, e in zip(self.bases, g)))
+        num = den = 1
+        for b, e in zip(self.bases, g):
+            if e < 0:
+                den *= b ** -e
+            else:
+                num *= b ** e
+        return num * den if den in (1, -1) else field.mul(num, field.inv(field.normalize(den)))
+
+
+class MapRule:
+    """How a map acts on basis indices."""
 
     def check(self, carrier: CarrierAlgebra) -> None:
         """Raise ValueError unless the rule's parameters suit `carrier`; run
         once, when a map is built from the rule."""
-        if self.one_variable and carrier.nvars != 1:
-            raise ValueError(f"{self.describe()} needs a carrier with one exponent variable, "
-                             f"not {carrier.nvars}")
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -582,123 +592,148 @@ class EndoRule(MapRule):
         raise NotImplementedError
 
 
-class IdentityRule(EndoRule):
-    def image(self, carrier, idx):
-        return [(idx, carrier.field.one)]
-
-    def describe(self):
-        return "identity"
+class FunctionalRule(MapRule):
+    def value(self, carrier: CarrierAlgebra, idx):
+        raise NotImplementedError
 
 
-class MonomialScale(EndoRule):
-    """t^m -> base^m t^m on a one-variable monomial carrier.
+class CharacterMap(EndoRule):
+    """e_g -> c chi(g) e_{sigma(g)+s}: sigma = - when `negate`, s = 0 when
+    `shift` is None, c = 1 when `coeff` is None."""
 
-    base = -1 is the sign involution family member; base = +1 the identity.
-    """
-
-    one_variable = True
-
-    def __init__(self, base):
-        self.base = base
+    def __init__(self, bases: Sequence = (), negate: bool = False, shift=None, coeff=None):
+        self.chi = Character(bases)
+        self.negate, self.shift, self.coeff = negate, shift, coeff
 
     def check(self, carrier):
-        super().check(carrier)
-        if carrier.field.is_zero(carrier.field.normalize(self.base)):
-            raise HypothesisViolation("monomial scale requires base != 0")
+        self.chi.check(carrier)
+        _check_shift(self.shift, carrier)
 
     def image(self, carrier, idx):
-        m, = carrier.exponents(idx)
-        return [(idx, carrier.field.pow(self.base, m))]
+        c = self.chi(carrier.field, idx)
+        if self.negate:
+            idx = carrier.neg_index(idx)
+        if self.shift is not None:
+            idx = carrier.add_indices(idx, self.shift)
+        return [(idx, c if self.coeff is None else self.coeff * c)]
 
     def describe(self):
-        return "monomial scale base^m"
+        target = ("-g" if self.negate else "g") + (f"+{self.shift}" if self.shift else "")
+        return f"e_g -> c chi(g) e_({target}), chi = prod {self.chi.bases}^g"
 
 
-class LaurentDerivation(EndoRule):
-    """t^l * d/dt on one-variable carriers: t^m -> m t^{m+l-1}."""
+class AdditiveDerivation(EndoRule):
+    """e_g -> a(g) e_{g+s} for a(g) = sum_s a_s g_s (a_s = 0 past the given
+    values); s = 0 when `shift` is None."""
 
-    one_variable = True
-
-    def __init__(self, power: int):
-        self.power = power
-
-    def image(self, carrier, idx):
-        m, = carrier.exponents(idx)
-        if isinstance(carrier, QuotientLaurentAlgebra):
-            return [(carrier.reduce_exponent(m + self.power - 1), carrier.field.embed(m))]
-        return [((m + self.power - 1,), carrier.field.embed(m))]
-
-    def describe(self):
-        return f"t^{self.power} d/dt"
-
-
-class VariableScalingDerivation(EndoRule):
-    """t_j * d/dt_j on multivariable Laurent carriers: t^r -> r_j t^r."""
-
-    def __init__(self, var: int = 0):
-        self.var = var
+    def __init__(self, a: Sequence, shift=None):
+        self.a, self.shift = tuple(a), shift
 
     def check(self, carrier):
-        _check_variable(self.var, carrier)
+        if self.a:
+            _check_variable(len(self.a) - 1, carrier)
+        _check_shift(self.shift, carrier)
 
     def image(self, carrier, idx):
-        return [(idx, carrier.field.embed(idx[self.var]))]
+        target = idx if self.shift is None else carrier.add_indices(idx, self.shift)
+        return [(target, sum(map(operator.mul, self.a, idx)))]
 
     def describe(self):
-        return f"t_{self.var + 1} d/dt_{self.var + 1}"
+        return f"e_g -> a(g) e_(g+{self.shift or 0}), a = {self.a}"
 
 
-class LaurentFlip(EndoRule):
+class CharacterFunctional(FunctionalRule):
+    """e_g -> chi(g)."""
+
+    def __init__(self, bases: Sequence = ()):
+        self.chi = Character(bases)
+
+    def check(self, carrier):
+        self.chi.check(carrier)
+
+    def value(self, carrier, idx):
+        return self.chi(carrier.field, idx)
+
+    def describe(self):
+        return f"chi(g) = prod {self.chi.bases}^g"
+
+
+class AdditiveFunctional(FunctionalRule):
+    """e_g -> a(g) = sum_s a_s g_s."""
+
+    def __init__(self, a: Sequence):
+        self.a = tuple(a)
+
+    def check(self, carrier):
+        if self.a:
+            _check_variable(len(self.a) - 1, carrier)
+
+    def value(self, carrier, idx):
+        return sum(map(operator.mul, self.a, idx))
+
+    def describe(self):
+        return f"a(g), a = {self.a}"
+
+
+# the named rules: (chi, sigma, s, c) or (a, s)
+
+def IdentityRule() -> CharacterMap:
+    return CharacterMap()
+
+
+def MonomialScale(base) -> CharacterMap:
+    """t^m -> base^m t^m: base = -1 is the sign involution, +1 the identity."""
+    return CharacterMap((base,))
+
+
+def LaurentFlip(lambdas: Sequence) -> CharacterMap:
     """t^r -> L(r) t^{-r} with L(r) = prod_s lambda_s^{r_s}; one lambda_s per
     variable, each nonzero."""
-
-    def __init__(self, lambdas: Sequence):
-        self.lambdas = tuple(lambdas)
-        self._scales: Dict[tuple, object] = {}
-
-    def check(self, carrier):
-        f = carrier.field
-        if len(self.lambdas) != carrier.nvars:
-            raise ValueError("one scale factor per variable required")
-        if any(f.is_zero(f.normalize(lam)) for lam in self.lambdas):
-            raise HypothesisViolation("flip involution requires lambda != 0")
-
-    def scale(self, field: Field, exps: tuple):
-        """L(r) for the exponent tuple r, cached per tuple."""
-        c = self._scales.get(exps)
-        if c is None:
-            c = self._scales[exps] = field.normalize(
-                math.prod(field.pow(lam, r) for lam, r in zip(self.lambdas, exps)))
-        return c
-
-    def image(self, carrier, idx):
-        return [(carrier.neg_index(idx), self.scale(carrier.field, carrier.exponents(idx)))]
-
-    def describe(self):
-        return "lambda^r t^-r flip"
+    return CharacterMap(lambdas, negate=True)
 
 
-class GroupNegation(EndoRule):
-    """e_g -> e_{-g} on any carrier with basis negation."""
-
-    def image(self, carrier, idx):
-        return [(carrier.neg_index(idx), carrier.field.one)]
-
-    def describe(self):
-        return "e_g -> e_-g"
+def GroupNegation() -> CharacterMap:
+    """e_g -> e_{-g}."""
+    return CharacterMap(negate=True)
 
 
-class GroupHomDerivation(EndoRule):
+def MonomialShift(offset: int, coeff=None) -> CharacterMap:
+    """t^m -> coeff * t^{m+offset} on one-variable carriers."""
+    return CharacterMap(shift=(offset,), coeff=coeff)
+
+
+def LaurentDerivation(power: int) -> AdditiveDerivation:
+    """t^l * d/dt on one-variable carriers: t^m -> m t^{m+l-1}."""
+    return AdditiveDerivation((1,), (power - 1,))
+
+
+def VariableScalingDerivation(var: int = 0) -> AdditiveDerivation:
+    """t_j * d/dt_j on multivariable Laurent carriers: t^r -> r_j t^r."""
+    return AdditiveDerivation(_unit(var))
+
+
+def GroupHomDerivation(hom: GroupHom) -> AdditiveDerivation:
     """e_g -> alpha(g) e_g for alpha in Hom(G, F^+)."""
+    return AdditiveDerivation(hom.values)
 
-    def __init__(self, hom: GroupHom):
-        self.hom = hom
 
-    def image(self, carrier, idx):
-        return [(idx, self.hom(idx))]
+def AlternatingSign() -> CharacterFunctional:
+    """t^m -> (-1)^m (one-variable)."""
+    return CharacterFunctional((-1,))
 
-    def describe(self):
-        return "e_g -> alpha(g) e_g"
+
+def ConstantOne() -> CharacterFunctional:
+    return CharacterFunctional()
+
+
+def ExponentValue(var: int = 0) -> AdditiveFunctional:
+    """t^r -> r_var."""
+    return AdditiveFunctional(_unit(var))
+
+
+def GroupHomFunctional(hom: GroupHom) -> AdditiveFunctional:
+    """phi_alpha(e_g) = alpha(g)."""
+    return AdditiveFunctional(hom.values)
 
 
 class TableMap(EndoRule):
@@ -724,23 +759,6 @@ class TableMap(EndoRule):
         return "matrix-defined map"
 
 
-class MonomialShift(EndoRule):
-    """t^m -> coeff * t^{m+offset} on one-variable Laurent carriers."""
-
-    one_variable = True
-
-    def __init__(self, offset: int, coeff=None):
-        self.offset = offset
-        self.coeff = coeff
-
-    def image(self, carrier, idx):
-        c = carrier.field.one if self.coeff is None else self.coeff
-        return [(carrier.add_indices(idx, (self.offset,)), c)]
-
-    def describe(self):
-        return f"t^m -> c t^(m{self.offset:+d})"
-
-
 class IdMinus(EndoRule):
     """x -> x - inner(x)."""
 
@@ -757,6 +775,22 @@ class IdMinus(EndoRule):
 
     def describe(self):
         return f"identity minus ({self.inner.describe()})"
+
+
+class TableFunctional(FunctionalRule):
+    def __init__(self, values: Sequence):
+        self.values = list(values)
+
+    def check(self, carrier):
+        d = _table_dim(carrier)
+        if len(self.values) != d:
+            raise ValueError(f"a functional of a {d}-dimensional carrier needs {d} values")
+
+    def value(self, carrier, idx):
+        return self.values[idx]
+
+    def describe(self):
+        return "vector-defined functional"
 
 
 class Endomorphism:
@@ -777,77 +811,6 @@ class Endomorphism:
 
     def __repr__(self):
         return f"Endo({self.name})"
-
-
-class FunctionalRule(MapRule):
-    def value(self, carrier: CarrierAlgebra, idx):
-        raise NotImplementedError
-
-
-class AlternatingSign(FunctionalRule):
-    """t^m -> (-1)^m (one-variable)."""
-
-    one_variable = True
-
-    def value(self, carrier, idx):
-        m, = carrier.exponents(idx)
-        return carrier.field.embed(-1 if m % 2 else 1)
-
-    def describe(self):
-        return "(-1)^m"
-
-
-class ConstantOne(FunctionalRule):
-    def value(self, carrier, idx):
-        return carrier.field.one
-
-    def describe(self):
-        return "1"
-
-
-class ExponentValue(FunctionalRule):
-    """t^m -> m (one-variable) or r_j for a chosen variable."""
-
-    def __init__(self, var: int = 0):
-        self.var = var
-
-    def check(self, carrier):
-        _check_variable(self.var, carrier)
-
-    def value(self, carrier, idx):
-        return carrier.field.embed(carrier.exponents(idx)[self.var])
-
-    def describe(self):
-        return "exponent value"
-
-
-class GroupHomFunctional(FunctionalRule):
-    """phi_alpha(e_g) = alpha(g)."""
-
-    def __init__(self, hom: GroupHom):
-        self.hom = hom
-
-    def value(self, carrier, idx):
-        return self.hom(idx)
-
-    def describe(self):
-        return "phi_alpha"
-
-
-class TableFunctional(FunctionalRule):
-    def __init__(self, values: Sequence):
-        self.values = list(values)
-
-    def check(self, carrier):
-        d = _table_dim(carrier)
-        if len(self.values) != d:
-            raise ValueError(f"a functional of a {d}-dimensional carrier needs {d} values")
-
-    def value(self, carrier, idx):
-        return self.values[idx]
-
-    def describe(self):
-        return "vector-defined functional"
 
 
 class Functional:
@@ -984,10 +947,10 @@ def check_functional_bracket_conditions(
                        sum(r.checked for r in details.values()), details=details)
 
 
-def check_witt_relation(carrier: LaurentAlgebra, bound: int) -> CheckReport:
+def check_witt_relation(carrier: GroupAlgebra, bound: int) -> CheckReport:
     """Commutator law of the scaling derivations on a one-variable Laurent
     ring: [t^m d, t^n d] = (n-m) t^{m+n} d with d = t d/dt, on monomials."""
-    if not isinstance(carrier, LaurentAlgebra) or carrier.nvars != 1:
+    if not _one_variable_laurent(carrier):
         raise ValueError("the Witt relation check is one-variable")
     f = carrier.field
     rep = CheckReport("[t^m d, t^n d] = (n-m) t^{m+n} d")
@@ -1016,13 +979,13 @@ class InvolutionFamily:
     make: Callable[..., Endomorphism]
 
 
-def classify_involutions(carrier: LaurentAlgebra) -> List[InvolutionFamily]:
+def classify_involutions(carrier: GroupAlgebra) -> List[InvolutionFamily]:
     """The two parametric families of involutions of F[t,t^-1], char != 2.
 
     Sign family: t^m -> e^m t^m with e = +-1; flip family: t^m -> c^m t^-m
     with c != 0.  Any algebra involution is one of these.
     """
-    if not isinstance(carrier, LaurentAlgebra) or carrier.nvars != 1:
+    if not _one_variable_laurent(carrier):
         raise ValueError("classification applies to one-variable Laurent rings")
     if carrier.field.characteristic == 2:
         raise HypothesisViolation(

@@ -589,6 +589,14 @@ def _residue_dtype(p: int, terms: int):
                  if _fits(np.dtype(t), p, terms)), np.dtype(object))
 
 
+# certification lines in flight over all threads, one chunk per thread: for
+# fixed-width rows, and for Python-int rows, which take far more memory.
+# Each thread allocates in a heap of its own, and two chunks of 16,384 lines
+# raised the peak RSS of certifying A_4 over F_89 by 3% on 2 cores
+LINES_IN_FLIGHT = 24576
+OBJECT_LINES_IN_FLIGHT = 1024
+
+
 def available_cores() -> int:
     """The number of cores this process may run on: its CPU affinity where
     the platform reports one, else the machine's CPU count."""
@@ -615,12 +623,9 @@ def _certify_prime_exhaustive(L: FiniteNLieAlgebra, L1: Subspace) -> SimplicityC
     p, d = L.field.p, L.dim
     stacks = _line_stacks(L)
     cores = available_cores()
-    # one chunk per thread in flight, 24,576 lines in all (1,024 for
-    # Python-int rows, which take far more memory than fixed-width ones):
-    # each thread allocates in a heap of its own, and two chunks of 16,384
-    # lines raised the peak RSS of certifying A_4 over F_89 by 3% on 2 cores.
-    # Never more threads than ceil(lines / chunk)
-    chunk = max(1, (24576 if stacks[0].dtype != object else 1024) // cores)
+    # never more threads than ceil(lines / chunk)
+    chunk = max(1, (LINES_IN_FLIGHT if stacks[0].dtype != object
+                    else OBJECT_LINES_IN_FLIGHT) // cores)
     workers = min(cores, -(-_line_count(p, d) // chunk))
     chunks = _canonical_line_chunks(p, d, chunk, stacks[0].dtype)
     checked, per_stack, row = 0, np.zeros(len(stacks), dtype=np.int64), None

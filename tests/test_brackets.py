@@ -334,20 +334,20 @@ def quotient_bracket(p):
 def test_quotient_case_boundary_family():
     # [t^{p-1}, t^p, t^{2-p}] = 4 t^p, which is t^p over F_3
     Q, br = quotient_bracket(3)
-    out = br.eval_indices(2, 3, -1)
-    assert out == Q.monomial(3, 1)
+    out = br.eval_indices((2,), (3,), (-1,))
+    assert out == Q.monomial((3,), 1)
 
 
 def test_quotient_interior_family():
     # [t^l, t^p, t^{1-p}] has coefficient (-1)^l - 2l + 1; l = 2 gives -2 = 1 mod 3
     Q, br = quotient_bracket(3)
-    out = br.eval_indices(2, 3, -2)
-    assert out == Q.monomial(2, 1)
+    out = br.eval_indices((2,), (3,), (-2,))
+    assert out == Q.monomial((2,), 1)
 
 
 def test_quotient_repeated():
     Q, br = quotient_bracket(3)
-    assert br.eval_indices(1, 1, 2).is_zero()
+    assert br.eval_indices((1,), (1,), (2,)).is_zero()
 
 
 def test_quotient_requires_matching_characteristic():

@@ -99,9 +99,9 @@ def test_commutative_and_associative(carrier):
 
 def test_quotient_exponent_reduction():
     A = QuotientLaurentAlgebra(PrimeField(3), 3)
-    assert A.reduce_exponent(4) == -2      # t^4 = t^p * t = t^-p * t = t^-2
-    assert A.reduce_exponent(-3) == 3      # t^-p = t^p
-    assert A.monomial(2) * A.monomial(2) == A.monomial(-2)
+    assert A.reduce_index((4,)) == (-2,)   # t^4 = t^p * t = t^-p * t = t^-2
+    assert A.reduce_index((-3,)) == (3,)   # t^-p = t^p
+    assert A.monomial((2,)) * A.monomial((2,)) == A.monomial((-2,))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +394,7 @@ def test_index_text_round_trips():
     assert G.parse_index("e(1,0|2)") == (1, 0, 0)
     assert G.parse_index(G.index_str((1, 0, 1))) == (1, 0, 1)
     Q3 = QuotientLaurentAlgebra(PrimeField(3), 3)
-    assert Q3.parse_index("t^-3") == 3
+    assert Q3.parse_index("t^-3") == (3,)
 
 
 @pytest.mark.parametrize("carrier, text", [
@@ -404,6 +404,12 @@ def test_index_text_round_trips():
     (QuotientLaurentAlgebra(PrimeField(3), 3), "t2^1"),
     (GroupAlgebra(QQ, torsion=[3]), "e(1)"),
     (truncated_polynomial_algebra(QQ, 3), "y"),
+    # an empty power was read as 1, an empty coordinate was dropped
+    (laurent(), "t^"), (laurent(nvars=2), "t1^*t2^3"),
+    (QuotientLaurentAlgebra(PrimeField(3), 3), "t^"),
+    (GroupAlgebra(QQ, free_rank=2, torsion=[3]), "e(1,,2|1)"),
+    (GroupAlgebra(QQ, free_rank=2, torsion=[3]), "e(1,2|1,)"),
+    (GroupAlgebra(QQ, torsion=[3]), "e(|,1)"),
 ])
 def test_malformed_index_text_is_a_value_error(carrier, text):
     with pytest.raises(ValueError):

@@ -291,10 +291,23 @@ def pipeline_case(request):
 
 
 def small_chunks(monkeypatch, size):
-    """Make the certificate enumerate its lines in chunks of `size`."""
-    real = structure._canonical_line_chunks
-    monkeypatch.setattr(structure, "_canonical_line_chunks",
-                        lambda p, d, chunk, dtype: real(p, d, size, dtype))
+    """Make the certificate enumerate its lines in chunks of `size` on the
+    (patched) available cores, and return the list that records the size of
+    each thread pool it starts."""
+    monkeypatch.setattr(structure, "LINES_IN_FLIGHT", size * structure.available_cores())
+    return recorded_pools(monkeypatch)
+
+
+def recorded_pools(monkeypatch):
+    """The list that records the `max_workers` of each thread pool started."""
+    real, pools = concurrent.futures.ThreadPoolExecutor, []
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
+    return pools
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -303,7 +316,7 @@ def test_pipeline_certificate_matches_a_serial_loop(pipeline_case, workers, size
                                                     monkeypatch):
     L, (verdict, lines, witness, counts, line) = pipeline_case
     monkeypatch.setattr(structure, "available_cores", lambda: workers)
-    small_chunks(monkeypatch, size)
+    pools = small_chunks(monkeypatch, size)
     real = structure._proper_lines
 
     def witness_chunk_last(stacks, V, p):
@@ -318,6 +331,7 @@ def test_pipeline_certificate_matches_a_serial_loop(pipeline_case, workers, size
     assert (cert.verdict, cert.lines_checked, cert.witness) == (verdict, lines, witness)
     assert cert.notes["lines_per_stack"] == counts
     assert sum(counts) == lines
+    assert pools == [workers]
     if witness is not None:
         assert witness.dim == 4 and is_ideal(L, witness)
 
@@ -326,7 +340,7 @@ def test_pipeline_with_more_threads_than_cores_switching_often(monkeypatch):
     L = laurent_quotient_p3()
     verdict, lines, _, counts, _ = serial_certificate(L)
     monkeypatch.setattr(structure, "available_cores", lambda: 8)
-    small_chunks(monkeypatch, 3)
+    pools = small_chunks(monkeypatch, 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -335,6 +349,7 @@ def test_pipeline_with_more_threads_than_cores_switching_often(monkeypatch):
         sys.setswitchinterval(interval)
     assert (cert.verdict, cert.lines_checked) == (verdict, lines) == ("simple", 364)
     assert cert.notes["lines_per_stack"] == counts
+    assert pools == [8]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -377,18 +392,12 @@ def test_pipeline_keeps_at_most_one_chunk_per_thread_in_flight(workers, monkeypa
 def test_fewer_lines_than_one_chunk_start_one_worker_thread(make, lines, cores, monkeypatch):
     # laurent-quotient-p3 enumerates its 364 lines in 6 chunks, one per pivot
     monkeypatch.setattr(structure, "available_cores", lambda: cores)
-    real_pool, real_lines = concurrent.futures.ThreadPoolExecutor, structure._proper_lines
-    pools, threads = [], set()
-
-    def pool(max_workers):
-        pools.append(max_workers)
-        return real_pool(max_workers=max_workers)
+    real_lines, pools, threads = structure._proper_lines, recorded_pools(monkeypatch), set()
 
     def lines_on_a_thread(stacks, V, p):
         threads.add(threading.current_thread())
         return real_lines(stacks, V, p)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
     monkeypatch.setattr(structure, "_proper_lines", lines_on_a_thread)
     cert = certify_simplicity(make())
     assert (cert.verdict, cert.lines_checked) == ("simple", lines)
@@ -409,10 +418,11 @@ def failing_chunk(monkeypatch, index):
 
 def test_chunk_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(structure, "available_cores", lambda: 3)
-    small_chunks(monkeypatch, 4)
+    pools = small_chunks(monkeypatch, 4)
     failing_chunk(monkeypatch, 5)
     with pytest.raises(ZeroDivisionError, match="chunk 5"):
         certify_simplicity(a4(5))
+    assert pools == [3]
 
 
 # an algebra whose lines fill many chunks at every thread count: its first
@@ -466,7 +476,7 @@ def test_full_size_chunk_error_reaches_the_caller_from_threads(monkeypatch):
     (lambda: a4(5), False), (lambda: a4_plus_center(7), False), (lambda: a4(5), True)])
 def test_no_worker_thread_outlives_the_call(make, error, monkeypatch):
     monkeypatch.setattr(structure, "available_cores", lambda: 3)
-    small_chunks(monkeypatch, 4)
+    pools = small_chunks(monkeypatch, 4)
     if error:
         failing_chunk(monkeypatch, 5)
     before = set(threading.enumerate())
@@ -475,6 +485,7 @@ def test_no_worker_thread_outlives_the_call(make, error, monkeypatch):
     except ZeroDivisionError:
         assert error
     assert set(threading.enumerate()) == before
+    assert pools == [3]
 
 
 @pytest.mark.parametrize("workers", [2, 3])
