@@ -297,33 +297,28 @@ def QuotientParityBracket(carrier: GroupAlgebra) -> ClosedFormBracket:
     return parity_bracket(carrier, (-1,))
 
 
+SKEW_SAMPLES = 60
+
+
 class MonomialBracket(TriBracket):
     """[e_a,e_b,e_c] = f(a,b,c) e_{a+b+c+t} for a skew coefficient function f
-    and a fixed shift t; skewness of f is validated on sampled triples."""
+    and a fixed shift t; skewness of f is checked on `SKEW_SAMPLES` seeded triples."""
 
-    def __init__(self, carrier: CarrierAlgebra, coeff_fn: Callable, t_shift,
-                 skew_samples: int = 60, seed: int = 0):
+    def __init__(self, carrier: CarrierAlgebra, coeff_fn: Callable, t_shift):
         super().__init__(carrier)
         self.coeff_fn = coeff_fn
         self.t_shift = t_shift
         carrier.validate_index(t_shift)
-        self._validate_skew(skew_samples, seed)
-
-    def _validate_skew(self, samples, seed):
-        rng = random.Random(seed)
-        f = self.carrier.field
-        window = self.carrier.window(3)
-        for _ in range(samples):
+        rng = random.Random(0)
+        f = carrier.field
+        window = carrier.window(3)
+        for _ in range(SKEW_SAMPLES):
             a, b, c = (rng.choice(window) for _ in range(3))
             base = self.coeff_fn(a, b, c)
             for perm, sign in _PERMS3:
                 args = [(a, b, c)[t] for t in perm]
-                got = self.coeff_fn(*args)
-                want = base if sign == 1 else f.neg(base)
-                if got != want:
-                    raise ValueError(
-                        f"coefficient function is not skew-symmetric at {args}"
-                    )
+                if self.coeff_fn(*args) != (base if sign == 1 else f.neg(base)):
+                    raise ValueError(f"coefficient function is not skew-symmetric at {args}")
 
     def eval_indices(self, a, b, c):
         add = self.carrier.add_indices
@@ -701,7 +696,10 @@ def check_principal_ideal_membership(bracket: TriBracket, generator: AlgebraElem
 # kernel ideal certification for finite group algebras
 # ---------------------------------------------------------------------------
 
-def group_kernel_certificate(hom: GroupHom, seed: int = 0, spot_samples: int = 400):
+KERNEL_SPOT_SAMPLES = 400
+
+
+def group_kernel_certificate(hom: GroupHom, seed: int = 0):
     """Non-simplicity certificate for the group-algebra wedge bracket: the
     kernel of phi(x) = sum lambda_g alpha(g) is a maximal ideal.
 
@@ -711,8 +709,7 @@ def group_kernel_certificate(hom: GroupHom, seed: int = 0, spot_samples: int = 4
     (phi([e_g,e_h,e_w]) = P(alpha(g),alpha(h),alpha(w)) with
     P(a,b,c) = (c-b)(b+c-a)+(a-c)(a+c-b)+(b-a)(a+b-c)), so checking P = 0 on
     every triple of attained hom values covers every basis triple exactly;
-    seeded direct evaluations cross-check that factorization.
-
+    `KERNEL_SPOT_SAMPLES` seeded evaluations cross-check that factorization.
     Returns (SimplicityCertificate, CheckReport).
     """
     from .linalg import kernel_of_functional
@@ -749,13 +746,13 @@ def group_kernel_certificate(hom: GroupHom, seed: int = 0, spot_samples: int = 4
     rng = random.Random(seed)
     bracket = GroupWedgeBracket(hom)
     phi = Functional(G, GroupHomFunctional(hom))
-    for _ in range(spot_samples):
+    for _ in range(KERNEL_SPOT_SAMPLES):
         g, h, w = (rng.choice(basis) for _ in range(3))
         val = phi(bracket.eval_indices(g, h, w))
         if report.fails(val != P(hom(g), hom(h), hom(w)) or not f.is_zero(val)):
             report.failures.append({"triple": [G.index_str(x) for x in (g, h, w)],
                                     "phi": f.render(val)})
-    for _ in range(spot_samples // 4):
+    for _ in range(KERNEL_SPOT_SAMPLES // 4):
         v = G.zero()
         for _ in range(2):
             row = ker.basis[rng.randrange(len(ker.basis))]
@@ -790,14 +787,12 @@ def check_parity_family_vanishing(field: Field, bound: int) -> CheckReport:
     return rep
 
 
-def laurent_reachability(field: Field, bound: int, arg_bound: Optional[int] = None) -> CheckReport:
+def laurent_reachability(field: Field, bound: int) -> CheckReport:
     """Every window monomial reaches every other by one plain-derivative
-    parity bracket whose two other arguments stay in a slightly larger
-    window (ideal-closure evidence)."""
+    parity bracket whose two other arguments stay in the window widened by
+    2 (ideal-closure evidence)."""
     window = range(-bound, bound + 1)
-    if arg_bound is None:
-        arg_bound = bound + 2
-    args = range(-arg_bound, arg_bound + 1)
+    args = range(-bound - 2, bound + 3)
     rep = CheckReport("window monomials generate each other")
     for j in window:
         for l in window:

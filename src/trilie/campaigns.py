@@ -353,7 +353,7 @@ def _from_report(rep, **fields) -> dict:
 
 
 # command-line settings shared by every campaign of one verify run
-Run = namedtuple("Run", "seed budget workers")
+Run = namedtuple("Run", "seed budget")
 
 
 @dataclass(frozen=True)
@@ -379,8 +379,7 @@ def _run_fundamental_identity(ctx: BuildContext, a: dict, run: Run) -> dict:
     mode = a.get("mode", "exhaustive")
     if ctx.algebra is not None:
         rep = st.verify_fundamental_identity(
-            ctx.algebra, mode=mode, samples=a.get("samples", 1000),
-            seed=run.seed, workers=run.workers)
+            ctx.algebra, mode=mode, samples=a.get("samples", 1000), seed=run.seed)
         seed = run.seed if mode == "sampled" else None
     else:
         window = ctx.basis if ctx.basis is not None else _window(ctx, a)
@@ -635,24 +634,22 @@ def build_context(doc: dict) -> BuildContext:
 
 
 def run_campaign(ctx: BuildContext, camp: dict, seed: int = 0,
-                 budget_override: Optional[int] = None,
-                 workers: int = 0) -> CampaignResult:
+                 budget_override: Optional[int] = None) -> CampaignResult:
     if budget_override is not None and budget_override <= 0:
         raise ConfigError("budget", f"must be a positive integer, not {budget_override!r}")
     t0 = time.monotonic()
     out = CHECKS[camp["check"]].run(ctx, ctx.campaign_args[camp["name"]],
-                                    Run(seed, budget_override, workers))
+                                    Run(seed, budget_override))
     if not isinstance(out, dict):
         out = _from_report(out)
     return CampaignResult(camp["name"], camp["check"],
                           duration_s=round(time.monotonic() - t0, 6), **out)
 
 
-def run_document(ctx: BuildContext, seed: int = 0, budget: Optional[int] = None,
-                 workers: int = 0) -> List[CampaignResult]:
+def run_document(ctx: BuildContext, seed: int = 0,
+                 budget: Optional[int] = None) -> List[CampaignResult]:
     """Run every campaign of a built document."""
-    return [run_campaign(ctx, camp, seed=seed, budget_override=budget,
-                         workers=workers)
+    return [run_campaign(ctx, camp, seed=seed, budget_override=budget)
             for camp in ctx.doc["campaigns"]]
 
 

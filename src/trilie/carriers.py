@@ -553,6 +553,12 @@ class Character:
             raise ValueError("one scale factor per variable required")
         if any(f.is_zero(f.normalize(b)) for b in self.bases):
             raise HypothesisViolation("a character prod_s lambda_s^(g_s) requires lambda != 0")
+        # the coordinates of torsion orders m (the last ones) are read mod m
+        torsion = getattr(carrier, "torsion", ())
+        for b, m in zip(map(f.normalize, self.bases[len(self.bases) - len(torsion):]), torsion):
+            if f.pow(b, m) != f.one:
+                raise HypothesisViolation(f"a character on a torsion coordinate of order {m} "
+                                          f"requires lambda^{m} = 1, not lambda = {f.render(b)}")
 
     def __call__(self, field: Field, g):
         if not self.bases:

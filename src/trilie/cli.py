@@ -3,8 +3,7 @@
 Usage:
     trilie list-bundled
     trilie describe laurent-quotient-p3
-    trilie verify laurent-quotient-p3 [--seed N] [--budget N] [--parallel]
-                                      [--out-dir DIR]
+    trilie verify laurent-quotient-p3 [--seed N] [--budget N] [--out-dir DIR]
     trilie export laurent-quotient-p3 --out constants.json
 
 DOC is either the name of a bundled document (see list-bundled) or a path to
@@ -33,7 +32,6 @@ from typing import Optional
 from .bundled import bundled_names, get_bundled
 from .campaigns import BuildContext, report_document, run_document
 from .documents import ConfigError, parse_document, render_document
-from .structure import available_cores
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -92,8 +90,6 @@ def create_parser() -> argparse.ArgumentParser:
                    help="seed for sampled modes (default 0)")
     p.add_argument("--budget", type=_positive_int, default=None,
                    help="line budget override for simplicity certification")
-    p.add_argument("--parallel", action="store_true",
-                   help="fan tabulated identity checks out over processes")
     p.add_argument("--out-dir", default=".",
                    help="directory for the machine-readable report (default .)")
 
@@ -136,10 +132,8 @@ def cmd_describe(doc: dict) -> int:
     return EXIT_OK
 
 
-def cmd_verify(ctx: BuildContext, seed: int, budget: Optional[int], parallel: bool,
-               out_dir: str) -> int:
-    workers = min(4, available_cores()) if parallel else 0
-    results = run_document(ctx, seed=seed, budget=budget, workers=workers)
+def cmd_verify(ctx: BuildContext, seed: int, budget: Optional[int], out_dir: str) -> int:
+    results = run_document(ctx, seed=seed, budget=budget)
     for r in results:
         counts = " ".join(f"{k}={v}" for k, v in sorted(r.counts.items()))
         print(f"[{r.verdict.upper():7s}] {r.name} ({r.check}) {counts} "
@@ -177,8 +171,7 @@ def main(argv=None) -> int:
         if args.command == "describe":
             return cmd_describe(ctx.doc)
         if args.command == "verify":
-            return cmd_verify(ctx, args.seed, args.budget, args.parallel,
-                              args.out_dir)
+            return cmd_verify(ctx, args.seed, args.budget, args.out_dir)
         if args.command == "export":
             return cmd_export(ctx, args.out)
     except ConfigError as e:

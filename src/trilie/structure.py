@@ -12,7 +12,6 @@ and an ordinary Lie algebra (`lifts.LieAlgebra`) is the same table at arity 2.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -367,27 +366,47 @@ def _fi_scan_table(L: FiniteNLieAlgebra, xs: Optional[List[tuple]],
                     _fi_cases(range(L.dim), L.arity, mode, samples, seed, xs))
 
 
+def _fi_scan_child(send, L: FiniteNLieAlgebra, xs: List[tuple]) -> None:
+    send.send(_fi_scan_table(L, xs))
+
+
+# exhaustive tabulated FI cases per process: the largest bundled tables have
+# 3,024 cases (gl3-trace-lift) and 5,400 (laurent-quotient-p5), so on any core
+# count they scan in-process, and the p = 11 quotient's 355,740 split
+FI_CASES_PER_PROCESS = 50_000
+
+
 def verify_fundamental_identity(L: FiniteNLieAlgebra, mode: str = "exhaustive",
-                                samples: int = 1000, seed: int = 0,
-                                workers: int = 0) -> CheckReport:
+                                samples: int = 1000, seed: int = 0) -> CheckReport:
     """FI residual [[x1..xn],y2..yn] - sum_i [x1..[xi,y2..yn]..xn] on basis
     tuples, from the one case enumerator (`_fi_cases`) and memoized scan
     (`_fi_scan`) shared with `brackets.check_fi_window`; each distinct
     ordered tuple is looked up in the structure constants once per scan.
 
     `notes["covered"]` counts the full d^(2n-1) tuple space that exhaustive
-    mode spans.  Exhaustive mode with `workers` > 1 scans chunks of the
-    x-tuples in separate processes, each with its own memo; the witnesses
-    stay the first in enumeration order.
+    mode spans.  Exhaustive mode scans chunks of the x-tuples, each with its
+    own memo, on one process per `FI_CASES_PER_PROCESS` cases, at most one per
+    available core: the first chunk here, each other in a child process that
+    sends its part back through a pipe and is joined when `multiprocessing`
+    next starts one (a process pool costs this process 1 MiB more).  The
+    witnesses stay the first in enumeration order.
     """
-    if mode == "exhaustive" and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    n, d = L.arity, L.dim
+    cases = math.comb(d, n) * math.comb(d, n - 1) if mode == "exhaustive" else 0
+    processes = min(available_cores(), -(-cases // FI_CASES_PER_PROCESS))
+    if processes > 1:
+        import multiprocessing
 
-        xtuples = list(itertools.combinations(range(L.dim), L.arity))
-        size = -(-len(xtuples) // workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(functools.partial(_fi_scan_table, L),
-                                  [xtuples[i:i + size] for i in range(0, len(xtuples), size)]))
+        xtuples = list(itertools.combinations(range(d), n))
+        size = -(-len(xtuples) // processes)
+        recvs = []
+        for i in range(size, len(xtuples), size):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            multiprocessing.Process(target=_fi_scan_child, daemon=True,
+                                    args=(send, L, xtuples[i:i + size])).start()
+            send.close()  # so that recv() fails, not waits, if the child dies
+            recvs.append(recv)
+        parts = [_fi_scan_table(L, xtuples[:size])] + [recv.recv() for recv in recvs]
     else:
         parts = [_fi_scan_table(L, None, mode, samples, seed)]
     found = [case for _, cases in parts for case in cases][:MAX_WITNESSES]
@@ -395,7 +414,7 @@ def verify_fundamental_identity(L: FiniteNLieAlgebra, mode: str = "exhaustive",
         "fundamental identity", sum(got for got, _ in parts),
         [{"x": list(xs), "y": list(ys), "residual": _render_sparse(L, res)}
          for xs, ys, res in found],
-        notes={"covered": L.dim ** (2 * L.arity - 1)})
+        notes={"covered": d ** (2 * n - 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -466,23 +485,21 @@ def _span(L: FiniteNLieAlgebra, rows) -> Subspace:
     return sb.to_subspace()
 
 
-def _series(L: FiniteNLieAlgebra, kind: str, step, max_steps: int) -> SeriesReport:
-    """Iterate `step` from L until a term vanishes or stops shrinking."""
+def _series(L: FiniteNLieAlgebra, kind: str, step) -> SeriesReport:
+    """Iterate `step` from L until a term vanishes or stops shrinking (in d steps)."""
     terms = [Subspace.full(L.field, L.dim)]
-    for _ in range(max_steps):
+    while True:
         terms.append(step(terms[-1]))
         if terms[-1].dim in (0, terms[-2].dim):
-            break
-    return SeriesReport(kind, terms)
+            return SeriesReport(kind, terms)
 
 
-def derived_series(L: FiniteNLieAlgebra, max_steps: int = 20) -> SeriesReport:
-    return _series(L, "derived", lambda s: derived_subspace(L, s), max_steps)
+def derived_series(L: FiniteNLieAlgebra) -> SeriesReport:
+    return _series(L, "derived", lambda s: derived_subspace(L, s))
 
 
-def lower_central_series(L: FiniteNLieAlgebra, max_steps: int = 50) -> SeriesReport:
-    return _series(L, "lower-central", lambda s: _span(L, _bracket_images(L, s.basis, 1)),
-                   max_steps)
+def lower_central_series(L: FiniteNLieAlgebra) -> SeriesReport:
+    return _series(L, "lower-central", lambda s: _span(L, _bracket_images(L, s.basis, 1)))
 
 
 def derived_algebra(L: FiniteNLieAlgebra) -> Subspace:
@@ -494,6 +511,7 @@ def derived_algebra(L: FiniteNLieAlgebra) -> Subspace:
 # ---------------------------------------------------------------------------
 
 DEFAULT_LINE_BUDGET = 5_000_000
+RANDOM_PROBES = 8
 
 
 def _line_count(p: int, d: int) -> int:
@@ -501,7 +519,7 @@ def _line_count(p: int, d: int) -> int:
 
 
 def certify_simplicity(L: FiniteNLieAlgebra, budget: int = DEFAULT_LINE_BUDGET,
-                       seed: int = 0, random_probes: int = 8) -> SimplicityCertificate:
+                       seed: int = 0) -> SimplicityCertificate:
     """Simplicity certificate.
 
     Over F_p (line count within budget): enumerate one representative per
@@ -514,9 +532,9 @@ def certify_simplicity(L: FiniteNLieAlgebra, budget: int = DEFAULT_LINE_BUDGET,
     The lines are decided on every available core, and the certificate is
     the same for any number of cores: `notes["lines_per_stack"]` counts the
     lines each stack settled, and they sum to `lines_checked`.
-    Over characteristic-zero fields:
-    closures from each basis vector plus seeded random vectors give an
-    evidence-only verdict, never "simple".
+    Over characteristic-zero fields: closures from each basis vector plus
+    `RANDOM_PROBES` seeded random vectors give an evidence-only verdict,
+    never "simple".
     """
     L1 = derived_algebra(L)
     if L1.dim == 0:
@@ -536,7 +554,7 @@ def certify_simplicity(L: FiniteNLieAlgebra, budget: int = DEFAULT_LINE_BUDGET,
     # characteristic zero: evidence only
     rng = random.Random(seed)
     probes = [L.basis_row(i) for i in range(L.dim)]
-    for _ in range(random_probes):
+    for _ in range(RANDOM_PROBES):
         probes.append([L.field.random_element(rng) for _ in range(L.dim)])
     checked = 0
     for v in probes:

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from trilie.fields import PrimeField, QQ
+from trilie.fields import PrimeField, QI, QQ
 from trilie.carriers import (
     AlternatingSign,
     CarrierMismatchError,
+    CharacterFunctional,
+    CharacterMap,
     ConstantOne,
     Endomorphism,
     ExponentValue,
@@ -381,6 +383,28 @@ def test_hom_torsion_allowed_when_p_divides_order():
     F5 = PrimeField(5)
     A = GroupAlgebra(F5, torsion=[5, 5])
     GroupHom(A, torsion_values=[3, 3])  # 5*3 = 0 mod 5
+
+
+def test_character_bases_are_roots_of_unity_on_torsion():
+    F5 = PrimeField(5)
+    A = QuotientLaurentAlgebra(F5, 5)
+    # t^3 t^3 = t^-4 in F_5[Z_10], but 2^3 2^3 = 4 * 2^-4 in F_5
+    with pytest.raises(HypothesisViolation, match="order 10"):
+        Endomorphism(A, MonomialScale(2))
+    x = A.monomial((3,))
+    for base in (F5.one, F5.neg(F5.one)):
+        f = Endomorphism(A, MonomialScale(base))
+        assert f(x * x) == f(x) * f(x)
+    Functional(A, AlternatingSign())
+    # only the torsion coordinates, which come last, are restricted
+    B = GroupAlgebra(QQ, free_rank=1, torsion=[2])
+    Endomorphism(B, CharacterMap((QQ.embed(2), QQ.embed(-1))))
+    with pytest.raises(HypothesisViolation, match="order 2"):
+        Functional(B, CharacterFunctional((QQ.embed(-1), QQ.embed(2))))
+    C = GroupAlgebra(QI, torsion=[4])
+    Endomorphism(C, MonomialScale(QI.i))
+    with pytest.raises(HypothesisViolation, match="order 2"):
+        Endomorphism(GroupAlgebra(QI, torsion=[2]), MonomialScale(QI.i))
 
 
 def test_index_text_round_trips():

@@ -1,8 +1,12 @@
+import functools
+import itertools
 import json
 import os
 
 import pytest
 
+from trilie import structure
+from trilie.campaigns import build_context
 from trilie.cli import main
 from trilie.documents import render_document
 from trilie.bundled import get_bundled
@@ -83,38 +87,110 @@ def test_verify_document_from_file(tmp_path, capsys):
     assert (tmp_path / "my-local-doc.report.json").exists()
 
 
-def test_verify_parallel_flag(tmp_path, capsys):
-    # a passing document and a mutated one whose fundamental identity fails
-    for name, want in (("gl2-trace-lift", 0), ("control-mutated-quotient", 1)):
-        reports = []
-        for flags in ([], ["--parallel"]):
-            out = tmp_path / name / ("parallel" if flags else "serial")
-            assert main(["verify", name, *flags, "--out-dir", str(out)]) == want
-            reports.append(json.loads((out / f"{name}.report.json").read_text()))
-        serial, parallel = (strip_durations(r) for r in reports)
-        assert parallel == serial
-        fi = [c for c in serial["campaigns"] if c["check"] == "fundamental-identity"]
-        assert fi and (fi[0]["witness"] is not None) == (want == 1)
+def test_verify_parallel_flag_is_a_usage_error(tmp_path, capsys):
+    assert main(["verify", "cyclic-group-f3", "--parallel", "--out-dir", str(tmp_path)]) == 64
+    assert "--parallel" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("parallel, cores, workers", [
-    (True, 1, 1), (True, 3, 3), (True, 16, 4), (False, 16, 0)])
-def test_parallel_pool_is_sized_by_the_available_cores(tmp_path, monkeypatch, capsys,
-                                                       parallel, cores, workers):
-    import trilie.cli as cli
+@pytest.fixture
+def child_chunks(monkeypatch):
+    """The x-tuples handed to each FI child process started; the children
+    run in this process."""
+    import multiprocessing
 
-    seen = []
-    run = cli.run_document
+    chunks = []
 
-    def recording(ctx, **kwargs):
-        seen.append(kwargs["workers"])
-        return run(ctx, **kwargs)
+    class InProcess:
+        def __init__(self, target, args, daemon):
+            self.run = functools.partial(target, *args)
+            chunks.append(args[-1])
 
-    monkeypatch.setattr(cli, "available_cores", lambda: cores)
-    monkeypatch.setattr(cli, "run_document", recording)
-    flags = ["--parallel"] if parallel else []
-    assert main(["verify", "cyclic-group-f3", *flags, "--out-dir", str(tmp_path)]) == 0
-    assert seen == [workers]
+        def start(self):
+            self.run()
+
+    monkeypatch.setattr(multiprocessing, "Process", InProcess)
+    return chunks
+
+
+def fi_report(name):
+    rep = structure.verify_fundamental_identity(build_context(get_bundled(name)).algebra)
+    return rep.checked, rep.failures
+
+
+@pytest.mark.parametrize("name, witnesses", [("control-mutated-quotient", 5),
+                                             ("gl3-trace-lift", 0)])
+def test_split_fi_matches_the_serial_scan(name, witnesses, monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(structure, "available_cores", lambda: 1)
+    serial = fi_report(name)
+    # three chunks of x-tuples: one here, one in each of two child processes
+    pipes, real = [], multiprocessing.Pipe
+
+    def recording(duplex):
+        pipes.append(duplex)
+        return real(duplex)
+
+    monkeypatch.setattr(multiprocessing, "Pipe", recording)
+    monkeypatch.setattr(structure, "available_cores", lambda: 3)
+    monkeypatch.setattr(structure, "FI_CASES_PER_PROCESS", 100)
+    assert fi_report(name) == serial
+    assert pipes == [False, False] and len(serial[1]) == witnesses
+
+
+def _dying_child(send, L, xs):
+    os._exit(1)
+
+
+def test_a_dead_fi_child_is_an_error_not_a_hang(monkeypatch):
+    import signal
+
+    def hung(signum, frame):
+        raise TimeoutError("the scan waits for a dead child")
+
+    monkeypatch.setattr(structure, "_fi_scan_child", _dying_child)
+    monkeypatch.setattr(structure, "available_cores", lambda: 2)
+    monkeypatch.setattr(structure, "FI_CASES_PER_PROCESS", 100)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(EOFError):
+            fi_report("gl3-trace-lift")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("cores, per_process, processes", [
+    (8, 1000, 4), (2, 1000, 2), (3, 3023, 2), (8, 3024, 1), (1, 1, 1)])
+def test_fi_processes_are_sized_by_cases_and_cores(cores, per_process, processes,
+                                                   monkeypatch, child_chunks):
+    # gl3-trace-lift: d = 9, C(9, 3) * C(9, 2) = 3,024 cases
+    L = build_context(get_bundled("gl3-trace-lift")).algebra
+    monkeypatch.setattr(structure, "available_cores", lambda: cores)
+    monkeypatch.setattr(structure, "FI_CASES_PER_PROCESS", per_process)
+    rep = structure.verify_fundamental_identity(L)
+    assert rep.checked == 3024 and rep.passed
+    # this process scans the first of `processes` chunks
+    assert len(child_chunks) == processes - 1
+    xtuples = list(itertools.combinations(range(9), 3))
+    assert sum(child_chunks, []) == xtuples[-(-len(xtuples) // processes):]
+
+
+@pytest.mark.parametrize("name", ["laurent-quotient-p5", "gl3-trace-lift"])
+def test_bundled_tables_scan_in_process_on_any_core_count(name, monkeypatch, child_chunks):
+    monkeypatch.setattr(structure, "available_cores", lambda: 64)
+    fi_report(name)
+    assert child_chunks == []
+
+
+def test_sampled_fi_scans_in_process(monkeypatch, child_chunks):
+    monkeypatch.setattr(structure, "available_cores", lambda: 8)
+    monkeypatch.setattr(structure, "FI_CASES_PER_PROCESS", 1)
+    L = build_context(get_bundled("gl3-trace-lift")).algebra
+    assert structure.verify_fundamental_identity(L, mode="sampled", samples=50).checked == 50
+    assert child_chunks == []
 
 
 def test_verify_builds_the_document_once(tmp_path, monkeypatch, capsys):

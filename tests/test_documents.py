@@ -335,6 +335,13 @@ def _mutation_case(mutation, name):
     _map_case(LAURENT, {"rule": "exponent-value", "var": 2},
               "exponent-value-variable-out-of-range"),
     _map_case(POLY, {"rule": "group-negation"}, "group-negation-on-poly"),
+    # t^m -> 2^m t^m on F_5[Z_10]: f(t^3) f(t^3) = 2^6 t^-4, but f(t^3 t^3) = 2^-4 t^-4
+    pytest.param({"field": {"kind": "prime", "p": 5}, "carrier": {"shape": "quotient-laurent",
+                                                                  "p": 5},
+                  "bracket": None, "basis": None,
+                  "maps": {"m": {"rule": "monomial-scale", "base": "2"}},
+                  "campaigns": [{"name": "c", "check": "involution-law", "map": "m"}]},
+                 "$.maps.m", id="monomial-scale-base-not-a-root-of-unity-on-the-quotient"),
     _map_case(POLY, {"rule": "id-minus", "inner": {"rule": "group-negation"}},
               "id-minus-inner-rule-on-the-wrong-shape"),
     # these exited 70, but the last, which tabulated a 7-dimensional table

@@ -20,6 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trilie import structure
 from trilie.brackets import check_fi_window
 from trilie.bundled import get_bundled
 from trilie.campaigns import build_context
@@ -297,10 +298,12 @@ def test_tabulated_fi_reports_the_oracle_witnesses_on_the_mutated_control():
     assert (rep.checked, rep.failures) == (checked, want)
 
 
-def test_fi_scan_memory_stays_lean():
+def test_fi_scan_memory_stays_lean(monkeypatch):
     # the memo holds the evaluator's own dicts, keyed by index tuples once:
     # at p = 11 (d = 22) the scan peaks near 1.2 MiB, and at 2.6 MiB when
-    # per-x-tuple memos and tuple copies are kept for the whole scan
+    # per-x-tuple memos and tuple copies are kept for the whole scan.  One
+    # core keeps the scan in this process, where tracemalloc sees it
+    monkeypatch.setattr(structure, "available_cores", lambda: 1)
     doc = get_bundled("laurent-quotient-p5")
     doc["field"]["p"] = doc["carrier"]["p"] = 11
     L = build_context(doc).algebra

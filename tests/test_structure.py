@@ -216,6 +216,20 @@ def test_nilpotent_carrier_gives_nilpotent_algebra():
     assert rep.vanished
 
 
+def filiform(d):
+    """[e0, e1, ei] = e_{i+1}: L^k = span(e_{k+2}, ..., e_{d-1}) for k >= 1."""
+    return FiniteNLieAlgebra(QQ, d, 3, {(0, 1, i): {i + 1: QQ.one} for i in range(2, d - 1)})
+
+
+def test_lower_central_series_runs_until_it_vanishes():
+    assert verify_fundamental_identity(filiform(8)).passed
+    # more terms than any fixed cap of 50 steps
+    rep = lower_central_series(filiform(55))
+    assert rep.vanished and len(rep.terms) == 54
+    assert rep.dims == [55] + list(range(52, -1, -1))
+    assert derived_series(filiform(55)).dims == [55, 52, 0]
+
+
 # ---------------------------------------------------------------------------
 # simplicity certification
 # ---------------------------------------------------------------------------
