@@ -408,13 +408,16 @@ def _run_simplicity(ctx: BuildContext, a: dict, run: Run) -> dict:
 
 def _run_kernel_ideal(ctx: BuildContext, a: dict, run: Run) -> dict:
     """Kernel of the hom functional: ideal, codimension 1, contains the
-    derived algebra; certification path depends on the dimension."""
-    G, hom = ctx.carrier, ctx.bracket.hom
+    derived algebra; certified on the table when its lines fit the line
+    budget, else on the carrier by `group_kernel_certificate`."""
+    G, hom, p = ctx.carrier, ctx.bracket.hom, ctx.field.characteristic
     dim = G.dim()
-    if dim is not None and dim <= KERNEL_TABULATION_LIMIT and ctx.algebra is not None:
+    budget = st.DEFAULT_LINE_BUDGET if run.budget is None else run.budget
+    if (dim is not None and dim <= KERNEL_TABULATION_LIMIT and ctx.algebra is not None
+            and (p == 0 or st._line_count(p, dim) <= budget)):
         L = ctx.algebra
         ker = kernel_of_functional(ctx.field, [hom(g) for g in G.basis_indices()])
-        cert = st.certify_simplicity(L, seed=run.seed)
+        cert = st.certify_simplicity(L, budget=budget, seed=run.seed)
         checks = {
             "codim_one": ker.codim == 1,
             "is_ideal": st.is_ideal(L, ker),

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from .carriers import HypothesisViolation
 from .fields import Field, GaussianRational, QI
 from .linalg import Matrix, rref
-from .structure import FiniteNLieAlgebra, _ad_matrices, _fi_scan_table
+from .structure import FiniteNLieAlgebra, _fi_scan_table
 
 
 class LieAlgebra(FiniteNLieAlgebra):
@@ -81,15 +81,16 @@ def trace_functional(field: Field, m: int) -> List:
 
 
 def killing_form(lie: LieAlgebra) -> List[List]:
-    """B(x_i, x_j) = trace(ad x_i . ad x_j).  `_ad_matrices` gives the right
-    multiplications R_j = -ad x_j; the two signs cancel in trace(R_i R_j)."""
+    """B(x_i, x_j) = trace(ad x_i . ad x_j).  The ad index gives the right
+    multiplications R_j = -ad x_j; the signs cancel in trace(R_i R_j)."""
     f, d = lie.field, lie.dim
-    R = _ad_matrices(lie)
+    R = [lie.ad_index.get((j,), {}) for j in range(d)]
     B = [[f.zero] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            B[i][j] = B[j][i] = f.normalize(sum(R[i][r][s] * R[j][s][r]
-                                                for r in range(d) for s in range(d)))
+            B[i][j] = B[j][i] = f.normalize(sum(
+                c * R[j][b][a] for a, vec in R[i].items() for b, c in vec.items()
+                if a in R[j].get(b, ())))
     return B
 
 

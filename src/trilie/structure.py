@@ -12,6 +12,7 @@ and an ordinary Lie algebra (`lifts.LieAlgebra`) is the same table at arity 2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -59,13 +60,12 @@ class FiniteNLieAlgebra:
     """Skew structure constants: {(i1<...<in): {l: coeff}} over a field."""
 
     def __init__(self, field: Field, dim: int, arity: int, constants: Dict,
-                 labels: Optional[List[str]] = None, name: str = "",
-                 meta: Optional[dict] = None):
+                 labels: Optional[List[str]] = None, name: str = ""):
         self.field = field
         self.dim = dim
         self.arity = arity
         self.name = name
-        self.meta = dict(meta) if meta else {}
+        self.meta: Dict[str, object] = {}
         self.labels = list(labels) if labels else [f"x{i}" for i in range(dim)]
         self.constants: Dict[Tuple[int, ...], Dict[int, object]] = {}
         def in_basis(i):
@@ -83,16 +83,28 @@ class FiniteNLieAlgebra:
             cleaned = {l: c for l, c in vec.items() if not field.is_zero(c)}
             if cleaned:
                 self.constants[key] = cleaned
-        # key -> negation of its stored vector, made on first use
-        self._negated: Dict[Tuple[int, ...], Dict[int, object]] = {}
 
     # -- evaluation ------------------------------------------------------
+    @functools.cached_property
+    def ad_index(self) -> Dict[Tuple[int, ...], Dict[int, Dict[int, object]]]:
+        """{rest: {a: [e_a, *rest]}} for each increasing (n-1)-tuple `rest` in a
+        stored key, rests and a's in increasing order, built on first use.  Its
+        vectors are a key's stored vector or its one negation, shared like the
+        results of `bracket_indices`: callers must not mutate them."""
+        f, ad = self.field, {}
+        for key, vec in self.constants.items():
+            neg = {l: f.neg(c) for l, c in vec.items()}
+            for i, a in enumerate(key):
+                # moving e_a to the front of the key takes i transpositions
+                ad.setdefault(key[:i] + key[i + 1:], {})[a] = neg if i % 2 else vec
+        return {rest: dict(sorted(ad[rest].items())) for rest in sorted(ad)}
+
     def bracket_indices(self, idxs: Sequence[int]) -> Dict[int, object]:
         """Sparse bracket of basis elements in any order (sign-completed).
 
         The result is shared, not copied: the stored vector for an even
-        permutation of its key, its cached negation for an odd one, and one
-        read-only empty mapping for a zero bracket.  Callers must not mutate it.
+        permutation of its key, its negation in `ad_index` for an odd one, and
+        one read-only empty mapping for a zero bracket.  Do not mutate it.
         """
         if len(set(idxs)) != self.arity:
             return _EMPTY
@@ -107,11 +119,7 @@ class FiniteNLieAlgebra:
             inv[t] = pos
         if _perm_sign(inv) == 1:
             return vec
-        neg = self._negated.get(key)
-        if neg is None:
-            f = self.field
-            neg = self._negated[key] = {l: f.neg(c) for l, c in vec.items()}
-        return neg
+        return self.ad_index[key[:1] + key[2:]][key[1]]     # [e_k1, e_k0, ...]
 
     def bracket_sparse(self, vecs: Sequence[Dict[int, object]]) -> Dict[int, object]:
         """Multilinear extension on sparse coordinate dicts."""
@@ -421,24 +429,24 @@ def verify_fundamental_identity(L: FiniteNLieAlgebra, mode: str = "exhaustive",
 # ideals and series
 # ---------------------------------------------------------------------------
 
-def _bracket_images(L: FiniteNLieAlgebra, rows: Sequence[Sequence], count: int):
-    """Nonzero brackets [r_1, ..., r_count, e_j1, ..., e_jm] as dense rows.
+def _dense(L: FiniteNLieAlgebra, vecs: Iterable[Dict[int, object]]):
+    """The nonzero sparse vectors of `vecs` as dense rows, in order."""
+    for vec in vecs:
+        if vec:
+            row = [L.field.zero] * L.dim
+            for l, c in vec.items():
+                row[l] = c
+            yield row
 
-    The r's run over `count`-subsets of the dense `rows` (in order), the
-    basis indices j1 < ... < jm fill the remaining arity - count slots.
-    """
+
+def _ad_images(L: FiniteNLieAlgebra, rows: Iterable[Sequence]):
+    """Nonzero brackets [r, e_j1, ..., e_jm] as dense rows, lazily: for each
+    dense row r in turn, one per rest j1 < ... < jm of `L.ad_index`, in order
+    (a rest outside the index brackets everything to zero)."""
     f = L.field
-    sparse = [{i: c for i, c in enumerate(r) if not f.is_zero(c)} for r in rows]
-    rests = itertools.combinations(range(L.dim), L.arity - count)
-    units = [[{i: f.one} for i in rest] for rest in rests]
-    for combo in itertools.combinations(sparse, count):
-        for tail in units:
-            out = L.bracket_sparse(list(combo) + tail)
-            if out:
-                dense = [f.zero] * L.dim
-                for l, c in out.items():
-                    dense[l] = c
-                yield dense
+    return _dense(L, (f.combine((l, r[a] * c) for a, vec in ad.items()
+                                if not f.is_zero(r[a]) for l, c in vec.items())
+                      for r in rows for ad in L.ad_index.values()))
 
 
 def ideal_closure(L: FiniteNLieAlgebra, seed: Subspace) -> Subspace:
@@ -455,7 +463,7 @@ def ideal_closure(L: FiniteNLieAlgebra, seed: Subspace) -> Subspace:
         if sb.add(row):
             queue.append(list(row))
     while queue:
-        for dense in _bracket_images(L, [queue.pop()], 1):
+        for dense in _ad_images(L, [queue.pop()]):
             if sb.add(dense):
                 queue.append(dense)
                 if sb.dim == L.dim:
@@ -465,7 +473,7 @@ def ideal_closure(L: FiniteNLieAlgebra, seed: Subspace) -> Subspace:
 
 def is_ideal(L: FiniteNLieAlgebra, s: Subspace) -> bool:
     """[s, L, ..., L] contained in s, checked on basis generators."""
-    return all(s.contains(dense) for dense in _bracket_images(L, s.basis, 1))
+    return all(s.contains(dense) for dense in _ad_images(L, s.basis))
 
 
 def is_maximal_codim1(L: FiniteNLieAlgebra, s: Subspace) -> bool:
@@ -475,14 +483,9 @@ def is_maximal_codim1(L: FiniteNLieAlgebra, s: Subspace) -> bool:
 
 def derived_subspace(L: FiniteNLieAlgebra, s: Subspace) -> Subspace:
     """span of brackets of n elements of s."""
-    return _span(L, _bracket_images(L, s.basis, L.arity))
-
-
-def _span(L: FiniteNLieAlgebra, rows) -> Subspace:
-    sb = SpanBuilder(L.field, L.dim)
-    for row in rows:
-        sb.add(row)
-    return sb.to_subspace()
+    sparse = [{i: c for i, c in enumerate(r) if not L.field.is_zero(c)} for r in s.basis]
+    products = map(L.bracket_sparse, itertools.combinations(sparse, L.arity))
+    return Subspace(L.field, L.dim, _dense(L, products))
 
 
 def _series(L: FiniteNLieAlgebra, kind: str, step) -> SeriesReport:
@@ -499,7 +502,7 @@ def derived_series(L: FiniteNLieAlgebra) -> SeriesReport:
 
 
 def lower_central_series(L: FiniteNLieAlgebra) -> SeriesReport:
-    return _series(L, "lower-central", lambda s: _span(L, _bracket_images(L, s.basis, 1)))
+    return _series(L, "lower-central", lambda s: Subspace(L.field, L.dim, _ad_images(L, s.basis)))
 
 
 def derived_algebra(L: FiniteNLieAlgebra) -> Subspace:
@@ -569,18 +572,6 @@ def certify_simplicity(L: FiniteNLieAlgebra, budget: int = DEFAULT_LINE_BUDGET,
         "evidence-only", "randomized", checked, None, seed=seed,
         notes={"reason": "finite line enumeration is impossible over an "
                          "infinite field; all probed closures were full"})
-
-
-def _ad_matrices(L: FiniteNLieAlgebra) -> List[List[List[int]]]:
-    """Left-multiplication matrices M[rest][l][a] = coeff of e_l in [e_a, *rest]."""
-    mats = []
-    for rest in itertools.combinations(range(L.dim), L.arity - 1):
-        m = [[0] * L.dim for _ in range(L.dim)]
-        for a in range(L.dim):
-            for l, c in L.bracket_indices((a,) + rest).items():
-                m[l][a] = c
-        mats.append(m)
-    return mats
 
 
 def _fits(dtype, p: int, terms: int) -> bool:
@@ -691,9 +682,14 @@ def _line_stacks(L: FiniteNLieAlgebra):
     """
     import numpy as np
 
-    p, d = L.field.p, L.dim
-    eye = [[int(i == j) for j in range(d)] for i in range(d)]
-    gens = np.array([eye] + _ad_matrices(L), dtype=_residue_dtype(p, d)) % p
+    p, d, n = L.field.p, L.dim, L.arity
+    gens = np.zeros((1 + math.comb(d, n - 1), d, d), dtype=_residue_dtype(p, d))
+    gens[0] = np.eye(d, dtype=gens.dtype)
+    # gens[k][l][a] = coeff of e_l in [e_a, *rest] for the k-th rest, zero
+    # for a rest outside the index
+    for k, rest in enumerate(itertools.combinations(range(d), n - 1), 1):
+        for a, vec in L.ad_index.get(rest, _EMPTY).items():
+            gens[k, list(vec), a] = [c % p for c in vec.values()]
     stacks = [gens[: d + 3], gens, _matrix_algebra_basis(gens, p)]
     return [s for s, after in zip(stacks, stacks[1:]) if len(s) < len(after)] + stacks[-1:]
 

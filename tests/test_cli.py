@@ -256,6 +256,39 @@ def test_cyclic_group_kernel_campaign_details(tmp_path):
     assert kernel["counts"]["kernel_dim"] == 2
 
 
+def kernel_campaign(tmp_path, doc, *options):
+    """Exit code and kernel-ideal result of verifying `doc` from a file."""
+    path = tmp_path / "doc.json"
+    path.write_text(render_document(doc))
+    code = main(["verify", str(path), *options, "--out-dir", str(tmp_path)])
+    report = json.loads((tmp_path / f"{doc['name']}.report.json").read_text())
+    return code, next(c for c in report["campaigns"] if c["check"] == "kernel-ideal")
+
+
+def test_kernel_ideal_past_the_line_budget_is_certified_on_the_carrier(tmp_path):
+    # F_3[Z_3^3] tabulates (d = 27) but has (3^27 - 1) / 2 lines, far past the
+    # budget: its kernel is certified by the hom's values, not line by line
+    doc = get_bundled("cyclic-group-f3")
+    doc.update(name="z3-cubed", maps={},
+               carrier={"shape": "group", "torsion": [3, 3, 3]},
+               bracket={"form": "group-wedge", "hom": {"torsion": ["1", "0", "0"]}},
+               campaigns=[{"name": "kernel-ideal", "check": "kernel-ideal"}])
+    code, kernel = kernel_campaign(tmp_path, doc)
+    assert code == 0 and kernel["verdict"] == "pass"
+    assert kernel["notes"]["method"] == "kernel-functional"
+    assert kernel["counts"] == {"checked": 527}
+
+
+def test_kernel_ideal_follows_the_budget_option(tmp_path):
+    # cyclic-group-f5 has 781 lines: within the default budget, not within 780
+    doc = get_bundled("cyclic-group-f5")
+    code, kernel = kernel_campaign(tmp_path, doc)
+    assert code == 0 and kernel["notes"]["method"] == "exhaustive-1dim"
+    code, kernel = kernel_campaign(tmp_path, doc, "--budget", "780")
+    assert code == 2 and kernel["verdict"] == "pass"     # `simplicity` is refused
+    assert kernel["notes"]["method"] == "kernel-functional"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "laurent-quotient-p3", "--bogus"],
     ["verify", "laurent-quotient-p3", "--budget", "abc"],

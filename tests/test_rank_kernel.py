@@ -200,6 +200,37 @@ def in_random_basis(L, seed):
     return FiniteNLieAlgebra(F, d, L.arity, constants)
 
 
+def dense_generators(L):
+    """The identity, then per increasing (n-1)-tuple `rest` in order the d x d
+    matrix of e_a -> [e_a, *rest] read off `bracket_indices`, zero or not."""
+    d = L.dim
+    mats = [[[int(i == j) for j in range(d)] for i in range(d)]]
+    for rest in itertools.combinations(range(d), L.arity - 1):
+        m = [[0] * d for _ in range(d)]
+        for a in range(d):
+            for l, c in L.bracket_indices((a,) + rest).items():
+                m[l][a] = c
+        mats.append(m)
+    return mats
+
+
+@pytest.mark.parametrize("make, zero_rests", [
+    pytest.param(lambda: in_random_basis(a4(89), seed=89), 0, id="a4-f89-random-basis"),
+    pytest.param(lambda: parse_document(render_document(
+        get_bundled("laurent-quotient-p5"))).algebra, 0, id="laurent-quotient-p5"),
+    pytest.param(lambda: a4_plus_center(89), 4, id="a4+center-f89"),
+])
+def test_generator_stack_is_the_ad_maps_of_bracket_indices(make, zero_rests):
+    L = make()
+    want = dense_generators(L)
+    assert sum(not any(map(any, m)) for m in want) == zero_rests
+    stacks = _line_stacks(L)
+    gens = next(s for s in stacks if len(s) == len(want))
+    assert gens.tolist() == want
+    # the first stack is the identity and the first d + 2 ad maps, or all of them
+    assert stacks[0].tolist() == want[:min(L.dim + 3, len(want))]
+
+
 @pytest.mark.parametrize("p", [251, 1009])
 @pytest.mark.parametrize("make, proper", [(nilpotent, True), (a4, False)])
 def test_line_decisions_match_ideal_closure(p, make, proper):

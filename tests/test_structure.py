@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from trilie.fields import PrimeField, QQ
 from trilie.carriers import (
@@ -35,6 +36,8 @@ from trilie.linalg import Subspace, kernel_of_functional
 from trilie.structure import (
     BudgetExceeded,
     FiniteNLieAlgebra,
+    _ad_images,
+    _perm_sign,
     algebra_from_dict,
     certify_simplicity,
     derived_algebra,
@@ -228,6 +231,65 @@ def test_lower_central_series_runs_until_it_vanishes():
     assert rep.vanished and len(rep.terms) == 54
     assert rep.dims == [55] + list(range(52, -1, -1))
     assert derived_series(filiform(55)).dims == [55, 52, 0]
+
+
+# ---------------------------------------------------------------------------
+# the ad index against the per-tuple oracles
+# ---------------------------------------------------------------------------
+
+@hst.composite
+def sparse_tables(draw):
+    """(L, dense rows): a random sparse alternating table of arity 2 to 4 and
+    dimension up to 6 over F_7 or Q, and up to three rows to bracket."""
+    f = draw(hst.sampled_from([PrimeField(7), QQ]))
+    n = draw(hst.integers(2, 4))
+    d = draw(hst.integers(n, 6))
+    scalar = (hst.integers(0, 6) if f is not QQ
+              else hst.builds(Fraction, hst.integers(-3, 3), hst.integers(1, 3)).map(f.normalize))
+    vec = hst.dictionaries(hst.integers(0, d - 1), scalar, max_size=3)
+    keys = hst.sampled_from(list(itertools.combinations(range(d), n)))
+    L = FiniteNLieAlgebra(f, d, n, draw(hst.dictionaries(keys, vec, max_size=8)))
+    rows = draw(hst.lists(hst.lists(scalar, min_size=d, max_size=d), max_size=3))
+    return L, rows
+
+
+def signed_constant(L, tup):
+    """[e_t1, ..., e_tn] straight from the stored constants and the sign of
+    the sorting permutation."""
+    if len(set(tup)) != len(tup):
+        return {}
+    order = sorted(range(len(tup)), key=lambda t: tup[t])
+    vec = L.constants.get(tuple(tup[t] for t in order), {})
+    inv = [order.index(t) for t in range(len(tup))]
+    return vec if _perm_sign(inv) == 1 else {l: L.field.neg(c) for l, c in vec.items()}
+
+
+def product_walk(L, rows):
+    """[r, e_j1, ..., e_jm] through `bracket_sparse` on unit vectors, for
+    each row and each increasing (n-1)-tuple of the basis in order."""
+    f = L.field
+    for r in rows:
+        sparse = {i: c for i, c in enumerate(r) if not f.is_zero(c)}
+        for rest in itertools.combinations(range(L.dim), L.arity - 1):
+            out = L.bracket_sparse([sparse] + [{j: f.one} for j in rest])
+            if out:
+                yield [out.get(l, f.zero) for l in range(L.dim)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sparse_tables())
+def test_ad_index_matches_bracket_indices_and_the_product_walk(case):
+    L, rows = case
+    index = L.ad_index
+    assert list(index) == sorted(index)
+    for rest in itertools.combinations(range(L.dim), L.arity - 1):
+        ad = index.get(rest, {})
+        assert list(ad) == sorted(ad)
+        for a in range(L.dim):
+            want = signed_constant(L, (a,) + rest)
+            # a rest missing from the index brackets every e_a to zero
+            assert ad.get(a, {}) == L.bracket_indices((a,) + rest) == want
+    assert list(_ad_images(L, rows)) == list(product_walk(L, rows))
 
 
 # ---------------------------------------------------------------------------
