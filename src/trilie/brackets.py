@@ -490,9 +490,10 @@ def check_fi_window(bracket: TriBracket, window: Sequence, mode: str = "exhausti
 
     One case enumerator and one scan serve this and the tabulated
     `structure.verify_fundamental_identity`; `notes["covered"]` counts the
-    full |window|^5 tuple space that exhaustive mode spans.  The scan
-    memoizes the basis brackets on the ordered triple, without sign
-    completion, so a non-alternating bracket is evaluated as it is.
+    full |window|^5 tuple space that exhaustive mode spans.  The scan reads
+    its ad rows from a memo of `eval_indices`, which evaluates each ordered
+    basis triple once per check, without sign completion, so a
+    non-alternating bracket is evaluated as it is.
     """
     carrier = bracket.carrier
     checked, found = _fi_scan(lambda t: bracket.eval_indices(*t).terms, carrier.field,

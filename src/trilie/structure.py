@@ -80,7 +80,7 @@ class FiniteNLieAlgebra:
             if not all(map(in_basis, vec)):
                 raise ValueError(f"structure constant of {key} has an output index "
                                  f"that is not one of 0..{dim - 1}")
-            cleaned = {l: c for l, c in vec.items() if not field.is_zero(c)}
+            cleaned = field.sparse(vec)
             if cleaned:
                 self.constants[key] = cleaned
 
@@ -257,10 +257,11 @@ def verify_skew(L: FiniteNLieAlgebra) -> CheckReport:
     rep = CheckReport("skew-symmetry")
     for key in itertools.combinations(range(L.dim), L.arity):
         base = L.bracket_indices(key)
+        neg = {l: f.neg(c) for l, c in base.items()}
         for perm in itertools.permutations(range(L.arity)):
             tup = tuple(key[t] for t in perm)
             got = L.bracket_indices(tup)
-            want = base if _perm_sign(perm) == 1 else {l: f.neg(c) for l, c in base.items()}
+            want = base if _perm_sign(perm) == 1 else neg
             if rep.fails(got != want):
                 rep.failures.append({"tuple": list(tup), "got": _render_sparse(L, got),
                                      "want": _render_sparse(L, want)})
@@ -306,9 +307,11 @@ def _fi_cases(window: Sequence, n: int, mode: str = "exhaustive", samples: int =
 
 
 class _Memo(dict):
-    """fn(key) for each key, computed on the first lookup and then kept."""
+    """fn(key) for each key, computed on the first lookup and then kept.
+    `get` is that lookup too, so a memo reads like a dict of rows."""
 
     __slots__ = ("fn",)
+    get = dict.__getitem__
 
     def __init__(self, fn):
         super().__init__()
@@ -319,58 +322,100 @@ class _Memo(dict):
         return out
 
 
-def _fi_scan(evaluate, f: Field, cases: Iterable[Tuple[tuple, tuple]]):
+def _fi_rows(L: FiniteNLieAlgebra) -> Dict[tuple, Dict[int, tuple]]:
+    """The table's sparse ad rows for `_fi_scan`: {tail: {head: items of
+    [head, *tail]}} for every ordering of each rest of `L.ad_index`, holding
+    only its nonzero heads.  Even orderings share one row of the index's
+    vectors and odd ones one row of their negations; equal item tuples are
+    made once.  A tail that is not listed (a repeated index, or a rest no key
+    contains) brackets everything to zero."""
+    f, shared, rows = L.field, {}, {}
+
+    def entries(vec, sign):
+        t = tuple((l, c if sign == 1 else f.neg(c)) for l, c in vec.items())
+        return shared.setdefault(t, t)
+
+    for rest, ad in L.ad_index.items():
+        signed = {s: {a: entries(vec, s) for a, vec in ad.items()} for s in (1, -1)}
+        for perm in itertools.permutations(range(len(rest))):
+            rows[tuple(rest[t] for t in perm)] = signed[_perm_sign(perm)]
+    return rows
+
+
+def _fi_slot(rows, x0, pre: tuple, post: tuple) -> _Memo:
+    """l -> items of [x0, *pre, l, *post], looked up on first use."""
+    def bracket(l):
+        row = rows.get(pre + (l,) + post)
+        return None if row is None else row.get(x0)
+    return _Memo(bracket)
+
+
+def _fi_scan(bracket, f: Field, cases: Iterable[Tuple[tuple, tuple]]):
     """FI residual [[x1..xn],y2..yn] - sum_i [x1..[xi,y2..yn]..xn] of every
-    case on basis indices, where `evaluate` brackets an index tuple into a
-    sparse {index: coeff} dict.  Returns (cases checked, the first
+    case on basis indices.  Returns (cases checked, the first
     `MAX_WITNESSES` (xs, ys, residual) with a nonzero residual).
 
-    This is the one memo of every FI check: each distinct ordered index tuple
-    is evaluated once per scan, and the residuals share what `evaluate`
-    returned (they only read it).  No sign completion happens here, so a
-    non-alternating bracket is evaluated as it is.  The memo is keyed by a
-    tuple's tail, then its head: memo[ys] is the ad map a -> [a, ys], so the
-    left side and the [xi, ys] need no fresh key, nor does putting l in the
-    first slot of xs.  A run of cases with the same x-tuple reads [xs] and
-    slices the other slots once.  Products accumulate with the elements' own
-    + and *, and `Field.sparse` normalizes the residual once at the end.
+    This is the one FI scan.  It reads brackets from sparse ad rows: rows.get
+    (tail) is the row {head: (index, coeff) pairs of [head, *tail]}, so the
+    left side, [xi, ys] and putting l in the first slot of xs need no fresh
+    key.  `bracket` is either such rows (a table's, from `_fi_rows`; a
+    missing tail or head is a zero bracket) or a function that brackets an
+    index tuple into a sparse {index: coeff} dict, whose rows are then a memo
+    that evaluates each distinct ordered tuple once per scan, as it is: no
+    sign completion, so a non-alternating bracket is checked as it is.  The
+    residuals only read the rows.
+
+    A run of cases with one x-tuple reads [xs] and its row once, and each
+    slot xs[i] <- l for i >= 1 gets a memo of its own, dropped with the
+    x-tuple.  Every term brackets with ys, so a tail without a row is a zero
+    residual.  Products accumulate with the elements' own + and *, and
+    `Field.sparse` normalizes a nonzero sum once at the end.
     """
-    memo = _Memo(lambda tail: _Memo(lambda head: evaluate((head,) + tail)))
+    rows = bracket
+    if callable(bracket):
+        rows = _Memo(lambda tail: _Memo(lambda head: tuple(bracket((head,) + tail).items())))
     checked, found, last = 0, [], None
     for xs, ys in cases:
         if xs != last:
-            last, x0, row0 = xs, xs[0], memo[xs[1:]]
-            top = row0[x0].items()
-            # xi <- l for i >= 1 is memo[xs[1:i] + (l,) + xs[i+1:]][x0]
-            slots = [(xs[i], xs[1:i], xs[i + 1:]) for i in range(1, len(xs))]
-        col = memo[ys]
+            last, x0 = xs, xs[0]
+            row0 = rows.get(xs[1:])
+            if row0 is None:
+                row0 = _EMPTY
+            top = row0.get(x0) or ()
+            slots = [(x0, row0)] + [(xs[i], _fi_slot(rows, x0, xs[1:i], xs[i + 1:]))
+                                    for i in range(1, len(xs))]
+        checked += 1
+        col = rows.get(ys)
+        if col is None:
+            continue
         acc: Dict[object, object] = {}
         for l, c in top:
-            for m, d in col[l].items():
-                s = acc.get(m)
-                acc[m] = c * d if s is None else s + c * d
-        for l, c in col[x0].items():
-            c = -c
-            for m, d in row0[l].items():
-                s = acc.get(m)
-                acc[m] = c * d if s is None else s + c * d
-        for x, pre, post in slots:
-            for l, c in col[x].items():
-                c = -c
-                for m, d in memo[pre + (l,) + post][x0].items():
+            v = col.get(l)
+            if v:
+                for m, d in v:
                     s = acc.get(m)
                     acc[m] = c * d if s is None else s + c * d
-        checked += 1
-        res = f.sparse(acc)
-        if res and len(found) < MAX_WITNESSES:
-            found.append((xs, ys, res))
+        for x, row in slots:
+            v = col.get(x)
+            if v:
+                for l, c in v:
+                    w = row.get(l)
+                    if w:
+                        c = -c
+                        for m, d in w:
+                            s = acc.get(m)
+                            acc[m] = c * d if s is None else s + c * d
+        if acc:
+            res = f.sparse(acc)
+            if res and len(found) < MAX_WITNESSES:
+                found.append((xs, ys, res))
     return checked, found
 
 
 def _fi_scan_table(L: FiniteNLieAlgebra, xs: Optional[List[tuple]],
                    mode: str = "exhaustive", samples: int = 0, seed: int = 0):
-    """`_fi_scan` of the structure constants over the cases of `_fi_cases`."""
-    return _fi_scan(L.bracket_indices, L.field,
+    """`_fi_scan` of the table's `_fi_rows` over the cases of `_fi_cases`."""
+    return _fi_scan(_fi_rows(L), L.field,
                     _fi_cases(range(L.dim), L.arity, mode, samples, seed, xs))
 
 
@@ -387,13 +432,15 @@ FI_CASES_PER_PROCESS = 50_000
 def verify_fundamental_identity(L: FiniteNLieAlgebra, mode: str = "exhaustive",
                                 samples: int = 1000, seed: int = 0) -> CheckReport:
     """FI residual [[x1..xn],y2..yn] - sum_i [x1..[xi,y2..yn]..xn] on basis
-    tuples, from the one case enumerator (`_fi_cases`) and memoized scan
-    (`_fi_scan`) shared with `brackets.check_fi_window`; each distinct
-    ordered tuple is looked up in the structure constants once per scan.
+    tuples, from the one case enumerator (`_fi_cases`) and scan (`_fi_scan`)
+    shared with `brackets.check_fi_window`.  The scan reads the brackets from
+    the table's sparse ad rows (`_fi_rows`): the rows of `L.ad_index`, and
+    their sign completion for the other orderings of each rest, so it makes
+    no `bracket_indices` call.
 
     `notes["covered"]` counts the full d^(2n-1) tuple space that exhaustive
     mode spans.  Exhaustive mode scans chunks of the x-tuples, each with its
-    own memo, on one process per `FI_CASES_PER_PROCESS` cases, at most one per
+    own rows, on one process per `FI_CASES_PER_PROCESS` cases, at most one per
     available core: the first chunk here, each other in a child process that
     sends its part back through a pipe and is joined when `multiprocessing`
     next starts one (a process pool costs this process 1 MiB more).  The

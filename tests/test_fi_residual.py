@@ -31,6 +31,7 @@ from trilie.structure import (
     MAX_WITNESSES,
     _fi_cases,
     _fi_scan,
+    _fi_scan_table,
     _perm_sign,
     certify_simplicity,
     derived_series,
@@ -288,6 +289,43 @@ def test_scan_matches_the_oracle_on_random_tables(problem):
     want = [(xs, ys, res) for xs, ys in cases
             for res in [oracle_residual(alg, xs, ys)] if res]
     assert _fi_scan(evaluate, alg.field, cases) == (len(cases), want[:MAX_WITNESSES])
+
+
+@st.composite
+def alternating_tables(draw):
+    """A sparse alternating table of arity 2 to 4 and dimension up to n + 2
+    over F_7, Q or Q(i), constants keyed by increasing tuples."""
+    f = draw(st.sampled_from([PrimeField(7), QQ, QI]))
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(n, n + 2))
+    keys = list(itertools.combinations(range(d), n))
+    vec = st.dictionaries(st.integers(0, d - 1), scalars(f), max_size=2)
+    return FiniteNLieAlgebra(f, d, n, draw(st.dictionaries(st.sampled_from(keys), vec,
+                                                            max_size=6)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(alternating_tables(), st.data())
+def test_table_scan_matches_the_oracle(L, data):
+    # the table's ad rows, sign-completed for odd tails, against the
+    # definition: exhaustive, on a chunk of x-tuples as a child process
+    # scans it, and sampled (repeated and unsorted tuples)
+    n, d = L.arity, L.dim
+
+    def oracle(cases):
+        cases = list(cases)
+        want = [(xs, ys, res) for xs, ys in cases
+                for res in [oracle_residual(L, xs, ys)] if res]
+        return len(cases), want[:MAX_WITNESSES]
+
+    assert _fi_scan_table(L, None) == oracle(_fi_cases(range(d), n))
+    xtuples = list(itertools.combinations(range(d), n))
+    lo = data.draw(st.integers(0, len(xtuples)))
+    chunk = xtuples[lo:data.draw(st.integers(lo, len(xtuples)))]
+    assert _fi_scan_table(L, chunk) == oracle(_fi_cases(range(d), n, xs=chunk))
+    samples, seed = data.draw(st.integers(1, 60)), data.draw(st.integers(0, 99))
+    assert (_fi_scan_table(L, None, "sampled", samples, seed)
+            == oracle(_fi_cases(range(d), n, "sampled", samples, seed)))
 
 
 def test_tabulated_fi_reports_the_oracle_witnesses_on_the_mutated_control():

@@ -503,6 +503,17 @@ def test_homomorphism_detects_wrong_map():
 # serialization
 # ---------------------------------------------------------------------------
 
+def test_constants_are_normalized_before_zeros_are_dropped():
+    # a library caller's unreduced values: 5 and 10 are zero in F_5, -1 is 4
+    F = PrimeField(5)
+    L = FiniteNLieAlgebra(F, 4, 3, {(0, 1, 2): {0: 5, 1: -1}, (0, 1, 3): {2: 10}})
+    assert L.constants == {(0, 1, 2): {1: 4}}
+    assert L.ad_index == {(0, 1): {2: {1: 4}}, (0, 2): {1: {1: 1}}, (1, 2): {0: {1: 4}}}
+    assert L.export_dict()["constants"] == [{"args": [0, 1, 2], "value": [[1, "4"]]}]
+    q = FiniteNLieAlgebra(QQ, 3, 3, {(0, 1, 2): {0: Fraction(4, 2), 1: Fraction(0)}})
+    assert q.constants == {(0, 1, 2): {0: 2}} and type(q.constants[0, 1, 2][0]) is int
+
+
 def test_export_round_trip():
     L = quotient_algebra(3)
     doc = L.export_dict()
