@@ -576,9 +576,13 @@ def certify_simplicity(L: FiniteNLieAlgebra, budget: int = DEFAULT_LINE_BUDGET,
     1-dimensional subspace and check that the ideal closure of each line is
     the whole algebra.  Sound and complete: any proper nonzero ideal contains
     a line whose closure stays inside it.  Each line is decided by ranks mod
-    p over the row stacks of `_line_stacks`, computed by the one eliminator
-    `_eliminate` in a dtype that provably cannot wrap (Python integers past
-    int64); a proper closure is recomputed by `ideal_closure` as the witness.
+    p over the row stacks of `_line_stacks`, computed by `_eliminate` in a
+    dtype that provably cannot wrap (Python integers past int64); a proper
+    closure is recomputed by `ideal_closure` as the witness.  Where it pays,
+    a stack is tried first on a d-matrix sketch, fixed combinations of its
+    matrices (`_proper_lines`): an invertible sketch proves the closure
+    full, a singular one proves nothing and the stack decides, so a sketch
+    never settles a proper line and the certificate is the same without it.
     The lines are decided on every available core, and the certificate is
     the same for any number of cores: `notes["lines_per_stack"]` counts the
     lines each stack settled, and they sum to `lines_checked`.
@@ -745,7 +749,14 @@ def _proper_lines(stacks, V, p: int):
     """The lines (rows of V) whose closure `_line_stacks` finds proper: their
     indices, and for every line the index in `stacks` of the stack that
     settled it.  Each stack settles the lines it proves full; a rank below d
-    is trusted only from the last, exact stack, which settles every line left."""
+    is trusted only from the last, exact stack, which settles every line left.
+
+    A stack S is tried first through its sketch T (`_sketch`), d matrices
+    that are combinations of S's and so lie in the algebra the ad maps
+    generate: an invertible T v proves span{S v}, and the closure, full, and
+    the line counts as settled by S.  A singular T v proves nothing, so those
+    lines go on to S itself: a sketch never settles a proper line, and the
+    result is the same for any sketch."""
     import numpy as np
 
     d = V.shape[1]
@@ -753,11 +764,77 @@ def _proper_lines(stacks, V, p: int):
     left = np.arange(V.shape[0])
     settled = np.full(V.shape[0], len(stacks) - 1, dtype=np.int8)
     for i, S in enumerate(stacks):
-        W = _reduce(np.einsum("rij,bj->bri", S, V[left]), p)
-        full = _eliminate(W, p).sum(axis=1) == d
-        settled[left[full]] = i
-        left = left[~full]
+        T = _sketch(S, p) if left.size else None
+        if T is not None:
+            # the d x d matrix T v of each line, the lines innermost
+            full = _nonsingular(_reduce(np.einsum("kij,jb->kib", T, V.T[:, left]), p), p)
+            settled[left[full]] = i
+            left = left[~full]
+        if left.size:
+            W = _reduce(np.einsum("rij,bj->bri", S, V[left]), p)
+            full = _eliminate(W, p).sum(axis=1) == d
+            settled[left[full]] = i
+            left = left[~full]
     return left, settled
+
+
+def _sketch(S, p: int):
+    """R.S mod p for the fixed d x r matrix R of `_sketch_rows`: d matrices
+    in S's dtype, each a combination of the r of S; None where that cannot
+    pay.  Deciding a line on T costs at most about d/r of deciding it on S,
+    and a line whose S-rank is d keeps rank d on T unless R.M, for the r x d
+    matrix M of S v, is singular, which for a random R happens with
+    probability about 1/(p - 1) (Cheung, Kwok & Lau, J. ACM 60 (2013)); so
+    T is tried only where d/r + 1/(p - 1) < 1."""
+    r, d = S.shape[:2]
+    if d * (p - 1) + r >= r * (p - 1):
+        return None
+    R = _sketch_rows(p, d, r)
+    # r products per entry, in R's dtype, reduced into S's
+    T = R @ S.reshape(r, d * d).astype(R.dtype)
+    return _reduce(T, p).astype(S.dtype).reshape(d, d, d)
+
+
+@functools.lru_cache(maxsize=None)
+def _sketch_rows(p: int, d: int, r: int):
+    """A fixed, seeded d x r matrix of residues mod p, read-only, in the
+    narrowest dtype that holds a sum of r products mod p."""
+    import numpy as np
+
+    rng = random.Random(0)
+    R = np.array([[rng.randrange(p) for _ in range(r)] for _ in range(d)],
+                 dtype=_residue_dtype(p, r))
+    R.flags.writeable = False
+    return R
+
+
+def _nonsingular(W, p: int):
+    """Whether each square matrix W[:, :, b] of a batch (c, c, B) with
+    entries in [0, p) is invertible mod p; W is overwritten.
+
+    Dense elimination with the batch innermost, so every step is one
+    vectorized pass over all B matrices (`_eliminate` serves the sparse
+    stacks).  Column by column, each matrix's first row with a nonzero entry
+    there is the pivot P, and every row x turns into P[col]*x - x[col]*P:
+    the other rows lose their entry in the column and the pivot row becomes
+    zero, so it is never chosen again.  A column with no pivot means a
+    singular matrix.  As in `_eliminate`, values stay within (p-1)^2 in
+    magnitude, and reducing them within p(p-1), which W's dtype must hold.
+    """
+    import numpy as np
+
+    assert _fits(W.dtype, p, 1)
+    c, _, B = W.shape
+    full, cols, batch = np.ones(B, dtype=bool), np.arange(c)[:, None], np.arange(B)
+    for col in range(c):
+        head = (W[:, col] != 0).argmax(axis=0)
+        P = W[head, cols[col:], batch]
+        full &= P[0] != 0
+        if not full.any():
+            break
+        X = W[:, col + 1:]
+        X[...] = _reduce(P[:1] * X - W[:, col:col + 1] * P[1:], p)
+    return full
 
 
 def _canonical_line_chunks(p: int, d: int, chunk: int, dtype):

@@ -337,10 +337,10 @@ def test_tabulated_fi_reports_the_oracle_witnesses_on_the_mutated_control():
 
 
 def test_fi_scan_memory_stays_lean(monkeypatch):
-    # the memo holds the evaluator's own dicts, keyed by index tuples once:
-    # at p = 11 (d = 22) the scan peaks near 1.2 MiB, and at 2.6 MiB when
-    # per-x-tuple memos and tuple copies are kept for the whole scan.  One
-    # core keeps the scan in this process, where tracemalloc sees it
+    # the scan reads the table's sparse ad rows (`_fi_rows`), and its small
+    # per-slot memos are dropped with each x-tuple: at p = 11 (d = 22) it
+    # peaks near 0.8 MiB, rows and ad index included.  One core keeps the
+    # scan in this process, where tracemalloc sees it
     monkeypatch.setattr(structure, "available_cores", lambda: 1)
     doc = get_bundled("laurent-quotient-p5")
     doc["field"]["p"] = doc["carrier"]["p"] = 11
