@@ -583,6 +583,9 @@ def certify_simplicity(L: FiniteNLieAlgebra, budget: int = DEFAULT_LINE_BUDGET,
     matrices (`_proper_lines`): an invertible sketch proves the closure
     full, a singular one proves nothing and the stack decides, so a sketch
     never settles a proper line and the certificate is the same without it.
+    Where d + 1 < p <= `MAX_STRIPE` (`_striped`), the first stack's sketch
+    decides the lines a stripe at a time, p lines v0 + t e_{d-1} from d + 1
+    exact determinants, with the same decisions as line by line.
     The lines are decided on every available core, and the certificate is
     the same for any number of cores: `notes["lines_per_stack"]` counts the
     lines each stack settled, and they sum to `lines_checked`.
@@ -674,6 +677,14 @@ def _certify_prime_exhaustive(L: FiniteNLieAlgebra, L1: Subspace) -> SimplicityC
     thread is in flight, and results are taken in enumeration order: the
     first chunk with a proper line cancels the rest, so the verdict, witness,
     `lines_checked` and per-stack counts do not depend on the number of threads.
+
+    A chunk is `LINES_IN_FLIGHT` lines (`OBJECT_LINES_IN_FLIGHT` for
+    Python-int rows) over the cores.  Where lines are decided in stripes
+    (`_striped`), it is whole stripes instead, since the enumeration lists
+    each stripe's p lines in a row: as many as take the entries of the d x d
+    matrices of that many single lines, counting d + 1 matrices and p rows
+    of d for a stripe, but at least one, and no more than ceil(lines / cores)
+    lines, so that every core still gets a chunk.
     """
     from collections import deque
     from concurrent.futures import ThreadPoolExecutor
@@ -682,11 +693,14 @@ def _certify_prime_exhaustive(L: FiniteNLieAlgebra, L1: Subspace) -> SimplicityC
 
     p, d = L.field.p, L.dim
     stacks = _line_stacks(L)
-    cores = available_cores()
-    # never more threads than ceil(lines / chunk)
+    cores, lines = available_cores(), _line_count(p, d)
     chunk = max(1, (LINES_IN_FLIGHT if stacks[0].dtype != object
                     else OBJECT_LINES_IN_FLIGHT) // cores)
-    workers = min(cores, -(-_line_count(p, d) // chunk))
+    if _striped(p, d, len(stacks[0])):
+        # a line's entries are d * d, a stripe's (d + 1) * d * d + p * d
+        chunk = p * max(1, min(chunk * d // (d * (d + 1) + p), -(-lines // cores) // p))
+    # never more threads than ceil(lines / chunk)
+    workers = min(cores, -(-lines // chunk))
     chunks = _canonical_line_chunks(p, d, chunk, stacks[0].dtype)
     checked, per_stack, row = 0, np.zeros(len(stacks), dtype=np.int64), None
     pool = ThreadPoolExecutor(max_workers=workers)
@@ -756,7 +770,13 @@ def _proper_lines(stacks, V, p: int):
     generate: an invertible T v proves span{S v}, and the closure, full, and
     the line counts as settled by S.  A singular T v proves nothing, so those
     lines go on to S itself: a sketch never settles a proper line, and the
-    result is the same for any sketch."""
+    result is the same for any sketch.
+
+    Where `_striped` holds, the first stack's sketch decides the whole
+    stripes of V (`_stripe_decisions`) from d + 1 determinants each instead
+    of p nonsingularity tests; the determinants are exact, so every line is
+    decided as the per-line test decides it, and the result is the same for
+    any V.  The lines outside whole stripes take the per-line test."""
     import numpy as np
 
     d = V.shape[1]
@@ -766,8 +786,14 @@ def _proper_lines(stacks, V, p: int):
     for i, S in enumerate(stacks):
         T = _sketch(S, p) if left.size else None
         if T is not None:
+            full, one = np.zeros(left.size, dtype=bool), slice(None)
+            if i == 0 and _striped(p, d, len(S)):
+                # every line is left, so positions in left are rows of V
+                striped, decided = _stripe_decisions(T, V, p)
+                full[striped], one = decided, ~striped
             # the d x d matrix T v of each line, the lines innermost
-            full = _nonsingular(_reduce(np.einsum("kij,jb->kib", T, V.T[:, left]), p), p)
+            W = _reduce(np.einsum("kij,jb->kib", T, V.T[:, left[one]]), p)
+            full[one] = _nonsingular(W, p)
             settled[left[full]] = i
             left = left[~full]
         if left.size:
@@ -778,16 +804,22 @@ def _proper_lines(stacks, V, p: int):
     return left, settled
 
 
+def _sketched(p: int, d: int, r: int) -> bool:
+    """Whether a stack of r matrices d x d mod p is tried on a sketch first:
+    deciding a line on it costs at most about d/r of deciding it on the
+    stack, and a line whose stack rank is d keeps rank d on it unless R.M,
+    for the r x d matrix M of the line's images, is singular, which for a
+    random R happens with probability about 1/(p - 1) (Cheung, Kwok & Lau,
+    J. ACM 60 (2013)); so only where d/r + 1/(p - 1) < 1."""
+    return d * (p - 1) + r < r * (p - 1)
+
+
 def _sketch(S, p: int):
     """R.S mod p for the fixed d x r matrix R of `_sketch_rows`: d matrices
-    in S's dtype, each a combination of the r of S; None where that cannot
-    pay.  Deciding a line on T costs at most about d/r of deciding it on S,
-    and a line whose S-rank is d keeps rank d on T unless R.M, for the r x d
-    matrix M of S v, is singular, which for a random R happens with
-    probability about 1/(p - 1) (Cheung, Kwok & Lau, J. ACM 60 (2013)); so
-    T is tried only where d/r + 1/(p - 1) < 1."""
+    in S's dtype, each a combination of the r of S; None where `_sketched`
+    says it cannot pay."""
     r, d = S.shape[:2]
-    if d * (p - 1) + r >= r * (p - 1):
+    if not _sketched(p, d, r):
         return None
     R = _sketch_rows(p, d, r)
     # r products per entry, in R's dtype, reduced into S's
@@ -806,6 +838,138 @@ def _sketch_rows(p: int, d: int, r: int):
                  dtype=_residue_dtype(p, r))
     R.flags.writeable = False
     return R
+
+
+# the longest stripe decided at once: a p x (d + 1) interpolation matrix per
+# (p, d) is cached, and a chunk holds at least one stripe
+MAX_STRIPE = 4096
+
+
+def _striped(p: int, d: int, r: int) -> bool:
+    """Whether the first stack, of r matrices d x d mod p, decides lines a
+    stripe at a time (`_stripe_decisions`): where it is sketched and
+    d + 1 < p <= `MAX_STRIPE`, so that the d + 1 interpolation nodes are
+    distinct mod p and fewer than the p lines they decide."""
+    return d + 1 < p <= MAX_STRIPE and _sketched(p, d, r)
+
+
+def _stripe_starts(V, p: int):
+    """The first rows of the whole stripes of V, in order: runs of p rows
+    v0 + t e_{d-1}, t = 0..p-1, equal but for the last coordinate, which
+    runs 0..p-1.  Entries are residues, so a run of +1 steps in the last
+    coordinate that starts at 0 is at most p rows long."""
+    import numpy as np
+
+    cols = V.T.copy()
+    # follows[j]: row j + 1 is row j + e_{d-1}
+    follows = np.diff(cols[-1]) == 1
+    for col in cols[:-1]:
+        follows &= np.diff(col) == 0
+    start = np.flatnonzero(cols[-1, : max(0, len(V) - p + 1)] == 0)
+    # the first row that is not followed, at or after each start
+    breaks = np.append(np.flatnonzero(~follows), len(V) - 1)
+    return start[breaks[np.searchsorted(breaks, start)] >= start + p - 1]
+
+
+def _stripe_decisions(T, V, p: int):
+    """(striped, full): whether each row of V lies in a whole stripe
+    (`_stripe_starts`), and for those rows, in order, whether T v is
+    invertible.
+
+    Along a stripe, T(v0 + t e_{d-1}) = T v0 + t T e_{d-1}, so det T v is a
+    polynomial of degree at most d in t: its values at the nodes t = 0..d
+    (`_determinants`) fix its value at every t in F_p through the p x (d + 1)
+    Lagrange matrix of `_lagrange`, and a nonzero value is an invertible
+    T v."""
+    import numpy as np
+
+    d = V.shape[1]
+    starts = _stripe_starts(V, p)
+    # T v0 per stripe, the stripes innermost, then T v at each node
+    A = _reduce(np.einsum("kij,jb->kib", T, V[starts].T), p)
+    step = _reduce(T[:, :, d - 1, None] * np.arange(d + 1, dtype=T.dtype), p)
+    W = _reduce(A[:, :, None, :] + step[..., None], p).reshape(d, d, -1)
+    lagrange = _lagrange(p, d)
+    dets = _determinants(W, p).reshape(d + 1, -1).astype(lagrange.dtype)
+    # one row of values per stripe
+    values = _reduce(dets.T @ lagrange.T, p)
+    edges = np.zeros(len(V) + 1, dtype=np.int8)
+    edges[starts] += 1
+    edges[starts + p] -= 1
+    return np.cumsum(edges[:-1], dtype=np.int8) > 0, (values != 0).ravel()
+
+
+@functools.lru_cache(maxsize=None)
+def _lagrange(p: int, d: int):
+    """The p x (d + 1) matrix mod p whose row t takes the values of a
+    polynomial of degree at most d at t = 0..d to its value at t, read-only,
+    in the narrowest dtype that holds a sum of d + 1 products mod p."""
+    import numpy as np
+
+    rows = []
+    for t in range(p):
+        row = []
+        for m in range(d + 1):
+            num = den = 1
+            for j in range(d + 1):
+                if j != m:
+                    num, den = num * (t - j) % p, den * (m - j) % p
+            row.append(num * pow(den, -1, p) % p)
+        rows.append(row)
+    M = np.array(rows, dtype=_residue_dtype(p, d + 1))
+    M.flags.writeable = False
+    return M
+
+
+def _determinants(W, p: int):
+    """The determinant mod p of each square matrix W[:, :, b] of a batch
+    (c, c, B) with entries in [0, p), in W's dtype; W is overwritten.
+
+    Elimination with the batch innermost, as in `_nonsingular`, but with row
+    swaps: column by column, each matrix's first row on or below the
+    diagonal with a nonzero entry there is swapped up, which negates the
+    determinant, and is the pivot P; every row x below it turns into
+    P*x - x[col]*pivot_row, which scales the determinant by P.  The pivots
+    end on the diagonal of a triangle, so the determinant is, up to the
+    swaps' sign, their product divided by the scalings, which are inverted
+    once at the end (Fermat: x^(p-2) = 1/x mod p).  As in `_eliminate`,
+    values stay within (p-1)^2 in magnitude, and reducing them within
+    p(p-1), which W's dtype must hold.
+    """
+    import numpy as np
+
+    assert _fits(W.dtype, p, 1)
+    c, _, B = W.shape
+    det, scale = np.ones(B, dtype=W.dtype), np.ones(B, dtype=W.dtype)
+    odd = np.zeros(B, dtype=bool)
+    for col in range(c):
+        head = (W[col:, col] != 0).argmax(axis=0) + col
+        swap = np.flatnonzero(head != col)
+        if swap.size:
+            top = W[col, :, swap]
+            W[col, :, swap] = W[head[swap], :, swap]
+            W[head[swap], :, swap] = top
+            odd[swap] ^= True
+        P = W[col, col]
+        det = _reduce(det * P, p)
+        if not det.any():
+            return det
+        if col < c - 1:
+            # the c - 1 - col rows below scale by P, so P_k is in the
+            # scalings c - 1 - k times: once in each running product
+            # P_0...P_j, k <= j < c - 1
+            scale = _reduce(scale * det, p)
+        X = W[col + 1:, col + 1:]
+        X[...] = _reduce(P * X - W[col + 1:, col:col + 1] * W[col:col + 1, col + 1:], p)
+    # det / scale = det * scale^(p - 2)
+    inv, e = np.ones(B, dtype=W.dtype), p - 2
+    while e:
+        if e & 1:
+            inv = _reduce(inv * scale, p)
+        scale, e = _reduce(scale * scale, p), e >> 1
+    det = _reduce(det * inv, p)
+    det[odd] = _reduce(-det[odd], p)
+    return det
 
 
 def _nonsingular(W, p: int):

@@ -406,13 +406,14 @@ def test_pipeline_keeps_at_most_one_chunk_per_thread_in_flight(workers, monkeypa
 
     monkeypatch.setattr(structure, "_canonical_line_chunks", chunks)
     monkeypatch.setattr(structure, "_proper_lines", slow_lines)
-    # 25,260 lines: more than 24,576 // workers times (workers - 1), so
-    # every core gets a thread
+    # 25,260 lines, decided in stripes of 29: a chunk holds whole stripes,
+    # no more than one core's share of the lines, so every core gets a thread
     cert = certify_simplicity(a4(29))
     assert cert.verdict == "simple" and cert.lines_checked == 25260
-    # 24,576 lines in flight in all, and never a chunk drawn past the window
-    # (the pivot blocks of 24,389, 841, 29 and 1 lines make 52 chunks of 512)
-    assert sizes == [24576 // workers] and drawn[0] == 52
+    # 29 * min(24,576 // workers * 4 // 49, ceil(25,260 / workers) // 29)
+    # lines per chunk, and never a chunk drawn past the window (the pivot
+    # blocks of 24,389, 841, 29 and 1 lines make 52 chunks of 512)
+    assert sizes == [{1: 25259, 2: 12615, 3: 8410}[workers]] and drawn[0] == 52
     assert max(ahead) == workers - 1
 
 
