@@ -583,9 +583,10 @@ def certify_simplicity(L: FiniteNLieAlgebra, budget: int = DEFAULT_LINE_BUDGET,
     matrices (`_proper_lines`): an invertible sketch proves the closure
     full, a singular one proves nothing and the stack decides, so a sketch
     never settles a proper line and the certificate is the same without it.
-    Where d + 1 < p <= `MAX_STRIPE` (`_striped`), the first stack's sketch
-    decides the lines a stripe at a time, p lines v0 + t e_{d-1} from d + 1
-    exact determinants, with the same decisions as line by line.
+    Where d + 1 < p (and p is at most one core's share of the lines in
+    flight, `_striped`), the first stack's sketch decides the lines a stripe
+    at a time, p lines v0 + t e_{d-1} from d + 1 exact determinants, with
+    the same decisions as line by line.
     The lines are decided on every available core, and the certificate is
     the same for any number of cores: `notes["lines_per_stack"]` counts the
     lines each stack settled, and they sum to `lines_checked`.
@@ -683,8 +684,9 @@ def _certify_prime_exhaustive(L: FiniteNLieAlgebra, L1: Subspace) -> SimplicityC
     (`_striped`), it is whole stripes instead, since the enumeration lists
     each stripe's p lines in a row: as many as take the entries of the d x d
     matrices of that many single lines, counting d + 1 matrices and p rows
-    of d for a stripe, but at least one, and no more than ceil(lines / cores)
-    lines, so that every core still gets a chunk.
+    of d for a stripe, but at least one, no longer than the chunk of single
+    lines (`_striped`), and no more than ceil(lines / cores) lines, so that
+    every core still gets a chunk.
     """
     from collections import deque
     from concurrent.futures import ThreadPoolExecutor
@@ -840,17 +842,14 @@ def _sketch_rows(p: int, d: int, r: int):
     return R
 
 
-# the longest stripe decided at once: a p x (d + 1) interpolation matrix per
-# (p, d) is cached, and a chunk holds at least one stripe
-MAX_STRIPE = 4096
-
-
 def _striped(p: int, d: int, r: int) -> bool:
     """Whether the first stack, of r matrices d x d mod p, decides lines a
     stripe at a time (`_stripe_decisions`): where it is sketched and
-    d + 1 < p <= `MAX_STRIPE`, so that the d + 1 interpolation nodes are
-    distinct mod p and fewer than the p lines they decide."""
-    return d + 1 < p <= MAX_STRIPE and _sketched(p, d, r)
+    d + 1 < p, so that the d + 1 interpolation nodes are distinct mod p and
+    fewer than the p lines they decide, and where a stripe is no longer than
+    one core's share of `LINES_IN_FLIGHT`, so that a chunk of whole stripes
+    fits the lines in flight (Python-int rows, p past 3.04e9, never do)."""
+    return d + 1 < p <= LINES_IN_FLIGHT // available_cores() and _sketched(p, d, r)
 
 
 def _stripe_starts(V, p: int):
@@ -984,6 +983,9 @@ def _nonsingular(W, p: int):
     zero, so it is never chosen again.  A column with no pivot means a
     singular matrix.  As in `_eliminate`, values stay within (p-1)^2 in
     magnitude, and reducing them within p(p-1), which W's dtype must hold.
+    It decides what `_determinants(W, p) != 0` does, without the row swaps
+    and the final inversion, which on the small batches of the per-line
+    test cost more than its updates of whole columns.
     """
     import numpy as np
 

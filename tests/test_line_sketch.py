@@ -384,3 +384,14 @@ def test_witness_mid_stripe_matches_a_serial_loop(s, line, workers, monkeypatch)
     assert cert.notes["lines_per_stack"] == counts
     # the first stripe, lines 0..30, was decided as a stripe
     assert calls and calls[0][0][:31].all()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_stripe_longer_than_a_cores_share_of_the_lines_is_not_taken(workers, monkeypatch):
+    # A_4 over F_29: d + 1 < p, so only the lines in flight bound the stripes
+    r = len(_line_stacks(a4(29))[0])
+    monkeypatch.setattr(structure, "available_cores", lambda: workers)
+    monkeypatch.setattr(structure, "LINES_IN_FLIGHT", 29 * workers)
+    assert _striped(29, 4, r)
+    monkeypatch.setattr(structure, "LINES_IN_FLIGHT", 29 * workers - 1)
+    assert not _striped(29, 4, r)
