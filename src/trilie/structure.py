@@ -576,17 +576,19 @@ def certify_simplicity(L: FiniteNLieAlgebra, budget: int = DEFAULT_LINE_BUDGET,
     1-dimensional subspace and check that the ideal closure of each line is
     the whole algebra.  Sound and complete: any proper nonzero ideal contains
     a line whose closure stays inside it.  Each line is decided by ranks mod
-    p over the row stacks of `_line_stacks`, computed by `_eliminate` in a
-    dtype that provably cannot wrap (Python integers past int64); a proper
+    p over the row stacks of `_line_stacks`, computed by `_nonsingular` in
+    a dtype that provably cannot wrap (Python integers past int64); a proper
     closure is recomputed by `ideal_closure` as the witness.  Where it pays,
     a stack is tried first on a d-matrix sketch, fixed combinations of its
     matrices (`_proper_lines`): an invertible sketch proves the closure
     full, a singular one proves nothing and the stack decides, so a sketch
     never settles a proper line and the certificate is the same without it.
     Where d + 1 < p (and p is at most one core's share of the lines in
-    flight, `_striped`), the first stack's sketch decides the lines a stripe
-    at a time, p lines v0 + t e_{d-1} from d + 1 exact determinants, with
-    the same decisions as line by line.
+    flight, `_striped`), the enumeration runs over stripe starts v0: the
+    first stack's sketch decides the p lines v0 + t e_{d-1} from d + 1
+    exact determinants, and only the lines where its determinant vanishes
+    are made into rows, for a second, independent sketch and then the stacks
+    (`_decide_stripes`), with the same decisions as line by line.
     The lines are decided on every available core, and the certificate is
     the same for any number of cores: `notes["lines_per_stack"]` counts the
     lines each stack settled, and they sum to `lines_checked`.
@@ -672,21 +674,20 @@ def available_cores() -> int:
 
 
 def _certify_prime_exhaustive(L: FiniteNLieAlgebra, L1: Subspace) -> SimplicityCertificate:
-    """Decide the lines of `_canonical_line_chunks` in order, one chunk per
-    call of `_proper_lines`, on one thread per available core, or per chunk
-    if fewer (numpy releases the GIL in the kernel).  At most one chunk per
-    thread is in flight, and results are taken in enumeration order: the
-    first chunk with a proper line cancels the rest, so the verdict, witness,
-    `lines_checked` and per-stack counts do not depend on the number of threads.
+    """Decide the lines in order, one block of `_line_tasks` per call, on one
+    thread per available core, or per block if fewer (numpy releases the GIL
+    in the kernel).  At most one block per thread is in flight, and results
+    are taken in enumeration order: the first block with a proper line
+    cancels the rest, so the verdict, witness, `lines_checked` and per-stack
+    counts do not depend on the number of threads.
 
-    A chunk is `LINES_IN_FLIGHT` lines (`OBJECT_LINES_IN_FLIGHT` for
+    A block is `LINES_IN_FLIGHT` lines (`OBJECT_LINES_IN_FLIGHT` for
     Python-int rows) over the cores.  Where lines are decided in stripes
-    (`_striped`), it is whole stripes instead, since the enumeration lists
-    each stripe's p lines in a row: as many as take the entries of the d x d
-    matrices of that many single lines, counting d + 1 matrices and p rows
-    of d for a stripe, but at least one, no longer than the chunk of single
-    lines (`_striped`), and no more than ceil(lines / cores) lines, so that
-    every core still gets a chunk.
+    (`_striped`), it is stripe starts instead: as many as take the entries
+    of the d x d matrices of that many single lines, counting d + 2 matrices
+    and p values for a stripe, but at least one, and no more than
+    ceil(lines / cores) lines, so that every core still gets a block; the
+    rows it makes are decided at most a block of single lines at a time.
     """
     from collections import deque
     from concurrent.futures import ThreadPoolExecutor
@@ -695,46 +696,119 @@ def _certify_prime_exhaustive(L: FiniteNLieAlgebra, L1: Subspace) -> SimplicityC
 
     p, d = L.field.p, L.dim
     stacks = _line_stacks(L)
-    cores, lines = available_cores(), _line_count(p, d)
-    chunk = max(1, (LINES_IN_FLIGHT if stacks[0].dtype != object
-                    else OBJECT_LINES_IN_FLIGHT) // cores)
-    if _striped(p, d, len(stacks[0])):
-        # a line's entries are d * d, a stripe's (d + 1) * d * d + p * d
-        chunk = p * max(1, min(chunk * d // (d * (d + 1) + p), -(-lines // cores) // p))
+    dtype, cores, lines = stacks[0].dtype, available_cores(), _line_count(p, d)
+    chunk = max(1, (LINES_IN_FLIGHT if dtype != object else OBJECT_LINES_IN_FLIGHT) // cores)
+    striped = _striped(p, d, len(stacks[0]))
+    if striped:
+        # a line's entries are d * d, a stripe's (d + 2) * d * d + p
+        chunk = p * max(1, min(chunk * d * d // ((d + 2) * d * d + p), -(-lines // cores) // p))
     # never more threads than ceil(lines / chunk)
     workers = min(cores, -(-lines // chunk))
-    chunks = _canonical_line_chunks(p, d, chunk, stacks[0].dtype)
+    tasks = _line_tasks(p, d, chunk, dtype, striped)
     checked, per_stack, row = 0, np.zeros(len(stacks), dtype=np.int64), None
     pool = ThreadPoolExecutor(max_workers=workers)
 
-    def submit(V):
-        return V, pool.submit(_proper_lines, stacks, V, p)
+    def submit(task):
+        decide, V = task
+        return pool.submit(decide, stacks, V, p)
 
     try:
-        pending = deque(map(submit, itertools.islice(chunks, workers)))
+        pending = deque(map(submit, itertools.islice(tasks, workers)))
         while pending:
-            V, future = pending.popleft()
-            proper, settled = future.result()
-            # lines up to and including the first proper one
-            cut = int(proper[0]) + 1 if proper.size else len(V)
-            checked += cut
-            per_stack += np.bincount(settled[:cut], minlength=len(stacks))
-            if proper.size:
-                row = [int(x) for x in V[proper[0]]]
+            decided, counts, row = pending.popleft().result()
+            checked += decided
+            per_stack += counts
+            if row is not None:
                 break
-            pending.extend(map(submit, itertools.islice(chunks, 1)))
+            pending.extend(map(submit, itertools.islice(tasks, 1)))
     finally:
-        # drop the chunks not yet started, and wait for the running ones
+        # drop the blocks not yet started, and wait for the running ones
         pool.shutdown(cancel_futures=True)
     notes = {"lines_per_stack": per_stack.tolist()}
     if row is not None:
         # genuine proper closure: recompute it with the exact fixed-point
         # iteration and return it as the witness
-        witness = ideal_closure(L, Subspace(L.field, d, [row]))
+        witness = ideal_closure(L, Subspace(L.field, d, [[int(x) for x in row]]))
         return SimplicityCertificate("non-simple", "exhaustive-1dim", checked, witness,
                                      notes=notes)
     return SimplicityCertificate("simple", "exhaustive-1dim", checked, None,
                                  notes={"derived_dim": L1.dim, **notes})
+
+
+def _line_tasks(p: int, d: int, chunk: int, dtype, striped: bool):
+    """The certification's blocks in enumeration order, as (decide, rows)
+    pairs: `decide(stacks, rows, p)` gives the `_decide_lines` triple of the
+    lines the rows stand for.
+
+    Per line, the rows are the lines of `_canonical_line_chunks`, `chunk` at
+    a time.  In stripes, every line but e_{d-1} is v0 + t e_{d-1} for one t
+    in F_p and one stripe start v0 = (u, 0), u a canonical line of F_p^(d-1),
+    and the enumeration lists each stripe's p lines in a row: the rows are
+    the u, chunk // p at a time, for `_decide_stripes`, and the line e_{d-1}
+    comes last on its own."""
+    import numpy as np
+
+    if not striped:
+        for V in _canonical_line_chunks(p, d, chunk, dtype):
+            yield _decide_lines, V
+        return
+    for U in _canonical_line_chunks(p, d - 1, chunk // p, dtype):
+        yield _decide_stripes, U
+    yield _decide_lines, np.eye(1, d, d - 1, dtype=dtype)
+
+
+def _decide_lines(stacks, V, p: int, seed: int = 0):
+    """The lines (rows of V) decided in order by `_proper_lines` with sketches
+    of `seed`: (how many lines up to and including the first proper one, or
+    all of them; how many of those each stack settled; that line, or None)."""
+    import numpy as np
+
+    proper, settled = _proper_lines(stacks, V, p, seed)
+    cut = int(proper[0]) + 1 if proper.size else len(V)
+    row = V[cut - 1] if proper.size else None
+    return cut, np.bincount(settled[:cut], minlength=len(stacks)), row
+
+
+def _decide_stripes(stacks, U, p: int):
+    """`_decide_lines` of the stripes that start at v0 = (u, 0) for the rows u
+    of U, each the p lines v0 + t e_{d-1}, t = 0..p-1, where `_striped` holds.
+
+    Along a stripe, T(v0 + t e_{d-1}) = T v0 + t T e_{d-1} for the first
+    stack's sketch T, so det T v is a polynomial of degree at most d in t:
+    its values at the nodes t = 0..d (`_determinants`) fix its value at every
+    t in F_p through the (d + 1) x p Lagrange matrix of `_lagrange`.  A
+    nonzero value is an invertible T v, which settles the line on the first
+    stack.  Only the lines with a zero value become rows.  T, known singular
+    on them, is not tried again: `_proper_lines` decides them with the
+    sketches of seed 1, independent of T, then each stack's rank, so the
+    lines are decided exactly as line by line."""
+    import numpy as np
+
+    d = U.shape[1] + 1
+    T = _sketch(stacks[0], p)
+    # T v0 per stripe, the stripes innermost, then T v at each node
+    A = _reduce(np.einsum("kij,jb->kib", T[:, :, :-1], U.T), p)
+    step = _reduce(T[:, :, -1, None] * np.arange(d + 1, dtype=T.dtype), p)
+    W = _reduce(A[:, :, None, :] + step[..., None], p).reshape(d, d, -1)
+    values = _determinants(W, p).reshape(d + 1, -1).T @ _lagrange(p, d)
+    # the lines with a zero value, as positions stripe * p + t, in order,
+    # decided at most a per-line block at a time, up to the first proper one
+    zeros = np.flatnonzero(_reduce(values.astype(_residue_dtype(p, d + 1)), p) == 0)
+    size = LINES_IN_FLIGHT // available_cores()
+    counts, decided, row = np.zeros(len(stacks), dtype=np.int64), 0, None
+    for at in range(0, zeros.size, size):
+        part = zeros[at:at + size]
+        V = np.empty((part.size, d), dtype=U.dtype)
+        V[:, :-1], V[:, -1] = U[part // p], part % p
+        cut, got, row = _decide_lines(stacks, V, p, seed=1)
+        counts += got
+        decided += cut
+        if row is not None:
+            break
+    lines = int(zeros[decided - 1]) + 1 if row is not None else len(U) * p
+    # the lines up to there with a nonzero value
+    counts[0] += lines - decided
+    return lines, counts, row
 
 
 def _line_stacks(L: FiniteNLieAlgebra):
@@ -761,24 +835,18 @@ def _line_stacks(L: FiniteNLieAlgebra):
     return [s for s, after in zip(stacks, stacks[1:]) if len(s) < len(after)] + stacks[-1:]
 
 
-def _proper_lines(stacks, V, p: int):
+def _proper_lines(stacks, V, p: int, seed: int = 0):
     """The lines (rows of V) whose closure `_line_stacks` finds proper: their
     indices, and for every line the index in `stacks` of the stack that
     settled it.  Each stack settles the lines it proves full; a rank below d
     is trusted only from the last, exact stack, which settles every line left.
 
-    A stack S is tried first through its sketch T (`_sketch`), d matrices
-    that are combinations of S's and so lie in the algebra the ad maps
-    generate: an invertible T v proves span{S v}, and the closure, full, and
-    the line counts as settled by S.  A singular T v proves nothing, so those
-    lines go on to S itself: a sketch never settles a proper line, and the
-    result is the same for any sketch.
-
-    Where `_striped` holds, the first stack's sketch decides the whole
-    stripes of V (`_stripe_decisions`) from d + 1 determinants each instead
-    of p nonsingularity tests; the determinants are exact, so every line is
-    decided as the per-line test decides it, and the result is the same for
-    any V.  The lines outside whole stripes take the per-line test."""
+    A stack S is tried first through its sketch T (`_sketch` with `seed`), d
+    matrices that are combinations of S's and so lie in the algebra the ad
+    maps generate: an invertible T v proves span{S v}, and the closure, full,
+    and the line counts as settled by S.  A singular T v proves nothing, so
+    those lines go on to S itself: a sketch never settles a proper line, and
+    the result is the same for any sketch."""
     import numpy as np
 
     d = V.shape[1]
@@ -786,21 +854,15 @@ def _proper_lines(stacks, V, p: int):
     left = np.arange(V.shape[0])
     settled = np.full(V.shape[0], len(stacks) - 1, dtype=np.int8)
     for i, S in enumerate(stacks):
-        T = _sketch(S, p) if left.size else None
+        T = _sketch(S, p, seed) if left.size else None
         if T is not None:
-            full, one = np.zeros(left.size, dtype=bool), slice(None)
-            if i == 0 and _striped(p, d, len(S)):
-                # every line is left, so positions in left are rows of V
-                striped, decided = _stripe_decisions(T, V, p)
-                full[striped], one = decided, ~striped
             # the d x d matrix T v of each line, the lines innermost
-            W = _reduce(np.einsum("kij,jb->kib", T, V.T[:, left[one]]), p)
-            full[one] = _nonsingular(W, p)
+            full = _nonsingular(_reduce(np.einsum("kij,jb->kib", T, V.T[:, left]), p), p)
             settled[left[full]] = i
             left = left[~full]
         if left.size:
-            W = _reduce(np.einsum("rij,bj->bri", S, V[left]), p)
-            full = _eliminate(W, p).sum(axis=1) == d
+            # the images S_k v of each line as the rows of an r x d matrix
+            full = _nonsingular(_reduce(np.einsum("rij,jb->rib", S, V.T[:, left]), p), p)
             settled[left[full]] = i
             left = left[~full]
     return left, settled
@@ -816,26 +878,26 @@ def _sketched(p: int, d: int, r: int) -> bool:
     return d * (p - 1) + r < r * (p - 1)
 
 
-def _sketch(S, p: int):
-    """R.S mod p for the fixed d x r matrix R of `_sketch_rows`: d matrices
-    in S's dtype, each a combination of the r of S; None where `_sketched`
-    says it cannot pay."""
+def _sketch(S, p: int, seed: int = 0):
+    """R.S mod p for the fixed d x r matrix R of `_sketch_rows` of `seed`: d
+    matrices in S's dtype, each a combination of the r of S; None where
+    `_sketched` says it cannot pay."""
     r, d = S.shape[:2]
     if not _sketched(p, d, r):
         return None
-    R = _sketch_rows(p, d, r)
+    R = _sketch_rows(p, d, r, seed)
     # r products per entry, in R's dtype, reduced into S's
     T = R @ S.reshape(r, d * d).astype(R.dtype)
     return _reduce(T, p).astype(S.dtype).reshape(d, d, d)
 
 
 @functools.lru_cache(maxsize=None)
-def _sketch_rows(p: int, d: int, r: int):
-    """A fixed, seeded d x r matrix of residues mod p, read-only, in the
-    narrowest dtype that holds a sum of r products mod p."""
+def _sketch_rows(p: int, d: int, r: int, seed: int = 0):
+    """A fixed d x r matrix of residues mod p drawn with `seed`, read-only,
+    in the narrowest dtype that holds a sum of r products mod p."""
     import numpy as np
 
-    rng = random.Random(0)
+    rng = random.Random(seed)
     R = np.array([[rng.randrange(p) for _ in range(r)] for _ in range(d)],
                  dtype=_residue_dtype(p, r))
     R.flags.writeable = False
@@ -844,78 +906,35 @@ def _sketch_rows(p: int, d: int, r: int):
 
 def _striped(p: int, d: int, r: int) -> bool:
     """Whether the first stack, of r matrices d x d mod p, decides lines a
-    stripe at a time (`_stripe_decisions`): where it is sketched and
+    stripe at a time (`_decide_stripes`): where it is sketched and
     d + 1 < p, so that the d + 1 interpolation nodes are distinct mod p and
     fewer than the p lines they decide, and where a stripe is no longer than
-    one core's share of `LINES_IN_FLIGHT`, so that a chunk of whole stripes
+    one core's share of `LINES_IN_FLIGHT`, so that a block of whole stripes
     fits the lines in flight (Python-int rows, p past 3.04e9, never do)."""
     return d + 1 < p <= LINES_IN_FLIGHT // available_cores() and _sketched(p, d, r)
 
 
-def _stripe_starts(V, p: int):
-    """The first rows of the whole stripes of V, in order: runs of p rows
-    v0 + t e_{d-1}, t = 0..p-1, equal but for the last coordinate, which
-    runs 0..p-1.  Entries are residues, so a run of +1 steps in the last
-    coordinate that starts at 0 is at most p rows long."""
-    import numpy as np
-
-    cols = V.T.copy()
-    # follows[j]: row j + 1 is row j + e_{d-1}
-    follows = np.diff(cols[-1]) == 1
-    for col in cols[:-1]:
-        follows &= np.diff(col) == 0
-    start = np.flatnonzero(cols[-1, : max(0, len(V) - p + 1)] == 0)
-    # the first row that is not followed, at or after each start
-    breaks = np.append(np.flatnonzero(~follows), len(V) - 1)
-    return start[breaks[np.searchsorted(breaks, start)] >= start + p - 1]
-
-
-def _stripe_decisions(T, V, p: int):
-    """(striped, full): whether each row of V lies in a whole stripe
-    (`_stripe_starts`), and for those rows, in order, whether T v is
-    invertible.
-
-    Along a stripe, T(v0 + t e_{d-1}) = T v0 + t T e_{d-1}, so det T v is a
-    polynomial of degree at most d in t: its values at the nodes t = 0..d
-    (`_determinants`) fix its value at every t in F_p through the p x (d + 1)
-    Lagrange matrix of `_lagrange`, and a nonzero value is an invertible
-    T v."""
-    import numpy as np
-
-    d = V.shape[1]
-    starts = _stripe_starts(V, p)
-    # T v0 per stripe, the stripes innermost, then T v at each node
-    A = _reduce(np.einsum("kij,jb->kib", T, V[starts].T), p)
-    step = _reduce(T[:, :, d - 1, None] * np.arange(d + 1, dtype=T.dtype), p)
-    W = _reduce(A[:, :, None, :] + step[..., None], p).reshape(d, d, -1)
-    lagrange = _lagrange(p, d)
-    dets = _determinants(W, p).reshape(d + 1, -1).astype(lagrange.dtype)
-    # one row of values per stripe
-    values = _reduce(dets.T @ lagrange.T, p)
-    edges = np.zeros(len(V) + 1, dtype=np.int8)
-    edges[starts] += 1
-    edges[starts + p] -= 1
-    return np.cumsum(edges[:-1], dtype=np.int8) > 0, (values != 0).ravel()
-
-
 @functools.lru_cache(maxsize=None)
 def _lagrange(p: int, d: int):
-    """The p x (d + 1) matrix mod p whose row t takes the values of a
+    """The (d + 1) x p matrix mod p whose column t takes the values of a
     polynomial of degree at most d at t = 0..d to its value at t, read-only,
-    in the narrowest dtype that holds a sum of d + 1 products mod p."""
+    in float64: a product with residues sums d + 1 integers below p^2, and
+    BLAS sums integers below 2^53 exactly, several times faster than
+    numpy's integer matmul."""
     import numpy as np
 
-    rows = []
+    assert (d + 1) * (p - 1) ** 2 < 2 ** 53
+    cols = []
     for t in range(p):
-        row = []
+        col = []
         for m in range(d + 1):
             num = den = 1
             for j in range(d + 1):
                 if j != m:
                     num, den = num * (t - j) % p, den * (m - j) % p
-            row.append(num * pow(den, -1, p) % p)
-        rows.append(row)
-    M = np.array(rows, dtype=_residue_dtype(p, d + 1))
+            col.append(num * pow(den, -1, p) % p)
+        cols.append(col)
+    M = np.array(cols, dtype=np.float64).T.copy()
     M.flags.writeable = False
     return M
 
@@ -972,25 +991,25 @@ def _determinants(W, p: int):
 
 
 def _nonsingular(W, p: int):
-    """Whether each square matrix W[:, :, b] of a batch (c, c, B) with
-    entries in [0, p) is invertible mod p; W is overwritten.
+    """Whether each matrix W[:, :, b] of a batch (r, c, B) with entries in
+    [0, p) has rank c mod p (is invertible, where square); W is overwritten.
 
     Dense elimination with the batch innermost, so every step is one
-    vectorized pass over all B matrices (`_eliminate` serves the sparse
-    stacks).  Column by column, each matrix's first row with a nonzero entry
-    there is the pivot P, and every row x turns into P[col]*x - x[col]*P:
-    the other rows lose their entry in the column and the pivot row becomes
-    zero, so it is never chosen again.  A column with no pivot means a
-    singular matrix.  As in `_eliminate`, values stay within (p-1)^2 in
-    magnitude, and reducing them within p(p-1), which W's dtype must hold.
-    It decides what `_determinants(W, p) != 0` does, without the row swaps
-    and the final inversion, which on the small batches of the per-line
-    test cost more than its updates of whole columns.
+    vectorized pass over all B matrices.  Column by column, each matrix's
+    first row with a nonzero entry there is the pivot P, and every row x
+    turns into P[col]*x - x[col]*P: the other rows lose their entry in the
+    column and the pivot row becomes zero, so it is never chosen again.  A
+    column with no pivot means a rank below c.  As in `_eliminate`, values
+    stay within (p-1)^2 in magnitude, and reducing them within p(p-1), which
+    W's dtype must hold.  On square matrices it decides what
+    `_determinants(W, p) != 0` does, without the row swaps and the final
+    inversion, which on the small batches of the per-line test cost more
+    than its updates of whole columns.
     """
     import numpy as np
 
     assert _fits(W.dtype, p, 1)
-    c, _, B = W.shape
+    _, c, B = W.shape
     full, cols, batch = np.ones(B, dtype=bool), np.arange(c)[:, None], np.arange(B)
     for col in range(c):
         head = (W[:, col] != 0).argmax(axis=0)
@@ -1005,20 +1024,26 @@ def _nonsingular(W, p: int):
 
 def _canonical_line_chunks(p: int, d: int, chunk: int, dtype):
     """Canonical projective representatives: first nonzero coordinate is 1,
-    enumerated by pivot position then lexicographic tail, in chunks."""
+    enumerated by pivot position then lexicographic tail, in chunks of
+    `chunk` lines (the last may be shorter) that run across pivot blocks."""
     import numpy as np
 
-    for k in range(d):
-        total = p ** (d - 1 - k)
-        for start in range(0, total, chunk):
-            cnt = min(chunk, total - start)
-            V = np.zeros((cnt, d), dtype=dtype)
-            V[:, k] = 1
-            x = np.arange(start, start + cnt, dtype=object if dtype == object else np.int64)
+    lines = _line_count(p, d)
+    for start in range(0, lines, chunk):
+        V = np.zeros((min(chunk, lines - start), d), dtype=dtype)
+        for k in range(d):
+            # pivot k's block: the p^(d-1-k) lines after those of pivots < k
+            first = lines - _line_count(p, d - k)
+            lo, hi = max(start, first), min(start + len(V), first + p ** (d - 1 - k))
+            if lo >= hi:
+                continue
+            block = V[lo - start:hi - start]
+            block[:, k] = 1
+            x = np.arange(lo - first, hi - first, dtype=object if dtype == object else np.int64)
             for col in range(d - 1, k, -1):
-                V[:, col] = x % p
+                block[:, col] = x % p
                 x //= p
-            yield V
+        yield V
 
 
 def _eliminate(W, p: int):

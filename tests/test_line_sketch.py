@@ -9,14 +9,23 @@ stack through `_eliminate`) and with `ideal_closure`; and with an all-zero
 R, so that every line falls through, the threaded certificates stay those
 of the sketched run.
 
-Where p > d + 1 the first stack's sketch decides whole stripes, runs of p
-lines v0 + t e_{d-1}, from d + 1 determinants each.  The determinant kernel
-is compared with sympy; the stripe decisions, on chunks that cut stripes,
-with the same reference, with the per-line sketch path and with
-`ideal_closure`; and a witness in the middle of a stripe with a serial loop.
+Where p > d + 1 the certificate enumerates stripe starts v0, each standing
+for the p lines v0 + t e_{d-1}, which the first stack's sketch decides from
+d + 1 determinants; only the lines where they vanish become rows, for a
+second sketch and the stacks.  The determinant kernel is compared with
+sympy; the stripe blocks plus e_{d-1} with a brute-force enumeration of the
+lines; the stripe decisions with the same reference, with the per-line path
+and with `ideal_closure`, also with either sketch all zero; and the
+threaded stripe certificate, simple or with its witness at a stripe's
+first, middle or last line or past the first blocks, with the per-line
+certificate and a serial loop.
 """
 
+import contextlib
+import functools
 import itertools
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -34,12 +43,14 @@ from trilie.structure import (
     _eliminate,
     _line_stacks,
     _nonsingular,
+    _decide_lines,
+    _decide_stripes,
+    _line_tasks,
     _proper_lines,
     _reduce,
     _residue_dtype,
     _sketch,
     _sketch_rows,
-    _stripe_starts,
     _striped,
     certify_simplicity,
     ideal_closure,
@@ -173,12 +184,16 @@ def test_all_zero_sketch_gives_the_same_certificates(name, workers, monkeypatch)
     real, verdicts = structure._nonsingular, []
 
     def recorded(W, p):
+        # a zero sketch makes zero matrices; a stack's never are (it holds
+        # the identity)
+        zero = not W.any()
         out = real(W, p)
-        verdicts.append(out)
+        if zero:
+            verdicts.append(out)
         return out
 
     monkeypatch.setattr(structure, "_sketch_rows",
-                        lambda p, d, r: np.zeros((d, r), dtype=np.int64))
+                        lambda p, d, r, seed=0: np.zeros((d, r), dtype=np.int64))
     monkeypatch.setattr(structure, "_nonsingular", recorded)
     got = certify_simplicity(L)
     assert (got.verdict, got.lines_checked, got.witness, got.notes) == \
@@ -247,51 +262,61 @@ def test_determinants_refuse_a_dtype_too_narrow_for_the_update():
 # stripes
 # ---------------------------------------------------------------------------
 
-def whole_stripes(V, p):
-    """The first rows of V's runs of p rows v0 + t e_{d-1}, t = 0..p-1, by
-    brute force."""
-    step = np.eye(V.shape[1], dtype=V.dtype)[-1]
-    return [j for j in range(len(V) - p + 1) if V[j, -1] == 0
-            and all((V[j + t] == V[j] + t * step).all() for t in range(p))]
+def canonical_lines(p, d):
+    """The canonical lines of F_p^d in enumeration order, lazily, by brute
+    force: pivot position first, then the tail lexicographically."""
+    return ([0] * k + [1] + list(tail) for k in range(d)
+            for tail in itertools.product(range(p), repeat=d - 1 - k))
 
 
-@pytest.mark.parametrize("p, d", [(7, 4), (89, 4), (13, 2)])
-def test_stripe_starts_are_the_whole_stripes_of_a_chunk(p, d):
-    dtype = _residue_dtype(p, d)
-    for size in (1, p - 1, p, p + 1, 3 * p - 2):
-        for V in itertools.islice(_canonical_line_chunks(p, d, size, dtype), 5):
-            assert _stripe_starts(V, p).tolist() == whole_stripes(V, p)
-    # the first chunk of p + 1 lines: the stripe e_0 + t e_{d-1}, and one line
-    V = next(_canonical_line_chunks(p, d, p + 1, dtype))
-    assert _stripe_starts(V, p).tolist() == [0]
-    if d == 2:
-        return
-    # three stripes, then the last line, a middle line or a prefix entry of
-    # the middle one spoilt: only the first and last stay whole
-    V = next(_canonical_line_chunks(p, d, 3 * p, dtype))
-    for spoil in (lambda V: np.delete(V, 2 * p - 1, axis=0),
-                  lambda V: np.delete(V, p + p // 2, axis=0),
-                  lambda V: np.where(np.arange(3 * p)[:, None] == p + 1,
-                                     (V + np.eye(d, dtype=dtype)[0]) % p, V)):
-        W = spoil(V)
-        assert _stripe_starts(W, p).tolist() == whole_stripes(W, p) == [0, len(W) - p]
+def stripe_lines(U, p):
+    """The lines (u, t), t = 0..p-1, of the stripes that start at (u, 0) for
+    the rows u of U, in order."""
+    V = np.repeat(U, p, axis=0)
+    return np.concatenate([V, np.tile(np.arange(p, dtype=U.dtype), len(U))[:, None]], axis=1)
 
 
-def per_line_lines(stacks, V, p):
-    """`_proper_lines` with every line tested on its own."""
-    with mock.patch.object(structure, "_striped", lambda p, d, r: False):
-        return _proper_lines(stacks, V, p)
+@st.composite
+def enumerations(draw):
+    """(p, d, block size): d + 1 < p, at most 8,011 lines, and a block of 1,
+    about p, or up to all the lines."""
+    p = draw(st.sampled_from([5, 7, 11, 13, 89]))
+    d = draw(st.integers(2, 3 if p in (5, 89) else 4))
+    lines = (p ** d - 1) // (p - 1)
+    size = draw(st.sampled_from([1, p - 1, p, p + 1, 2 * p, lines - 1, lines])
+                | st.integers(1, lines + p))
+    return p, d, size
+
+
+@settings(max_examples=150, deadline=None)
+@given(enumerations())
+def test_stripe_blocks_and_the_last_line_list_every_line_once_in_order(case):
+    p, d, size = case
+    dtype, want = _residue_dtype(p, d), list(canonical_lines(p, d))
+    # per line: blocks of `size` lines that run across the pivot blocks
+    tasks = list(_line_tasks(p, d, size, dtype, False))
+    assert all(decide is _decide_lines for decide, _ in tasks)
+    assert [len(V) for _, V in tasks[:-1]] == [size] * (len(tasks) - 1)
+    assert np.concatenate([V for _, V in tasks]).tolist() == want
+    # in stripes: blocks of size // p stripe starts (u, 0), then e_{d-1}
+    tasks = list(_line_tasks(p, d, p * max(1, size // p), dtype, True))
+    *stripes, (last_decide, last) = tasks
+    assert all(decide is _decide_stripes for decide, _ in stripes)
+    assert [len(U) for _, U in stripes[:-1]] == [max(1, size // p)] * (len(stripes) - 1)
+    assert last_decide is _decide_lines and last.tolist() == [want[-1]] == [[0] * (d - 1) + [1]]
+    got = np.concatenate([stripe_lines(U, p) for _, U in stripes] + [last])
+    assert got.dtype == dtype and got.tolist() == want
 
 
 @st.composite
 def striped_tables(draw):
-    """(algebra, lines): a random alternating table over F_p, p > d + 1, in a
-    random basis, sparse enough that proper ideals come up; the lines are up
-    to three successive canonical chunks, of a size that cuts stripes, then
-    random lines."""
+    """(algebra, stripe starts): a random alternating table over F_p, p > d + 1,
+    in a random basis, sparse enough that proper ideals come up, whose first
+    stack is sketched; the stripe starts u are up to three successive
+    canonical lines of F_p^(d-1) from a drawn one, then random ones."""
     p = draw(st.sampled_from([7, 11, 13, 89]))
     n = draw(st.integers(2, 4))
-    d = draw(st.integers(n, 5))
+    d = draw(st.integers(max(n, 2), 5))
     density = draw(st.sampled_from([0.1, 0.3, 0.6]))
     rnd = draw(st.randoms(use_true_random=False))
     constants = {}
@@ -302,67 +327,78 @@ def striped_tables(draw):
     L = FiniteNLieAlgebra(PrimeField(p), d, n, constants)
     L = in_random_basis(L, seed=rnd.randrange(2 ** 32))
     dtype = _residue_dtype(p, d)
-    size = draw(st.sampled_from([1, p - 1, p, p + 1]) | st.integers(1, 2 * p))
-    start, count = draw(st.integers(0, 2)), draw(st.integers(1, 3))
-    chunks = list(itertools.islice(_canonical_line_chunks(p, d, size, dtype), start + count))
-    first = np.concatenate(chunks[min(start, len(chunks) - 1):])
+    starts = np.array(list(itertools.islice(canonical_lines(p, d - 1), 3 * p)), dtype=dtype)
+    at = draw(st.integers(0, len(starts) - 1))
     drawn = []
-    for _ in range(draw(st.integers(0, 10))):
-        v = [rnd.randrange(p) for _ in range(d)]
-        k = next((i for i, x in enumerate(v) if x), None)
+    for _ in range(draw(st.integers(0, 3))):
+        u = [rnd.randrange(p) for _ in range(d - 1)]
+        k = next((i for i, x in enumerate(u) if x), None)
         if k is not None:
-            inv = pow(v[k], -1, p)
-            drawn.append([x * inv % p for x in v])
-    V = np.concatenate([first, np.array(drawn, dtype=dtype).reshape(-1, d)])
-    return L, V
+            inv = pow(u[k], -1, p)
+            drawn.append([x * inv % p for x in u])
+    U = np.concatenate([starts[at:at + draw(st.integers(1, 3))],
+                        np.array(drawn, dtype=dtype).reshape(-1, d - 1)])
+    return L, U
 
 
-def recorded_stripes():
-    """A patch that records the output of each `_stripe_decisions` call."""
-    real, calls = structure._stripe_decisions, []
+def recorded_proper_lines():
+    """A patch that records the rows and the sketch seed of each
+    `_proper_lines` call."""
+    real, calls = structure._proper_lines, []
 
-    def recorded(T, V, p):
-        out = real(T, V, p)
-        calls.append(out)
-        return out
+    def recorded(stacks, V, p, seed=0):
+        calls.append((V.copy(), seed))
+        return real(stacks, V, p, seed)
 
-    return mock.patch.object(structure, "_stripe_decisions", recorded), calls
+    return mock.patch.object(structure, "_proper_lines", recorded), calls
+
+
+def zero_sketch_rows(zero_seed):
+    """A patch that makes the sketch rows of `zero_seed` all zero."""
+    real = structure._sketch_rows
+    return mock.patch.object(structure, "_sketch_rows", lambda p, d, r, seed=0:
+                             np.zeros((d, r), dtype=np.int64) if seed == zero_seed
+                             else real(p, d, r, seed))
+
+
+def triple(out):
+    lines, counts, row = out
+    return lines, list(counts), None if row is None else row.tolist()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(striped_tables())
 def test_stripes_match_the_reference_the_per_line_path_and_ideal_closure(case):
-    L, V = case
+    L, U = case
     p, d = L.field.p, L.dim
     stacks = _line_stacks(L)
-    patch, calls = recorded_stripes()
+    T = _sketch(stacks[0], p)
+    if T is None:
+        return
+    V = stripe_lines(U, p)
+    patch, calls = recorded_proper_lines()
     with patch:
-        proper, settled = _proper_lines(stacks, V, p)
-    want_proper, want_settled = reference_lines(stacks, V, p)
-    assert proper.tolist() == want_proper.tolist()
-    assert settled.tolist() == want_settled.tolist()
-    one_proper, one_settled = per_line_lines(stacks, V, p)
-    assert proper.tolist() == one_proper.tolist()
-    assert settled.tolist() == one_settled.tolist()
-    if _striped(p, d, len(stacks[0])):
-        (striped, decided), = calls
-        rows = [j + t for j in whole_stripes(V, p) for t in range(p)]
-        assert np.flatnonzero(striped).tolist() == rows and len(decided) == len(rows)
-    else:
-        assert not calls
-    for i, v in enumerate(V):
+        got = triple(_decide_stripes(stacks, U, p))
+    want = triple(_decide_lines(stacks, V, p))
+    assert got == want
+    # the sketch-free reference
+    proper, settled = reference_lines(stacks, V, p)
+    lines = int(proper[0]) + 1 if proper.size else len(V)
+    assert got[:2] == (lines, np.bincount(settled[:lines], minlength=len(stacks)).tolist())
+    for i, v in enumerate(V[:lines]):
         closure = ideal_closure(L, Subspace(L.field, d, [[int(x) for x in v]]))
         assert (closure.dim < d) == (i in proper), i
-
-    # with an all-zero sketch every stripe line falls through, and the
-    # decisions stay the same
-    patch, calls = recorded_stripes()
-    with patch, mock.patch.object(structure, "_sketch_rows",
-                                  lambda p, d, r: np.zeros((d, r), dtype=np.int64)):
-        zero_proper, zero_settled = _proper_lines(stacks, V, p)
-    assert zero_proper.tolist() == proper.tolist()
-    assert zero_settled.tolist() == settled.tolist()
-    assert all(not decided.any() for _, decided in calls)
+    # the rows made are the lines whose T v is singular, in order, up to
+    # and past the first proper one, decided on the sketches of seed 1
+    singular = ~_nonsingular(_reduce(np.einsum("kij,jb->kib", T, V.T), p), p)
+    rows = np.concatenate([W for W, _ in calls]) if calls else V[:0]
+    assert {seed for _, seed in calls} <= {1}
+    assert rows.tolist() == V[singular][:len(rows)].tolist()
+    assert len(rows) >= singular[:lines].sum()
+    # with either sketch all zero the decisions stay the same
+    for seed in (0, 1):
+        with zero_sketch_rows(seed):
+            assert triple(_decide_stripes(stacks, U, p)) == want
 
 
 @pytest.mark.parametrize("s, line", [
@@ -377,13 +413,112 @@ def test_witness_mid_stripe_matches_a_serial_loop(s, line, workers, monkeypatch)
     assert (verdict, lines) == ("non-simple", line + 1)
     assert row == [1, 0, 0, 0, line]
     monkeypatch.setattr(structure, "available_cores", lambda: workers)
-    patch, calls = recorded_stripes()
-    with patch:
-        cert = certify_simplicity(L)
+    real, starts = structure._decide_stripes, []
+
+    def recorded(stacks, U, p):
+        starts.append(U[0].tolist())
+        return real(stacks, U, p)
+
+    monkeypatch.setattr(structure, "_decide_stripes", recorded)
+    cert = certify_simplicity(L)
     assert (cert.verdict, cert.lines_checked, cert.witness) == (verdict, lines, witness)
     assert cert.notes["lines_per_stack"] == counts
     # the first stripe, lines 0..30, was decided as a stripe
-    assert calls and calls[0][0][:31].all()
+    assert starts and starts[0] == [1, 0, 0, 0]
+
+
+def center_line_at(p, line):
+    """A_4 (+) F z, z central, in the basis e_0 = z + w, e_1..e_4 = u_0..u_3
+    of A_4, with w in A_4 chosen so that z is the canonical line numbered
+    `line` < p^4.  The lines of pivot 0 are z + (w + u) for u in A_4, outside
+    A_4, and proper only when w + u = 0: z is the first proper line, and its
+    closure F z the witness."""
+    digits = [line // p ** (3 - i) % p for i in range(4)]
+    w = {i: -x % p for i, x in enumerate(digits) if x}
+    A = a4(p)
+    constants = {}
+    for key in itertools.combinations(range(5), 3):
+        if key[0] == 0:
+            y = A.bracket_sparse([w, {key[1] - 1: 1}, {key[2] - 1: 1}])
+        else:
+            y = A.bracket_indices(tuple(k - 1 for k in key))
+        constants[key] = {l + 1: c for l, c in y.items()}
+    return FiniteNLieAlgebra(PrimeField(p), 5, 3, constants)
+
+
+# (algebra, the index of its first proper line, or None); over F_7 a stripe
+# is 7 lines, and with 16 lines in flight per thread a block is 2 stripes
+STRIPE_CASES = {
+    "a4-p7": (lambda: a4(7), None),
+    "a4-p11-random-basis": (lambda: in_random_basis(a4(11), seed=11), None),
+    "first-of-a-stripe": (lambda: center_line_at(7, 14), 14),
+    "mid-stripe": (lambda: center_line_at(7, 24), 24),
+    "last-of-a-stripe": (lambda: center_line_at(7, 34), 34),
+    "past-the-first-blocks": (lambda: center_line_at(7, 150), 150),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def stripe_case(name):
+    """(algebra, its `serial_certificate`)."""
+    make, line = STRIPE_CASES[name]
+    L = make()
+    want = serial_certificate(L)
+    assert want[0] == ("simple" if line is None else "non-simple")
+    if line is not None:
+        p = L.field.p
+        assert want[1] == line + 1 and want[4] == [1] + [line // p ** (3 - i) % p
+                                                         for i in range(4)]
+        assert want[2].dim == 1
+    return L, want
+
+
+@pytest.mark.parametrize("zero_second", [False, True], ids=["sketch", "zero-second-sketch"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(STRIPE_CASES))
+def test_stripe_certificate_matches_the_per_line_one_and_a_serial_loop(
+        name, workers, zero_second, monkeypatch):
+    L, (verdict, lines, witness, counts, row) = stripe_case(name)
+    monkeypatch.setattr(structure, "available_cores", lambda: workers)
+    monkeypatch.setattr(structure, "LINES_IN_FLIGHT", 16 * workers)
+    assert _striped(L.field.p, L.dim, len(_line_stacks(L)[0]))
+    real, blocks = structure._decide_stripes, []
+
+    def witness_block_last(stacks, U, p):
+        # the block that holds the first proper line finishes after the
+        # blocks behind it, which the certificate must not take first
+        blocks.append(len(U))
+        if row is not None and (U == row[:-1]).all(axis=1).any():
+            time.sleep(0.05)
+        return real(stacks, U, p)
+
+    monkeypatch.setattr(structure, "_decide_stripes", witness_block_last)
+    with zero_sketch_rows(1) if zero_second else contextlib.nullcontext():
+        cert = certify_simplicity(L)
+        with mock.patch.object(structure, "_striped", lambda p, d, r: False):
+            per_line = certify_simplicity(L)
+    for got in (cert, per_line):
+        assert (got.verdict, got.lines_checked, got.witness) == (verdict, lines, witness)
+        assert got.notes["lines_per_stack"] == counts
+    # decided in blocks of 2 stripes (the last may be shorter)
+    assert blocks and set(blocks[:-1]) == {2} and blocks[-1] in (1, 2)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_stripe_block_error_reaches_the_caller_from_threads(workers, monkeypatch):
+    monkeypatch.setattr(structure, "available_cores", lambda: workers)
+    real, calls = structure._decide_stripes, itertools.count()
+
+    def failing(stacks, U, p):
+        if next(calls) == 2:
+            raise ZeroDivisionError("block 2")
+        return real(stacks, U, p)
+
+    monkeypatch.setattr(structure, "_decide_stripes", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(ZeroDivisionError, match="block 2"):
+        certify_simplicity(a4(29))
+    assert set(threading.enumerate()) == before
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -350,12 +350,12 @@ def test_pipeline_certificate_matches_a_serial_loop(pipeline_case, workers, size
     pools = small_chunks(monkeypatch, size)
     real = structure._proper_lines
 
-    def witness_chunk_last(stacks, V, p):
+    def witness_chunk_last(stacks, V, p, seed=0):
         # the chunk that holds the first proper line finishes after the
         # chunks behind it, which the certificate must not take first
         if line is not None and (V == line).all(axis=1).any():
             time.sleep(0.05)
-        return real(stacks, V, p)
+        return real(stacks, V, p, seed)
 
     monkeypatch.setattr(structure, "_proper_lines", witness_chunk_last)
     cert = certify_simplicity(L)
@@ -386,34 +386,36 @@ def test_pipeline_with_more_threads_than_cores_switching_often(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_pipeline_keeps_at_most_one_chunk_per_thread_in_flight(workers, monkeypatch):
     monkeypatch.setattr(structure, "available_cores", lambda: workers)
-    real_chunks, real_lines = structure._canonical_line_chunks, structure._proper_lines
+    real_chunks, real_stripes = structure._canonical_line_chunks, structure._decide_stripes
     lock, drawn, done, sizes, ahead = threading.Lock(), [0], [0], [], []
 
     def chunks(p, d, chunk, dtype):
-        sizes.append(chunk)
-        for V in real_chunks(p, d, 512, dtype):
+        sizes.append((d, chunk))
+        for U in real_chunks(p, d, 16, dtype):
             with lock:
                 ahead.append(drawn[0] - done[0])
                 drawn[0] += 1
-            yield V
+            yield U
 
-    def slow_lines(stacks, V, p):
+    def slow_stripes(stacks, U, p):
         time.sleep(0.005)
-        out = real_lines(stacks, V, p)
+        out = real_stripes(stacks, U, p)
         with lock:
             done[0] += 1
         return out
 
     monkeypatch.setattr(structure, "_canonical_line_chunks", chunks)
-    monkeypatch.setattr(structure, "_proper_lines", slow_lines)
-    # 25,260 lines, decided in stripes of 29: a chunk holds whole stripes,
-    # no more than one core's share of the lines, so every core gets a thread
+    monkeypatch.setattr(structure, "_decide_stripes", slow_stripes)
+    # 25,260 lines, decided in stripes of 29 that start at (u, 0) for the 871
+    # lines u of F_29^3: a chunk holds no more than one core's share of the
+    # lines, so every core gets a thread
     cert = certify_simplicity(a4(29))
     assert cert.verdict == "simple" and cert.lines_checked == 25260
-    # 29 * min(24,576 // workers * 4 // 49, ceil(25,260 / workers) // 29)
-    # lines per chunk, and never a chunk drawn past the window (the pivot
-    # blocks of 24,389, 841, 29 and 1 lines make 52 chunks of 512)
-    assert sizes == [{1: 25259, 2: 12615, 3: 8410}[workers]] and drawn[0] == 52
+    # min(24,576 // workers * 16 // 125, ceil(25,260 / workers) // 29)
+    # stripe starts per chunk, and never a chunk drawn past the window (871
+    # stripe starts make 55 chunks of 16)
+    assert sizes == [(3, {1: 871, 2: 435, 3: 290}[workers])]
+    assert drawn[0] == done[0] == 55
     assert max(ahead) == workers - 1
 
 
@@ -422,13 +424,13 @@ def test_pipeline_keeps_at_most_one_chunk_per_thread_in_flight(workers, monkeypa
                                          pytest.param(laurent_quotient_p3, 364,
                                                       id="laurent-quotient-p3")])
 def test_fewer_lines_than_one_chunk_start_one_worker_thread(make, lines, cores, monkeypatch):
-    # laurent-quotient-p3 enumerates its 364 lines in 6 chunks, one per pivot
+    # laurent-quotient-p3's 364 lines make one chunk
     monkeypatch.setattr(structure, "available_cores", lambda: cores)
     real_lines, pools, threads = structure._proper_lines, recorded_pools(monkeypatch), set()
 
-    def lines_on_a_thread(stacks, V, p):
+    def lines_on_a_thread(stacks, V, p, seed=0):
         threads.add(threading.current_thread())
-        return real_lines(stacks, V, p)
+        return real_lines(stacks, V, p, seed)
 
     monkeypatch.setattr(structure, "_proper_lines", lines_on_a_thread)
     cert = certify_simplicity(make())
@@ -440,10 +442,10 @@ def failing_chunk(monkeypatch, index):
     """Make the call of `_proper_lines` on chunk `index` (from 0) raise."""
     real, calls = structure._proper_lines, itertools.count()
 
-    def failing(stacks, V, p):
+    def failing(stacks, V, p, seed=0):
         if next(calls) == index:
             raise ZeroDivisionError(f"chunk {index}")
-        return real(stacks, V, p)
+        return real(stacks, V, p, seed)
 
     monkeypatch.setattr(structure, "_proper_lines", failing)
 
@@ -477,10 +479,10 @@ def test_pipeline_on_full_size_chunks_matches_one_thread(workers, monkeypatch):
     L, want = full_size_case(monkeypatch)
     line, real = np.array([1, 0, 0, 0, 30000]), structure._proper_lines
 
-    def witness_chunk_last(stacks, V, p):
+    def witness_chunk_last(stacks, V, p, seed=0):
         if (V == line).all(axis=1).any():
             time.sleep(0.05)
-        return real(stacks, V, p)
+        return real(stacks, V, p, seed)
 
     monkeypatch.setattr(structure, "_proper_lines", witness_chunk_last)
     monkeypatch.setattr(structure, "available_cores", lambda: workers)
