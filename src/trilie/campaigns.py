@@ -317,6 +317,8 @@ _BRACKET = _need(lambda ctx, camp: ctx.bracket is not None or ctx.algebra is not
 _CARRIER_BRACKET = _need(lambda ctx, camp: ctx.bracket is not None, "needs a bracket on a carrier")
 _WEDGE_BRACKET = _need(lambda ctx, camp: getattr(ctx.bracket, "hom", None) is not None,
                        "needs the wedge bracket of a group hom")
+_NONZERO_HOM = _need(lambda ctx, camp: not ctx.bracket.hom.is_zero(),
+                     "needs a nonzero hom: its kernel is then a maximal ideal")
 _LAURENT = _need(lambda ctx, camp: ca._one_variable_laurent(ctx.carrier),
                  "needs a one-variable Laurent carrier")
 _CHAR_NOT_TWO = _need(lambda ctx, camp: ctx.field.characteristic != 2, "needs ch F != 2")
@@ -497,7 +499,7 @@ CHECKS = {
         _run_simplicity,
         {"budget": POSITIVE, "expect": _one_of("simple", "non-simple", "evidence-only")},
         needs=(_structure_constants,)),
-    "kernel-ideal": Check(_run_kernel_ideal, needs=(_WEDGE_BRACKET,)),
+    "kernel-ideal": Check(_run_kernel_ideal, needs=(_WEDGE_BRACKET, _NONZERO_HOM)),
     "derived-series": Check(
         lambda ctx, a, run: _series_result(ctx, a, st.derived_series(ctx.algebra)),
         _SERIES, ("expect",), (_structure_constants,)),

@@ -14,7 +14,8 @@ verdict in the exit status for CI use.
 Exit codes:
     0   every campaign passed
     1   at least one campaign failed
-    2   a campaign was refused (line budget exceeded), none failed
+    2   a campaign was refused (line budget exceeded, or line sums past
+        int64), none failed
     64  configuration or usage error (including a --budget that is not a
         positive integer)
     70  internal error (a bug in trilie; the traceback goes to stderr)

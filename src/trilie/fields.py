@@ -23,8 +23,6 @@ then normalizes each coordinate once and drops the zero ones.
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 from typing import Any, Union
 
@@ -360,66 +358,16 @@ class GaussianRationals(Field):
 # below this bound (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
-# above that bound, n - 1 is factored by trial division below this limit
-_TRIAL_LIMIT = 1 << 20
-# and a Pocklington witness is searched for among the bases below this one
-_WITNESS_LIMIT = 1000
-
-
-def _trial_factors(m: int):
-    """The primes below `_TRIAL_LIMIT` that divide m > 0, and the cofactor
-    of m left after dividing them all out."""
-    primes, bound = [], math.isqrt(m) + 1
-    for d in itertools.chain((2,), range(3, _TRIAL_LIMIT, 2)):
-        if d >= bound:
-            break
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-            bound = math.isqrt(m) + 1
-    if 1 < m < _TRIAL_LIMIT:
-        primes, m = primes + [m], 1
-    return primes, m
-
-
-def _pocklington(n: int) -> bool:
-    """Primality of an odd n by Pocklington's theorem: if F divides n - 1,
-    F^2 > n, and for every prime q | F some a has a^(n-1) = 1 and
-    gcd(a^((n-1)/q) - 1, n) = 1 (mod n), then n is prime.  F is the part of
-    n - 1 proven prime: its factors below `_TRIAL_LIMIT`, and the cofactor
-    when `is_prime` proves it.  A failed Fermat test or a proper gcd proves
-    n composite; anything else leaves n undecided and raises `FieldError`."""
-    qs, r = _trial_factors(n - 1)
-    if r > 1:
-        try:
-            r_proven = is_prime(r)
-        except FieldError:
-            r_proven = False
-        if r_proven:
-            qs, r = qs + [r], 1
-    if ((n - 1) // r) ** 2 > n:
-        for a in range(2, _WITNESS_LIMIT):
-            if pow(a, n - 1, n) != 1:
-                return False
-            g = math.gcd(pow(a, (n - 1) // qs[0], n) - 1, n)
-            if 1 < g < n:
-                return False
-            if g == 1:
-                qs = qs[1:]
-                if not qs:
-                    return True
-    raise FieldError(f"cannot decide whether {n} is prime: it passes Miller-Rabin "
-                     f"but is past its exact bound, and the factors of n - 1 below "
-                     f"{_TRIAL_LIMIT} give no Pocklington certificate")
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality; no verdict rests on a probabilistic test.  A strong
-    Miller-Rabin witness among `_MR_BASES` proves n composite, and below
-    `_MR_EXACT_BELOW` having none proves it prime.  Above that bound only a
-    Pocklington certificate proves n prime; without one, n is undecided and
-    `FieldError` is raised."""
+    """Exact primality below `_MR_EXACT_BELOW`; no verdict rests on a
+    probabilistic test.  A strong Miller-Rabin witness among `_MR_BASES`
+    proves n composite, and having none proves it prime.  From the bound on,
+    n is refused with `FieldError` before any test, prime or not."""
+    if n >= _MR_EXACT_BELOW:
+        raise FieldError(f"cannot decide whether {n} is prime: Miller-Rabin with "
+                         f"fixed bases is exact only below {_MR_EXACT_BELOW}")
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -438,7 +386,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _MR_EXACT_BELOW or _pocklington(n)
+    return True
 
 
 class PrimeField(Field):

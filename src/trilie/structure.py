@@ -25,12 +25,12 @@ from .linalg import SpanBuilder, Subspace
 
 
 class BudgetExceeded(RuntimeError):
-    """Exhaustive certification would need more work than the budget allows."""
+    """Exhaustive certification would need more lines than the budget allows,
+    or, with `reason`, sums wider than its int64 kernel holds."""
 
-    def __init__(self, required: int, budget: int):
-        super().__init__(
-            f"exhaustive line enumeration needs {required} lines, budget is {budget}"
-        )
+    def __init__(self, required: int, budget: int, reason: Optional[str] = None):
+        super().__init__(reason or f"exhaustive line enumeration needs {required} "
+                                   f"lines, budget is {budget}")
         self.required = required
         self.budget = budget
 
@@ -577,12 +577,15 @@ def certify_simplicity(L: FiniteNLieAlgebra, budget: int = DEFAULT_LINE_BUDGET,
     the whole algebra.  Sound and complete: any proper nonzero ideal contains
     a line whose closure stays inside it.  Each line is decided by ranks mod
     p over the row stacks of `_line_stacks`, computed by `_nonsingular` in
-    a dtype that provably cannot wrap (Python integers past int64); a proper
-    closure is recomputed by `ideal_closure` as the witness.  Where it pays,
-    a stack is tried first on a d-matrix sketch, fixed combinations of its
-    matrices (`_proper_lines`): an invertible sketch proves the closure
-    full, a singular one proves nothing and the stack decides, so a sketch
-    never settles a proper line and the certificate is the same without it.
+    a dtype that provably cannot wrap; a proper closure is recomputed by
+    `ideal_closure` as the witness.  A stack holds at most d^2 matrices, so
+    no sum has more terms: where d^2 (p-1)^2 + p - 1 is past the int64
+    maximum, `BudgetExceeded` refuses before any line is enumerated, as it
+    does past the line budget.  Where it pays, a stack is tried first on a
+    d-matrix sketch, fixed combinations of its matrices (`_proper_lines`):
+    an invertible sketch proves the closure full, a singular one proves
+    nothing and the stack decides, so a sketch never settles a proper line
+    and the certificate is the same without it.
     Where d + 1 < p (and p is at most one core's share of the lines in
     flight, `_striped`), the enumeration runs over stripe starts v0: the
     first stack's sketch decides the p lines v0 + t e_{d-1} from d + 1
@@ -606,9 +609,17 @@ def certify_simplicity(L: FiniteNLieAlgebra, budget: int = DEFAULT_LINE_BUDGET,
             notes={"reason": "derived algebra is zero"})
 
     if isinstance(L.field, PrimeField):
-        required = _line_count(L.field.p, L.dim)
+        import numpy as np
+
+        p, d = L.field.p, L.dim
+        required = _line_count(p, d)
         if required > budget:
             raise BudgetExceeded(required, budget)
+        if not _fits(np.dtype(np.int64), p, d * d):
+            raise BudgetExceeded(required, budget, (
+                f"exhaustive line enumeration over F_{p} in dimension {d} forms sums "
+                f"up to {d * d * (p - 1) ** 2 + p - 1}, past the int64 maximum "
+                f"{2 ** 63 - 1}"))
         return _certify_prime_exhaustive(L, L1)
 
     # characteristic zero: evidence only
@@ -637,7 +648,7 @@ def _fits(dtype, p: int, terms: int) -> bool:
     exceed it by p - 1 in magnitude (p(p-1) for one product)."""
     import numpy as np
 
-    return dtype == object or terms * (p - 1) ** 2 + p - 1 <= np.iinfo(dtype).max
+    return terms * (p - 1) ** 2 + p - 1 <= np.iinfo(dtype).max
 
 
 def _reduce(x, p: int):
@@ -648,19 +659,20 @@ def _reduce(x, p: int):
 
 
 def _residue_dtype(p: int, terms: int):
-    """The narrowest integer dtype that `_fits` (p, terms), else Python ints."""
+    """The narrowest of int16, int32 and int64 that `_fits` (p, terms), which
+    `certify_simplicity` makes sure int64 does."""
     import numpy as np
 
-    return next((np.dtype(t) for t in (np.int16, np.int32, np.int64)
-                 if _fits(np.dtype(t), p, terms)), np.dtype(object))
+    dtype = next((np.dtype(t) for t in (np.int16, np.int32)
+                  if _fits(np.dtype(t), p, terms)), np.dtype(np.int64))
+    assert _fits(dtype, p, terms)
+    return dtype
 
 
-# certification lines in flight over all threads, one chunk per thread: for
-# fixed-width rows, and for Python-int rows, which take far more memory.
+# certification lines in flight over all threads, one chunk per thread.
 # Each thread allocates in a heap of its own, and two chunks of 16,384 lines
 # raised the peak RSS of certifying A_4 over F_89 by 3% on 2 cores
 LINES_IN_FLIGHT = 24576
-OBJECT_LINES_IN_FLIGHT = 1024
 
 
 def available_cores() -> int:
@@ -681,13 +693,13 @@ def _certify_prime_exhaustive(L: FiniteNLieAlgebra, L1: Subspace) -> SimplicityC
     cancels the rest, so the verdict, witness, `lines_checked` and per-stack
     counts do not depend on the number of threads.
 
-    A block is `LINES_IN_FLIGHT` lines (`OBJECT_LINES_IN_FLIGHT` for
-    Python-int rows) over the cores.  Where lines are decided in stripes
-    (`_striped`), it is stripe starts instead: as many as take the entries
-    of the d x d matrices of that many single lines, counting d + 2 matrices
-    and p values for a stripe, but at least one, and no more than
-    ceil(lines / cores) lines, so that every core still gets a block; the
-    rows it makes are decided at most a block of single lines at a time.
+    A block is `LINES_IN_FLIGHT` lines over the cores.  Where lines are
+    decided in stripes (`_striped`), it is stripe starts instead: as many as
+    take the entries of the d x d matrices of that many single lines,
+    counting d + 2 matrices and p values for a stripe, but at least one, and
+    no more than ceil(lines / cores) lines, so that every core still gets a
+    block; the rows it makes are decided at most a block of single lines at
+    a time.
     """
     from collections import deque
     from concurrent.futures import ThreadPoolExecutor
@@ -697,7 +709,7 @@ def _certify_prime_exhaustive(L: FiniteNLieAlgebra, L1: Subspace) -> SimplicityC
     p, d = L.field.p, L.dim
     stacks = _line_stacks(L)
     dtype, cores, lines = stacks[0].dtype, available_cores(), _line_count(p, d)
-    chunk = max(1, (LINES_IN_FLIGHT if dtype != object else OBJECT_LINES_IN_FLIGHT) // cores)
+    chunk = max(1, LINES_IN_FLIGHT // cores)
     striped = _striped(p, d, len(stacks[0]))
     if striped:
         # a line's entries are d * d, a stripe's (d + 2) * d * d + p
@@ -757,13 +769,13 @@ def _line_tasks(p: int, d: int, chunk: int, dtype, striped: bool):
     yield _decide_lines, np.eye(1, d, d - 1, dtype=dtype)
 
 
-def _decide_lines(stacks, V, p: int, seed: int = 0):
-    """The lines (rows of V) decided in order by `_proper_lines` with sketches
-    of `seed`: (how many lines up to and including the first proper one, or
-    all of them; how many of those each stack settled; that line, or None)."""
+def _decide_lines(stacks, V, p: int):
+    """The lines (rows of V) decided in order by `_proper_lines`: (how many
+    lines up to and including the first proper one, or all of them; how many
+    of those each stack settled; that line, or None)."""
     import numpy as np
 
-    proper, settled = _proper_lines(stacks, V, p, seed)
+    proper, settled = _proper_lines(stacks, V, p)
     cut = int(proper[0]) + 1 if proper.size else len(V)
     row = V[cut - 1] if proper.size else None
     return cut, np.bincount(settled[:cut], minlength=len(stacks)), row
@@ -774,18 +786,18 @@ def _decide_stripes(stacks, U, p: int):
     of U, each the p lines v0 + t e_{d-1}, t = 0..p-1, where `_striped` holds.
 
     Along a stripe, T(v0 + t e_{d-1}) = T v0 + t T e_{d-1} for the first
-    stack's sketch T, so det T v is a polynomial of degree at most d in t:
-    its values at the nodes t = 0..d (`_determinants`) fix its value at every
-    t in F_p through the (d + 1) x p Lagrange matrix of `_lagrange`.  A
+    stack's sketch T of seed 1, so det T v is a polynomial of degree at most
+    d in t: its values at the nodes t = 0..d (`_determinants`) fix its value
+    at every t in F_p through the (d + 1) x p Lagrange matrix of `_lagrange`.  A
     nonzero value is an invertible T v, which settles the line on the first
     stack.  Only the lines with a zero value become rows.  T, known singular
-    on them, is not tried again: `_proper_lines` decides them with the
-    sketches of seed 1, independent of T, then each stack's rank, so the
+    on them, is not tried again: `_proper_lines` decides them with its
+    sketches of seed 0, independent of T, then each stack's rank, so the
     lines are decided exactly as line by line."""
     import numpy as np
 
     d = U.shape[1] + 1
-    T = _sketch(stacks[0], p)
+    T = _sketch(stacks[0], p, 1)
     # T v0 per stripe, the stripes innermost, then T v at each node
     A = _reduce(np.einsum("kij,jb->kib", T[:, :, :-1], U.T), p)
     step = _reduce(T[:, :, -1, None] * np.arange(d + 1, dtype=T.dtype), p)
@@ -800,7 +812,7 @@ def _decide_stripes(stacks, U, p: int):
         part = zeros[at:at + size]
         V = np.empty((part.size, d), dtype=U.dtype)
         V[:, :-1], V[:, -1] = U[part // p], part % p
-        cut, got, row = _decide_lines(stacks, V, p, seed=1)
+        cut, got, row = _decide_lines(stacks, V, p)
         counts += got
         decided += cut
         if row is not None:
@@ -835,13 +847,13 @@ def _line_stacks(L: FiniteNLieAlgebra):
     return [s for s, after in zip(stacks, stacks[1:]) if len(s) < len(after)] + stacks[-1:]
 
 
-def _proper_lines(stacks, V, p: int, seed: int = 0):
+def _proper_lines(stacks, V, p: int):
     """The lines (rows of V) whose closure `_line_stacks` finds proper: their
     indices, and for every line the index in `stacks` of the stack that
     settled it.  Each stack settles the lines it proves full; a rank below d
     is trusted only from the last, exact stack, which settles every line left.
 
-    A stack S is tried first through its sketch T (`_sketch` with `seed`), d
+    A stack S is tried first through its sketch T (`_sketch`, seed 0), d
     matrices that are combinations of S's and so lie in the algebra the ad
     maps generate: an invertible T v proves span{S v}, and the closure, full,
     and the line counts as settled by S.  A singular T v proves nothing, so
@@ -854,7 +866,7 @@ def _proper_lines(stacks, V, p: int, seed: int = 0):
     left = np.arange(V.shape[0])
     settled = np.full(V.shape[0], len(stacks) - 1, dtype=np.int8)
     for i, S in enumerate(stacks):
-        T = _sketch(S, p, seed) if left.size else None
+        T = _sketch(S, p) if left.size else None
         if T is not None:
             # the d x d matrix T v of each line, the lines innermost
             full = _nonsingular(_reduce(np.einsum("kij,jb->kib", T, V.T[:, left]), p), p)
@@ -910,7 +922,7 @@ def _striped(p: int, d: int, r: int) -> bool:
     d + 1 < p, so that the d + 1 interpolation nodes are distinct mod p and
     fewer than the p lines they decide, and where a stripe is no longer than
     one core's share of `LINES_IN_FLIGHT`, so that a block of whole stripes
-    fits the lines in flight (Python-int rows, p past 3.04e9, never do)."""
+    fits the lines in flight."""
     return d + 1 < p <= LINES_IN_FLIGHT // available_cores() and _sketched(p, d, r)
 
 
@@ -1039,7 +1051,7 @@ def _canonical_line_chunks(p: int, d: int, chunk: int, dtype):
                 continue
             block = V[lo - start:hi - start]
             block[:, k] = 1
-            x = np.arange(lo - first, hi - first, dtype=object if dtype == object else np.int64)
+            x = np.arange(lo - first, hi - first, dtype=np.int64)
             for col in range(d - 1, k, -1):
                 block[:, col] = x % p
                 x //= p
@@ -1047,9 +1059,8 @@ def _canonical_line_chunks(p: int, d: int, chunk: int, dtype):
 
 
 def _eliminate(W, p: int):
-    """Row-reduce a C-contiguous batch W (B, r, c) of matrices with entries
-    in [0, p) modulo p, in place; returns the (B, r) mask of pivot rows, whose
-    row sums are the ranks.
+    """Row-reduce a matrix W (r, c) with entries in [0, p) modulo p, in
+    place; returns the mask of its pivot rows, whose sum is the rank.
 
     This is the one mod-p pivot search of the module.  Rows are never
     swapped: column by column, the first row that is not yet a pivot and has
@@ -1064,22 +1075,18 @@ def _eliminate(W, p: int):
     """
     import numpy as np
 
-    assert _fits(W.dtype, p, 1) and W.flags.c_contiguous
-    B, r, c = W.shape
-    rows = W.reshape(B * r, c)      # a view, so the updates land in W
-    pivots = np.zeros(B * r, dtype=bool)
-    for col in range(c):
-        live = (rows[:, col] != 0) & ~pivots
+    assert _fits(W.dtype, p, 1)
+    pivots = np.zeros(len(W), dtype=bool)
+    for col in range(W.shape[1]):
+        live = (W[:, col] != 0) & ~pivots
         if not live.any():
             continue
-        # flat index of each matrix's first live row (of its row 0 if none)
-        head = live.reshape(B, r).argmax(axis=1) + np.arange(0, B * r, r)
-        pivots[head[live[head]]] = True
-        live[head] = False
+        head = live.argmax()
+        pivots[head], live[head] = True, False
         clear = np.flatnonzero(live)
-        P, X = rows[head[clear // r], col:], rows[clear, col:]
-        rows[clear, col:] = _reduce(P[:, :1] * X - X[:, :1] * P, p)
-    return pivots.reshape(B, r)
+        P, X = W[head, col:], W[clear, col:]
+        W[clear, col:] = _reduce(P[:1] * X - X[:, :1] * P, p)
+    return pivots
 
 
 def _matrix_algebra_basis(gens, p: int):
@@ -1100,7 +1107,7 @@ def _matrix_algebra_basis(gens, p: int):
     basis, members, block = gens[:0].reshape(0, d * d), gens[:0], gens
     while True:
         stack = np.concatenate([basis, block.reshape(-1, d * d)])
-        pivots = _eliminate(stack[None], p)[0]
+        pivots = _eliminate(stack, p)
         new = stack[len(basis):][pivots[len(basis):]]
         members = np.concatenate([members, new.reshape(-1, d, d)])
         basis = stack[pivots]

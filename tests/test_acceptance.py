@@ -224,10 +224,11 @@ def test_c4_quotient_simplicity():
     cert5 = certify_simplicity(L5)
     dt5 = time.monotonic() - t0
     ok5 = (cert5.verdict == "simple" and cert5.lines_checked == 2441406
+           and cert5.notes["lines_per_stack"] == [2283000, 60750, 97656]
            and dt5 < 600.0)
     criterion("4(p=5)", ok5 and derived_algebra(L5).dim == L5.dim,
-              "quotient p=5: simple via 2441406 lines, derived algebra is "
-              "everything (limit 600s)", dt5)
+              "quotient p=5: simple via 2441406 lines (2283000, 60750 and 97656 "
+              "per stack), derived algebra is everything (limit 600s)", dt5)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,10 @@ def _requirement_case(name, check, path="$.campaigns[1]", **params):
         "form": "determinant", "rows": [{"endo": "neg"}, "id", {"endo": "alphastar"}]}},
                  {"check": "kernel-ideal"}, "$.campaigns[1]",
                  id="kernel-ideal-on-a-determinant-bracket"),
+    # validated, then exited 1 within the line budget and 70 past it
+    pytest.param(get_bundled("cyclic-group-f3") | {"bracket": {
+        "form": "group-wedge", "hom": {"torsion": ["0"]}}},
+                 {"check": "kernel-ideal"}, "$.campaigns[1]", id="kernel-ideal-with-a-zero-hom"),
     pytest.param(laurent_doc({"kind": "rationals"}), {"check": "ideal-divisibility"},
                  "$.campaigns[1]", id="ideal-divisibility-over-q"),
     pytest.param(laurent_doc({"kind": "rationals"}),

@@ -17,6 +17,7 @@ from trilie.fields import (
     field_from_descriptor,
     is_prime,
     require_same_field,
+    _MR_EXACT_BELOW,
 )
 
 
@@ -306,50 +307,19 @@ def test_is_prime_rejects_strong_pseudoprimes(n):
     assert not is_prime(n)
 
 
-def test_composites_above_the_exact_bound_are_refuted():
-    # past 3,317,044,064,679,887,385,961,981 a Miller-Rabin witness still
-    # proves compositeness, with or without a small factor
-    for n in (43 * sympy.nextprime(10 ** 23),
-              sympy.nextprime(10 ** 25) * sympy.nextprime(10 ** 26),
-              (2 ** 89 - 1) * (2 ** 61 - 1), 561 * sympy.nextprime(10 ** 30)):
-        assert n > 3317044064679887385961981
-        assert not is_prime(n)
-
-
-def test_prime_past_the_exact_bound_is_proven_by_pocklington():
-    # 2^89 - 1 is past the Miller-Rabin bound; n - 1 factors into primes
-    # below 2^20 times the prime 2931542417, which certifies n
-    t0 = time.monotonic()
-    F = PrimeField(2 ** 89 - 1)
-    assert time.monotonic() - t0 < 1.0
-    assert F.mul(F.inv(3), 3) == 1
-
-
-def test_verdicts_past_the_exact_bound_match_sympy():
-    # every verdict is sympy's; a prime may stay undecided, but not all do
-    rng = random.Random(0)
-    lo = 3317044064679887385961981
-    proven = 0
-    for n in [rng.randrange(lo, 2 ** 100) | 1 for _ in range(60)] + \
-             [sympy.nextprime(rng.randrange(lo, 2 ** 100)) for _ in range(12)]:
-        try:
-            got = is_prime(n)
-        except FieldError:
-            assert sympy.isprime(n)
-            continue
-        assert got == sympy.isprime(n), n
-        proven += got
-    assert proven >= 3
-
-
-def test_undecided_modulus_past_the_exact_bound_is_a_field_error(undecided_safe_prime):
-    # n = 2q + 1 is prime, but q has no certificate, so n - 1 offers none
-    # either, and the field refuses quickly
-    assert sympy.isprime(undecided_safe_prime)
-    t0 = time.monotonic()
-    with pytest.raises(FieldError, match="cannot decide"):
-        PrimeField(undecided_safe_prime)
-    assert time.monotonic() - t0 < 1.0
+def test_moduli_from_the_exact_bound_on_are_refused_prime_or_not():
+    # Miller-Rabin with the first 13 prime bases is exact below
+    # 3,317,044,064,679,887,385,961,981 (itself a strong pseudoprime to
+    # them); from there on, is_prime refuses before any test
+    below = sympy.prevprime(_MR_EXACT_BELOW)
+    assert is_prime(below) and PrimeField(below).p == below
+    for n in (_MR_EXACT_BELOW, sympy.nextprime(_MR_EXACT_BELOW), 2 ** 89 - 1,
+              43 * sympy.nextprime(10 ** 23), 2 ** 100):
+        assert n >= _MR_EXACT_BELOW
+        with pytest.raises(FieldError, match="cannot decide"):
+            is_prime(n)
+        with pytest.raises(FieldError):
+            PrimeField(n)
 
 
 def test_large_prime_field_builds_quickly():

@@ -2,18 +2,20 @@
 oracles.
 
 The eliminator is compared with `linalg.SpanBuilder` over `PrimeField(p)`
-(Python integers, no overflow) on batches with planted rank deficiency, at
-primes on both sides of every dtype boundary.  The tiered line decision is
+(Python integers, no overflow) on matrices with planted rank deficiency, at
+primes on both sides of every dtype boundary up to int64.  The tiered line decision is
 compared with the fixed-point `ideal_closure` on algebras whose lines are all
 proper (a nilpotent algebra) or all full (the simple A_4), written in a
 seeded random basis so that no line is special.  The threaded certificate is
 compared with a serial loop that decides one line at a time, at several
 thread counts and chunk sizes, and, on an algebra whose lines fill many
-full-size chunks, with itself on one thread.
+full-size chunks, with itself on one thread.  Past what int64 holds, the
+certificate is refused before any line is enumerated.
 """
 
 import concurrent.futures
 import itertools
+import json
 import os
 import random
 import sys
@@ -27,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 import trilie.structure as structure
 from trilie.bundled import get_bundled
+from trilie.cli import main
 from trilie.documents import parse_document, render_document
 from trilie.fields import PrimeField
 from trilie.linalg import SpanBuilder, Subspace
@@ -47,7 +50,7 @@ from trilie.structure import (
     is_ideal,
 )
 
-PRIMES = [2, 3, 89, 181, 191, 251, 65521, 2 ** 31 - 1, 4294967291]
+PRIMES = [2, 3, 89, 181, 191, 251, 65521, 2 ** 31 - 1]
 
 
 def span(p, rows, width):
@@ -78,9 +81,9 @@ def planted_batches(draw):
 @given(planted_batches())
 def test_eliminator_ranks_and_rows_match_span_builder(case):
     p, batch = case
-    W = np.array(batch, dtype=_residue_dtype(p, 1))
-    pivots = _eliminate(W, p)
-    for m, reduced, piv in zip(batch, W, pivots):
+    for m in batch:
+        reduced = np.array(m, dtype=_residue_dtype(p, 1))
+        piv = _eliminate(reduced, p)
         want = span(p, m, len(m[0]))
         assert piv.sum() == want.dim
         # the pivot rows, as reduced, span the row space of the input
@@ -93,10 +96,10 @@ def test_eliminator_keeps_leading_rows_with_distinct_first_columns():
     rng = np.random.default_rng(3)
     lead = np.triu(rng.integers(1, p, size=(4, 6)))[[2, 0, 3, 1]]
     rest = rng.integers(0, p, size=(5, 6))
-    W = np.concatenate([lead, rest])[None].astype(_residue_dtype(p, 1))
-    pivots = _eliminate(W, p)[0]
+    W = np.concatenate([lead, rest]).astype(_residue_dtype(p, 1))
+    pivots = _eliminate(W, p)
     assert pivots[:4].all() and pivots.sum() == 6
-    assert (W[0, :4] == lead).all()
+    assert (W[:4] == lead).all()
 
 
 @pytest.mark.parametrize("p, terms, dtype", [
@@ -104,24 +107,24 @@ def test_eliminator_keeps_leading_rows_with_distinct_first_columns():
     (5, 10, np.int16),      # the p = 5 quotient
     (181, 1, np.int16), (191, 1, np.int32), (46341, 1, np.int32),
     (46349, 1, np.int64), (2 ** 31 - 1, 2, np.int64),
-    (2 ** 31 - 1, 3, object), (4294967291, 1, object),
 ])
 def test_residue_dtype_is_the_narrowest_that_holds_the_sum(p, terms, dtype):
     assert _residue_dtype(p, terms) == np.dtype(dtype)
 
 
-@pytest.mark.parametrize("dtype, p", [
-    (np.int16, 181), (np.int32, 46337), (np.int64, 3037000493), (object, 2 ** 89 - 1),
-])
+@pytest.mark.parametrize("p, terms", [(2 ** 31 - 1, 3), (4294967291, 1)])
+def test_residue_dtype_refuses_a_sum_past_int64(p, terms):
+    with pytest.raises(AssertionError):
+        _residue_dtype(p, terms)
+
+
+@pytest.mark.parametrize("dtype, p", [(np.int16, 181), (np.int32, 46337), (np.int64, 3037000493)])
 def test_reduce_matches_numpy_mod_over_the_kernels_value_range(dtype, p):
     # p is the largest prime whose one-product reduction the dtype admits;
     # the kernel's values are what `_fits` admits: |x| + p - 1 <= max
     dtype = np.dtype(dtype)
-    if dtype == object:
-        hi = p ** 3
-    else:
-        assert _fits(dtype, p, 1) and not _fits(dtype, sympy.nextprime(p), 1)
-        hi = int(np.iinfo(dtype).max)
+    assert _fits(dtype, p, 1) and not _fits(dtype, sympy.nextprime(p), 1)
+    hi = int(np.iinfo(dtype).max)
     lo = -(hi - (p - 1))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -247,7 +250,12 @@ def test_line_decisions_match_ideal_closure(p, make, proper):
         assert (closure.dim < L.dim) == (i in got), i
 
 
-@pytest.mark.parametrize("p", [251, 4294967291])
+# the largest prime p with 16 (p-1)^2 + p - 1 <= 2^63 - 1: at d = 4 a stack
+# holds at most 16 matrices, and no sum of the certificate has more terms
+INT64_D4_PRIME = 759250111
+
+
+@pytest.mark.parametrize("p", [251, INT64_D4_PRIME])
 def test_certificate_stops_at_the_first_line_of_a_nilpotent_algebra(p):
     L = in_random_basis(nilpotent(p), seed=p)
     cert = certify_simplicity(L, budget=p ** 3 + p ** 2 + p + 1)
@@ -257,10 +265,49 @@ def test_certificate_stops_at_the_first_line_of_a_nilpotent_algebra(p):
     assert cert.witness.dim == 2 and is_ideal(L, cert.witness)
 
 
-def test_line_enumeration_past_int64():
-    # a modulus past int64 (trial division makes PrimeField too slow here)
-    V = next(_canonical_line_chunks(2 ** 64 + 13, 3, 3, np.dtype(object)))
-    assert V.tolist() == [[1, 0, 0], [1, 0, 1], [1, 0, 2]]
+def a4_document(p):
+    """A_4 over F_p as mutations of the zero wedge bracket on F_p[Z_4], with
+    one simplicity campaign."""
+    return {
+        "version": 1, "name": f"a4-f{p}", "description": "A_4", "meta": {},
+        "field": {"kind": "prime", "p": p},
+        "carrier": {"shape": "group", "torsion": [4]},
+        "maps": {},
+        "bracket": {"form": "group-wedge", "hom": {"torsion": ["0"]}, "mutations": [
+            {"args": list(key), "out": l, "add": str(c % p)}
+            for key, vec in a4(p).constants.items() for l, c in vec.items()]},
+        "basis": {"kind": "carrier"},
+        "campaigns": [{"name": "simplicity", "check": "simplicity", "expect": "simple"}],
+    }
+
+
+def test_a_prime_past_the_int64_sums_is_refused_before_any_line(tmp_path, monkeypatch,
+                                                               capsys):
+    p = sympy.nextprime(INT64_D4_PRIME)
+    assert sympy.prevprime(p) == INT64_D4_PRIME
+    int64 = np.dtype(np.int64)
+    assert _fits(int64, INT64_D4_PRIME, 16) and not _fits(int64, p, 16)
+
+    def no_lines(*args):
+        raise AssertionError("a line was enumerated")
+
+    monkeypatch.setattr(structure, "_line_stacks", no_lines)
+    monkeypatch.setattr(structure, "_canonical_line_chunks", no_lines)
+    lines = p ** 3 + p ** 2 + p + 1
+    for L in (in_random_basis(nilpotent(p), seed=p), a4(p)):
+        with pytest.raises(structure.BudgetExceeded, match="past the int64 maximum"):
+            certify_simplicity(L, budget=lines)
+    # a budget that the lines exceed is still the budget's refusal
+    with pytest.raises(structure.BudgetExceeded, match="budget is 1$"):
+        certify_simplicity(a4(p), budget=1)
+    # from the command line: a refused campaign, exit 2
+    doc = tmp_path / "a4.json"
+    doc.write_text(render_document(a4_document(p)))
+    assert main(["verify", str(doc), "--budget", str(lines), "--out-dir", str(tmp_path)]) == 2
+    assert "REFUSED" in capsys.readouterr().out
+    report = json.loads((tmp_path / f"a4-f{p}.report.json").read_text())
+    (result,) = report["campaigns"]
+    assert result["verdict"] == "refused" and "int64" in result["notes"]["reason"]
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +397,12 @@ def test_pipeline_certificate_matches_a_serial_loop(pipeline_case, workers, size
     pools = small_chunks(monkeypatch, size)
     real = structure._proper_lines
 
-    def witness_chunk_last(stacks, V, p, seed=0):
+    def witness_chunk_last(stacks, V, p):
         # the chunk that holds the first proper line finishes after the
         # chunks behind it, which the certificate must not take first
         if line is not None and (V == line).all(axis=1).any():
             time.sleep(0.05)
-        return real(stacks, V, p, seed)
+        return real(stacks, V, p)
 
     monkeypatch.setattr(structure, "_proper_lines", witness_chunk_last)
     cert = certify_simplicity(L)
@@ -428,9 +475,9 @@ def test_fewer_lines_than_one_chunk_start_one_worker_thread(make, lines, cores, 
     monkeypatch.setattr(structure, "available_cores", lambda: cores)
     real_lines, pools, threads = structure._proper_lines, recorded_pools(monkeypatch), set()
 
-    def lines_on_a_thread(stacks, V, p, seed=0):
+    def lines_on_a_thread(stacks, V, p):
         threads.add(threading.current_thread())
-        return real_lines(stacks, V, p, seed)
+        return real_lines(stacks, V, p)
 
     monkeypatch.setattr(structure, "_proper_lines", lines_on_a_thread)
     cert = certify_simplicity(make())
@@ -442,10 +489,10 @@ def failing_chunk(monkeypatch, index):
     """Make the call of `_proper_lines` on chunk `index` (from 0) raise."""
     real, calls = structure._proper_lines, itertools.count()
 
-    def failing(stacks, V, p, seed=0):
+    def failing(stacks, V, p):
         if next(calls) == index:
             raise ZeroDivisionError(f"chunk {index}")
-        return real(stacks, V, p, seed)
+        return real(stacks, V, p)
 
     monkeypatch.setattr(structure, "_proper_lines", failing)
 
@@ -479,10 +526,10 @@ def test_pipeline_on_full_size_chunks_matches_one_thread(workers, monkeypatch):
     L, want = full_size_case(monkeypatch)
     line, real = np.array([1, 0, 0, 0, 30000]), structure._proper_lines
 
-    def witness_chunk_last(stacks, V, p, seed=0):
+    def witness_chunk_last(stacks, V, p):
         if (V == line).all(axis=1).any():
             time.sleep(0.05)
-        return real(stacks, V, p, seed)
+        return real(stacks, V, p)
 
     monkeypatch.setattr(structure, "_proper_lines", witness_chunk_last)
     monkeypatch.setattr(structure, "available_cores", lambda: workers)
@@ -520,27 +567,6 @@ def test_no_worker_thread_outlives_the_call(make, error, monkeypatch):
         assert error
     assert set(threading.enumerate()) == before
     assert pools == [3]
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_object_rows_give_the_same_certificate_on_threads(workers, monkeypatch):
-    # p past the int64 bound: Python-int rows, 1,024 lines in flight, and the
-    # first proper line is line 2,000, some chunks in
-    p = 4294967291
-    L = a4_plus_center(p, s=-2000)
-    assert _line_stacks(L)[0].dtype == object
-    # the witness is in the first 4,096 lines: enumerate no more than those
-    real = structure._canonical_line_chunks
-    monkeypatch.setattr(structure, "_canonical_line_chunks", lambda p, d, chunk, dtype:
-                        itertools.islice(real(p, d, chunk, dtype), -(-4096 // chunk)))
-    monkeypatch.setattr(structure, "available_cores", lambda: 1)
-    want = certify_simplicity(L, budget=p ** 5)
-    assert (want.verdict, want.lines_checked) == ("non-simple", 2001)
-    assert sum(want.notes["lines_per_stack"]) == 2001 and want.witness.dim == 4
-    monkeypatch.setattr(structure, "available_cores", lambda: workers)
-    got = certify_simplicity(L, budget=p ** 5)
-    assert (got.verdict, got.lines_checked, got.witness, got.notes) == \
-        (want.verdict, want.lines_checked, want.witness, want.notes)
 
 
 def test_available_cores_follows_the_affinity_mask(monkeypatch):
