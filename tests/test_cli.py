@@ -315,9 +315,13 @@ def test_help_still_exits_zero(argv, capsys):
     assert "usage:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("p", [91, -7, 2 ** 89 - 1])
+@pytest.mark.parametrize("p", [
+    91, -7, 2 ** 89 - 1,
+    # a safe prime 2q + 1 with q past the bound as well
+    pytest.param(6634088129359774771927739, id="undecided_safe_prime"),
+])
 def test_field_errors_exit_64(p, tmp_path, capsys):
-    # a composite, a negative and a prime past the exact Miller-Rabin bound
+    # a composite, a negative and primes past the exact Miller-Rabin bound
     # are configuration errors at $.field, never internal errors
     doc = get_bundled("laurent-quotient-p3")
     doc["field"]["p"] = p

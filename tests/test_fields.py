@@ -307,19 +307,53 @@ def test_is_prime_rejects_strong_pseudoprimes(n):
     assert not is_prime(n)
 
 
+def test_verdicts_below_the_exact_bound_match_sympy():
+    # the top of the exact range, past the starts of the ranges above
+    rng = random.Random(0)
+    lo = 2 ** 81
+    for n in [rng.randrange(lo, _MR_EXACT_BELOW) | 1 for _ in range(60)] + \
+             [sympy.nextprime(rng.randrange(lo, _MR_EXACT_BELOW - 10 ** 6)) for _ in range(12)]:
+        assert n < _MR_EXACT_BELOW
+        assert is_prime(n) == sympy.isprime(n), n
+
+
 def test_moduli_from_the_exact_bound_on_are_refused_prime_or_not():
     # Miller-Rabin with the first 13 prime bases is exact below
     # 3,317,044,064,679,887,385,961,981 (itself a strong pseudoprime to
     # them); from there on, is_prime refuses before any test
     below = sympy.prevprime(_MR_EXACT_BELOW)
     assert is_prime(below) and PrimeField(below).p == below
-    for n in (_MR_EXACT_BELOW, sympy.nextprime(_MR_EXACT_BELOW), 2 ** 89 - 1,
-              43 * sympy.nextprime(10 ** 23), 2 ** 100):
+    for n in (_MR_EXACT_BELOW, sympy.nextprime(_MR_EXACT_BELOW), 2 ** 89 - 1, 2 ** 100):
         assert n >= _MR_EXACT_BELOW
         with pytest.raises(FieldError, match="cannot decide"):
             is_prime(n)
         with pytest.raises(FieldError):
             PrimeField(n)
+
+
+def test_composites_above_the_exact_bound_are_refuted():
+    # past the bound no composite becomes a field, with or without a small
+    # factor, and none is taken for a prime
+    for n in (43 * sympy.nextprime(10 ** 23),
+              sympy.nextprime(10 ** 25) * sympy.nextprime(10 ** 26),
+              (2 ** 89 - 1) * (2 ** 61 - 1), 561 * sympy.nextprime(10 ** 30)):
+        assert n > _MR_EXACT_BELOW and not sympy.isprime(n)
+        with pytest.raises(FieldError, match="cannot decide"):
+            PrimeField(n)
+
+
+# a safe prime n = 2q + 1 with q past the exact bound, found with sympy
+UNDECIDED_SAFE_PRIME = 6634088129359774771927739
+
+
+def test_undecided_modulus_past_the_exact_bound_is_a_field_error():
+    # n is prime, but past the bound, so the field refuses it, and quickly
+    n = UNDECIDED_SAFE_PRIME
+    assert sympy.isprime(n) and sympy.isprime((n - 1) // 2) and n > _MR_EXACT_BELOW
+    t0 = time.monotonic()
+    with pytest.raises(FieldError, match="cannot decide"):
+        PrimeField(n)
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_large_prime_field_builds_quickly():

@@ -310,6 +310,19 @@ def test_a_prime_past_the_int64_sums_is_refused_before_any_line(tmp_path, monkey
     assert result["verdict"] == "refused" and "int64" in result["notes"]["reason"]
 
 
+# the largest prime p with 9 (p-1)^2 + p - 1 <= 2^63 - 1, for d = 3, and with
+# 25 (p-1)^2 + p - 1 <= 2^63 - 1, for d = 5
+INT64_D3_PRIME, INT64_D5_PRIME = 1012333499, 607400093
+
+
+def test_line_enumeration_at_the_int64_bound():
+    p = INT64_D3_PRIME
+    int64 = np.dtype(np.int64)
+    assert _fits(int64, p, 9) and not _fits(int64, sympy.nextprime(p), 9)
+    V = next(_canonical_line_chunks(p, 3, 3, int64))
+    assert V.dtype == int64 and V.tolist() == [[1, 0, 0], [1, 0, 1], [1, 0, 2]]
+
+
 # ---------------------------------------------------------------------------
 # the threaded line pipeline
 # ---------------------------------------------------------------------------
@@ -567,6 +580,31 @@ def test_no_worker_thread_outlives_the_call(make, error, monkeypatch):
         assert error
     assert set(threading.enumerate()) == before
     assert pools == [3]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_int64_rows_give_the_same_certificate_on_threads(workers, monkeypatch):
+    # p the largest prime int64 admits at d = 5: int64 rows whose sums come
+    # within p - 1 of its maximum, lines decided one at a time (a stripe of
+    # p lines is longer than the lines in flight), and the first proper line
+    # is line 2,000, some chunks in
+    p = INT64_D5_PRIME
+    L = a4_plus_center(p, s=-2000)
+    S = _line_stacks(L)[0]
+    assert S.dtype == np.int64 and not structure._striped(p, 5, len(S))
+    # the witness is in the first 4,096 lines: enumerate no more than those
+    real = structure._canonical_line_chunks
+    monkeypatch.setattr(structure, "_canonical_line_chunks", lambda p, d, chunk, dtype:
+                        itertools.islice(real(p, d, chunk, dtype), -(-4096 // chunk)))
+    monkeypatch.setattr(structure, "available_cores", lambda: 1)
+    want = certify_simplicity(L, budget=p ** 5)
+    assert (want.verdict, want.lines_checked) == ("non-simple", 2001)
+    assert sum(want.notes["lines_per_stack"]) == 2001 and want.witness.dim == 4
+    assert is_ideal(L, want.witness)
+    monkeypatch.setattr(structure, "available_cores", lambda: workers)
+    got = certify_simplicity(L, budget=p ** 5)
+    assert (got.verdict, got.lines_checked, got.witness, got.notes) == \
+        (want.verdict, want.lines_checked, want.witness, want.notes)
 
 
 def test_available_cores_follows_the_affinity_mask(monkeypatch):
