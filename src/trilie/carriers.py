@@ -533,7 +533,23 @@ def _table_dim(carrier: CarrierAlgebra) -> int:
     return d
 
 
-class Character:
+class _IndexValues:
+    """A function on group-element indices, `_value(field, g)`, computed once
+    per index; the cache holds the values of one field."""
+
+    def __init__(self):
+        self._field, self._values = None, {}
+
+    def __call__(self, field: Field, g):
+        if field is not self._field:
+            self._field, self._values = field, {}
+        c = self._values.get(g)
+        if c is None:
+            c = self._values[g] = self._value(field, g)
+        return c
+
+
+class Character(_IndexValues):
     """chi(g) = prod_s bases_s^{g_s} on group-element indices, cached per
     index; no bases is chi = 1 on any carrier.
 
@@ -543,9 +559,9 @@ class Character:
     """
 
     def __init__(self, bases: Sequence = ()):
+        super().__init__()
         self.bases = tuple(bases)
         self._ints = all(type(b) is int for b in self.bases)
-        self._field, self._values = None, {}
 
     def check(self, carrier: CarrierAlgebra) -> None:
         f = carrier.field
@@ -561,16 +577,9 @@ class Character:
                                           f"requires lambda^{m} = 1, not lambda = {f.render(b)}")
 
     def __call__(self, field: Field, g):
-        if not self.bases:
-            return 1
-        if field is not self._field:  # the cache holds the values of one field
-            self._field, self._values = field, {}
-        c = self._values.get(g)
-        if c is None:
-            c = self._values[g] = self._power_product(field, g)
-        return c
+        return super().__call__(field, g) if self.bases else 1
 
-    def _power_product(self, field: Field, g):
+    def _value(self, field: Field, g):
         if not self._ints:
             return field.normalize(math.prod(field.pow(b, e) for b, e in zip(self.bases, g)))
         num = den = 1
@@ -580,6 +589,18 @@ class Character:
             else:
                 num *= b ** e
         return num * den if den in (1, -1) else field.mul(num, field.inv(field.normalize(den)))
+
+
+class Additive(_IndexValues):
+    """a(g) = sum_s a_s g_s on group-element indices (a_s = 0 past the given
+    values), normalized, cached per index."""
+
+    def __init__(self, coeffs: Sequence):
+        super().__init__()
+        self.coeffs = tuple(coeffs)
+
+    def _value(self, field: Field, g):
+        return field.normalize(sum(map(operator.mul, self.coeffs, g)))
 
 
 class MapRule:
@@ -633,19 +654,19 @@ class AdditiveDerivation(EndoRule):
     values); s = 0 when `shift` is None."""
 
     def __init__(self, a: Sequence, shift=None):
-        self.a, self.shift = tuple(a), shift
+        self.a, self.shift = Additive(a), shift
 
     def check(self, carrier):
-        if self.a:
-            _check_variable(len(self.a) - 1, carrier)
+        if self.a.coeffs:
+            _check_variable(len(self.a.coeffs) - 1, carrier)
         _check_shift(self.shift, carrier)
 
     def image(self, carrier, idx):
         target = idx if self.shift is None else carrier.add_indices(idx, self.shift)
-        return [(target, sum(map(operator.mul, self.a, idx)))]
+        return [(target, self.a(carrier.field, idx))]
 
     def describe(self):
-        return f"e_g -> a(g) e_(g+{self.shift or 0}), a = {self.a}"
+        return f"e_g -> a(g) e_(g+{self.shift or 0}), a = {self.a.coeffs}"
 
 
 class CharacterFunctional(FunctionalRule):
@@ -668,17 +689,17 @@ class AdditiveFunctional(FunctionalRule):
     """e_g -> a(g) = sum_s a_s g_s."""
 
     def __init__(self, a: Sequence):
-        self.a = tuple(a)
+        self.a = Additive(a)
 
     def check(self, carrier):
-        if self.a:
-            _check_variable(len(self.a) - 1, carrier)
+        if self.a.coeffs:
+            _check_variable(len(self.a.coeffs) - 1, carrier)
 
     def value(self, carrier, idx):
-        return sum(map(operator.mul, self.a, idx))
+        return self.a(carrier.field, idx)
 
     def describe(self):
-        return f"a(g), a = {self.a}"
+        return f"a(g), a = {self.a.coeffs}"
 
 
 # the named rules: (chi, sigma, s, c) or (a, s)

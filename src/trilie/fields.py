@@ -24,7 +24,7 @@ then normalizes each coordinate once and drops the zero ones.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Union
+from typing import Any
 
 Scalar = Any  # int | Fraction | GaussianRational, depending on the field
 

@@ -4,13 +4,18 @@ Reduced row echelon form with first-nonzero pivoting (magnitude is
 meaningless over exact fields), canonical subspaces, membership, sums,
 intersections and kernels.  Everything is small and dense by design; the
 finite instances this package certifies stay below a few hundred dimensions.
+The one exception is the kernel of a linear functional (and the full space,
+the kernel of zero): a `FunctionalKernel` stores the functional, O(d), and
+builds each of its d - 1 canonical rows when it is asked for.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+import operator
+from collections.abc import Sequence as SequenceABC
+from typing import Iterable, List, Sequence
 
-from .fields import Field, FieldMismatchError, require_same_field
+from .fields import Field, require_same_field
 
 
 class Matrix:
@@ -126,12 +131,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
-        rows = []
-        for i in range(ambient):
-            row = [field.zero] * ambient
-            row[i] = field.one
-            rows.append(row)
-        return cls(field, ambient, rows, _trusted=True)
+        return FunctionalKernel(field, [field.zero] * ambient)
 
     @property
     def dim(self) -> int:
@@ -158,7 +158,7 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compat(other)
-        return Subspace(self.field, self.ambient, self.basis + other.basis)
+        return Subspace(self.field, self.ambient, [*self.basis, *other.basis])
 
     def intersection(self, other: "Subspace") -> "Subspace":
         self._check_compat(other)
@@ -166,7 +166,7 @@ class Subspace:
             return Subspace.zero(self.field, self.ambient)
         # kernel of the stacked-coefficients system: c with sum c_k row_k = 0;
         # the first block of coefficients recombines self.basis into A cap B.
-        stacked = self.basis + other.basis
+        stacked = [*self.basis, *other.basis]
         coeffs = kernel(Matrix(self.field, [list(col) for col in zip(*stacked)]))
         f = self.field
         columns = list(zip(*self.basis))
@@ -202,27 +202,84 @@ def kernel(m: Matrix) -> Subspace:
     return Subspace(f, m.cols, vecs)
 
 
+class _KernelRows(SequenceABC):
+    """The canonical rows of a `FunctionalKernel`, e_k - w_k e_j for each
+    pivot k, each built when it is asked for."""
+
+    def __init__(self, ker: "FunctionalKernel"):
+        self._ker = ker
+
+    def __len__(self):
+        return len(self._ker.pivots)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._ker.row(k) for k in self._ker.pivots[i]]
+        return self._ker.row(self._ker.pivots[i])
+
+    def __iter__(self):
+        return map(self._ker.row, self._ker.pivots)
+
+    def __eq__(self, other):
+        if isinstance(other, _KernelRows):
+            return (self._ker.j, self._ker.w) == (other._ker.j, other._ker.w)
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+class FunctionalKernel(Subspace):
+    """The kernel of phi(x) = sum_k v_k x_k, stored as w = v / v_j for the
+    last column j where v is nonzero: O(d) memory at any dimension.
+
+    The canonical basis has a row e_k - w_k e_j for every column k != j (the
+    pivots), built when read; the zero functional (no j) has the identity
+    rows, the full space.  Membership is one dot product with w, and a sum
+    with another subspace is this kernel or the full space.
+    """
+
+    def __init__(self, field: Field, values: Sequence):
+        n = len(values)
+        self.field, self.ambient = field, n
+        self.j = next((k for k in reversed(range(n)) if not field.is_zero(values[k])), None)
+        if self.j is None:
+            self.w = [field.zero] * n
+        else:
+            inv = field.inv(values[self.j])
+            self.w = [field.mul(c, inv) for c in values]
+        self.pivots = [k for k in range(n) if k != self.j]
+
+    @property
+    def basis(self) -> Sequence:
+        return _KernelRows(self)
+
+    def row(self, k: int) -> list:
+        """The canonical basis row with pivot k: e_k - w_k e_j."""
+        f = self.field
+        row = [f.zero] * self.ambient
+        row[k] = f.one
+        if not f.is_zero(self.w[k]):
+            row[self.j] = f.neg(self.w[k])
+        return row
+
+    def contains(self, vec: Sequence) -> bool:
+        if len(vec) != self.ambient:
+            raise ValueError("vector length does not match ambient dimension")
+        return self.field.is_zero(self.field.normalize(sum(map(operator.mul, self.w, vec))))
+
+    def __add__(self, other: Subspace) -> Subspace:
+        self._check_compat(other)
+        if self.contains_subspace(other):
+            return self
+        return Subspace.full(self.field, self.ambient)
+
+    __radd__ = __add__
+
+
 def kernel_of_functional(field: Field, values: Sequence) -> Subspace:
     """Kernel of a linear functional given by its values on the basis.
 
-    Built directly in canonical form (pivots at every column except the last
-    one where the functional is nonzero), so it stays cheap at dimensions
-    where generic elimination would not.
+    A `FunctionalKernel`: canonical form (pivots at every column except the
+    last one where the functional is nonzero), stored as the functional and
+    read row by row, so it takes O(d) memory and O(d) per membership test at
+    any dimension.
     """
-    vals = list(values)
-    n = len(vals)
-    nonzero = [j for j, c in enumerate(vals) if not field.is_zero(c)]
-    if not nonzero:
-        return Subspace.full(field, n)
-    jlast = nonzero[-1]
-    inv = field.inv(vals[jlast])
-    rows = []
-    for j in range(n):
-        if j == jlast:
-            continue
-        row = [field.zero] * n
-        row[j] = field.one
-        if not field.is_zero(vals[j]):
-            row[jlast] = field.neg(field.mul(vals[j], inv))
-        rows.append(row)
-    return Subspace(field, n, rows, _trusted=True)
+    return FunctionalKernel(field, list(values))

@@ -6,6 +6,7 @@ import pytest
 
 from trilie.fields import PrimeField, QI, QQ
 from trilie.carriers import (
+    Additive,
     AlternatingSign,
     CarrierMismatchError,
     CharacterFunctional,
@@ -120,6 +121,17 @@ def test_flip_with_lambda_two():
     A = laurent()
     w = Endomorphism(A, LaurentFlip((Fraction(2),)))
     assert w(A.monomial((2,))) == A.monomial((-2,), Fraction(4))
+
+
+def test_additive_values_are_cached_per_index_for_one_field():
+    a = Additive((2, 3))
+    F5 = PrimeField(5)
+    assert a(QQ, (3, 1)) == 9
+    assert a(F5, (3, 1)) == 4          # recomputed in F_5, not the cached 9
+    assert a(F5, (-1, 0)) == 3 and a(QQ, (3, 1)) == 9
+    half = Additive((Fraction(1, 2),))
+    assert half(QQ, (3,)) == Fraction(3, 2)
+    assert type(half(QQ, (4,))) is int  # normalized: 2, not Fraction(2)
 
 
 def test_group_hom_functional():
