@@ -689,17 +689,17 @@ class AdditiveFunctional(FunctionalRule):
     """e_g -> a(g) = sum_s a_s g_s."""
 
     def __init__(self, a: Sequence):
-        self.a = Additive(a)
+        self.a = tuple(a)
 
     def check(self, carrier):
-        if self.a.coeffs:
-            _check_variable(len(self.a.coeffs) - 1, carrier)
+        if self.a:
+            _check_variable(len(self.a) - 1, carrier)
 
     def value(self, carrier, idx):
-        return self.a(carrier.field, idx)
+        return sum(map(operator.mul, self.a, idx))
 
     def describe(self):
-        return f"a(g), a = {self.a.coeffs}"
+        return f"a(g), a = {self.a}"
 
 
 # the named rules: (chi, sigma, s, c) or (a, s)

@@ -221,8 +221,6 @@ class _KernelRows(SequenceABC):
         return map(self._ker.row, self._ker.pivots)
 
     def __eq__(self, other):
-        if isinstance(other, _KernelRows):
-            return (self._ker.j, self._ker.w) == (other._ker.j, other._ker.w)
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
@@ -232,8 +230,7 @@ class FunctionalKernel(Subspace):
 
     The canonical basis has a row e_k - w_k e_j for every column k != j (the
     pivots), built when read; the zero functional (no j) has the identity
-    rows, the full space.  Membership is one dot product with w, and a sum
-    with another subspace is this kernel or the full space.
+    rows, the full space.  Membership is one dot product with w.
     """
 
     def __init__(self, field: Field, values: Sequence):
@@ -264,14 +261,6 @@ class FunctionalKernel(Subspace):
         if len(vec) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
         return self.field.is_zero(self.field.normalize(sum(map(operator.mul, self.w, vec))))
-
-    def __add__(self, other: Subspace) -> Subspace:
-        self._check_compat(other)
-        if self.contains_subspace(other):
-            return self
-        return Subspace.full(self.field, self.ambient)
-
-    __radd__ = __add__
 
 
 def kernel_of_functional(field: Field, values: Sequence) -> Subspace:

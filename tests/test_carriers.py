@@ -123,12 +123,20 @@ def test_flip_with_lambda_two():
     assert w(A.monomial((2,))) == A.monomial((-2,), Fraction(4))
 
 
-def test_additive_values_are_cached_per_index_for_one_field():
+def test_additive_values_are_cached_per_index_for_one_field(monkeypatch):
+    computed = []
+    value = Additive._value
+    monkeypatch.setattr(Additive, "_value",
+                        lambda self, field, g: computed.append((field, g)) or value(self, field, g))
     a = Additive((2, 3))
     F5 = PrimeField(5)
-    assert a(QQ, (3, 1)) == 9
-    assert a(F5, (3, 1)) == 4          # recomputed in F_5, not the cached 9
-    assert a(F5, (-1, 0)) == 3 and a(QQ, (3, 1)) == 9
+    assert a(QQ, (3, 1)) == 9 and a(QQ, (3, 1)) == 9
+    assert computed == [(QQ, (3, 1))]  # a repeated index in one field is not recomputed
+    assert a(F5, (3, 1)) == 4          # a new field recomputes: 4 in F_5, not the cached 9
+    assert a(F5, (-1, 0)) == 3 and a(F5, (3, 1)) == 4
+    assert computed == [(QQ, (3, 1)), (F5, (3, 1)), (F5, (-1, 0))]
+    assert a(QQ, (3, 1)) == 9          # the cache holds one field: QQ is computed anew
+    assert computed[-1] == (QQ, (3, 1)) and len(computed) == 4
     half = Additive((Fraction(1, 2),))
     assert half(QQ, (3,)) == Fraction(3, 2)
     assert type(half(QQ, (4,))) is int  # normalized: 2, not Fraction(2)
