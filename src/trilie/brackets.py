@@ -89,10 +89,14 @@ class DeterminantBracket(TriBracket):
 
     `__call__` on general elements is the unmemoized definition and the
     oracle of the basis path.  `eval_indices` is that basis path, memoized
-    per instance: each row is applied to each basis index once, the first
-    two algebra-valued rows are multiplied once per ordered index pair, and
-    each of the six signed permutation terms then takes at most one more
-    carrier product, and `Field.combine` sums them.
+    per instance.  A determinant is alternating in its arguments (the rows
+    keep their order, so this holds in any carrier): repeated arguments give
+    zero, and each unordered triple is expanded once, in sorted order, and
+    signed by the permutation of the arguments.  The expansion applies each
+    row to each basis index once, multiplies the first two algebra-valued
+    rows once per ordered index pair, takes at most one more carrier product
+    for each of the six signed permutation terms, and `Field.combine` sums
+    them.
     """
 
     def __init__(self, carrier: CarrierAlgebra, rows: Sequence[Row]):
@@ -109,6 +113,7 @@ class DeterminantBracket(TriBracket):
         self._func_rows = [r for r, (kind, _) in enumerate(self.rows) if kind == "func"]
         self._images: Dict[Tuple[int, object], object] = {}
         self._pairs: Dict[Tuple[object, object], Dict] = {}
+        self._triples: Dict[Tuple[object, object, object], Tuple[Dict, Dict]] = {}
 
     def __call__(self, a, b, c):
         elems = (a, b, c)
@@ -151,8 +156,20 @@ class DeterminantBracket(TriBracket):
         return terms
 
     def eval_indices(self, i, j, k):
+        if i == j or j == k or i == k:
+            return self.carrier.zero()
+        key = tuple(sorted((i, j, k)))
+        signed = self._triples.get(key)
+        if signed is None:
+            terms = self._expand(key)
+            neg = self.carrier.field.neg
+            signed = self._triples[key] = (terms, {x: neg(c) for x, c in terms.items()})
+        # an odd number of inversions is an odd permutation of the sorted key
+        return AlgebraElement(self.carrier, dict(signed[(i > j) ^ (i > k) ^ (j > k)]))
+
+    def _expand(self, args) -> Dict:
+        """The terms of the determinant at the ordered index triple `args`."""
         f = self.carrier.field
-        args = (i, j, k)
         mul = self.carrier.mul_indices
         products = []
         for perm, sign in _PERMS3:
@@ -170,7 +187,7 @@ class DeterminantBracket(TriBracket):
                 last = self._image(self._algebra_rows[2], idxs[2]).terms
                 products += [(z, scal * cx * cy * cz) for x, cx in terms.items()
                              for y, cy in last.items() for z, cz in mul(x, y)]
-        return AlgebraElement(self.carrier, f.combine(products))
+        return f.combine(products)
 
 
 def _det3(r1, r2, r3):
@@ -491,9 +508,12 @@ def check_fi_window(bracket: TriBracket, window: Sequence, mode: str = "exhausti
     One case enumerator and one scan serve this and the tabulated
     `structure.verify_fundamental_identity`; `notes["covered"]` counts the
     full |window|^5 tuple space that exhaustive mode spans.  The scan reads
-    its ad rows from a memo of `eval_indices`, which evaluates each ordered
-    basis triple once per check, without sign completion, so a
-    non-alternating bracket is evaluated as it is.
+    its ad rows from a memo of `eval_indices`, which it calls once per
+    ordered basis triple per check, without sign completion, so a
+    non-alternating bracket is evaluated as it is (a `DeterminantBracket`
+    expands each unordered triple once itself).  It numbers the carrier
+    indices the brackets reach, so each run of the scan keeps one flat
+    accumulator, as it does on a table.
     """
     carrier = bracket.carrier
     checked, found = _fi_scan(lambda t: bracket.eval_indices(*t).terms, carrier.field,
@@ -713,7 +733,7 @@ def group_kernel_certificate(hom: GroupHom, seed: int = 0):
     `KERNEL_SPOT_SAMPLES` seeded evaluations cross-check that factorization.
     Returns (SimplicityCertificate, CheckReport).
     """
-    from .linalg import kernel_of_functional
+    from .linalg import FunctionalKernel
     from .structure import SimplicityCertificate
     from .carriers import GroupHomFunctional, Functional
 
@@ -725,7 +745,7 @@ def group_kernel_certificate(hom: GroupHom, seed: int = 0):
     f = G.field
     basis = G.basis_indices()
     values = [hom(g) for g in basis]
-    ker = kernel_of_functional(f, values)
+    ker = FunctionalKernel(f, values)
 
     def P(a, b, c):
         return f.normalize((c - b) * (b + c - a) + (a - c) * (a + c - b)
@@ -756,9 +776,8 @@ def group_kernel_certificate(hom: GroupHom, seed: int = 0):
     for _ in range(KERNEL_SPOT_SAMPLES // 4):
         v = G.zero()
         for _ in range(2):
-            row = ker.basis[rng.randrange(len(ker.basis))]
-            v = v + G.element({basis[i]: c for i, c in enumerate(row)
-                               if not f.is_zero(c)})
+            k = ker.pivots[rng.randrange(len(ker.pivots))]
+            v = v + G.element({basis[i]: c for i, c in ker.row_terms(k).items()})
         x = bracket(v, G.monomial(rng.choice(basis)), G.monomial(rng.choice(basis)))
         if report.fails(not f.is_zero(phi(x))):
             report.failures.append({"kernel_probe": str(x)})

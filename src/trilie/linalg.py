@@ -248,13 +248,20 @@ class FunctionalKernel(Subspace):
     def basis(self) -> Sequence:
         return _KernelRows(self)
 
+    def row_terms(self, k: int) -> dict:
+        """The canonical basis row with pivot k, e_k - w_k e_j, as its nonzero
+        {column: coefficient}."""
+        f = self.field
+        terms = {k: f.one}
+        if not f.is_zero(self.w[k]):
+            terms[self.j] = f.neg(self.w[k])
+        return terms
+
     def row(self, k: int) -> list:
         """The canonical basis row with pivot k: e_k - w_k e_j."""
-        f = self.field
-        row = [f.zero] * self.ambient
-        row[k] = f.one
-        if not f.is_zero(self.w[k]):
-            row[self.j] = f.neg(self.w[k])
+        row = [self.field.zero] * self.ambient
+        for col, c in self.row_terms(k).items():
+            row[col] = c
         return row
 
     def contains(self, vec: Sequence) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 from types import MappingProxyType
@@ -342,12 +343,37 @@ def _fi_rows(L: FiniteNLieAlgebra) -> Dict[tuple, Dict[int, tuple]]:
     return rows
 
 
-def _fi_slot(rows, x0, pre: tuple, post: tuple) -> _Memo:
-    """l -> items of [x0, *pre, l, *post], looked up on first use."""
-    def bracket(l):
-        row = rows.get(pre + (l,) + post)
-        return None if row is None else row.get(x0)
-    return _Memo(bracket)
+def _fi_columns(rows, yss: list):
+    """The columns of a run's y-tuples, built on first use: cols[h] is
+    {l: [(y position, coeff of e_l in [h, *ys])]} over the nonzero [h, ys]."""
+    tails = [rows.get(ys) for ys in yss]
+
+    def col(h):
+        out: Dict[object, list] = {}
+        for pos, row in enumerate(tails):
+            for l, c in (() if row is None else row.get(h) or ()):
+                out.setdefault(l, []).append((pos, c))
+        return out
+    return _Memo(col)
+
+
+def _fi_terms(rows, cols, xs: tuple):
+    """The terms of the residuals of the run of xs, as (column entries,
+    target, coeff): each entry (y position, c) stands for c x coeff at that
+    target.  The top term [[xs], ys] first, walking the columns of the heads
+    of [xs]; then -[xs with l in slot i] for each target l of the column of
+    xs[i], bracketed into the slot once for all of its y positions."""
+    row0 = rows.get(xs[1:])
+    for h, d in (() if row0 is None else row0.get(xs[0]) or ()):
+        for m, ents in cols[h].items():
+            yield ents, m, d
+    for i, x in enumerate(xs):
+        for l, ents in cols[x].items():
+            # xs with l in slot i: a head of the row of xs[1:] in slot 0, a
+            # tail index under the head xs[0] in any other
+            row = row0 if i == 0 else rows.get(xs[1:i] + (l,) + xs[i + 1:])
+            for m, d in (() if row is None else row.get(xs[0] if i else l) or ()):
+                yield ents, m, -d
 
 
 def _fi_scan(bracket, f: Field, cases: Iterable[Tuple[tuple, tuple]]):
@@ -356,59 +382,53 @@ def _fi_scan(bracket, f: Field, cases: Iterable[Tuple[tuple, tuple]]):
     `MAX_WITNESSES` (xs, ys, residual) with a nonzero residual).
 
     This is the one FI scan.  It reads brackets from sparse ad rows: rows.get
-    (tail) is the row {head: (index, coeff) pairs of [head, *tail]}, so the
-    left side, [xi, ys] and putting l in the first slot of xs need no fresh
-    key.  `bracket` is either such rows (a table's, from `_fi_rows`; a
-    missing tail or head is a zero bracket) or a function that brackets an
-    index tuple into a sparse {index: coeff} dict, whose rows are then a memo
-    that evaluates each distinct ordered tuple once per scan, as it is: no
-    sign completion, so a non-alternating bracket is checked as it is.  The
+    (tail) is the row {head: (index, coeff) pairs of [head, *tail]}.
+    `bracket` is either such rows (a table's, from `_fi_rows`; a missing tail
+    or head is a zero bracket) or a function that brackets an index tuple
+    into a sparse {index: coeff} dict, whose rows are then a memo that
+    evaluates each distinct ordered tuple once per scan, as it is: no sign
+    completion, so a non-alternating bracket is checked as it is.  The
     residuals only read the rows.
 
-    A run of cases with one x-tuple reads [xs] and its row once, and each
-    slot xs[i] <- l for i >= 1 gets a memo of its own, dropped with the
-    x-tuple.  Every term brackets with ys, so a tail without a row is a zero
-    residual.  Products accumulate with the elements' own + and *, and
-    `Field.sparse` normalizes a nonzero sum once at the end.
+    A run of cases with one x-tuple is scanned a column at a time, over the
+    columns of `_fi_columns`: for a head h, the nonzero [h, ys] of the run's
+    y-tuples, grouped by target l, built once while the runs share their
+    y-tuples (in exhaustive mode, once per scan), and the terms of
+    `_fi_terms` walk only their nonzero entries.  All products of a run go into one flat dict keyed by target x len(run) +
+    y position: a table's targets are its indices, and a function's are
+    numbered in order of first sight.  Products add with the elements' own
+    + and *, and only the touched sums are normalized, once.  Witnesses are
+    taken in y order, so they stay the first in enumeration order.
     """
-    rows = bracket
+    rows, number = bracket, None
     if callable(bracket):
         rows = _Memo(lambda tail: _Memo(lambda head: tuple(bracket((head,) + tail).items())))
-    checked, found, last = 0, [], None
-    for xs, ys in cases:
-        if xs != last:
-            last, x0 = xs, xs[0]
-            row0 = rows.get(xs[1:])
-            if row0 is None:
-                row0 = _EMPTY
-            top = row0.get(x0) or ()
-            slots = [(x0, row0)] + [(xs[i], _fi_slot(rows, x0, xs[1:i], xs[i + 1:]))
-                                    for i in range(1, len(xs))]
-        checked += 1
-        col = rows.get(ys)
-        if col is None:
-            continue
-        acc: Dict[object, object] = {}
-        for l, c in top:
-            v = col.get(l)
-            if v:
-                for m, d in v:
-                    s = acc.get(m)
-                    acc[m] = c * d if s is None else s + c * d
-        for x, row in slots:
-            v = col.get(x)
-            if v:
-                for l, c in v:
-                    w = row.get(l)
-                    if w:
-                        c = -c
-                        for m, d in w:
-                            s = acc.get(m)
-                            acc[m] = c * d if s is None else s + c * d
-        if acc:
-            res = f.sparse(acc)
-            if res and len(found) < MAX_WITNESSES:
-                found.append((xs, ys, res))
+        number = _Memo(lambda m: len(number))  # 0, 1, 2, ... in order of first sight
+    normalize = f.normalize
+    checked, found, yss = 0, [], None
+    for xs, run in itertools.groupby(cases, operator.itemgetter(0)):
+        run = [ys for _, ys in run]
+        checked += len(run)
+        if run != yss:
+            yss, width = run, len(run)
+            cols = _fi_columns(rows, yss)
+        acc: Dict[int, object] = {}
+        for ents, m, d in _fi_terms(rows, cols, xs):
+            base = (m if number is None else number[m]) * width
+            for pos, c in ents:
+                k = base + pos
+                s = acc.get(k)
+                acc[k] = c * d if s is None else s + c * d
+        bad: Dict[int, list] = {}
+        for k, s in acc.items():
+            s = normalize(s)
+            if s:
+                bad.setdefault(k % width, []).append((k // width, s))
+        if bad and len(found) < MAX_WITNESSES:
+            names = None if number is None else list(number)
+            for pos in sorted(bad)[:MAX_WITNESSES - len(found)]:
+                found.append((xs, yss[pos], {m if names is None else names[m]: s
+                                             for m, s in bad[pos]}))
     return checked, found
 
 
@@ -439,8 +459,10 @@ def verify_fundamental_identity(L: FiniteNLieAlgebra, mode: str = "exhaustive",
     no `bracket_indices` call.
 
     `notes["covered"]` counts the full d^(2n-1) tuple space that exhaustive
-    mode spans.  Exhaustive mode scans chunks of the x-tuples, each with its
-    own rows, on one process per `FI_CASES_PER_PROCESS` cases, at most one per
+    mode spans.  Every x-tuple of exhaustive mode is one run of the scan
+    over all the y-tuples, so the scan builds its columns once per process.
+    Exhaustive mode scans chunks of the x-tuples, each with its own rows and
+    columns, on one process per `FI_CASES_PER_PROCESS` cases, at most one per
     available core: the first chunk here, each other in a child process that
     sends its part back through a pipe and is joined when `multiprocessing`
     next starts one (a process pool costs this process 1 MiB more).  The

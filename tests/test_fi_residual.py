@@ -77,20 +77,31 @@ def test_residual_matches_element_oracle(name):
 
 
 def test_window_check_reports_the_oracle_failures():
-    # exhaustively on the control's window: same cases checked, same first
-    # witnesses, so the differential test above is not comparing zeros only
+    # on the control's window, exhaustively and sampled: same cases checked,
+    # same first witnesses, so the differential test above is not comparing
+    # zeros only
     bracket, window = fi_window("control-pair-mismatch")
     carrier = bracket.carrier
+
+    def oracle(cases):
+        return [{"x": [carrier.index_str(i) for i in xs],
+                 "y": [carrier.index_str(i) for i in ys],
+                 "residual": str(res)}
+                for xs, ys in cases
+                for res in [residual_case(bracket, xs, ys)] if not res.is_zero()]
+
     cases = [(xs, ys) for xs in itertools.combinations(window, 3)
              for ys in itertools.combinations(window, 2)]
-    want = [{"x": [carrier.index_str(i) for i in xs],
-             "y": [carrier.index_str(i) for i in ys],
-             "residual": str(res)}
-            for xs, ys in cases
-            for res in [residual_case(bracket, xs, ys)] if not res.is_zero()]
+    want = oracle(cases)
     rep = check_fi_window(bracket, window)
     assert rep.checked == len(cases)
-    assert want and rep.failures == want[:5]
+    assert want and rep.failures == want[:MAX_WITNESSES]
+    # sampled draws are runs of one x-tuple, with repeated and unsorted indices
+    cases = list(_fi_cases(window, 3, "sampled", samples=200, seed=4))
+    want = oracle(cases)
+    rep = check_fi_window(bracket, window, mode="sampled", samples=200, seed=4)
+    assert rep.checked == len(cases)
+    assert len(want) > MAX_WITNESSES and rep.failures == want[:MAX_WITNESSES]
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +347,27 @@ def test_tabulated_fi_reports_the_oracle_witnesses_on_the_mutated_control():
     assert (rep.checked, rep.failures) == (checked, want)
 
 
+def test_forked_chunks_keep_the_witness_order(monkeypatch):
+    # a mutated p = 7 quotient (33,124 cases): one process, then two forked
+    # chunks of x-tuples (the chunk size lowered so that the cases split),
+    # give the same report, witnesses first in enumeration order
+    doc = get_bundled("laurent-quotient-p5")
+    doc["field"]["p"] = doc["carrier"]["p"] = 7
+    L = build_context(doc).algebra
+    L = L.mutate_constant(max(L.constants), 0, L.field.one)
+    monkeypatch.setattr(structure, "available_cores", lambda: 1)
+    one = verify_fundamental_identity(L)
+    monkeypatch.setattr(structure, "available_cores", lambda: 2)
+    monkeypatch.setattr(structure, "FI_CASES_PER_PROCESS", 20_000)
+    two = verify_fundamental_identity(L)
+    assert one.checked == 33_124 and len(one.failures) == MAX_WITNESSES
+    assert two == one
+
+
 def test_fi_scan_memory_stays_lean(monkeypatch):
-    # the scan reads the table's sparse ad rows (`_fi_rows`), and its small
-    # per-slot memos are dropped with each x-tuple: at p = 11 (d = 22) it
-    # peaks near 0.8 MiB, rows and ad index included.  One core keeps the
+    # the scan reads the table's sparse ad rows (`_fi_rows`) and builds its
+    # columns of the nonzero [h, ys] once: at p = 11 (d = 22) it peaks near
+    # 1.15 MiB, rows, columns and ad index included.  One core keeps the
     # scan in this process, where tracemalloc sees it
     monkeypatch.setattr(structure, "available_cores", lambda: 1)
     doc = get_bundled("laurent-quotient-p5")

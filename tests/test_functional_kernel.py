@@ -73,6 +73,8 @@ def test_functional_kernel_matches_dense_kernel(fv, data):
     assert ker.basis[1:3] == dense.basis[1:3] and ker.basis[:5] == dense.basis[:5]
     assert ker.basis == dense.basis and dense.basis == ker.basis
     assert ker == dense and dense == ker
+    assert [ker.row_terms(k) for k in ker.pivots] == [
+        {col: c for col, c in enumerate(row) if not field.is_zero(c)} for row in dense.basis]
     # a nonzero multiple of the functional has the same kernel
     assert ker == kernel_of_functional(field, [field.mul(field.embed(3), c) for c in values])
 
