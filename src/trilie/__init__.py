@@ -18,7 +18,7 @@ from .fields import (
     Rationals,
     field_from_descriptor,
 )
-from .linalg import Matrix, Subspace, kernel, kernel_of_functional, rref
+from .linalg import Subspace, kernel_of_functional
 from .carriers import (
     AlgebraElement,
     CarrierAlgebra,

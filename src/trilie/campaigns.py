@@ -2,8 +2,9 @@
 campaigns over them, producing deterministic machine-readable results.
 
 Each document name is spelled once, in a table here: `CARRIERS`,
-`ENDO_RULES`, `FUNCTIONAL_RULES`, `BRACKETS` and `CHECKS`.  Validation,
-building and campaign dispatch all look names up in them.
+`ENDO_RULES`, `FUNCTIONAL_RULES`, `BRACKETS`, `BASES` and `CHECKS` (field
+kinds in `fields.FIELD_KINDS`).  Validation, building and campaign dispatch
+all look names up in them.
 """
 
 from __future__ import annotations
@@ -574,6 +575,21 @@ def _parse_indices(carrier: ca.CarrierAlgebra, texts: List[str]) -> list:
     return list(seen)
 
 
+def _carrier_basis(ctx: BuildContext, cfg: dict) -> list:
+    if ctx.carrier.dim() is None:
+        raise ConfigError("$.basis", "carrier basis requires a finite carrier")
+    return ctx.carrier.basis_indices()
+
+
+# build(ctx, cfg) returns the basis indices of a basis kind
+BASES = {
+    "carrier": _carrier_basis,
+    "window": lambda ctx, cfg: ctx.carrier.window(int(cfg["bound"])),
+    "explicit": lambda ctx, cfg: _built("$.basis.indices", _parse_indices, ctx.carrier,
+                                        cfg["indices"]),
+}
+
+
 def _mutate(algebra: st.FiniteNLieAlgebra, mut: dict) -> st.FiniteNLieAlgebra:
     # checked here, not by the table: true and 1.0 hash like 1, so they would
     # silently name an entry that already exists
@@ -603,16 +619,7 @@ def build_context(doc: dict) -> BuildContext:
     if ctx.algebra is not None:
         ctx.basis = list(range(ctx.algebra.dim))
     elif basis_cfg is not None:
-        kind = basis_cfg["kind"]
-        if kind == "carrier":
-            if ctx.carrier.dim() is None:
-                raise ConfigError("$.basis", "carrier basis requires a finite carrier")
-            ctx.basis = ctx.carrier.basis_indices()
-        elif kind == "window":
-            ctx.basis = ctx.carrier.window(int(basis_cfg["bound"]))
-        else:
-            ctx.basis = _built("$.basis.indices", _parse_indices, ctx.carrier,
-                               basis_cfg["indices"])
+        ctx.basis = BASES[basis_cfg["kind"]](ctx, basis_cfg)
         if basis_cfg.get("tabulate", True) and ctx.bracket is not None:
             out = br.tabulate(ctx.bracket, ctx.basis, name=doc["name"])
             if isinstance(out, br.ClosureFailure):

@@ -2,9 +2,10 @@
 a carrier, named maps, a bracket, a basis and a list of verification
 campaigns.
 
-Every carrier shape, map rule, bracket form and check name, and each
-check's parameters and build requirements, come from the tables in
-`campaigns` (`CARRIERS`, `ENDO_RULES`, `FUNCTIONAL_RULES`, `BRACKETS`,
+Every field kind comes from `fields.FIELD_KINDS`, and every carrier shape,
+map rule, bracket form, basis kind and check name, and each check's
+parameters and build requirements, from the tables in `campaigns`
+(`CARRIERS`, `ENDO_RULES`, `FUNCTIONAL_RULES`, `BRACKETS`, `BASES`,
 `CHECKS`), the single source of names.  `parse_document` validates against
 them and then builds every object once, so that violated hypotheses and
 unmet campaign requirements surface at parse time with the offending
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import json
 from typing import Any, Dict, List
+
+from .fields import FIELD_KINDS
 
 DOCUMENT_VERSION = 1
 
@@ -55,14 +58,14 @@ def validate_document(doc: Any) -> Dict:
     field = doc["field"]
     _require(isinstance(field, dict) and "kind" in field, "$.field",
              "field needs a 'kind'")
-    _require(field["kind"] in {"rationals", "gaussian-rationals", "prime"},
+    _require(known_name(FIELD_KINDS, field["kind"]),
              "$.field.kind", f"unknown field kind {field.get('kind')!r}")
     if field["kind"] == "prime":
         _require(isinstance(field.get("p"), int), "$.field.p",
                  "prime field needs an integer modulus")
 
     # deferred: campaigns imports this module
-    from .campaigns import BRACKETS, CARRIERS, CHECKS, MAP_CONFIG
+    from .campaigns import BASES, BRACKETS, CARRIERS, CHECKS, MAP_CONFIG
 
     bracket = doc.get("bracket")
     if bracket is not None:
@@ -95,7 +98,7 @@ def validate_document(doc: Any) -> Dict:
     if basis is not None:
         _require(isinstance(basis, dict), "$.basis", "basis must be an object")
         kind = basis.get("kind")
-        _require(kind in {"carrier", "window", "explicit"}, "$.basis.kind",
+        _require(known_name(BASES, kind), "$.basis.kind",
                  f"unknown basis kind {kind!r}")
         if kind == "window":
             _require(isinstance(basis.get("bound"), int) and basis["bound"] >= 0,

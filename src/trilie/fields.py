@@ -440,15 +440,19 @@ QQ = Rationals()
 QI = GaussianRationals()
 
 
+# each field kind of a descriptor, with the field it builds from the descriptor
+FIELD_KINDS = {
+    "rationals": lambda desc: QQ,
+    "gaussian-rationals": lambda desc: QI,
+    "prime": lambda desc: PrimeField(int(desc["p"])),
+}
+
+
 def field_from_descriptor(desc: dict) -> Field:
     kind = desc.get("kind")
-    if kind == "rationals":
-        return QQ
-    if kind == "gaussian-rationals":
-        return QI
-    if kind == "prime":
-        return PrimeField(int(desc["p"]))
-    raise FieldError(f"unknown field descriptor {desc!r}")
+    if not (isinstance(kind, str) and kind in FIELD_KINDS):
+        raise FieldError(f"unknown field descriptor {desc!r}")
+    return FIELD_KINDS[kind](desc)
 
 
 def require_same_field(a: Field, b: Field) -> None:

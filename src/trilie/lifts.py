@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .carriers import HypothesisViolation
 from .fields import Field, GaussianRational, QI
-from .linalg import Matrix, rref
+from .linalg import Subspace
 from .structure import FiniteNLieAlgebra, _fi_scan_table
 
 
@@ -146,7 +146,7 @@ def metric_extension(lie: LieAlgebra, B: Sequence[Sequence], name: str = "") -> 
         for j in range(m):
             if B[i][j] != B[j][i]:
                 raise HypothesisViolation("the bilinear form is not symmetric")
-    if len(rref(Matrix(f, B)).rows) != m:
+    if Subspace(f, m, B).dim != m:
         raise HypothesisViolation("the bilinear form is degenerate")
 
     def b_bracket(i, j, k):
@@ -222,15 +222,12 @@ def _solve_in_span(span_vecs: List[List], target: List) -> Optional[List]:
     """Coefficients c with sum c_i span_i = target over Q(i), or None."""
     f = QI
     ncols = len(span_vecs)
-    rows = []
-    for q in range(len(target)):
-        rows.append([span_vecs[i][q] for i in range(ncols)] + [target[q]])
-    r = rref(Matrix(f, rows))
+    rows = [[v[q] for v in span_vecs] + [t] for q, t in enumerate(target)]
+    r = Subspace(f, ncols + 1, rows)
+    if ncols in r.pivots:
+        return None  # inconsistent: target escapes the span
     coeffs = [f.zero] * ncols
-    for row in r.rows:
-        piv = next(j for j, x in enumerate(row) if not f.is_zero(x))
-        if piv == ncols:
-            return None  # inconsistent: target escapes the span
+    for row, piv in zip(r.basis, r.pivots):
         coeffs[piv] = row[ncols]
     return coeffs
 

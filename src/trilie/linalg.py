@@ -1,8 +1,8 @@
 """Exact dense linear algebra over any field descriptor.
 
-Reduced row echelon form with first-nonzero pivoting (magnitude is
-meaningless over exact fields), canonical subspaces, membership, sums,
-intersections and kernels.  Everything is small and dense by design; the
+Canonical subspaces in reduced row echelon form with first-nonzero pivoting
+(magnitude is meaningless over exact fields), built incrementally by a
+`SpanBuilder`, and membership.  Everything is small and dense by design; the
 finite instances this package certifies stay below a few hundred dimensions.
 The one exception is the kernel of a linear functional (and the full space,
 the kernel of zero): a `FunctionalKernel` stores the functional, O(d), and
@@ -16,29 +16,6 @@ from collections.abc import Sequence as SequenceABC
 from typing import Iterable, List, Sequence
 
 from .fields import Field, require_same_field
-
-
-class Matrix:
-    def __init__(self, field: Field, rows: Sequence[Sequence]):
-        self.field = field
-        self.rows = [list(r) for r in rows]
-        if self.rows:
-            ncols = len(self.rows[0])
-            if any(len(r) != ncols for r in self.rows):
-                raise ValueError("ragged matrix")
-            self.cols = ncols
-        else:
-            self.cols = 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.rows == other.rows
-        )
-
-    def __repr__(self):
-        return f"Matrix({self.field!r}, {self.rows!r})"
 
 
 def _reduce_row(field: Field, row: list, pivots: List[int], rows: List[list]) -> list:
@@ -96,14 +73,6 @@ class SpanBuilder:
         return Subspace(self.field, self.ambient, self.rows, _trusted=True)
 
 
-def rref(m: Matrix) -> Matrix:
-    """Reduced row echelon form with zero rows pruned; row space preserved."""
-    sb = SpanBuilder(m.field, m.cols)
-    for row in m.rows:
-        sb.add(row)
-    return Matrix(m.field, sb.rows)
-
-
 class Subspace:
     """Canonical subspace: RREF basis with strictly increasing pivots.
 
@@ -156,24 +125,6 @@ class Subspace:
         self._check_compat(other)
         return all(self.contains(row) for row in other.basis)
 
-    def __add__(self, other: "Subspace") -> "Subspace":
-        self._check_compat(other)
-        return Subspace(self.field, self.ambient, [*self.basis, *other.basis])
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        self._check_compat(other)
-        if not self.basis or not other.basis:
-            return Subspace.zero(self.field, self.ambient)
-        # kernel of the stacked-coefficients system: c with sum c_k row_k = 0;
-        # the first block of coefficients recombines self.basis into A cap B.
-        stacked = [*self.basis, *other.basis]
-        coeffs = kernel(Matrix(self.field, [list(col) for col in zip(*stacked)]))
-        f = self.field
-        columns = list(zip(*self.basis))
-        vecs = [[f.normalize(sum(x * b for x, b in zip(c, col))) for col in columns]
-                for c in coeffs.basis]
-        return Subspace(self.field, self.ambient, vecs)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -184,22 +135,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-
-def kernel(m: Matrix) -> Subspace:
-    """Right kernel {v : M v = 0} as a canonical subspace."""
-    f = m.field
-    r = rref(m)
-    pivots = [next(j for j, x in enumerate(row) if not f.is_zero(x)) for row in r.rows]
-    free = [j for j in range(m.cols) if j not in pivots]
-    vecs = []
-    for j in free:
-        v = [f.zero] * m.cols
-        v[j] = f.one
-        for row, p in zip(r.rows, pivots):
-            v[p] = f.neg(row[j])
-        vecs.append(v)
-    return Subspace(f, m.cols, vecs)
 
 
 class _KernelRows(SequenceABC):

@@ -88,39 +88,36 @@ class FiniteNLieAlgebra:
     # -- evaluation ------------------------------------------------------
     @functools.cached_property
     def ad_index(self) -> Dict[Tuple[int, ...], Dict[int, Dict[int, object]]]:
-        """{rest: {a: [e_a, *rest]}} for each increasing (n-1)-tuple `rest` in a
-        stored key, rests and a's in increasing order, built on first use.  Its
-        vectors are a key's stored vector or its one negation, shared like the
-        results of `bracket_indices`: callers must not mutate them."""
-        f, ad = self.field, {}
+        """{tail: {a: [e_a, *tail]}} for every ordering `tail` of each
+        (n-1)-subset of a stored key, heads a in increasing order, built on
+        first use.  The even orderings of a rest share one row, whose vectors
+        are the stored ones and their one negation per key, and the odd
+        orderings share the row with the signs swapped.  The increasing rests
+        come in increasing order, each before its other orderings.  A tail that
+        is not listed (a repeated index, or a rest no key contains), or a head
+        that is not, brackets to zero.  Its rows and vectors are shared, as
+        the results of `bracket_indices` are: callers must not mutate them."""
+        f, rows = self.field, {}
         for key, vec in self.constants.items():
-            neg = {l: f.neg(c) for l, c in vec.items()}
+            signed = (vec, {l: f.neg(c) for l, c in vec.items()})
             for i, a in enumerate(key):
                 # moving e_a to the front of the key takes i transpositions
-                ad.setdefault(key[:i] + key[i + 1:], {})[a] = neg if i % 2 else vec
-        return {rest: dict(sorted(ad[rest].items())) for rest in sorted(ad)}
+                even, odd = rows.setdefault(key[:i] + key[i + 1:], ({}, {}))
+                even[a], odd[a] = signed[i % 2], signed[1 - i % 2]
+        index = {}
+        for rest in sorted(rows):
+            signed = tuple(dict(sorted(row.items())) for row in rows[rest])
+            for perm in itertools.permutations(range(len(rest))):
+                index[tuple(rest[t] for t in perm)] = signed[_perm_sign(perm) == -1]
+        return index
 
     def bracket_indices(self, idxs: Sequence[int]) -> Dict[int, object]:
-        """Sparse bracket of basis elements in any order (sign-completed).
-
-        The result is shared, not copied: the stored vector for an even
-        permutation of its key, its negation in `ad_index` for an odd one, and
-        one read-only empty mapping for a zero bracket.  Do not mutate it.
+        """Sparse bracket of basis elements in any order: the vector of the
+        head idxs[0] in the `ad_index` row of the tail idxs[1:], or one
+        read-only empty mapping for a zero bracket (repeated indices
+        included).  The result is shared, not copied: do not mutate it.
         """
-        if len(set(idxs)) != self.arity:
-            return _EMPTY
-        order = sorted(range(self.arity), key=lambda t: idxs[t])
-        key = tuple(idxs[t] for t in order)
-        vec = self.constants.get(key)
-        if not vec:
-            return _EMPTY
-        # sign of the permutation sending the sorted tuple to the given one
-        inv = [0] * self.arity
-        for pos, t in enumerate(order):
-            inv[t] = pos
-        if _perm_sign(inv) == 1:
-            return vec
-        return self.ad_index[key[:1] + key[2:]][key[1]]     # [e_k1, e_k0, ...]
+        return self.ad_index.get(tuple(idxs[1:]), _EMPTY).get(idxs[0], _EMPTY)
 
     def bracket_sparse(self, vecs: Sequence[Dict[int, object]]) -> Dict[int, object]:
         """Multilinear extension on sparse coordinate dicts."""
@@ -323,26 +320,6 @@ class _Memo(dict):
         return out
 
 
-def _fi_rows(L: FiniteNLieAlgebra) -> Dict[tuple, Dict[int, tuple]]:
-    """The table's sparse ad rows for `_fi_scan`: {tail: {head: items of
-    [head, *tail]}} for every ordering of each rest of `L.ad_index`, holding
-    only its nonzero heads.  Even orderings share one row of the index's
-    vectors and odd ones one row of their negations; equal item tuples are
-    made once.  A tail that is not listed (a repeated index, or a rest no key
-    contains) brackets everything to zero."""
-    f, shared, rows = L.field, {}, {}
-
-    def entries(vec, sign):
-        t = tuple((l, c if sign == 1 else f.neg(c)) for l, c in vec.items())
-        return shared.setdefault(t, t)
-
-    for rest, ad in L.ad_index.items():
-        signed = {s: {a: entries(vec, s) for a, vec in ad.items()} for s in (1, -1)}
-        for perm in itertools.permutations(range(len(rest))):
-            rows[tuple(rest[t] for t in perm)] = signed[_perm_sign(perm)]
-    return rows
-
-
 def _fi_columns(rows, yss: list):
     """The columns of a run's y-tuples, built on first use: cols[h] is
     {l: [(y position, coeff of e_l in [h, *ys])]} over the nonzero [h, ys]."""
@@ -351,7 +328,7 @@ def _fi_columns(rows, yss: list):
     def col(h):
         out: Dict[object, list] = {}
         for pos, row in enumerate(tails):
-            for l, c in (() if row is None else row.get(h) or ()):
+            for l, c in (_EMPTY if row is None else row.get(h) or _EMPTY).items():
                 out.setdefault(l, []).append((pos, c))
         return out
     return _Memo(col)
@@ -364,7 +341,7 @@ def _fi_terms(rows, cols, xs: tuple):
     of [xs]; then -[xs with l in slot i] for each target l of the column of
     xs[i], bracketed into the slot once for all of its y positions."""
     row0 = rows.get(xs[1:])
-    for h, d in (() if row0 is None else row0.get(xs[0]) or ()):
+    for h, d in (_EMPTY if row0 is None else row0.get(xs[0]) or _EMPTY).items():
         for m, ents in cols[h].items():
             yield ents, m, d
     for i, x in enumerate(xs):
@@ -372,7 +349,7 @@ def _fi_terms(rows, cols, xs: tuple):
             # xs with l in slot i: a head of the row of xs[1:] in slot 0, a
             # tail index under the head xs[0] in any other
             row = row0 if i == 0 else rows.get(xs[1:i] + (l,) + xs[i + 1:])
-            for m, d in (() if row is None else row.get(xs[0] if i else l) or ()):
+            for m, d in (_EMPTY if row is None else row.get(xs[0] if i else l) or _EMPTY).items():
                 yield ents, m, -d
 
 
@@ -382,10 +359,10 @@ def _fi_scan(bracket, f: Field, cases: Iterable[Tuple[tuple, tuple]]):
     `MAX_WITNESSES` (xs, ys, residual) with a nonzero residual).
 
     This is the one FI scan.  It reads brackets from sparse ad rows: rows.get
-    (tail) is the row {head: (index, coeff) pairs of [head, *tail]}.
-    `bracket` is either such rows (a table's, from `_fi_rows`; a missing tail
-    or head is a zero bracket) or a function that brackets an index tuple
-    into a sparse {index: coeff} dict, whose rows are then a memo that
+    (tail) is the row {head: {index: coeff} of [head, *tail]}.  `bracket` is
+    either such rows (a table's `ad_index`, where a missing tail or head is
+    a zero bracket) or a function that brackets an index tuple into a sparse
+    {index: coeff} dict, whose rows are then a memo of those dicts that
     evaluates each distinct ordered tuple once per scan, as it is: no sign
     completion, so a non-alternating bracket is checked as it is.  The
     residuals only read the rows.
@@ -394,15 +371,16 @@ def _fi_scan(bracket, f: Field, cases: Iterable[Tuple[tuple, tuple]]):
     columns of `_fi_columns`: for a head h, the nonzero [h, ys] of the run's
     y-tuples, grouped by target l, built once while the runs share their
     y-tuples (in exhaustive mode, once per scan), and the terms of
-    `_fi_terms` walk only their nonzero entries.  All products of a run go into one flat dict keyed by target x len(run) +
-    y position: a table's targets are its indices, and a function's are
-    numbered in order of first sight.  Products add with the elements' own
+    `_fi_terms` walk only their nonzero entries.  All products of a run go
+    into one flat dict keyed by target x len(run) + y position: a table's
+    targets are its indices, and a function's are numbered in order of first
+    sight.  Products add with the elements' own
     + and *, and only the touched sums are normalized, once.  Witnesses are
     taken in y order, so they stay the first in enumeration order.
     """
     rows, number = bracket, None
     if callable(bracket):
-        rows = _Memo(lambda tail: _Memo(lambda head: tuple(bracket((head,) + tail).items())))
+        rows = _Memo(lambda tail: _Memo(lambda head: bracket((head,) + tail)))
         number = _Memo(lambda m: len(number))  # 0, 1, 2, ... in order of first sight
     normalize = f.normalize
     checked, found, yss = 0, [], None
@@ -434,8 +412,8 @@ def _fi_scan(bracket, f: Field, cases: Iterable[Tuple[tuple, tuple]]):
 
 def _fi_scan_table(L: FiniteNLieAlgebra, xs: Optional[List[tuple]],
                    mode: str = "exhaustive", samples: int = 0, seed: int = 0):
-    """`_fi_scan` of the table's `_fi_rows` over the cases of `_fi_cases`."""
-    return _fi_scan(_fi_rows(L), L.field,
+    """`_fi_scan` of the table's `ad_index` over the cases of `_fi_cases`."""
+    return _fi_scan(L.ad_index, L.field,
                     _fi_cases(range(L.dim), L.arity, mode, samples, seed, xs))
 
 
@@ -454,9 +432,8 @@ def verify_fundamental_identity(L: FiniteNLieAlgebra, mode: str = "exhaustive",
     """FI residual [[x1..xn],y2..yn] - sum_i [x1..[xi,y2..yn]..xn] on basis
     tuples, from the one case enumerator (`_fi_cases`) and scan (`_fi_scan`)
     shared with `brackets.check_fi_window`.  The scan reads the brackets from
-    the table's sparse ad rows (`_fi_rows`): the rows of `L.ad_index`, and
-    their sign completion for the other orderings of each rest, so it makes
-    no `bracket_indices` call.
+    the table's sparse ad rows, the rows of `L.ad_index` for every ordering
+    of each rest, so it makes no `bracket_indices` call.
 
     `notes["covered"]` counts the full d^(2n-1) tuple space that exhaustive
     mode spans.  Every x-tuple of exhaustive mode is one run of the scan
@@ -510,12 +487,15 @@ def _dense(L: FiniteNLieAlgebra, vecs: Iterable[Dict[int, object]]):
 
 def _ad_images(L: FiniteNLieAlgebra, rows: Iterable[Sequence]):
     """Nonzero brackets [r, e_j1, ..., e_jm] as dense rows, lazily: for each
-    dense row r in turn, one per rest j1 < ... < jm of `L.ad_index`, in order
-    (a rest outside the index brackets everything to zero)."""
-    f = L.field
+    dense row r in turn, one per increasing rest j1 < ... < jm in
+    `L.ad_index`, in order (a rest outside the index brackets everything to
+    zero)."""
+    f, index = L.field, L.ad_index
+    ads = [index[rest] for rest in itertools.combinations(range(L.dim), L.arity - 1)
+           if rest in index]
     return _dense(L, (f.combine((l, r[a] * c) for a, vec in ad.items()
                                 if not f.is_zero(r[a]) for l, c in vec.items())
-                      for r in rows for ad in L.ad_index.values()))
+                      for r in rows for ad in ads))
 
 
 def ideal_closure(L: FiniteNLieAlgebra, seed: Subspace) -> Subspace:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from trilie.fields import QI, GaussianRational, PrimeField, QQ
 from trilie.carriers import (
+    AlgebraElement,
     ConstantOne,
     Endomorphism,
     Functional,
@@ -34,7 +35,6 @@ from trilie.brackets import (
     MonomialBracket,
     PARITY_ROWS,
     QuotientParityBracket,
-    StructureBackedBracket,
     check_agreement,
     check_alternating,
     check_fi_window,
@@ -495,13 +495,15 @@ def test_tabulate_cyclic_group_closes():
     assert alg.constants[(0, 1, 2)] == {0: 1, 1: 1, 2: 1}
 
 
-def test_structure_backed_bracket_replays_tabulation():
+def test_bracket_indices_replays_tabulation():
+    # the table's bracket on every ordered basis triple, read back on the
+    # carrier, is the bracket it tabulates
     Q, br = quotient_bracket(3)
     basis = Q.basis_indices()
     alg = tabulate(br, basis)
-    sb = StructureBackedBracket(alg, Q, basis)
-    for (a, b, c) in itertools.combinations(basis, 3):
-        assert sb.eval_indices(a, b, c) == br.eval_indices(a, b, c)
+    for idxs in itertools.product(range(len(basis)), repeat=3):
+        got = {basis[l]: c for l, c in alg.bracket_indices(idxs).items()}
+        assert AlgebraElement(Q, got) == br.eval_indices(*(basis[i] for i in idxs))
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +520,27 @@ def test_alternating_and_trilinear(A, make):
     window = A.window(3)
     assert check_alternating(br, window).passed
     assert check_trilinear(br, window).passed
+
+
+def test_alternating_checks_the_determinant_definition(A, monkeypatch):
+    # the determinant's memoized basis path is alternating by its sign rule,
+    # so the check must evaluate the definition: with one permutation term
+    # dropped from it, repeated arguments no longer vanish
+    det = DeterminantBracket(A, [Endomorphism(A, LaurentFlip((Fraction(2),))), "id",
+                                 Endomorphism(A, LaurentDerivation(1))])
+    window = A.window(3)
+    assert check_alternating(det, window).passed
+    call = DeterminantBracket.__call__
+
+    def drop_one_term(self, a, b, c):
+        with monkeypatch.context() as m:
+            m.setattr(brackets, "_PERMS3", brackets._PERMS3[:-1])
+            return call(self, a, b, c)
+
+    monkeypatch.setattr(DeterminantBracket, "__call__", drop_one_term)
+    rep = check_alternating(det, window)
+    assert not rep.passed and len(rep.failures) == MAX_WITNESSES
+    assert "value" in rep.failures[0]
 
 
 # ---------------------------------------------------------------------------

@@ -365,9 +365,9 @@ def test_forked_chunks_keep_the_witness_order(monkeypatch):
 
 
 def test_fi_scan_memory_stays_lean(monkeypatch):
-    # the scan reads the table's sparse ad rows (`_fi_rows`) and builds its
+    # the scan reads the table's sparse ad rows (`ad_index`) and builds its
     # columns of the nonzero [h, ys] once: at p = 11 (d = 22) it peaks near
-    # 1.15 MiB, rows, columns and ad index included.  One core keeps the
+    # 0.97 MiB, ad index and columns included.  One core keeps the
     # scan in this process, where tracemalloc sees it
     monkeypatch.setattr(structure, "available_cores", lambda: 1)
     doc = get_bundled("laurent-quotient-p5")

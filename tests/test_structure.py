@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -281,14 +282,19 @@ def product_walk(L, rows):
 def test_ad_index_matches_bracket_indices_and_the_product_walk(case):
     L, rows = case
     index = L.ad_index
-    assert list(index) == sorted(index)
-    for rest in itertools.combinations(range(L.dim), L.arity - 1):
-        ad = index.get(rest, {})
+    # the increasing rests in order, each before its other orderings
+    tails, m = list(index), math.factorial(L.arity - 1)
+    rests = tails[::m]
+    assert rests == sorted(rests) and all(list(rest) == sorted(rest) for rest in rests)
+    assert [tuple(sorted(tail)) for tail in tails] == [rest for rest in rests for _ in range(m)]
+    # every tail, repeated indices included, against the stored constants
+    for tail in itertools.product(range(L.dim), repeat=L.arity - 1):
+        ad = index.get(tail, {})
         assert list(ad) == sorted(ad)
         for a in range(L.dim):
-            want = signed_constant(L, (a,) + rest)
-            # a rest missing from the index brackets every e_a to zero
-            assert ad.get(a, {}) == L.bracket_indices((a,) + rest) == want
+            want = signed_constant(L, (a,) + tail)
+            # a tail missing from the index brackets every e_a to zero
+            assert ad.get(a, {}) == L.bracket_indices((a,) + tail) == want
     assert list(_ad_images(L, rows)) == list(product_walk(L, rows))
 
 
@@ -508,7 +514,9 @@ def test_constants_are_normalized_before_zeros_are_dropped():
     F = PrimeField(5)
     L = FiniteNLieAlgebra(F, 4, 3, {(0, 1, 2): {0: 5, 1: -1}, (0, 1, 3): {2: 10}})
     assert L.constants == {(0, 1, 2): {1: 4}}
-    assert L.ad_index == {(0, 1): {2: {1: 4}}, (0, 2): {1: {1: 1}}, (1, 2): {0: {1: 4}}}
+    assert L.ad_index == {(0, 1): {2: {1: 4}}, (1, 0): {2: {1: 1}},
+                          (0, 2): {1: {1: 1}}, (2, 0): {1: {1: 4}},
+                          (1, 2): {0: {1: 4}}, (2, 1): {0: {1: 1}}}
     assert L.export_dict()["constants"] == [{"args": [0, 1, 2], "value": [[1, "4"]]}]
     q = FiniteNLieAlgebra(QQ, 3, 3, {(0, 1, 2): {0: Fraction(4, 2), 1: Fraction(0)}})
     assert q.constants == {(0, 1, 2): {0: 2}} and type(q.constants[0, 1, 2][0]) is int
