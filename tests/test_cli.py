@@ -236,6 +236,29 @@ def test_export_structure_constants(tmp_path, capsys):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_exported_quotient_replays_its_constants(tmp_path):
+    # the exported table read back: bracket_indices on every ordered triple
+    # equals the stored constants signed by the sorting permutation
+    out = tmp_path / "q3.json"
+    assert main(["export", "laurent-quotient-p3", "--out", str(out)]) == 0
+    L = structure.algebra_from_dict(json.loads(out.read_text()))
+    f = L.field
+
+    def signed(t):
+        if len(set(t)) < len(t):
+            return {}
+        order = sorted(range(len(t)), key=t.__getitem__)
+        vec = L.constants.get(tuple(sorted(t)), {})
+        if structure._perm_sign(order) == 1:
+            return vec
+        return {l: f.neg(c) for l, c in vec.items()}
+
+    triples = list(itertools.product(range(L.dim), repeat=3))
+    assert len(triples) == 216 and L.constants
+    for t in triples:
+        assert L.bracket_indices(t) == signed(t), t
+
+
 def test_export_requires_tabulated_basis(tmp_path, capsys):
     assert main(["export", "laurent-flip-lambda2",
                  "--out", str(tmp_path / "x.json")]) == 64

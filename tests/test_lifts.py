@@ -9,6 +9,7 @@ from trilie.lifts import (
     LieAlgebra,
     _commutator,
     _mat_mul,
+    _solve_in_span,
     dirac_gamma_matrices,
     gamma_algebra,
     general_linear,
@@ -151,6 +152,29 @@ def test_metric_extension_rejects_degenerate_form():
     zero = [[QQ.zero] * 3 for _ in range(3)]
     with pytest.raises(HypothesisViolation, match="degenerate"):
         metric_extension(lie, zero)
+
+
+def test_metric_extension_rejects_a_form_of_rank_one_less():
+    # symmetric, nonzero and of rank m - 1: only the rank test refuses it
+    lie = sl2(QQ)
+    form = [[QQ.one if i == j and i < 2 else QQ.zero for j in range(3)] for i in range(3)]
+    with pytest.raises(HypothesisViolation, match="degenerate"):
+        metric_extension(lie, form)
+
+
+def test_solve_in_span_returns_coefficients_or_none():
+    i = QI.i
+    span = [[QI.one, QI.zero, i], [QI.zero, QI.one, QI.one], [QI.one, QI.one, i + QI.one]]
+    c = [QI.normalize(2), i, QI.zero]
+    target = [sum((c[k] * v[q] for k, v in enumerate(span)), QI.zero) for q in range(3)]
+    coeffs = _solve_in_span(span, target)
+    assert coeffs is not None and len(coeffs) == 3
+    assert [sum((coeffs[k] * v[q] for k, v in enumerate(span)), QI.zero)
+            for q in range(3)] == target
+    # the third vector is the sum of the first two: the free coefficient is zero
+    assert QI.is_zero(coeffs[2])
+    assert _solve_in_span(span, [QI.zero, QI.zero, QI.one]) is None
+    assert _solve_in_span(span, [QI.zero] * 3) == [QI.zero] * 3
 
 
 def test_metric_extension_abelian_lie():
