@@ -1,8 +1,9 @@
 """Evaluable 3-ary alternating brackets on carrier algebras.
 
-The determinant bracket (three row operators: maps, functionals or the
-identity, expanded as a formal 3x3 determinant) is the single source of
-truth.  Its basis path `DeterminantBracket.eval_indices` is memoized per
+The determinant bracket (three rows, each an `Endomorphism` or a
+`Functional` of the carrier, expanded as a formal 3x3 determinant; a row
+written "id" is the identity endomorphism) is the single source of truth.
+Its basis path `DeterminantBracket.eval_indices` is memoized per
 bracket; its `__call__` on general elements is the unmemoized definition,
 and the oracle of that path.  On a group algebra (a Laurent ring is F[Z^k],
 the quotient F[Z_2p]) the determinant with rows (omega, id, delta) is one
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
@@ -41,25 +43,16 @@ from .carriers import (
     GroupAlgebra,
     GroupHom,
     HypothesisViolation,
+    IdentityRule,
     _check_variable,
     _one_variable_laurent,
 )
 from .fields import Field
-from .structure import CheckReport, FiniteNLieAlgebra, _fi_cases, _fi_scan, _perm_sign
+from .structure import CheckReport, FiniteNLieAlgebra, _Memo, _fi_cases, _fi_scan, _perm_sign
 
 _PERMS3 = [(p, _perm_sign(p)) for p in itertools.permutations(range(3))]
 
 Row = Union[str, Endomorphism, Functional]
-
-
-def _normalize_row(row: Row) -> Tuple[str, object]:
-    if row == "id" or row is None:
-        return ("id", None)
-    if isinstance(row, Endomorphism):
-        return ("endo", row)
-    if isinstance(row, Functional):
-        return ("func", row)
-    raise ValueError(f"bad determinant row {row!r}")
 
 
 class TriBracket:
@@ -84,8 +77,9 @@ class TriBracket:
 
 
 class DeterminantBracket(TriBracket):
-    """Formal 3x3 determinant whose rows are maps/functionals applied to the
-    three arguments; functional rows contribute scalar cofactors.
+    """Formal 3x3 determinant whose rows are endomorphisms and functionals
+    applied to the three arguments ("id" is built as the identity
+    endomorphism); functional rows contribute scalar cofactors.
 
     `__call__` on general elements is the unmemoized definition and the
     oracle of the basis path.  `eval_indices` is that basis path, memoized
@@ -96,24 +90,33 @@ class DeterminantBracket(TriBracket):
     row to each basis index once, multiplies the first two algebra-valued
     rows once per ordered index pair, takes at most one more carrier product
     for each of the six signed permutation terms, and `Field.combine` sums
-    them.
+    them; each of those three steps is a `_Memo`.
     """
 
     def __init__(self, carrier: CarrierAlgebra, rows: Sequence[Row]):
         super().__init__(carrier)
         if len(rows) != 3:
             raise ValueError("a determinant bracket needs exactly three rows")
-        self.rows = [_normalize_row(r) for r in rows]
-        if all(kind == "func" for kind, _ in self.rows):
-            raise ValueError("at least one row must be algebra valued")
-        for kind, obj in self.rows:
-            if kind != "id" and obj.carrier != carrier:
+        self.rows = [Endomorphism(carrier, IdentityRule(), "id") if r == "id" else r
+                     for r in rows]
+        for r in self.rows:
+            if not isinstance(r, (Endomorphism, Functional)):
+                raise ValueError(f"bad determinant row {r!r}")
+            if r.carrier != carrier:
                 raise CarrierMismatchError("row operator lives on a different carrier")
-        self._algebra_rows = [r for r, (kind, _) in enumerate(self.rows) if kind != "func"]
-        self._func_rows = [r for r, (kind, _) in enumerate(self.rows) if kind == "func"]
-        self._images: Dict[Tuple[int, object], object] = {}
-        self._pairs: Dict[Tuple[object, object], Dict] = {}
-        self._triples: Dict[Tuple[object, object, object], Tuple[Dict, Dict]] = {}
+        self._algebra_rows = [k for k, r in enumerate(self.rows) if isinstance(r, Endomorphism)]
+        self._func_rows = [k for k, r in enumerate(self.rows) if isinstance(r, Functional)]
+        if not self._algebra_rows:
+            raise ValueError("at least one row must be algebra valued")
+        # row k at a basis index; the first two algebra rows' product at an
+        # ordered index pair; the terms at a sorted triple and their negation,
+        # read through a weak reference, so that no cycle keeps the bracket
+        # and its memos alive until the cycle collector runs
+        self._images = [_Memo(lambda i, r=r: r(carrier.monomial(i))) for r in self.rows]
+        alg = [self._images[k] for k in self._algebra_rows]
+        self._pairs = _Memo(lambda ab: (alg[0][ab[0]] * alg[1][ab[1]]).terms)
+        me = weakref.proxy(self)
+        self._triples = _Memo(lambda key: me._signed(key))
 
     def __call__(self, a, b, c):
         elems = (a, b, c)
@@ -125,47 +128,27 @@ class DeterminantBracket(TriBracket):
         for perm, sign in _PERMS3:
             scal = f.one if sign == 1 else f.embed(-1)
             alg: Optional[AlgebraElement] = None
-            for (kind, obj), pos in zip(self.rows, perm):
-                x = elems[pos]
-                if kind == "func":
-                    scal = f.mul(scal, obj(x))
+            for row, pos in zip(self.rows, perm):
+                val = row(elems[pos])
+                if isinstance(row, Functional):
+                    scal = f.mul(scal, val)
                 else:
-                    val = x if kind == "id" else obj(x)
                     alg = val if alg is None else alg * val
             if not f.is_zero(scal):
                 total = total + alg.scale(scal)
         return total
 
-    def _image(self, row: int, idx):
-        """Row `row` applied to the basis monomial at `idx`: an element for
-        `id` and endomorphism rows, a scalar for functional rows; memoized."""
-        val = self._images.get((row, idx))
-        if val is None:
-            kind, obj = self.rows[row]
-            x = self.carrier.monomial(idx)
-            val = self._images[row, idx] = x if kind == "id" else obj(x)
-        return val
-
-    def _pair(self, a, b) -> Dict:
-        """Terms of the product of the first two algebra-valued rows at the
-        ordered index pair (a, b); memoized."""
-        terms = self._pairs.get((a, b))
-        if terms is None:
-            r0, r1 = self._algebra_rows[:2]
-            terms = self._pairs[a, b] = (self._image(r0, a) * self._image(r1, b)).terms
-        return terms
-
     def eval_indices(self, i, j, k):
         if i == j or j == k or i == k:
             return self.carrier.zero()
-        key = tuple(sorted((i, j, k)))
-        signed = self._triples.get(key)
-        if signed is None:
-            terms = self._expand(key)
-            neg = self.carrier.field.neg
-            signed = self._triples[key] = (terms, {x: neg(c) for x, c in terms.items()})
+        signed = self._triples[tuple(sorted((i, j, k)))]
         # an odd number of inversions is an odd permutation of the sorted key
         return AlgebraElement(self.carrier, dict(signed[(i > j) ^ (i > k) ^ (j > k)]))
+
+    def _signed(self, key) -> Tuple[Dict, Dict]:
+        terms = self._expand(key)
+        neg = self.carrier.field.neg
+        return terms, {x: neg(c) for x, c in terms.items()}
 
     def _expand(self, args) -> Dict:
         """The terms of the determinant at the ordered index triple `args`."""
@@ -175,16 +158,16 @@ class DeterminantBracket(TriBracket):
         for perm, sign in _PERMS3:
             scal = f.one if sign == 1 else f.embed(-1)
             for r in self._func_rows:
-                scal = f.mul(scal, self._image(r, args[perm[r]]))
+                scal = f.mul(scal, self._images[r][args[perm[r]]])
             if f.is_zero(scal):
                 continue
             idxs = [args[perm[r]] for r in self._algebra_rows]
-            terms = (self._image(self._algebra_rows[0], idxs[0]).terms if len(idxs) == 1
-                     else self._pair(idxs[0], idxs[1]))
+            terms = (self._images[self._algebra_rows[0]][idxs[0]].terms if len(idxs) == 1
+                     else self._pairs[idxs[0], idxs[1]])
             if len(idxs) < 3:
                 products += [(x, scal * c) for x, c in terms.items()]
             else:  # the last factor is multiplied straight into the sum
-                last = self._image(self._algebra_rows[2], idxs[2]).terms
+                last = self._images[self._algebra_rows[2]][idxs[2]].terms
                 products += [(z, scal * cx * cy * cz) for x, cx in terms.items()
                              for y, cy in last.items() for z, cz in mul(x, y)]
         return f.combine(products)

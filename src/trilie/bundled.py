@@ -160,7 +160,7 @@ _BUNDLED: List[dict] = [
              "map": "omega2", "bound": 4},
             {"name": "anticommute", "check": "anticommute",
              "omega": "omega2", "delta": "euler", "bound": 8},
-            {"name": "fi-window", "check": "fundamental-identity", "bound": 3},
+            {"name": "fi-window", "check": "fundamental-identity"},
             {"name": "closed-vs-det", "check": "closed-vs-determinant",
              "rows": ["omega2", "id", "euler"], "bound": 7},
         ],
@@ -180,7 +180,7 @@ _BUNDLED: List[dict] = [
         bracket={"form": "laurent-flip", "lambdas": ["1"]},
         basis={"kind": "window", "bound": 4, "tabulate": False},
         campaigns=[
-            {"name": "fi-window", "check": "fundamental-identity", "bound": 3},
+            {"name": "fi-window", "check": "fundamental-identity"},
             {"name": "closed-vs-det", "check": "closed-vs-determinant",
              "rows": ["omega1", "id", "euler"], "bound": 7},
             {"name": "antisymmetry", "check": "involution-antisymmetry",
@@ -257,7 +257,7 @@ _BUNDLED: List[dict] = [
         campaigns=[
             {"name": "anticommute", "check": "anticommute",
              "omega": "sign", "delta": "d2", "bound": 8},
-            {"name": "fi-window", "check": "fundamental-identity", "bound": 3},
+            {"name": "fi-window", "check": "fundamental-identity"},
             {"name": "closed-vs-det", "check": "closed-vs-determinant",
              "rows": ["sign", "id", "d2"], "bound": 7},
             {"name": "monomial-form", "check": "monomial-parity-agreement",
@@ -280,7 +280,7 @@ _BUNDLED: List[dict] = [
         bracket={"form": "laurent-parity", "shift": 0},
         basis={"kind": "window", "bound": 4, "tabulate": False},
         campaigns=[
-            {"name": "fi-window", "check": "fundamental-identity", "bound": 3},
+            {"name": "fi-window", "check": "fundamental-identity"},
             {"name": "closed-vs-det", "check": "closed-vs-determinant",
              "rows": ["sign", "id", "d0"], "bound": 7},
             {"name": "coefficient-vanishing", "check": "parity-vanishing",
@@ -560,7 +560,7 @@ _BUNDLED: List[dict] = [
         campaigns=[
             {"name": "anticommute", "check": "anticommute",
              "omega": "sign", "delta": "euler", "bound": 8},
-            {"name": "fi-window", "check": "fundamental-identity", "bound": 2},
+            {"name": "fi-window", "check": "fundamental-identity"},
         ],
     ),
 ]

@@ -322,6 +322,9 @@ _NONZERO_HOM = _need(lambda ctx, camp: not ctx.bracket.hom.is_zero(),
                      "needs a nonzero hom: its kernel is then a maximal ideal")
 _LAURENT = _need(lambda ctx, camp: ca._one_variable_laurent(ctx.carrier),
                  "needs a one-variable Laurent carrier")
+# the table or the basis is scanned where there is one
+_BOUND_READ = _need(lambda ctx, camp: "bound" not in camp or ctx.basis is None,
+                    "reads no bound: it scans the table or the basis")
 _CHAR_NOT_TWO = _need(lambda ctx, camp: ctx.field.characteristic != 2, "needs ch F != 2")
 _ODD_PRIME = _need(lambda ctx, camp: ctx.field.characteristic > 2, "needs ch F = p > 2")
 # a functional condition is checked when all of its maps are given
@@ -385,8 +388,7 @@ def _run_fundamental_identity(ctx: BuildContext, a: dict, run: Run) -> dict:
             ctx.algebra, mode=mode, samples=a.get("samples", 1000), seed=run.seed)
         seed = run.seed if mode == "sampled" else None
     else:
-        window = ctx.basis if ctx.basis is not None else _window(ctx, a)
-        rep = br.check_fi_window(ctx.bracket, window, mode=mode,
+        rep = br.check_fi_window(ctx.bracket, _window(ctx, a), mode=mode,
                                  samples=a.get("samples", 500), seed=run.seed)
         seed = run.seed
     return _from_report(rep, counts={"checked": rep.checked, "covered": rep.notes["covered"]},
@@ -495,7 +497,7 @@ CHECKS = {
     "fundamental-identity": Check(
         _run_fundamental_identity,
         {"bound": POSITIVE, "mode": _one_of("exhaustive", "sampled"), "samples": POSITIVE},
-        needs=(_BRACKET,)),
+        needs=(_BRACKET, _BOUND_READ)),
     "simplicity": Check(
         _run_simplicity,
         {"budget": POSITIVE, "expect": _one_of("simple", "non-simple", "evidence-only")},

@@ -22,13 +22,12 @@ nonzero field scalars.
 Derivations, involutions and linear functionals are first-class evaluable
 objects defined on basis indices and extended linearly, with checkable laws
 (Leibniz rule, multiplicativity + square = identity, anticommutation).  On a
-group algebra each map rule is a character chi(g) = prod_s b_s^{g_s} or an
-additive map a(g) = sum_s a_s g_s:
+group algebra every map rule is built from a character chi(g) =
+prod_s b_s^{g_s} and an additive map a(g) = sum_s a_s g_s (chi = 1 without
+bases, a = 1 without coefficients), in one rule per kind:
 
-    CharacterMap          e_g -> c chi(g) e_{sigma(g)+s}, sigma in {id, -}
-    AdditiveDerivation    e_g -> a(g) e_{g+s}
-    CharacterFunctional   e_g -> chi(g)
-    AdditiveFunctional    e_g -> a(g)
+    MonomialMap           e_g -> c chi(g) a(g) e_{sigma(g)+s}, sigma in {id, -}
+    MonomialFunctional    e_g -> chi(g) a(g)
 
 and the named rules of the documents are these with fixed parameters
 (`MonomialScale`, `LaurentFlip`, `LaurentDerivation`, ...).
@@ -492,12 +491,13 @@ class GroupHom:
                 )
         # one value per coordinate of a group element
         self.values = tuple(free + torsion)
+        self._a = Additive(self.values)
 
     def is_zero(self):
         return not any(self.values)
 
     def __call__(self, g) -> object:
-        return self.carrier.field.normalize(sum(map(operator.mul, g, self.values)))
+        return self._a(self.carrier.field, g)
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +534,18 @@ def _table_dim(carrier: CarrierAlgebra) -> int:
 
 
 class _IndexValues:
-    """A function on group-element indices, `_value(field, g)`, computed once
-    per index; the cache holds the values of one field."""
+    """A function on group-element indices, `_value(field, g)` of the
+    parameters `params`, computed once per index; the cache holds the values
+    of one field.  No parameters is the constant 1 on any carrier, with no
+    field arithmetic."""
 
-    def __init__(self):
+    def __init__(self, params: Sequence = ()):
+        self.params = tuple(params)
         self._field, self._values = None, {}
 
     def __call__(self, field: Field, g):
+        if not self.params:
+            return 1
         if field is not self._field:
             self._field, self._values = field, {}
         c = self._values.get(g)
@@ -550,8 +555,7 @@ class _IndexValues:
 
 
 class Character(_IndexValues):
-    """chi(g) = prod_s bases_s^{g_s} on group-element indices, cached per
-    index; no bases is chi = 1 on any carrier.
+    """chi(g) = prod_s b_s^{g_s} for the bases b = `params`, cached per index.
 
     When every base is a Python int (parity's -1), chi is evaluated in ints
     and left unnormalized, as a value of any field's arithmetic: callers sum
@@ -559,31 +563,27 @@ class Character(_IndexValues):
     """
 
     def __init__(self, bases: Sequence = ()):
-        super().__init__()
-        self.bases = tuple(bases)
-        self._ints = all(type(b) is int for b in self.bases)
+        super().__init__(bases)
+        self._ints = all(type(b) is int for b in self.params)
 
     def check(self, carrier: CarrierAlgebra) -> None:
-        f = carrier.field
-        if self.bases and len(self.bases) != carrier.rank:
+        f, bases = carrier.field, self.params
+        if bases and len(bases) != carrier.rank:
             raise ValueError("one scale factor per variable required")
-        if any(f.is_zero(f.normalize(b)) for b in self.bases):
+        if any(f.is_zero(f.normalize(b)) for b in bases):
             raise HypothesisViolation("a character prod_s lambda_s^(g_s) requires lambda != 0")
         # the coordinates of torsion orders m (the last ones) are read mod m
         torsion = getattr(carrier, "torsion", ())
-        for b, m in zip(map(f.normalize, self.bases[len(self.bases) - len(torsion):]), torsion):
+        for b, m in zip(map(f.normalize, bases[len(bases) - len(torsion):]), torsion):
             if f.pow(b, m) != f.one:
                 raise HypothesisViolation(f"a character on a torsion coordinate of order {m} "
                                           f"requires lambda^{m} = 1, not lambda = {f.render(b)}")
 
-    def __call__(self, field: Field, g):
-        return super().__call__(field, g) if self.bases else 1
-
     def _value(self, field: Field, g):
         if not self._ints:
-            return field.normalize(math.prod(field.pow(b, e) for b, e in zip(self.bases, g)))
+            return field.normalize(math.prod(field.pow(b, e) for b, e in zip(self.params, g)))
         num = den = 1
-        for b, e in zip(self.bases, g):
+        for b, e in zip(self.params, g):
             if e < 0:
                 den *= b ** -e
             else:
@@ -592,15 +592,15 @@ class Character(_IndexValues):
 
 
 class Additive(_IndexValues):
-    """a(g) = sum_s a_s g_s on group-element indices (a_s = 0 past the given
-    values), normalized, cached per index."""
+    """a(g) = sum_s a_s g_s for the coefficients a = `params` (a_s = 0 past
+    the given values), normalized, cached per index."""
 
-    def __init__(self, coeffs: Sequence):
-        super().__init__()
-        self.coeffs = tuple(coeffs)
+    def check(self, carrier: CarrierAlgebra) -> None:
+        if self.params:
+            _check_variable(len(self.params) - 1, carrier)
 
     def _value(self, field: Field, g):
-        return field.normalize(sum(map(operator.mul, self.coeffs, g)))
+        return field.normalize(sum(map(operator.mul, self.params, g)))
 
 
 class MapRule:
@@ -624,20 +624,24 @@ class FunctionalRule(MapRule):
         raise NotImplementedError
 
 
-class CharacterMap(EndoRule):
-    """e_g -> c chi(g) e_{sigma(g)+s}: sigma = - when `negate`, s = 0 when
-    `shift` is None, c = 1 when `coeff` is None."""
+class MonomialMap(EndoRule):
+    """e_g -> c chi(g) a(g) e_{sigma(g)+s} for a `Character` chi of `bases`
+    and an `Additive` a of `a`: sigma = - when `negate`, s = 0 when `shift`
+    is None, c = 1 when `coeff` is None."""
 
-    def __init__(self, bases: Sequence = (), negate: bool = False, shift=None, coeff=None):
-        self.chi = Character(bases)
+    def __init__(self, bases: Sequence = (), a: Sequence = (), negate: bool = False,
+                 shift=None, coeff=None):
+        self.chi, self.a = Character(bases), Additive(a)
         self.negate, self.shift, self.coeff = negate, shift, coeff
 
     def check(self, carrier):
         self.chi.check(carrier)
+        self.a.check(carrier)
         _check_shift(self.shift, carrier)
 
     def image(self, carrier, idx):
-        c = self.chi(carrier.field, idx)
+        f = carrier.field
+        c = self.chi(f, idx) * self.a(f, idx)
         if self.negate:
             idx = carrier.neg_index(idx)
         if self.shift is not None:
@@ -646,121 +650,87 @@ class CharacterMap(EndoRule):
 
     def describe(self):
         target = ("-g" if self.negate else "g") + (f"+{self.shift}" if self.shift else "")
-        return f"e_g -> c chi(g) e_({target}), chi = prod {self.chi.bases}^g"
+        return (f"e_g -> c chi(g) a(g) e_({target}), chi = prod {self.chi.params}^g, "
+                f"a = {self.a.params}")
 
 
-class AdditiveDerivation(EndoRule):
-    """e_g -> a(g) e_{g+s} for a(g) = sum_s a_s g_s (a_s = 0 past the given
-    values); s = 0 when `shift` is None."""
+class MonomialFunctional(FunctionalRule):
+    """e_g -> chi(g) a(g) for a `Character` chi of `bases` and an `Additive`
+    a of `a`."""
 
-    def __init__(self, a: Sequence, shift=None):
-        self.a, self.shift = Additive(a), shift
-
-    def check(self, carrier):
-        if self.a.coeffs:
-            _check_variable(len(self.a.coeffs) - 1, carrier)
-        _check_shift(self.shift, carrier)
-
-    def image(self, carrier, idx):
-        target = idx if self.shift is None else carrier.add_indices(idx, self.shift)
-        return [(target, self.a(carrier.field, idx))]
-
-    def describe(self):
-        return f"e_g -> a(g) e_(g+{self.shift or 0}), a = {self.a.coeffs}"
-
-
-class CharacterFunctional(FunctionalRule):
-    """e_g -> chi(g)."""
-
-    def __init__(self, bases: Sequence = ()):
-        self.chi = Character(bases)
+    def __init__(self, bases: Sequence = (), a: Sequence = ()):
+        self.chi, self.a = Character(bases), Additive(a)
 
     def check(self, carrier):
         self.chi.check(carrier)
+        self.a.check(carrier)
 
     def value(self, carrier, idx):
-        return self.chi(carrier.field, idx)
+        return self.chi(carrier.field, idx) * self.a(carrier.field, idx)
 
     def describe(self):
-        return f"chi(g) = prod {self.chi.bases}^g"
+        return f"chi(g) a(g), chi = prod {self.chi.params}^g, a = {self.a.params}"
 
 
-class AdditiveFunctional(FunctionalRule):
-    """e_g -> a(g) = sum_s a_s g_s."""
+# the named rules: (chi, a, sigma, s, c) with fixed parameters
 
-    def __init__(self, a: Sequence):
-        self.a = tuple(a)
-
-    def check(self, carrier):
-        if self.a:
-            _check_variable(len(self.a) - 1, carrier)
-
-    def value(self, carrier, idx):
-        return sum(map(operator.mul, self.a, idx))
-
-    def describe(self):
-        return f"a(g), a = {self.a}"
+def IdentityRule() -> MonomialMap:
+    return MonomialMap()
 
 
-# the named rules: (chi, sigma, s, c) or (a, s)
-
-def IdentityRule() -> CharacterMap:
-    return CharacterMap()
-
-
-def MonomialScale(base) -> CharacterMap:
+def MonomialScale(base) -> MonomialMap:
     """t^m -> base^m t^m: base = -1 is the sign involution, +1 the identity."""
-    return CharacterMap((base,))
+    return MonomialMap((base,))
 
 
-def LaurentFlip(lambdas: Sequence) -> CharacterMap:
+def LaurentFlip(lambdas: Sequence) -> MonomialMap:
     """t^r -> L(r) t^{-r} with L(r) = prod_s lambda_s^{r_s}; one lambda_s per
     variable, each nonzero."""
-    return CharacterMap(lambdas, negate=True)
+    return MonomialMap(lambdas, negate=True)
 
 
-def GroupNegation() -> CharacterMap:
+def GroupNegation() -> MonomialMap:
     """e_g -> e_{-g}."""
-    return CharacterMap(negate=True)
+    return MonomialMap(negate=True)
 
 
-def MonomialShift(offset: int, coeff=None) -> CharacterMap:
+def MonomialShift(offset: int, coeff=None) -> MonomialMap:
     """t^m -> coeff * t^{m+offset} on one-variable carriers."""
-    return CharacterMap(shift=(offset,), coeff=coeff)
+    return MonomialMap(shift=(offset,), coeff=coeff)
 
 
-def LaurentDerivation(power: int) -> AdditiveDerivation:
+def LaurentDerivation(power: int) -> MonomialMap:
     """t^l * d/dt on one-variable carriers: t^m -> m t^{m+l-1}."""
-    return AdditiveDerivation((1,), (power - 1,))
+    return MonomialMap(a=(1,), shift=(power - 1,))
 
 
-def VariableScalingDerivation(var: int = 0) -> AdditiveDerivation:
+def VariableScalingDerivation(var: int = 0) -> MonomialMap:
     """t_j * d/dt_j on multivariable Laurent carriers: t^r -> r_j t^r."""
-    return AdditiveDerivation(_unit(var))
+    return MonomialMap(a=_unit(var))
 
 
-def GroupHomDerivation(hom: GroupHom) -> AdditiveDerivation:
+def GroupHomDerivation(hom: GroupHom) -> MonomialMap:
     """e_g -> alpha(g) e_g for alpha in Hom(G, F^+)."""
-    return AdditiveDerivation(hom.values)
+    return MonomialMap(a=hom.values)
 
 
-def AlternatingSign() -> CharacterFunctional:
+def AlternatingSign() -> MonomialFunctional:
     """t^m -> (-1)^m (one-variable)."""
-    return CharacterFunctional((-1,))
+    return MonomialFunctional((-1,))
 
 
-def ConstantOne() -> CharacterFunctional:
-    return CharacterFunctional()
+def ConstantOne() -> MonomialFunctional:
+    return MonomialFunctional()
 
 
-def ExponentValue(var: int = 0) -> AdditiveFunctional:
+def ExponentValue(var: int = 0) -> MonomialFunctional:
     """t^r -> r_var."""
-    return AdditiveFunctional(_unit(var))
+    return MonomialFunctional(a=_unit(var))
 
 
-def GroupHomFunctional(hom: GroupHom) -> AdditiveFunctional:
+def GroupHomFunctional(hom: GroupHom) -> MonomialFunctional:
     """phi_alpha(e_g) = alpha(g)."""
-    return AdditiveFunctional(hom.values)
+    return MonomialFunctional(a=hom.values)
 
 
 class TableMap(EndoRule):

@@ -223,7 +223,10 @@ class Field:
         """The element a scalar string names; ValueError for anything else."""
         if not isinstance(text, str):
             raise ValueError(f"a scalar is written as a string, not {text!r}")
-        return self._parse(text.strip())
+        try:
+            return self._parse(text.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
 
     def _parse(self, text: str):
         raise NotImplementedError

@@ -142,6 +142,8 @@ def metric_extension(lie: LieAlgebra, B: Sequence[Sequence], name: str = "") -> 
     f = lie.field
     m = lie.dim
     B = [[f.normalize(x) for x in row] for row in B]
+    if len(B) != m or any(len(row) != m for row in B):
+        raise ValueError(f"the form of a {m}-dimensional Lie algebra needs a {m} x {m} matrix")
     for i in range(m):
         for j in range(m):
             if B[i][j] != B[j][i]:

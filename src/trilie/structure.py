@@ -250,26 +250,27 @@ class SimplicityCertificate:
 # ---------------------------------------------------------------------------
 
 def verify_skew(L: FiniteNLieAlgebra) -> CheckReport:
-    """Evaluator respects permutation signs and kills repeated arguments."""
+    """The evaluator against the stored constants: each ordering of a
+    distinct tuple brackets to the constant of the sorted tuple, signed by
+    the ordering, and a repeated tuple brackets to zero."""
     f = L.field
     rep = CheckReport("skew-symmetry")
-    for key in itertools.combinations(range(L.dim), L.arity):
-        base = L.bracket_indices(key)
+    perms = [(perm, _perm_sign(perm)) for perm in itertools.permutations(range(L.arity))]
+    for key in itertools.combinations_with_replacement(range(L.dim), L.arity):
+        if len(set(key)) < L.arity:
+            got = L.bracket_indices(key)
+            if rep.fails(bool(got)):
+                rep.failures.append({"tuple": list(key), "got": _render_sparse(L, got)})
+            continue
+        base = L.constants.get(key, _EMPTY)
         neg = {l: f.neg(c) for l, c in base.items()}
-        for perm in itertools.permutations(range(L.arity)):
+        for perm, sign in perms:
             tup = tuple(key[t] for t in perm)
             got = L.bracket_indices(tup)
-            want = base if _perm_sign(perm) == 1 else neg
+            want = base if sign == 1 else neg
             if rep.fails(got != want):
                 rep.failures.append({"tuple": list(tup), "got": _render_sparse(L, got),
                                      "want": _render_sparse(L, want)})
-    # repeated arguments vanish
-    for key in itertools.combinations_with_replacement(range(L.dim), L.arity):
-        if len(set(key)) == L.arity:
-            continue
-        got = L.bracket_indices(key)
-        if rep.fails(bool(got)):
-            rep.failures.append({"tuple": list(key), "got": _render_sparse(L, got)})
     return rep
 
 
@@ -1064,9 +1065,10 @@ def _eliminate(W, p: int):
     """Row-reduce a matrix W (r, c) with entries in [0, p) modulo p, in
     place; returns the mask of its pivot rows, whose sum is the rank.
 
-    This is the one mod-p pivot search of the module.  Rows are never
-    swapped: column by column, the first row that is not yet a pivot and has
-    a nonzero entry becomes the pivot, and every other such row r turns into
+    It is the pivot search for one matrix; `_nonsingular` and
+    `_determinants` search a batch at once.  Rows are never swapped: column
+    by column, the first row that is not yet a pivot and has a nonzero
+    entry becomes the pivot, and every other such row r turns into
     piv*r - r[col]*pivot_row.  That fraction-free step needs no inverse, and
     its values stay within (p-1)^2 in magnitude, and reducing them within
     p(p-1), which W's dtype must hold.

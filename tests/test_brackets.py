@@ -67,6 +67,19 @@ def mono(A, m, c=None):
 # determinant bracket
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("position", range(3))
+def test_an_id_row_is_the_identity_endomorphism(A, position):
+    rows = [Endomorphism(A, MonomialScale(QQ.embed(-1))), Functional(A, ConstantOne()),
+            Endomorphism(A, LaurentDerivation(0))]
+    with_id, with_map = list(rows), list(rows)
+    with_id[position], with_map[position] = "id", Endomorphism(A, IdentityRule())
+    by_id, by_map = DeterminantBracket(A, with_id), DeterminantBracket(A, with_map)
+    window = A.window(2)
+    for t in itertools.product(window, repeat=3):
+        xs = [A.monomial(i) for i in t]
+        assert by_id.eval_indices(*t) == by_map.eval_indices(*t) == by_map(*xs) == by_id(*xs)
+
+
 def test_det_bracket_sign_id_deriv(A):
     # rows (sign involution e=-1, identity, d/dt) on (t^2, 1, t) -> 4 t^2
     rows = [

@@ -9,8 +9,6 @@ from trilie.carriers import (
     Additive,
     AlternatingSign,
     CarrierMismatchError,
-    CharacterFunctional,
-    CharacterMap,
     ConstantOne,
     Endomorphism,
     ExponentValue,
@@ -26,6 +24,8 @@ from trilie.carriers import (
     LaurentAlgebra,
     LaurentDerivation,
     LaurentFlip,
+    MonomialFunctional,
+    MonomialMap,
     MonomialScale,
     MonomialShift,
     QuotientLaurentAlgebra,
@@ -418,9 +418,9 @@ def test_character_bases_are_roots_of_unity_on_torsion():
     Functional(A, AlternatingSign())
     # only the torsion coordinates, which come last, are restricted
     B = GroupAlgebra(QQ, free_rank=1, torsion=[2])
-    Endomorphism(B, CharacterMap((QQ.embed(2), QQ.embed(-1))))
+    Endomorphism(B, MonomialMap((QQ.embed(2), QQ.embed(-1))))
     with pytest.raises(HypothesisViolation, match="order 2"):
-        Functional(B, CharacterFunctional((QQ.embed(-1), QQ.embed(2))))
+        Functional(B, MonomialFunctional((QQ.embed(-1), QQ.embed(2))))
     C = GroupAlgebra(QI, torsion=[4])
     Endomorphism(C, MonomialScale(QI.i))
     with pytest.raises(HypothesisViolation, match="order 2"):

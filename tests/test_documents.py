@@ -1,4 +1,5 @@
 import copy
+import json
 
 import pytest
 
@@ -388,6 +389,14 @@ def _mutation_case(mutation, name):
     _mutation_case({"args": [0, 1, 2], "out": 0, "add": 1}, "increment-not-a-string"),
     _map_case(LAURENT, {"rule": "monomial-scale", "base": -1}, "scalar-not-a-string"),
     pytest.param({"basis": 5}, "$.basis", id="basis-not-an-object"),
+    # each exited 70: ZeroDivisionError in Fraction, IndexError in the form
+    pytest.param({"field": {"kind": "rationals"}, "carrier": LAURENT, "basis": None,
+                  "bracket": {"form": "laurent-flip", "lambdas": ["1/0"]}},
+                 "$.bracket", id="zero-denominator"),
+    pytest.param({"field": {"kind": "rationals"}, "carrier": None, "basis": None,
+                  "bracket": {"form": "metric-extension", "lie": "sl2",
+                              "form_matrix": [["1"]]}},
+                 "$.bracket", id="metric-form-not-m-by-m"),
 ])
 def test_validated_documents_do_not_crash_while_building(patch, path, tmp_path, capsys):
     doc = minimal_quotient_doc()
@@ -400,6 +409,31 @@ def test_validated_documents_do_not_crash_while_building(patch, path, tmp_path, 
     file.write_text(render_document(doc))
     assert main(["verify", str(file), "--out-dir", str(tmp_path)]) == 64
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, bound", [("laurent-deriv-zero", 3), ("laurent-even-shift-k1", 3),
+                                         ("laurent-flip-lambda2", 3), ("laurent-flip-unit", 3),
+                                         ("control-pair-mismatch", 2),
+                                         ("laurent-quotient-p3", 3)])
+def test_a_fundamental_identity_bound_that_is_not_read_is_refused(name, bound):
+    # these scan the document's basis or table, whatever the bound says
+    doc = get_bundled(name)
+    k = next(k for k, c in enumerate(doc["campaigns"]) if c["check"] == "fundamental-identity")
+    doc["campaigns"][k]["bound"] = bound
+    with pytest.raises(ConfigError, match="reads no bound") as info:
+        parse_document(render_document(doc))
+    assert info.value.path == f"$.campaigns[{k}]"
+
+
+def test_a_fundamental_identity_bound_is_read_without_a_basis(tmp_path):
+    doc = get_bundled("laurent-flip-unit")
+    del doc["basis"]
+    doc["campaigns"] = [{"name": "fi", "check": "fundamental-identity", "bound": 1}]
+    file = tmp_path / "doc.json"
+    file.write_text(render_document(doc))
+    assert main(["verify", str(file), "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "laurent-flip-unit.report.json").read_text())
+    assert report["campaigns"][0]["counts"]["covered"] == 3 ** 5
 
 
 def test_mutations_of_an_unclosed_basis_say_where_it_escapes():

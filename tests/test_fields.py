@@ -262,6 +262,13 @@ def test_strings_and_ints_still_parse_as_rationals():
     assert QI.parse("1/2+3i") == GaussianRational(Fraction(1, 2), 3)
 
 
+@pytest.mark.parametrize("F, text", [(QQ, "1/0"), (QQ, "-3/0"), (QI, "1/0"), (QI, "1/0i"),
+                                     (QI, "1+2/0i"), (PrimeField(5), "1/0")])
+def test_a_zero_denominator_is_a_value_error(F, text):
+    with pytest.raises(ValueError, match="zero denominator|invalid literal"):
+        F.parse(text)
+
+
 @pytest.mark.parametrize("F", [QQ, QI, PrimeField(5)])
 def test_canonical_form_idempotent(F):
     rng = random.Random(3)

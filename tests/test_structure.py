@@ -77,6 +77,19 @@ def test_verify_skew_on_tabulated_algebras():
     assert verify_skew(quotient_algebra(3)).passed
 
 
+def test_verify_skew_reads_the_stored_constants_not_the_index():
+    # every bracket doubled, consistently over each rest's shared rows: the
+    # index is still skew, but no longer the table it was built from
+    L = quotient_algebra(3)
+    f = L.field
+    doubled = FiniteNLieAlgebra(f, L.dim, 3, {k: {l: f.add(c, c) for l, c in v.items()}
+                                              for k, v in L.constants.items()})
+    L.ad_index = doubled.ad_index
+    rep = verify_skew(L)
+    assert rep.checked == 156 and not rep.passed
+    assert set(rep.failures[0]) == {"tuple", "got", "want"}
+
+
 def test_fi_cyclic_group_exhaustive_counts():
     _, _, _, L, _ = cyclic_group_algebra(3)
     rep = verify_fundamental_identity(L)
