@@ -41,7 +41,6 @@ from .brackets import (
     GroupWedgeBracket,
     LaurentFlipBracket,
     LaurentParityBracket,
-    MonomialBracket,
     QuotientParityBracket,
     TriBracket,
     check_fi_window,

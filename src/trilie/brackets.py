@@ -22,6 +22,12 @@ sigma in {id, -} and a shift s:
 
 so `monomial-parity` at shift k is `laurent-parity` at shift k + 1.  The
 closed form is verified against the determinant, never trusted on its own.
+
+Each law of the Laurent family has one oracle here: the parity coefficient
+is read off `parity_bracket` (and checked against the determinant with rows
+(t^m -> (-1)^m t^m, id, t^k d/dt)), membership in the ideal of a binomial
+u t^a + v t^b is reduction by its relation t^(a-b) = -v/u, and the graded
+pieces of `check_grading` are the eigenspaces of the flip e_g -> e_-g.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import itertools
 import random
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .carriers import (
     Additive,
@@ -42,8 +48,10 @@ from .carriers import (
     Functional,
     GroupAlgebra,
     GroupHom,
+    GroupNegation,
     HypothesisViolation,
     IdentityRule,
+    LaurentAlgebra,
     _check_variable,
     _one_variable_laurent,
 )
@@ -173,15 +181,11 @@ class DeterminantBracket(TriBracket):
         return f.combine(products)
 
 
-def _det3(r1, r2, r3):
-    """The raw 3x3 determinant of three rows of scalars."""
-    return sum(sign * r1[i] * r2[j] * r3[k] for (i, j, k), sign in _PERMS3)
-
-
 def functional_det(f1: Functional, f2: Functional, f3: Functional,
                    a: AlgebraElement, b: AlgebraElement, c: AlgebraElement):
     """Scalar 3x3 determinant of three functionals applied to three elements."""
-    return a.field.normalize(_det3(*([f(x) for x in (a, b, c)] for f in (f1, f2, f3))))
+    r1, r2, r3 = ([f(x) for x in (a, b, c)] for f in (f1, f2, f3))
+    return a.field.normalize(sum(sign * r1[i] * r2[j] * r3[k] for (i, j, k), sign in _PERMS3))
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +260,9 @@ def LaurentFlipBracket(carrier: GroupAlgebra, lambdas: Sequence,
     return bracket
 
 
-def parity_coefficient(field: Field, l: int, m: int, n: int):
-    """(-1)^l (n-m) + (-1)^m (l-n) + (-1)^n (m-l), embedded into the field."""
-    def sgn(e):
-        return -1 if e % 2 else 1
-
-    return field.embed(sgn(l) * (n - m) + sgn(m) * (l - n) + sgn(n) * (m - l))
-
-
 def parity_bracket(carrier: GroupAlgebra, shift) -> ClosedFormBracket:
-    """[t^l,t^m,t^n] = parity_coefficient(l,m,n) t^{l+m+n+s}: `monomial-parity`.
+    """[t^l,t^m,t^n] = {(-1)^l(n-m)+(-1)^m(l-n)+(-1)^n(m-l)} t^{l+m+n+s}:
+    `monomial-parity`, with no characteristic check (over F_2 it is zero).
     chi(x) = (-1)^x is evaluated in Python ints on every field."""
     if carrier.rank != 1:
         raise ValueError("parity bracket is one-variable")
@@ -295,52 +292,6 @@ def QuotientParityBracket(carrier: GroupAlgebra) -> ClosedFormBracket:
             f"got {carrier.field}"
         )
     return parity_bracket(carrier, (-1,))
-
-
-SKEW_SAMPLES = 60
-
-
-class MonomialBracket(TriBracket):
-    """[e_a,e_b,e_c] = f(a,b,c) e_{a+b+c+t} for a skew coefficient function f
-    and a fixed shift t; skewness of f is checked on `SKEW_SAMPLES` seeded triples."""
-
-    def __init__(self, carrier: CarrierAlgebra, coeff_fn: Callable, t_shift):
-        super().__init__(carrier)
-        self.coeff_fn = coeff_fn
-        self.t_shift = t_shift
-        carrier.validate_index(t_shift)
-        rng = random.Random(0)
-        f = carrier.field
-        window = carrier.window(3)
-        for _ in range(SKEW_SAMPLES):
-            a, b, c = (rng.choice(window) for _ in range(3))
-            base = self.coeff_fn(a, b, c)
-            for perm, sign in _PERMS3:
-                args = [(a, b, c)[t] for t in perm]
-                if self.coeff_fn(*args) != (base if sign == 1 else f.neg(base)):
-                    raise ValueError(f"coefficient function is not skew-symmetric at {args}")
-
-    def eval_indices(self, a, b, c):
-        add = self.carrier.add_indices
-        idx = add(add(add(a, b), c), self.t_shift)
-        return self.carrier.monomial(idx, self.coeff_fn(a, b, c))
-
-
-# the rows (-1)^e, 1 and e of the parity coefficient's determinant
-PARITY_ROWS = (lambda e: -1 if e % 2 else 1, lambda e: 1, lambda e: e)
-
-
-def parity_determinant_coefficient(field: Field):
-    """The skew function f(l,m,n) = det[[(-1)^l,(-1)^m,(-1)^n],[1,1,1],[l,m,n]]
-    on integer (1-tuple) indices, evaluated from `PARITY_ROWS` in the field's
-    arithmetic.  It equals `parity_coefficient`, which
-    `monomial-parity-agreement` checks."""
-
-    def f(a, b, c):
-        return field.normalize(_det3(*([field.embed(r(x[0])) for x in (a, b, c)]
-                                        for r in PARITY_ROWS)))
-
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -562,51 +513,38 @@ def check_homomorphism(sigma: Endomorphism, source: TriBracket, target: TriBrack
 
 def check_grading(bracket: TriBracket, delta: Optional[Endomorphism],
                   plus_elements: Sequence[AlgebraElement],
-                  minus_elements: Sequence[AlgebraElement],
-                  window: Sequence) -> CheckReport:
+                  minus_elements: Sequence[AlgebraElement]) -> CheckReport:
     """Both graded pieces are abelian and the derivation swaps them.
 
-    plus/minus must decompose the window span as a direct sum (checked, a
-    failure raises).  Asserted: triple brackets inside each piece vanish and
-    delta maps each piece into the other; mixed triples are only observed and
-    reported, never asserted zero.
+    The pieces are the +1 and -1 eigenspaces of the flip e_g -> e_-g, so
+    delta(x) lies in the other piece exactly when flip(delta x) = -+delta x,
+    wherever in the carrier it lands.  Each listed element must lie in its
+    own piece (flip(x) = +-x; else ValueError).  Asserted: triple brackets
+    inside each piece vanish and delta maps each piece into the other; mixed
+    triples are only observed and reported, never asserted zero.
     """
-    from .carriers import coordinates
-    from .linalg import SpanBuilder
-
-    carrier = bracket.carrier
-    f = carrier.field
-    plus_coords = [coordinates(x, window) for x in plus_elements]
-    minus_coords = [coordinates(x, window) for x in minus_elements]
-    sb = SpanBuilder(f, len(window))
-    for v in plus_coords + minus_coords:
-        if not sb.add(v):
-            raise ValueError("plus/minus generators are not independent")
-    if sb.dim != len(window):
-        raise ValueError("plus + minus does not span the enumerated window")
+    flip = Endomorphism(bracket.carrier, GroupNegation())
+    pieces = (("plus", plus_elements, 1), ("minus", minus_elements, -1))
+    for name, part, sign in pieces:
+        for x in part:
+            if flip(x) != (x if sign == 1 else -x):
+                raise ValueError(f"{x} does not lie in the {name} piece of the flip")
 
     rep = CheckReport("graded pieces are abelian subalgebras")
-    for name, part in (("plus", plus_elements), ("minus", minus_elements)):
+    for name, part, _ in pieces:
         for xs in itertools.combinations(part, 3):
             val = bracket(*xs)
             if rep.fails(not val.is_zero()):
                 rep.failures.append({"part": name, "value": str(val)})
 
     if delta is not None:
-        plus_span = SpanBuilder(f, len(window))
-        for v in plus_coords:
-            plus_span.add(v)
-        minus_span = SpanBuilder(f, len(window))
-        for v in minus_coords:
-            minus_span.add(v)
         sub = rep.details["delta_swaps_pieces"] = CheckReport(
             "delta(plus) in minus and delta(minus) in plus")
-        for name, part, other in (("plus", plus_elements, minus_span),
-                                  ("minus", minus_elements, plus_span)):
+        for name, part, sign in pieces:
             for x in part:
-                if sub.fails(not other.contains(coordinates(delta(x), window))):
-                    sub.failures.append({"from": name, "element": str(x),
-                                         "image": str(delta(x))})
+                image = delta(x)
+                if sub.fails(flip(image) != (-image if sign == 1 else image)):
+                    sub.failures.append({"from": name, "element": str(x), "image": str(image)})
 
     mixed_nonzero = 0
     mixed_total = 0
@@ -620,54 +558,30 @@ def check_grading(bracket: TriBracket, delta: Optional[Endomorphism],
 
 
 # ---------------------------------------------------------------------------
-# Laurent divisibility and ideal membership
+# ideal membership by a binomial relation
 # ---------------------------------------------------------------------------
 
-def laurent_divmod(numer: AlgebraElement, denom: AlgebraElement) -> Tuple[AlgebraElement, AlgebraElement]:
-    """Exact division in a one-variable Laurent ring: numer = q*denom + r.
-
-    Both are shifted to honest polynomials (the denominator acquiring a
-    nonzero constant term), divided there, and shifted back; r = 0 certifies
-    divisibility in the Laurent ring.
-    """
-    carrier = numer.carrier
-    if not _one_variable_laurent(carrier):
-        raise ValueError("laurent_divmod is one-variable")
-    if denom.is_zero():
-        raise ZeroDivisionError("division by the zero Laurent polynomial")
-    f = carrier.field
-    if numer.is_zero():
-        return carrier.zero(), carrier.zero()
-    n_exps = [e[0] for e in numer.terms]
-    d_exps = [e[0] for e in denom.terms]
-    n_min, d_min = min(n_exps), min(d_exps)
-    deg_n = max(n_exps) - n_min
-    deg_d = max(d_exps) - d_min
-    N = [f.zero] * (deg_n + 1)
-    for (e,), c in numer.terms.items():
-        N[e - n_min] = c
-    D = [f.zero] * (deg_d + 1)
-    for (e,), c in denom.terms.items():
-        D[e - d_min] = c
-    lead_inv = f.inv(D[deg_d])
-    Q = [f.zero] * max(deg_n - deg_d + 1, 0)
-    for k in range(deg_n - deg_d, -1, -1):
-        c = f.mul(N[k + deg_d], lead_inv)
-        if f.is_zero(c):
-            continue
-        Q[k] = c
-        for t, dcoeff in enumerate(D):
-            N[k + t] = f.normalize(N[k + t] - c * dcoeff)
-    shift = n_min - d_min
-    quot = carrier.element({(k + shift,): c for k, c in enumerate(Q)})
-    rem = carrier.element({(k + n_min,): c for k, c in enumerate(N)})
-    return quot, rem
+def _binomial_reduction(x: AlgebraElement, generator: AlgebraElement) -> AlgebraElement:
+    """x modulo the binomial u t^a + v t^b (a > b) of F[t, t^-1], by its
+    relation t^(a-b) = r = -v/u: t^e = r^q t^(b+s) for e = b + q(a-b) + s with
+    0 <= s < a-b.  The monomials t^b, ..., t^(a-1) are a basis of the
+    quotient, so x lies in the ideal (u t^a + v t^b) exactly when this is
+    zero; for t^p -+ t^-p the relation is the quotient's t^(2p) = +-1."""
+    f = x.field
+    if not _one_variable_laurent(x.carrier) or len(generator.terms) != 2:
+        raise ValueError("the ideal generator must be a binomial of F[t, t^-1]")
+    ((b,), v), ((a,), u) = sorted(generator.terms.items())
+    r = f.neg(f.mul(v, f.inv(u)))
+    return AlgebraElement(x.carrier, f.combine(
+        ((b + s,), c * f.pow(r, q)) for (e,), c in x.terms.items()
+        for q, s in [divmod(e - b, a - b)]))
 
 
 def check_principal_ideal_membership(bracket: TriBracket, generator: AlgebraElement,
                                      cofactor_exponents: Sequence[int],
                                      argument_bound: int) -> CheckReport:
-    """All brackets [g*t^j, t^a, t^b] are divisible by g, by exact division."""
+    """All brackets [g*t^j, t^a, t^b] lie in the ideal of the binomial g:
+    each reduces to zero by g's relation (`_binomial_reduction`)."""
     carrier = bracket.carrier
     rep = CheckReport("bracket values stay divisible by the ideal generator")
     for j in cofactor_exponents:
@@ -675,7 +589,7 @@ def check_principal_ideal_membership(bracket: TriBracket, generator: AlgebraElem
         for a in range(-argument_bound, argument_bound + 1):
             for b in range(-argument_bound, argument_bound + 1):
                 val = bracket(x, carrier.monomial((a,)), carrier.monomial((b,)))
-                rem = val if val.is_zero() else laurent_divmod(val, generator)[1]
+                rem = _binomial_reduction(val, generator)
                 if rep.fails(not rem.is_zero()):
                     rep.failures.append({"cofactor": j, "args": [a, b],
                                          "value": str(val), "remainder": str(rem)})
@@ -765,11 +679,14 @@ def group_kernel_certificate(hom: GroupHom, seed: int = 0):
 
 def check_parity_family_vanishing(field: Field, bound: int) -> CheckReport:
     """The coefficient of [t^l, t^m, t^{-m+1}] under the plain-derivative
-    parity bracket vanishes exactly when l = m or l = -m+1."""
+    parity bracket (`parity_bracket` with shift -1) vanishes exactly when
+    l = m or l = -m+1."""
+    bracket = parity_bracket(LaurentAlgebra(field), (-1,))
     rep = CheckReport("coefficient vanishing classification")
     for l in range(-bound, bound + 1):
         for m in range(-bound, bound + 1):
-            c = parity_coefficient(field, l, m, -m + 1)
+            # the bracket of three monomials has the one term t^l
+            c = bracket.eval_indices((l,), (m,), (-m + 1,)).terms.get((l,), field.zero)
             expect_zero = l == m or l == -m + 1
             if rep.fails(field.is_zero(c) != expect_zero):
                 rep.failures.append({"l": l, "m": m, "coefficient": field.render(c)})
@@ -778,23 +695,18 @@ def check_parity_family_vanishing(field: Field, bound: int) -> CheckReport:
 
 def laurent_reachability(field: Field, bound: int) -> CheckReport:
     """Every window monomial reaches every other by one plain-derivative
-    parity bracket whose two other arguments stay in the window widened by
-    2 (ideal-closure evidence)."""
+    parity bracket (`parity_bracket` with shift -1) whose two other arguments
+    stay in the window widened by 2 (ideal-closure evidence)."""
+    bracket = parity_bracket(LaurentAlgebra(field), (-1,))
     window = range(-bound, bound + 1)
     args = range(-bound - 2, bound + 3)
     rep = CheckReport("window monomials generate each other")
     for j in window:
         for l in window:
-            ok = False
-            for a in args:
-                for b in args:
-                    if j + a + b - 1 == l and not field.is_zero(
-                        parity_coefficient(field, j, a, b)
-                    ):
-                        ok = True
-                        break
-                if ok:
-                    break
+            # [t^j, t^a, t^b] lands on t^l for b = l + 1 - j - a
+            ok = any(l + 1 - j - a in args
+                     and not bracket.eval_indices((j,), (a,), (l + 1 - j - a,)).is_zero()
+                     for a in args)
             if rep.fails(not ok):
                 rep.failures.append({"from": j, "to": l})
     return rep

@@ -244,8 +244,8 @@ _BUNDLED: List[dict] = [
         "laurent-even-shift-k1",
         "Laurent ring over Q with the parity bracket of t^2 d/dt",
         "[t^l,t^m,t^n] = {(-1)^l(n-m)+(-1)^m(l-n)+(-1)^n(m-l)} t^{l+m+n+1}; "
-        "equal to the monomial bracket with the parity determinant "
-        "coefficient and shift 1",
+        "equal to the determinant with rows (t^m -> (-1)^m t^m, identity, "
+        "t^2 d/dt)",
         field={"kind": "rationals"},
         carrier={"shape": "laurent"},
         maps={
@@ -328,8 +328,8 @@ _BUNDLED: List[dict] = [
         "laurent-ideal-pair-p3",
         "Principal ideals of the unit flip bracket over F_3",
         "(t^3 + t^-3) and (t^3 - t^-3) generate proper ideals of the unit "
-        "flip bracket over F_3; membership is certified by exact Laurent "
-        "division",
+        "flip bracket over F_3; membership is certified by reduction with "
+        "the relation t^6 = -+1",
         field={"kind": "prime", "p": 3},
         carrier={"shape": "laurent"},
         maps={},

@@ -179,14 +179,22 @@ def _build_lie(field: Field, cfg) -> lifts.LieAlgebra:
     raise ValueError(f"unknown Lie algebra {cfg!r}")
 
 
-def _determinant(ctx: "BuildContext", cfg: dict) -> br.DeterminantBracket:
-    rows = []
-    for row in cfg["rows"]:
-        name = row.get("endo", row.get("functional")) if isinstance(row, dict) else None
-        if row != "id" and not known_name(ctx.maps, name):
-            raise ValueError(f"bad determinant row {row!r}")
-        rows.append("id" if row == "id" else ctx.maps[name])
-    return br.DeterminantBracket(ctx.carrier, rows)
+def _determinant(ctx: "BuildContext", rows) -> br.DeterminantBracket:
+    """The determinant bracket with `rows`, each "id", a map name, or
+    {"endo": name} or {"functional": name} naming a map of that kind."""
+    def row_map(row):
+        if row == "id":
+            return row
+        if known_name(ctx.maps, row):
+            return ctx.maps[row]
+        if isinstance(row, dict) and len(row) == 1:
+            (key, name), = row.items()
+            kind = {"endo": ca.Endomorphism, "functional": ca.Functional}.get(key)
+            if kind and known_name(ctx.maps, name) and isinstance(ctx.maps[name], kind):
+                return ctx.maps[name]
+        raise ValueError(f"bad determinant row {row!r}")
+
+    return br.DeterminantBracket(ctx.carrier, [row_map(r) for r in rows])
 
 
 def _gamma(ctx: "BuildContext", cfg: dict) -> st.FiniteNLieAlgebra:
@@ -212,7 +220,7 @@ def _metric_extension(ctx: "BuildContext", cfg: dict) -> st.FiniteNLieAlgebra:
 
 
 BRACKETS = {
-    "determinant": Form(_determinant),
+    "determinant": Form(lambda ctx, cfg: _determinant(ctx, cfg["rows"])),
     "group-wedge": Form(lambda ctx, cfg: br.GroupWedgeBracket(_build_hom(ctx.carrier, cfg["hom"])),
                         ("group",)),
     "laurent-flip": Form(lambda ctx, cfg: br.LaurentFlipBracket(
@@ -264,9 +272,7 @@ FLAG = Param(lambda v, maps: isinstance(v, bool), "must be true or false, not")
 MAP = Param(lambda v, maps: isinstance(v, str) and v in maps, "unresolved map reference",
             lambda ctx, v: ctx.maps[v])
 ROWS = Param(lambda v, maps: isinstance(v, list) and all(r == "id" or MAP.ok(r, maps) for r in v),
-             "rows are \"id\" or map names; unresolved map reference in",
-             lambda ctx, v: br.DeterminantBracket(
-                 ctx.carrier, ["id" if r == "id" else ctx.maps[r] for r in v]))
+             "rows are \"id\" or map names; unresolved map reference in", _determinant)
 
 
 def _map_config_ok(v, maps, rules=(ENDO_RULES, FUNCTIONAL_RULES)) -> bool:
@@ -465,7 +471,16 @@ def _run_grading(ctx: BuildContext, a: dict, run: Run) -> st.CheckReport:
     A = ctx.carrier
     plus = [A.one()] + [A.monomial((i,)) + A.monomial((-i,)) for i in range(1, bound + 1)]
     minus = [A.monomial((i,)) - A.monomial((-i,)) for i in range(1, bound + 1)]
-    return br.check_grading(ctx.bracket, a.get("delta"), plus, minus, A.window(bound))
+    return br.check_grading(ctx.bracket, a.get("delta"), plus, minus)
+
+
+def _run_parity_agreement(ctx: BuildContext, a: dict, run: Run) -> st.CheckReport:
+    """The parity closed form against the determinant with rows
+    (t^m -> (-1)^m t^m, id, t^shift d/dt)."""
+    A, shift = ctx.carrier, a.get("shift", 0)
+    det = br.DeterminantBracket(A, [ca.Endomorphism(A, ca.MonomialScale(ctx.field.embed(-1))),
+                                    "id", ca.Endomorphism(A, ca.LaurentDerivation(shift))])
+    return br.check_agreement(br.LaurentParityBracket(A, shift), det, _window(ctx, a, 6))
 
 
 def _run_ideal_divisibility(ctx: BuildContext, a: dict, run: Run) -> st.CheckReport:
@@ -546,12 +561,9 @@ CHECKS = {
     "reachability": Check(
         lambda ctx, a, run: br.laurent_reachability(ctx.field, a.get("bound", 4)),
         {"bound": POSITIVE}),
-    "monomial-parity-agreement": Check(
-        lambda ctx, a, run: br.check_agreement(
-            br.MonomialBracket(ctx.carrier, br.parity_determinant_coefficient(ctx.field),
-                               (a.get("shift", 0) - 1,)),
-            br.LaurentParityBracket(ctx.carrier, shift=a.get("shift", 0)), _window(ctx, a, 6)),
-        {"shift": INTEGER, "bound": POSITIVE}, needs=(_LAURENT, _CHAR_NOT_TWO)),
+    "monomial-parity-agreement": Check(_run_parity_agreement,
+                                       {"shift": INTEGER, "bound": POSITIVE},
+                                       needs=(_LAURENT, _CHAR_NOT_TWO)),
     "involution-antisymmetry": Check(
         lambda ctx, a, run: br.check_involution_antisymmetry(
             ctx.bracket, a["omega"], _window(ctx, a)),

@@ -448,21 +448,6 @@ class AlgebraElement:
     __repr__ = __str__
 
 
-def coordinates(elem: AlgebraElement, ordered_indices: Sequence) -> list:
-    """Dense coordinate vector of an element over an ordered index list.
-
-    Raises if the element has support outside the listed indices.
-    """
-    pos = {idx: k for k, idx in enumerate(ordered_indices)}
-    f = elem.field
-    vec = [f.zero] * len(ordered_indices)
-    for idx, c in elem.terms.items():
-        if idx not in pos:
-            raise ValueError(f"element term {elem.carrier.index_str(idx)} escapes the basis")
-        vec[pos[idx]] = c
-    return vec
-
-
 # ---------------------------------------------------------------------------
 # group homomorphisms into the additive group of the field
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ import pytest
 
 from trilie.fields import PrimeField, QI, QQ
 from trilie.carriers import (
+    AlternatingSign,
+    ConstantOne,
     Endomorphism,
+    ExponentValue,
+    Functional,
     GroupAlgebra,
     GroupHom,
     GroupHomDerivation,
@@ -30,7 +34,6 @@ from trilie.brackets import (
     GroupWedgeBracket,
     LaurentFlipBracket,
     LaurentParityBracket,
-    MonomialBracket,
     QuotientParityBracket,
     check_agreement,
     check_fi_window,
@@ -38,7 +41,7 @@ from trilie.brackets import (
     check_homomorphism,
     check_principal_ideal_membership,
     group_kernel_certificate,
-    parity_determinant_coefficient,
+    functional_det,
     tabulate,
 )
 from trilie.campaigns import overall_verdict, run_document
@@ -331,7 +334,7 @@ def test_c8_grading():
     delta = Endomorphism(A, LaurentDerivation(1))
     plus = [A.one()] + [A.monomial((i,)) + A.monomial((-i,)) for i in range(1, 5)]
     minus = [A.monomial((i,)) - A.monomial((-i,)) for i in range(1, 5)]
-    rep = check_grading(bracket, delta, plus, minus, A.window(4))
+    rep = check_grading(bracket, delta, plus, minus)
     ok = rep.passed and rep.details["delta_swaps_pieces"].passed
     dt = time.monotonic() - t0
     criterion("8", ok,
@@ -346,21 +349,24 @@ def test_c8_grading():
 def test_c9_monomial_form():
     t0 = time.monotonic()
     A = LaurentAlgebra(QQ, 1)
-    f = parity_determinant_coefficient(QQ)
+    # the parity coefficient as the determinant of the functional rows
+    # ((-1)^e, 1, e)
+    rows = [Functional(A, r) for r in (AlternatingSign(), ConstantOne(), ExponentValue())]
     ok = True
     for k in (0, 1, 2):
-        mono = MonomialBracket(A, f, (2 * k - 1,))
         parity = LaurentParityBracket(A, shift=2 * k)
         for l, m, n in itertools.product(range(-6, 7), repeat=3):
-            a = mono.eval_indices((l,), (m,), (n,))
+            c = functional_det(*rows, *(A.monomial((e,)) for e in (l, m, n)))
+            a = A.monomial((l + m + n + 2 * k - 1,), c)
             b = parity.eval_indices((l,), (m,), (n,))
             # coefficients agree (and with these shifts the exponents do too)
             if a.terms != b.terms:
                 ok = False
     dt = time.monotonic() - t0
     criterion("9", ok,
-              "monomial bracket with the parity determinant coefficient "
-              "matches the closed form on all 13^3 triples for k in {0,1,2}", dt)
+              "monomial form t^(l+m+n+2k-1) with the functional determinant "
+              "coefficient matches the closed form on all 13^3 triples for "
+              "k in {0,1,2}", dt)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,10 @@ from trilie.carriers import (
     VariableScalingDerivation,
     check_derivation,
 )
-from trilie import brackets
+from trilie import brackets, carriers
+from trilie.bundled import get_bundled
+from trilie.campaigns import run_campaign
+from trilie.documents import parse_document, render_document
 from trilie.structure import MAX_WITNESSES
 from trilie.brackets import (
     ClosureFailure,
@@ -32,8 +35,6 @@ from trilie.brackets import (
     GroupWedgeBracket,
     LaurentFlipBracket,
     LaurentParityBracket,
-    MonomialBracket,
-    PARITY_ROWS,
     QuotientParityBracket,
     check_agreement,
     check_alternating,
@@ -43,15 +44,13 @@ from trilie.brackets import (
     check_principal_ideal_membership,
     check_trilinear,
     functional_det,
-    laurent_divmod,
     laurent_reachability,
     pair_bracket_delta,
     pair_bracket_omega,
     parity_bracket,
-    parity_coefficient,
-    parity_determinant_coefficient,
     tabulate,
 )
+from trilie.brackets import _binomial_reduction
 
 
 @pytest.fixture
@@ -132,9 +131,11 @@ def test_functional_det_parity_coefficient(A):
     alpha = Functional(A, AlternatingSign())
     beta = Functional(A, ConstantOne())
     gamma = Functional(A, ExponentValue())
-    for (l, m, n) in [(0, 1, 2), (2, 0, 1), (-3, 1, 4)]:
+    closed = parity_bracket(A, (0,))
+    for (l, m, n) in [(0, 1, 2), (2, 0, 1), (-3, 1, 4), (0, 2, 4)]:
         got = functional_det(alpha, beta, gamma, mono(A, l), mono(A, m), mono(A, n))
-        assert got == parity_coefficient(QQ, l, m, n)
+        want = closed.eval_indices((l,), (m,), (n,)).terms.get((l + m + n,), QQ.zero)
+        assert got == want
 
 
 def test_jacobian_style_bracket_from_three_commuting_derivations():
@@ -436,48 +437,27 @@ def test_the_closed_form_equals_the_determinant_on_drawn_parameters(data):
 
 
 # ---------------------------------------------------------------------------
-# monomial bracket
+# the monomial-parity-agreement campaign
 # ---------------------------------------------------------------------------
 
-def test_monomial_bracket_matches_parity_closed_form():
-    A = LaurentAlgebra(QQ, 1)
-    for k in (0, 1, 2):
-        f = parity_determinant_coefficient(QQ)
-        mb = MonomialBracket(A, f, (2 * k - 1,))
-        pb = LaurentParityBracket(A, shift=2 * k)
-        for l, m, n in itertools.product(range(-3, 4), repeat=3):
-            assert mb.eval_indices((l,), (m,), (n,)) == pb.eval_indices((l,), (m,), (n,))
-
-
-@pytest.mark.parametrize("row, wrong", [
-    (0, lambda e: -1 if e % 3 else 1),   # a sign of period 3, not 2
-    (1, lambda e: e * e),                # e^2 where the row of ones was
-    (2, lambda e: 2 * e),                # 2e where e was
+@pytest.mark.parametrize("module, name, wrong", [
+    pytest.param(carriers, "MonomialScale", lambda base: MonomialScale(QQ.embed(2)),
+                 id="2^m-for-the-sign"),
+    pytest.param(brackets, "IdentityRule", lambda: LaurentDerivation(1), id="t-d/dt-for-id"),
+    pytest.param(carriers, "LaurentDerivation", lambda power: LaurentDerivation(power + 1),
+                 id="one-power-too-many"),
 ])
-def test_monomial_parity_agreement_catches_a_wrong_determinant_row(row, wrong, monkeypatch):
-    # the determinant is evaluated from its rows, so the agreement check is
-    # not the parity coefficient compared with itself
-    A = LaurentAlgebra(QQ, 1)
-    parity = LaurentParityBracket(A, shift=2)
-    mb = MonomialBracket(A, parity_determinant_coefficient(QQ), (1,))
-    assert check_agreement(mb, parity, A.window(6)).passed
-    rows = list(PARITY_ROWS)
-    rows[row] = wrong
-    monkeypatch.setattr(brackets, "PARITY_ROWS", tuple(rows))
-    report = check_agreement(mb, parity, A.window(6))
-    assert not report.passed and report.checked == 13 ** 3
-
-
-def test_monomial_bracket_zero_function_is_abelian():
-    A = LaurentAlgebra(QQ, 1)
-    mb = MonomialBracket(A, lambda a, b, c: QQ.zero, (0,))
-    assert mb.eval_indices((1,), (2,), (3,)).is_zero()
-
-
-def test_monomial_bracket_rejects_non_skew():
-    A = LaurentAlgebra(QQ, 1)
-    with pytest.raises(ValueError):
-        MonomialBracket(A, lambda a, b, c: QQ.one, (0,))
+def test_monomial_parity_agreement_catches_a_wrong_determinant_row(module, name, wrong,
+                                                                   monkeypatch):
+    # the campaign builds its determinant from map rules, so a wrong rule in
+    # any row fails it: the closed form is not compared with itself
+    doc = get_bundled("laurent-even-shift-k1")
+    camp = next(c for c in doc["campaigns"] if c["check"] == "monomial-parity-agreement")
+    ctx = parse_document(render_document(doc))
+    assert run_campaign(ctx, camp).verdict == "pass"
+    monkeypatch.setattr(module, name, wrong)
+    result = run_campaign(ctx, camp)
+    assert result.verdict == "fail" and result.counts["checked"] == 13 ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -557,21 +537,65 @@ def test_alternating_checks_the_determinant_definition(A, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Laurent division and ideal membership
+# binomial reduction and ideal membership
 # ---------------------------------------------------------------------------
 
-def test_laurent_divmod_exact(A):
-    g = mono(A, 3) + mono(A, -3, Fraction(-1))          # t^3 - t^-3
+def test_binomial_reduction_of_a_multiple_is_zero(A):
+    g = mono(A, 3) + mono(A, -3, Fraction(-1))          # t^3 - t^-3: t^6 = 1
     h = mono(A, 2, Fraction(5)) + mono(A, -1)
-    prod = g * h
-    q, r = laurent_divmod(prod, g)
-    assert r.is_zero() and q == h
+    assert _binomial_reduction(g * h, g).is_zero()
+    # t^7 = t and t^-4 = t^2 on the basis t^-3, ..., t^2
+    assert _binomial_reduction(mono(A, 7) + mono(A, -4), g) == mono(A, 1) + mono(A, 2)
 
 
-def test_laurent_divmod_remainder(A):
-    g = mono(A, 1) + mono(A, 0)
-    q, r = laurent_divmod(mono(A, 0), g)
-    assert (q * g + r) == mono(A, 0)
+def test_binomial_reduction_uses_the_relation_and_its_inverse(A):
+    g = mono(A, 1, Fraction(2)) + mono(A, 0, Fraction(3))   # 2t + 3: t = -3/2
+    assert _binomial_reduction(mono(A, 0), g) == mono(A, 0)
+    assert _binomial_reduction(mono(A, 2), g) == mono(A, 0, Fraction(9, 4))
+    assert _binomial_reduction(mono(A, -1), g) == mono(A, 0, Fraction(-2, 3))
+    with pytest.raises(ValueError):
+        _binomial_reduction(mono(A, 0), g + mono(A, 2))
+
+
+REDUCTION_FIELDS = [QQ, PrimeField(3), PrimeField(5), PrimeField(7)]
+
+
+def _sympy_divides(x, g):
+    """Whether g divides x in F[t, t^-1], from sympy's remainder of the two
+    polynomials shifted to lowest exponent 0."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    f = x.field
+
+    def poly(e):
+        low = min(k for (k,) in e.terms)
+        return sum(sympy.Rational(str(f.render(c))) * t ** (k - low) for (k,), c in e.terms.items())
+
+    options = {"modulus": f.p} if f.characteristic else {"domain": "QQ"}
+    return sympy.rem(sympy.Poly(poly(x), t, **options), sympy.Poly(poly(g), t, **options)).is_zero
+
+
+@st.composite
+def laurent_and_binomial(draw):
+    f = draw(st.sampled_from(REDUCTION_FIELDS))
+    A = LaurentAlgebra(f, 1)
+    coeffs = st.integers(-3, 3).map(f.embed)
+    nonzero = coeffs.filter(lambda c: not f.is_zero(c))
+    x = A.element({(e,): draw(coeffs) for e in draw(st.lists(st.integers(-8, 8), max_size=6))})
+    b = draw(st.integers(-5, 4))
+    a = draw(st.integers(b + 1, 6))
+    g = A.monomial((a,), draw(nonzero)) + A.monomial((b,), draw(nonzero))
+    return x, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_and_binomial())
+def test_binomial_reduction_is_zero_exactly_when_sympy_divides(case):
+    x, g = case
+    assert _binomial_reduction(x * g, g).is_zero()
+    if not x.is_zero():
+        assert _binomial_reduction(x, g).is_zero() == _sympy_divides(x, g)
 
 
 def test_principal_ideal_membership_mod3():
@@ -604,6 +628,16 @@ def test_parity_family_vanishing_classification():
 def test_laurent_reachability():
     report = laurent_reachability(QQ, 4)
     assert report.passed
+
+
+def test_parity_evidence_runs_in_characteristic_two():
+    # the closed form has no characteristic check: over F_2 every parity
+    # coefficient is zero, so both classifications fail with witnesses
+    vanishing = check_parity_family_vanishing(PrimeField(2), 3)
+    assert not vanishing.passed and vanishing.checked == 49
+    assert vanishing.first_witness() == {"l": -3, "m": -2, "coefficient": "0"}
+    reach = laurent_reachability(PrimeField(2), 2)
+    assert not reach.passed and reach.first_witness() == {"from": -2, "to": -2}
 
 
 @pytest.mark.parametrize("run, cases", [

@@ -36,7 +36,6 @@ from trilie.carriers import (
     check_functional_bracket_conditions,
     check_involution,
     classify_involutions,
-    coordinates,
     truncated_polynomial_algebra,
 )
 
@@ -473,15 +472,6 @@ def test_table_rules_need_a_carrier_indexed_from_zero():
     A = truncated_polynomial_algebra(QQ, 2)
     assert Endomorphism(A, TableMap([[1, 0], [0, 1]]))(A.monomial(1)) == A.monomial(1)
     assert Functional(A, TableFunctional([QQ.one, QQ.zero]))(A.monomial(0)) == QQ.one
-
-
-def test_coordinates():
-    A = laurent()
-    x = A.monomial((1,), Fraction(2)) - A.monomial((-1,))
-    window = [(-1,), (0,), (1,)]
-    assert coordinates(x, window) == [Fraction(-1), Fraction(0), Fraction(2)]
-    with pytest.raises(ValueError):
-        coordinates(A.monomial((5,)), window)
 
 
 def test_truncated_polynomial_algebra():

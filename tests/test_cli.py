@@ -57,6 +57,22 @@ def test_verify_negative_control_exits_one(tmp_path, capsys):
     assert fi["verdict"] == "fail" and fi["witness"] is not None
 
 
+def test_a_derivation_off_the_window_fails_the_grading(tmp_path, capsys):
+    # d/dt in place of t d/dt sends t + t^-1 to 1 - t^-2, which lies in
+    # neither piece of the flip; this exited 70 while the pieces were read in
+    # coordinates of a window that 1 - t^-4 leaves
+    doc = get_bundled("laurent-flip-unit")
+    doc["maps"]["euler"]["power"] = 0
+    file = tmp_path / "doc.json"
+    file.write_text(render_document(doc))
+    assert main(["verify", str(file), "--out-dir", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "laurent-flip-unit.report.json").read_text())
+    grading = next(c for c in report["campaigns"] if c["check"] == "grading")
+    assert grading["verdict"] == "fail" and grading["counts"] == {"checked": 14}
+    assert grading["witness"] == {"from": "plus", "element": "t^-1 + t^1",
+                                  "image": "-1*t^-2 + 1"}
+
+
 def test_verify_budget_refusal_exits_two(tmp_path, capsys):
     code = main(["verify", "laurent-quotient-p3", "--budget", "10",
                  "--out-dir", str(tmp_path)])

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 
 import pytest
@@ -409,6 +410,44 @@ def test_validated_documents_do_not_crash_while_building(patch, path, tmp_path, 
     file.write_text(render_document(doc))
     assert main(["verify", str(file), "--out-dir", str(tmp_path)]) == 64
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param({"endo": "beta"}, id="endo-key-naming-a-functional"),  # this exited 0
+    pytest.param({"functional": "dxx"}, id="functional-key-naming-an-endomorphism"),
+    pytest.param({"endo": "dxx", "functional": "beta"}, id="both-keys"),
+    pytest.param({}, id="no-key"),
+    pytest.param({"map": "beta"}, id="unknown-key"),
+    pytest.param({"functional": "gamma"}, id="unknown-map"),
+    pytest.param("gamma", id="unknown-map-name"),
+])
+def test_a_determinant_row_must_name_a_map_of_its_kind(row, tmp_path, capsys):
+    doc = get_bundled("poly-beta-bracket")
+    doc["bracket"]["rows"][0] = row
+    validate_document(doc)
+    with pytest.raises(ConfigError) as info:
+        parse_document(render_document(doc))
+    assert info.value.path == "$.bracket"
+    file = tmp_path / "doc.json"
+    file.write_text(render_document(doc))
+    assert main(["verify", str(file), "--out-dir", str(tmp_path)]) == 64
+    err = capsys.readouterr().err
+    assert "$.bracket" in err and "Traceback" not in err
+
+
+def test_determinant_rows_resolve_alike_in_the_form_and_the_campaign():
+    # one helper resolves both: a row is "id", a map name, or a map name
+    # keyed by its kind
+    doc = get_bundled("poly-beta-bracket")
+    keyed = parse_document(render_document(doc)).bracket
+    doc["bracket"]["rows"] = ["beta", "id", "dxx"]
+    doc["campaigns"] = [{"name": "c", "check": "closed-vs-determinant",
+                         "rows": ["beta", "id", "dxx"]}]
+    ctx = parse_document(render_document(doc))
+    basis = ctx.carrier.basis_indices()
+    for t in itertools.product(basis, repeat=3):
+        assert (keyed.eval_indices(*t) == ctx.bracket.eval_indices(*t)
+                == ctx.campaign_args["c"]["rows"].eval_indices(*t))
 
 
 @pytest.mark.parametrize("name, bound", [("laurent-deriv-zero", 3), ("laurent-even-shift-k1", 3),

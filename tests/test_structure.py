@@ -441,18 +441,26 @@ def test_grading_for_unit_flip_bracket():
     plus = [A.monomial((i,)) + A.monomial((-i,)) for i in range(1, w + 1)]
     plus.insert(0, A.one())
     minus = [A.monomial((i,)) - A.monomial((-i,)) for i in range(1, w + 1)]
-    rep = check_grading(br, delta, plus, minus, A.window(w))
+    rep = check_grading(br, delta, plus, minus)
     assert rep.passed
     assert rep.details["delta_swaps_pieces"].passed
     assert rep.notes["mixed_triples_observed"] > 0
 
 
-def test_grading_rejects_non_direct_sum():
+@pytest.mark.parametrize("plus, minus", [
+    ([{1: 1}], []),                  # flip(t) = t^-1, not t
+    ([], [{0: 1}]),                  # flip(1) = 1, not -1
+    ([{1: 1, -1: -1}], []),          # t - t^-1 lies in the minus piece
+])
+def test_grading_rejects_an_element_outside_its_piece(plus, minus):
     A = LaurentAlgebra(QQ, 1)
     br = LaurentFlipBracket(A, [Fraction(1)])
-    plus = [A.one(), A.one()]
-    with pytest.raises(ValueError):
-        check_grading(br, None, plus, [], [(0,)])
+
+    def elements(terms):
+        return [A.element({(e,): Fraction(c) for e, c in t.items()}) for t in terms]
+
+    with pytest.raises(ValueError, match="piece of the flip"):
+        check_grading(br, None, elements(plus), elements(minus))
 
 
 def test_homomorphism_identity_map():

@@ -14,7 +14,7 @@ import contextlib
 import io
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trilie.bundled import bundled_names, get_bundled
 from trilie.cli import main
@@ -72,11 +72,8 @@ def changes(value, scalars):
     return st.sampled_from([0, -1, 1, 2])
 
 
-@st.composite
-def mutated_documents(draw):
-    doc = get_bundled(draw(st.sampled_from(NAMES)))
-    path, value = draw(st.sampled_from(list(targets(doc, scalar_test(doc["field"])))))
-    new = draw(changes(value, edge_scalars(doc["field"])))
+def changed(doc: dict, path: tuple, new):
+    """The case of `doc` with the leaf at `path` set to `new` (in place)."""
     *parents, last = path
     owner = doc
     for key in parents:
@@ -85,8 +82,17 @@ def mutated_documents(draw):
     return doc, path, new
 
 
+@st.composite
+def mutated_documents(draw):
+    doc = get_bundled(draw(st.sampled_from(NAMES)))
+    path, value = draw(st.sampled_from(list(targets(doc, scalar_test(doc["field"])))))
+    return changed(doc, path, draw(changes(value, edge_scalars(doc["field"]))))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=mutated_documents())
+# d/dt in place of t d/dt: the grading campaign exited 70
+@example(case=changed(get_bundled("laurent-flip-unit"), ("maps", "euler", "power"), 0))
 def test_a_changed_bundled_document_exits_with_a_verdict_or_a_path(case, tmp_path_factory):
     doc, path, new = case
     out = tmp_path_factory.mktemp("fuzz")
