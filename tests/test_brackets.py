@@ -49,8 +49,8 @@ from trilie.brackets import (
     pair_bracket_omega,
     parity_bracket,
     tabulate,
+    _binomial_reduction,
 )
-from trilie.brackets import _binomial_reduction
 
 
 @pytest.fixture
@@ -557,9 +557,6 @@ def test_binomial_reduction_uses_the_relation_and_its_inverse(A):
         _binomial_reduction(mono(A, 0), g + mono(A, 2))
 
 
-REDUCTION_FIELDS = [QQ, PrimeField(3), PrimeField(5), PrimeField(7)]
-
-
 def _sympy_divides(x, g):
     """Whether g divides x in F[t, t^-1], from sympy's remainder of the two
     polynomials shifted to lowest exponent 0."""
@@ -578,7 +575,7 @@ def _sympy_divides(x, g):
 
 @st.composite
 def laurent_and_binomial(draw):
-    f = draw(st.sampled_from(REDUCTION_FIELDS))
+    f = draw(st.sampled_from([QQ, PrimeField(3), PrimeField(5), PrimeField(7)]))
     A = LaurentAlgebra(f, 1)
     coeffs = st.integers(-3, 3).map(f.embed)
     nonzero = coeffs.filter(lambda c: not f.is_zero(c))

@@ -448,9 +448,9 @@ def test_grading_for_unit_flip_bracket():
 
 
 @pytest.mark.parametrize("plus, minus", [
-    ([{1: 1}], []),                  # flip(t) = t^-1, not t
-    ([], [{0: 1}]),                  # flip(1) = 1, not -1
-    ([{1: 1, -1: -1}], []),          # t - t^-1 lies in the minus piece
+    pytest.param([{1: 1}], [], id="t-as-plus"),                   # flip(t) = t^-1
+    pytest.param([], [{0: 1}], id="1-as-minus"),                  # flip(1) = 1
+    pytest.param([{1: 1, -1: -1}], [], id="t-minus-1/t-as-plus"),  # in the minus piece
 ])
 def test_grading_rejects_an_element_outside_its_piece(plus, minus):
     A = LaurentAlgebra(QQ, 1)
