@@ -442,7 +442,7 @@ class AlgebraElement:
         for idx, c in sorted(self.terms.items(), key=operator.itemgetter(0)):
             mono = self.carrier.index_str(idx)
             cs = f.render(c)
-            parts.append(mono if cs == "1" else f"{cs}*{mono}")
+            parts.append(mono if cs == "1" else cs if mono == "1" else f"{cs}*{mono}")
         return " + ".join(parts)
 
     __repr__ = __str__

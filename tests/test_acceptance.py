@@ -8,8 +8,6 @@ import itertools
 import time
 from fractions import Fraction
 
-import pytest
-
 from trilie.fields import PrimeField, QI, QQ
 from trilie.carriers import (
     AlternatingSign,
@@ -48,7 +46,7 @@ from trilie.campaigns import overall_verdict, run_document
 from trilie.documents import parse_document, render_document
 from trilie.bundled import get_bundled
 from trilie.lifts import gamma_algebra, gl_trace_lift, killing_form, metric_extension, sl2
-from trilie.linalg import Subspace, kernel_of_functional
+from trilie.linalg import kernel_of_functional
 from trilie.structure import (
     certify_simplicity,
     derived_algebra,

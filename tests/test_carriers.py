@@ -440,6 +440,16 @@ def test_index_text_round_trips():
     assert Q3.parse_index("t^-3") == (3,)
 
 
+def test_unit_multiples_print_as_their_coefficient():
+    A = laurent()
+    one, t = A.monomial((0,)), A.monomial((1,))
+    assert str(one * 2 + t) == "2 + t^1"
+    assert str(-one) == "-1"
+    assert str(one + t * 3) == "1 + 3*t^1"
+    P = truncated_polynomial_algebra(QQ, 3)
+    assert str(P.monomial(0, QQ.embed(Fraction(1, 2)))) == "1/2"
+
+
 @pytest.mark.parametrize("carrier, text", [
     (laurent(), "t3^1"), (laurent(), "t0"), (laurent(), "x^2"), (laurent(nvars=2), "t^x"),
     (laurent(nvars=2), "t1^2*t1^3"), (laurent(), "t^2*t1"),

@@ -7,7 +7,6 @@ from trilie.fields import GaussianRational, PrimeField, QI, QQ
 from trilie.carriers import HypothesisViolation
 from trilie.lifts import (
     LieAlgebra,
-    _commutator,
     _mat_mul,
     _solve_in_span,
     dirac_gamma_matrices,
@@ -18,7 +17,6 @@ from trilie.lifts import (
     lie_lift,
     metric_extension,
     sl2,
-    trace_functional,
 )
 from trilie.structure import (
     FiniteNLieAlgebra,

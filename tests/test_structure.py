@@ -11,7 +11,6 @@ from trilie.carriers import (
     Endomorphism,
     GroupAlgebra,
     GroupHom,
-    GroupHomFunctional,
     Functional,
     LaurentAlgebra,
     LaurentDerivation,
