@@ -28,14 +28,14 @@ _EXPORTS = {
     **dict.fromkeys((
         "AlgebraElement", "CarrierAlgebra", "Endomorphism", "Functional",
         "GroupAlgebra", "GroupHom", "HypothesisViolation", "LaurentAlgebra",
-        "QuotientLaurentAlgebra", "TableAlgebra", "check_anticommute",
-        "check_derivation", "check_involution", "classify_involutions",
+        "QuotientLaurentAlgebra", "TableAlgebra", "classify_involutions",
         "truncated_polynomial_algebra",
     ), "carriers"),
     **dict.fromkeys((
         "DeterminantBracket", "GroupWedgeBracket", "LaurentFlipBracket",
         "LaurentParityBracket", "QuotientParityBracket", "TriBracket",
-        "check_fi_window", "check_homomorphism", "group_kernel_certificate",
+        "check_anticommute", "check_derivation", "check_fi_window",
+        "check_homomorphism", "check_involution", "group_kernel_certificate",
         "tabulate",
     ), "brackets"),
     **dict.fromkeys((

@@ -28,6 +28,12 @@ is read off `parity_bracket` (and checked against the determinant with rows
 (t^m -> (-1)^m t^m, id, t^k d/dt)), membership in the ideal of a binomial
 u t^a + v t^b is reduction by its relation t^(a-b) = -v/u, and the graded
 pieces of `check_grading` are the eigenspaces of the flip e_g -> e_-g.
+
+The laws of the maps that make up the rows are checked here too, on a window
+of monomials, each returning a `CheckReport` as the bracket-level checks do:
+Leibniz (`check_derivation`), multiplicativity and f^2 = id
+(`check_involution`), omega.delta + delta.omega = 0 (`check_anticommute`),
+the functional-row conditions and the Witt relation.
 """
 
 from __future__ import annotations
@@ -48,15 +54,19 @@ from .carriers import (
     Functional,
     GroupAlgebra,
     GroupHom,
+    GroupHomFunctional,
     GroupNegation,
     HypothesisViolation,
     IdentityRule,
     LaurentAlgebra,
+    LaurentDerivation,
     _check_variable,
     _one_variable_laurent,
 )
 from .fields import Field
-from .structure import CheckReport, FiniteNLieAlgebra, _Memo, _fi_cases, _fi_scan, _perm_sign
+from .linalg import FunctionalKernel
+from .structure import (CheckReport, FiniteNLieAlgebra, SimplicityCertificate, _Memo, _fi_cases,
+                        _fi_scan, _perm_sign)
 
 _PERMS3 = [(p, _perm_sign(p)) for p in itertools.permutations(range(3))]
 
@@ -331,6 +341,144 @@ def tabulate(bracket: TriBracket, basis: Sequence, name: str = "") -> Union[Fini
             constants[(a, b, c)] = vec
     labels = [carrier.index_str(i) for i in basis]
     return FiniteNLieAlgebra(f, len(basis), 3, constants, labels, name=name)
+
+
+# ---------------------------------------------------------------------------
+# map-law checks of carrier endomorphisms and functionals
+# ---------------------------------------------------------------------------
+
+def _window_images(f: Endomorphism, window: Sequence):
+    """The window monomials and their images under f, by index: each image is
+    computed once, not once per pair."""
+    x = {a: f.carrier.monomial(a) for a in window}
+    return x, {a: f(xa) for a, xa in x.items()}
+
+
+def check_derivation(f: Endomorphism, window: Sequence) -> CheckReport:
+    """Leibniz law D(xy) = D(x)y + xD(y) on all pairs from the window."""
+    carrier = f.carrier
+    rep = CheckReport("D(xy) = D(x)y + xD(y)")
+    x, fx = _window_images(f, window)
+    for a, b in itertools.combinations_with_replacement(window, 2):
+        lhs = f(x[a] * x[b])
+        rhs = fx[a] * x[b] + x[a] * fx[b]
+        if rep.fails(lhs != rhs):
+            rep.failures.append({
+                "pair": [carrier.index_str(a), carrier.index_str(b)],
+                "lhs": str(lhs), "rhs": str(rhs),
+            })
+    return rep
+
+
+def check_involution(f: Endomorphism, window: Sequence) -> CheckReport:
+    """Multiplicativity on pairs and f(f(x)) = x on singletons."""
+    carrier = f.carrier
+    rep = CheckReport("f(xy) = f(x)f(y) and f^2 = id")
+    x, fx = _window_images(f, window)
+    for a in window:
+        ffx = f(fx[a])
+        if rep.fails(ffx != x[a]):
+            rep.failures.append({"index": carrier.index_str(a), "law": "f(f(x)) = x",
+                                 "value": str(ffx)})
+    for a, b in itertools.combinations_with_replacement(window, 2):
+        if rep.fails(f(x[a] * x[b]) != fx[a] * fx[b]):
+            rep.failures.append({"pair": [carrier.index_str(a), carrier.index_str(b)],
+                                 "law": "f(xy) = f(x)f(y)"})
+    return rep
+
+
+def check_anticommute(omega: Endomorphism, delta: Endomorphism, window: Sequence) -> CheckReport:
+    """(omega.delta + delta.omega)(x) = 0 on all window basis indices."""
+    carrier = omega.carrier
+    if carrier != delta.carrier:
+        raise CarrierMismatchError("maps live on different carriers")
+    rep = CheckReport("omega.delta + delta.omega = 0")
+    for a in window:
+        xa = carrier.monomial(a)
+        val = omega(delta(xa)) + delta(omega(xa))
+        if rep.fails(not val.is_zero()):
+            rep.failures.append({"index": carrier.index_str(a), "value": str(val)})
+    return rep
+
+
+def check_functional_bracket_conditions(
+    alpha: Optional[Functional],
+    beta: Optional[Functional],
+    gamma: Optional[Functional],
+    delta: Optional[Endomorphism],
+    omega: Optional[Endomorphism],
+    window: Sequence,
+) -> CheckReport:
+    """The three compatibility conditions between functionals and maps that
+    make the functional-row triple brackets close: alpha kills products,
+    beta kills derivation commutators x D(y) - y D(x), and gamma takes the
+    same value on x D(y) - y D(x) and omega(x) D(y) - omega(y) D(x).
+
+    Each condition whose maps are all supplied is evaluated on all window
+    pairs; the report carries one sub-report per condition.  A call that
+    enables no condition is an error.
+    """
+    carrier = next((obj.carrier for obj in (alpha, beta, gamma, delta, omega)
+                    if obj is not None), None)
+    pairs = list(itertools.combinations_with_replacement(window, 2))
+    details = {}
+
+    if alpha is not None:
+        sub = details["alpha_kills_products"] = CheckReport("alpha(xy) = 0")
+        for a, b in pairs:
+            val = alpha(carrier.monomial(a) * carrier.monomial(b))
+            if sub.fails(not carrier.field.is_zero(val)):
+                sub.failures.append({"pair": [carrier.index_str(a), carrier.index_str(b)],
+                                     "value": carrier.field.render(val)})
+
+    if beta is not None and delta is not None:
+        sub = details["beta_kills_derivation_commutators"] = CheckReport(
+            "beta(x D(y) - y D(x)) = 0")
+        for a, b in pairs:
+            xa, xb = carrier.monomial(a), carrier.monomial(b)
+            val = beta(xa * delta(xb) - xb * delta(xa))
+            if sub.fails(not carrier.field.is_zero(val)):
+                sub.failures.append({"pair": [carrier.index_str(a), carrier.index_str(b)],
+                                     "value": carrier.field.render(val)})
+
+    if gamma is not None and delta is not None and omega is not None:
+        sub = details["gamma_twist_balance"] = CheckReport(
+            "gamma(x D(y) - y D(x)) = gamma(w(x) D(y) - w(y) D(x))")
+        for a, b in pairs:
+            xa, xb = carrier.monomial(a), carrier.monomial(b)
+            lhs = gamma(xa * delta(xb) - xb * delta(xa))
+            rhs = gamma(omega(xa) * delta(xb) - omega(xb) * delta(xa))
+            if sub.fails(lhs != rhs):
+                sub.failures.append({"pair": [carrier.index_str(a), carrier.index_str(b)],
+                                     "lhs": carrier.field.render(lhs),
+                                     "rhs": carrier.field.render(rhs)})
+
+    if not details:
+        raise ValueError("nothing to check: give alpha, beta with delta, "
+                         "or gamma with delta and omega")
+    return CheckReport("functional bracket conditions",
+                       sum(r.checked for r in details.values()), details=details)
+
+
+def check_witt_relation(carrier: GroupAlgebra, bound: int) -> CheckReport:
+    """Commutator law of the scaling derivations on a one-variable Laurent
+    ring: [t^m d, t^n d] = (n-m) t^{m+n} d with d = t d/dt, on monomials."""
+    if not _one_variable_laurent(carrier):
+        raise ValueError("the Witt relation check is one-variable")
+    f = carrier.field
+    rep = CheckReport("[t^m d, t^n d] = (n-m) t^{m+n} d")
+    for m in range(-bound, bound + 1):
+        Dm = Endomorphism(carrier, LaurentDerivation(m + 1))
+        for n in range(-bound, bound + 1):
+            Dn = Endomorphism(carrier, LaurentDerivation(n + 1))
+            for j in range(-bound, bound + 1):
+                x = carrier.monomial((j,))
+                lhs = Dm(Dn(x)) - Dn(Dm(x))
+                rhs = carrier.monomial((m + n + j,), f.embed((n - m) * j))
+                if rep.fails(lhs != rhs):
+                    rep.failures.append({"m": m, "n": n, "input": carrier.index_str((j,)),
+                                         "lhs": str(lhs), "rhs": str(rhs)})
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +764,6 @@ def group_kernel_certificate(hom: GroupHom, seed: int = 0):
     `KERNEL_SPOT_SAMPLES` seeded evaluations cross-check that factorization.
     Returns (SimplicityCertificate, CheckReport).
     """
-    from .linalg import FunctionalKernel
-    from .structure import SimplicityCertificate
-    from .carriers import GroupHomFunctional, Functional
-
     G = hom.carrier
     if G.dim() is None:
         raise ValueError("kernel certification needs a finite group algebra")

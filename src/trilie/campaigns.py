@@ -461,7 +461,7 @@ def _series_result(ctx: BuildContext, a: dict, rep: st.SeriesReport) -> dict:
 
 
 def _run_functional_conditions(ctx: BuildContext, a: dict, run: Run) -> dict:
-    rep = ca.check_functional_bracket_conditions(
+    rep = br.check_functional_bracket_conditions(
         *(a.get(k) for k in _FUNCTIONALS), _window(ctx, a))
     return _from_report(rep, notes={k: sub.passed for k, sub in rep.details.items()})
 
@@ -525,13 +525,13 @@ CHECKS = {
         lambda ctx, a, run: _series_result(ctx, a, st.lower_central_series(ctx.algebra)),
         _SERIES, ("expect",), (_structure_constants,)),
     "anticommute": Check(
-        lambda ctx, a, run: ca.check_anticommute(a["omega"], a["delta"], _window(ctx, a, 8)),
+        lambda ctx, a, run: br.check_anticommute(a["omega"], a["delta"], _window(ctx, a, 8)),
         {"omega": ENDO, "delta": ENDO, "bound": POSITIVE}, ("omega", "delta")),
     "derivation-law": Check(
-        lambda ctx, a, run: ca.check_derivation(a["map"], _window(ctx, a)),
+        lambda ctx, a, run: br.check_derivation(a["map"], _window(ctx, a)),
         {"map": ENDO, "bound": POSITIVE}, ("map",)),
     "involution-law": Check(
-        lambda ctx, a, run: ca.check_involution(a["map"], _window(ctx, a)),
+        lambda ctx, a, run: br.check_involution(a["map"], _window(ctx, a)),
         {"map": ENDO, "bound": POSITIVE}, ("map",)),
     "functional-conditions": Check(
         _run_functional_conditions,
@@ -568,7 +568,7 @@ CHECKS = {
         lambda ctx, a, run: br.check_involution_antisymmetry(
             ctx.bracket, a["omega"], _window(ctx, a)),
         {"omega": ENDO, "bound": POSITIVE}, ("omega",), (_CARRIER_BRACKET,)),
-    "witt": Check(lambda ctx, a, run: ca.check_witt_relation(ctx.carrier, a.get("bound", 3)),
+    "witt": Check(lambda ctx, a, run: br.check_witt_relation(ctx.carrier, a.get("bound", 3)),
                   {"bound": POSITIVE}, needs=(_LAURENT,)),
 }
 

@@ -17,7 +17,8 @@ Exit codes:
     2   a campaign was refused (line budget exceeded, or line sums past
         int64), none failed
     64  configuration or usage error (including a --budget that is not a
-        positive integer)
+        positive integer, a DOC that cannot be read, and an --out-dir or
+        --out that cannot be created)
     70  internal error (a bug in trilie; the traceback goes to stderr)
 """
 
@@ -44,8 +45,15 @@ EXIT_INTERNAL = 70   # BSD EX_SOFTWARE
 def resolve_document(spec: str) -> BuildContext:
     """A bundled name or a file path; returns the validated, built document."""
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return parse_document(fh.read())
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:
+            raise ConfigError("$", f"cannot read {spec!r}: {e.strerror}") from None
+        except UnicodeDecodeError as e:
+            raise ConfigError("$", f"{spec!r} is not UTF-8 text: {e.reason} "
+                                   f"at byte {e.start}") from None
+        return parse_document(text)
     if spec in bundled_names():
         # run the bundled dict through the text round trip so the production
         # parser is the single validation path
@@ -60,6 +68,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ConfigError(self.prog, message)
+
+
+def _create(path: str, option: str):
+    """`path` opened for writing; a path that cannot be created is a
+    configuration error of `option`."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(option, f"cannot create {path!r}: {e.strerror}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -134,6 +151,11 @@ def cmd_describe(doc: dict) -> int:
 
 
 def cmd_verify(ctx: BuildContext, seed: int, budget: Optional[int], out_dir: str) -> int:
+    # made before any campaign runs, so that a bad --out-dir costs nothing
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError("--out-dir", f"cannot create {out_dir!r}: {e.strerror}") from None
     results = run_document(ctx, seed=seed, budget=budget)
     for r in results:
         counts = " ".join(f"{k}={v}" for k, v in sorted(r.counts.items()))
@@ -142,9 +164,8 @@ def cmd_verify(ctx: BuildContext, seed: int, budget: Optional[int], out_dir: str
         if r.verdict != "pass" and r.witness is not None:
             print(f"          witness: {json.dumps(r.witness, sort_keys=True, default=str)}")
     report = report_document(ctx.doc, results, seed)
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{ctx.doc['name']}.report.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path, "--out-dir") as fh:
         json.dump(report, fh, sort_keys=True, indent=2, default=str)
         fh.write("\n")
     verdict = report["verdict"]
@@ -155,7 +176,7 @@ def cmd_verify(ctx: BuildContext, seed: int, budget: Optional[int], out_dir: str
 def cmd_export(ctx: BuildContext, out: str) -> int:
     if ctx.algebra is None:
         raise ConfigError("$.basis", "export needs a finite tabulated basis")
-    with open(out, "w", encoding="utf-8") as fh:
+    with _create(out, "--out") as fh:
         json.dump(ctx.algebra.export_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(f"wrote {out} (dim {ctx.algebra.dim}, "

@@ -16,12 +16,13 @@ import functools
 import itertools
 import math
 import operator
+import os
 import random
 from dataclasses import dataclass, field as dc_field
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .fields import Field, PrimeField
+from .fields import Field, PrimeField, field_from_descriptor
 from .linalg import SpanBuilder, Subspace
 
 
@@ -168,8 +169,6 @@ class FiniteNLieAlgebra:
 
 
 def algebra_from_dict(doc: dict) -> FiniteNLieAlgebra:
-    from .fields import field_from_descriptor
-
     f = field_from_descriptor(doc["field"])
     constants = {}
     for entry in doc["constants"]:
@@ -681,8 +680,6 @@ LINES_IN_FLIGHT = 24576
 def available_cores() -> int:
     """The number of cores this process may run on: its CPU affinity where
     the platform reports one, else the machine's CPU count."""
-    import os
-
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

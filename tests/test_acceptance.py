@@ -25,7 +25,6 @@ from trilie.carriers import (
     MonomialScale,
     MonomialShift,
     QuotientLaurentAlgebra,
-    check_anticommute,
 )
 from trilie.brackets import (
     DeterminantBracket,
@@ -34,6 +33,7 @@ from trilie.brackets import (
     LaurentParityBracket,
     QuotientParityBracket,
     check_agreement,
+    check_anticommute,
     check_fi_window,
     check_grading,
     check_homomorphism,

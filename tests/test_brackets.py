@@ -22,7 +22,6 @@ from trilie.carriers import (
     MonomialScale,
     QuotientLaurentAlgebra,
     VariableScalingDerivation,
-    check_derivation,
 )
 from trilie import brackets, carriers
 from trilie.bundled import get_bundled
@@ -38,6 +37,7 @@ from trilie.brackets import (
     QuotientParityBracket,
     check_agreement,
     check_alternating,
+    check_derivation,
     check_fi_window,
     check_involution_antisymmetry,
     check_parity_family_vanishing,

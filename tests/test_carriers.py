@@ -31,12 +31,14 @@ from trilie.carriers import (
     QuotientLaurentAlgebra,
     TableFunctional,
     TableMap,
+    classify_involutions,
+    truncated_polynomial_algebra,
+)
+from trilie.brackets import (
     check_anticommute,
     check_derivation,
     check_functional_bracket_conditions,
     check_involution,
-    classify_involutions,
-    truncated_polynomial_algebra,
 )
 
 

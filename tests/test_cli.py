@@ -286,6 +286,35 @@ def test_unknown_document_exits_config_error(capsys):
     assert "neither a bundled document nor a file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["verify"], ["describe"], ["export", "--out", "x.json"]])
+def test_directory_as_document_exits_config_error(tmp_path, capsys, command):
+    assert main([command[0], str(tmp_path), *command[1:]]) == 64
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_non_utf8_document_exits_config_error(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff{}")
+    assert main(["verify", str(path)]) == 64
+    assert "is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_uncreatable_out_dir_exits_config_error_before_any_campaign(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["verify", "laurent-quotient-p3", "--out-dir", str(blocker / "sub")]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--out-dir: cannot create" in err
+
+
+def test_uncreatable_export_exits_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["export", "laurent-quotient-p3", "--out", str(blocker / "x.json")]) == 64
+    assert "--out: cannot create" in capsys.readouterr().err
+
+
 def test_cyclic_group_kernel_campaign_details(tmp_path):
     assert main(["verify", "cyclic-group-f3", "--out-dir", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "cyclic-group-f3.report.json").read_text())

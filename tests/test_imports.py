@@ -2,8 +2,9 @@
 it never uses.
 
 The package exports its names lazily: `import trilie` loads no submodule, a
-submodule import loads only what that submodule needs, and every exported
-name resolves on first use to its submodule's own object.
+submodule import loads only what that submodule needs (a carrier needs only
+`fields`), and every exported name resolves on first use to its submodule's
+own object.
 """
 
 import ast
@@ -27,12 +28,12 @@ EXPORTS = {
     "linalg": ["Subspace", "kernel_of_functional"],
     "carriers": ["AlgebraElement", "CarrierAlgebra", "Endomorphism", "Functional",
                  "GroupAlgebra", "GroupHom", "HypothesisViolation", "LaurentAlgebra",
-                 "QuotientLaurentAlgebra", "TableAlgebra", "check_anticommute",
-                 "check_derivation", "check_involution", "classify_involutions",
+                 "QuotientLaurentAlgebra", "TableAlgebra", "classify_involutions",
                  "truncated_polynomial_algebra"],
     "brackets": ["DeterminantBracket", "GroupWedgeBracket", "LaurentFlipBracket",
                  "LaurentParityBracket", "QuotientParityBracket", "TriBracket",
-                 "check_fi_window", "check_homomorphism", "group_kernel_certificate",
+                 "check_anticommute", "check_derivation", "check_fi_window",
+                 "check_homomorphism", "check_involution", "group_kernel_certificate",
                  "tabulate"],
     "lifts": ["LieAlgebra", "gamma_algebra", "general_linear", "gl_trace_lift",
               "killing_form", "lie_lift", "metric_extension", "sl2"],
@@ -46,26 +47,33 @@ EXPORTS = {
 }
 
 
+# the trilie modules a fresh `import <module>` loads
+FOOTPRINTS = {
+    "trilie": ["trilie"],
+    "trilie.documents": ["trilie", "trilie.documents", "trilie.fields"],
+    "trilie.carriers": ["trilie", "trilie.carriers", "trilie.fields"],
+}
+
+# modules that none of those imports may load
+HEAVY = ("dataclasses", "numpy")
+
+
 def loaded_after(statement):
-    """The trilie modules, and whether numpy is among the modules, in a fresh
-    interpreter after running `statement`."""
+    """The trilie modules, and those of `HEAVY`, that a fresh interpreter has
+    loaded after running `statement`."""
     env = dict(os.environ)
     src = str(Path(trilie.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (f"{statement}; import json, sys; print(json.dumps([sorted(m for m in sys.modules"
-             " if m.split('.')[0] == 'trilie'), 'numpy' in sys.modules]))")
+             f" if m.split('.')[0] == 'trilie'), [m for m in {HEAVY!r} if m in sys.modules]]))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out)
 
 
-def test_import_trilie_loads_no_submodule():
-    assert loaded_after("import trilie") == [["trilie"], False]
-
-
-def test_import_documents_loads_only_what_it_needs():
-    assert loaded_after("import trilie.documents")[0] == [
-        "trilie", "trilie.documents", "trilie.fields"]
+@pytest.mark.parametrize("module", FOOTPRINTS)
+def test_import_loads_only_what_it_needs(module):
+    assert loaded_after(f"import {module}") == [FOOTPRINTS[module], []]
 
 
 def test_all_lists_every_export():

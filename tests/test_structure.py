@@ -222,7 +222,7 @@ def test_nilpotent_carrier_gives_nilpotent_algebra():
         [QQ.one, QQ.zero, QQ.zero],
         [QQ.zero, QQ.embed(2), QQ.zero],
     ]))
-    from trilie.carriers import check_anticommute, check_involution, check_derivation
+    from trilie.brackets import check_anticommute, check_involution, check_derivation
 
     assert check_involution(omega, A.basis_indices()).passed
     assert check_derivation(delta, A.basis_indices()).passed
@@ -394,12 +394,8 @@ def test_functional_conditions_imply_fi():
     # for functional-row brackets, passing compatibility conditions must come
     # with a zero FI residual on the same window; tested as an implication
     # over several configurations, including one whose conditions fail
-    from trilie.carriers import (
-        ConstantOne,
-        TableFunctional,
-        TableMap,
-        check_functional_bracket_conditions,
-    )
+    from trilie.brackets import check_functional_bracket_conditions
+    from trilie.carriers import ConstantOne, TableFunctional, TableMap
 
     configs = []
 
