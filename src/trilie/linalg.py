@@ -74,7 +74,8 @@ class SpanBuilder:
 
 
 class Subspace:
-    """Canonical subspace: RREF basis with strictly increasing pivots.
+    """Canonical subspace: RREF basis with strictly increasing pivots.  Built
+    from vectors, it stops reading them once they span the ambient space.
 
     Two subspaces are equal iff their basis matrices are identical; the zero
     subspace (no rows) is a valid value.
@@ -88,7 +89,8 @@ class Subspace:
         else:
             sb = SpanBuilder(field, ambient)
             for v in vectors:
-                sb.add(v)
+                if sb.add(v) and sb.dim == ambient:
+                    break
             self.basis = sb.rows
         self.pivots = []
         for row in self.basis:

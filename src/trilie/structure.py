@@ -285,17 +285,18 @@ def _render_sparse(L: FiniteNLieAlgebra, vec: Dict[int, object]) -> str:
 # ---------------------------------------------------------------------------
 
 def _fi_cases(window: Sequence, n: int, mode: str = "exhaustive", samples: int = 0,
-              seed: int = 0, xs: Optional[Iterable[tuple]] = None
-              ) -> Iterable[Tuple[tuple, tuple]]:
+              seed: int = 0, xs: Optional[Iterable[tuple]] = None,
+              ys: Optional[Iterable[tuple]] = None) -> Iterable[Tuple[tuple, tuple]]:
     """The (x, y) index tuples one FI check visits, in order.
 
     Exhaustive: strictly increasing x n-tuples (or just `xs`) times strictly
-    increasing y (n-1)-tuples of the window (the residual is alternating in
-    both groups).  Sampled: `samples` seeded draws of arbitrary tuples, x first.
+    increasing y (n-1)-tuples of the window (or just `ys`; the residual is
+    alternating in both groups).  Sampled: `samples` seeded draws of
+    arbitrary tuples, x first.
     """
     if mode == "exhaustive":
         return itertools.product(itertools.combinations(window, n) if xs is None else xs,
-                                 itertools.combinations(window, n - 1))
+                                 itertools.combinations(window, n - 1) if ys is None else ys)
     if mode == "sampled":
         rng = random.Random(seed)
         return ((tuple(rng.choice(window) for _ in range(n)),
@@ -411,19 +412,78 @@ def _fi_scan(bracket, f: Field, cases: Iterable[Tuple[tuple, tuple]]):
 
 
 def _fi_scan_table(L: FiniteNLieAlgebra, xs: Optional[List[tuple]],
-                   mode: str = "exhaustive", samples: int = 0, seed: int = 0):
+                   mode: str = "exhaustive", samples: int = 0, seed: int = 0,
+                   ys: Optional[List[tuple]] = None):
     """`_fi_scan` of the table's `ad_index` over the cases of `_fi_cases`."""
     return _fi_scan(L.ad_index, L.field,
-                    _fi_cases(range(L.dim), L.arity, mode, samples, seed, xs))
+                    _fi_cases(range(L.dim), L.arity, mode, samples, seed, xs, ys))
 
 
-def _fi_scan_child(send, L: FiniteNLieAlgebra, xs: List[tuple]) -> None:
-    send.send(_fi_scan_table(L, xs))
+def _fi_scan_child(send, L: FiniteNLieAlgebra, ys: List[tuple], xs: List[tuple]) -> None:
+    send.send(_fi_scan_table(L, xs, ys=ys))
 
 
-# exhaustive tabulated FI cases per process: the largest bundled tables have
-# 3,024 cases (gl3-trace-lift) and 5,400 (laurent-quotient-p5), so on any core
-# count they scan in-process, and the p = 11 quotient's 355,740 split
+def _ad_basis(L: FiniteNLieAlgebra) -> List[tuple]:
+    """The increasing (n-1)-tails, in order, whose ad maps [., *tail] are
+    independent of the earlier tails' ones: a basis of the span of all ad
+    maps.  Each map is the sparse vector {head * d + target: coeff} of its
+    `ad_index` row, reduced against the kept rows by their least keys; a
+    tail the index does not list has the zero map."""
+    f, d, index = L.field, L.dim, L.ad_index
+    pivots: Dict[int, Dict[int, object]] = {}  # least key -> kept row, one there
+    basis = []
+    for tail in itertools.combinations(range(d), L.arity - 1):
+        row = index.get(tail)
+        vec = {} if row is None else {a * d + l: c for a, out in row.items()
+                                      for l, c in out.items()}
+        while vec:
+            k = min(vec)
+            kept = pivots.get(k)
+            if kept is None:
+                inv = f.inv(vec[k])
+                pivots[k] = {key: f.mul(inv, c) for key, c in vec.items()}
+                basis.append(tail)
+                break
+            c = vec[k]
+            for key, e in kept.items():
+                s = f.normalize(vec.get(key, 0) - c * e)
+                if s:
+                    vec[key] = s
+                else:
+                    del vec[key]
+    return basis
+
+
+def _fi_processes(L: FiniteNLieAlgebra, ys: List[tuple]):
+    """The parts of `_fi_scan_table` over every x-tuple and the y-tuples
+    `ys`, on one process per `FI_CASES_PER_PROCESS` scanned cases, at most
+    one per available core: the first chunk of x-tuples here, each other in
+    a child process that sends its part back through a pipe and is joined
+    when `multiprocessing` next starts one (a process pool costs this
+    process 1 MiB more)."""
+    n, d = L.arity, L.dim
+    cases = math.comb(d, n) * len(ys)
+    processes = min(available_cores(), -(-cases // FI_CASES_PER_PROCESS))
+    if processes <= 1:
+        return [_fi_scan_table(L, None, ys=ys)]
+    import multiprocessing
+
+    xtuples = list(itertools.combinations(range(d), n))
+    size = -(-len(xtuples) // processes)
+    recvs = []
+    for i in range(size, len(xtuples), size):
+        recv, send = multiprocessing.Pipe(duplex=False)
+        multiprocessing.Process(target=_fi_scan_child, daemon=True,
+                                args=(send, L, ys, xtuples[i:i + size])).start()
+        send.close()  # so that recv() fails, not waits, if the child dies
+        recvs.append(recv)
+    return [_fi_scan_table(L, xtuples[:size], ys=ys)] + [recv.recv() for recv in recvs]
+
+
+# exhaustive tabulated FI cases scanned per process: the largest bundled
+# tables scan 2,400 cases (laurent-quotient-p5) and 1,344 (gl3-trace-lift) on
+# their bases of ad maps, so on any core count they scan in-process, and the
+# p = 11 quotient's 67,760 (1,540 x-tuples by 44 tails) split in two
 FI_CASES_PER_PROCESS = 50_000
 
 
@@ -435,37 +495,34 @@ def verify_fundamental_identity(L: FiniteNLieAlgebra, mode: str = "exhaustive",
     the table's sparse ad rows, the rows of `L.ad_index` for every ordering
     of each rest, so it makes no `bracket_indices` call.
 
+    The residual is linear in the matrix of ad_y = [., y2..yn], so in
+    exhaustive mode the cases of the tails of `_ad_basis` decide all the
+    others: if ad_y is a combination of the basis tails' ad maps, R(x, y) is
+    the same combination of their residuals.  Exhaustive mode scans every
+    x-tuple against those tails first.  If every residual is zero, so is
+    every case's, and `checked` counts all C(d, n) C(d, n-1) cases decided.
+    Otherwise it scans every tail, so the witnesses are the first nonzero
+    residuals in enumeration order, unless the basis is every tail and the
+    first pass already was that scan.  Each pass runs on the processes of
+    `_fi_processes`, an x-tuple being one run of the scan over its y-tuples,
+    so the scan builds its columns once per process.
+
     `notes["covered"]` counts the full d^(2n-1) tuple space that exhaustive
-    mode spans.  Every x-tuple of exhaustive mode is one run of the scan
-    over all the y-tuples, so the scan builds its columns once per process.
-    Exhaustive mode scans chunks of the x-tuples, each with its own rows and
-    columns, on one process per `FI_CASES_PER_PROCESS` cases, at most one per
-    available core: the first chunk here, each other in a child process that
-    sends its part back through a pipe and is joined when `multiprocessing`
-    next starts one (a process pool costs this process 1 MiB more).  The
-    witnesses stay the first in enumeration order.
+    mode spans.
     """
     n, d = L.arity, L.dim
-    cases = math.comb(d, n) * math.comb(d, n - 1) if mode == "exhaustive" else 0
-    processes = min(available_cores(), -(-cases // FI_CASES_PER_PROCESS))
-    if processes > 1:
-        import multiprocessing
-
-        xtuples = list(itertools.combinations(range(d), n))
-        size = -(-len(xtuples) // processes)
-        recvs = []
-        for i in range(size, len(xtuples), size):
-            recv, send = multiprocessing.Pipe(duplex=False)
-            multiprocessing.Process(target=_fi_scan_child, daemon=True,
-                                    args=(send, L, xtuples[i:i + size])).start()
-            send.close()  # so that recv() fails, not waits, if the child dies
-            recvs.append(recv)
-        parts = [_fi_scan_table(L, xtuples[:size])] + [recv.recv() for recv in recvs]
+    if mode == "exhaustive":
+        tails, basis = list(itertools.combinations(range(d), n - 1)), _ad_basis(L)
+        parts = _fi_processes(L, basis)
+        if basis != tails and any(found for _, found in parts):
+            parts = _fi_processes(L, tails)
+        checked = math.comb(d, n) * len(tails)
     else:
         parts = [_fi_scan_table(L, None, mode, samples, seed)]
+        checked = parts[0][0]
     found = [case for _, cases in parts for case in cases][:MAX_WITNESSES]
     return CheckReport(
-        "fundamental identity", sum(got for got, _ in parts),
+        "fundamental identity", checked,
         [{"x": list(xs), "y": list(ys), "residual": _render_sparse(L, res)}
          for xs, ys, res in found],
         notes={"covered": d ** (2 * n - 1)})
@@ -531,7 +588,8 @@ def is_maximal_codim1(L: FiniteNLieAlgebra, s: Subspace) -> bool:
 
 
 def derived_subspace(L: FiniteNLieAlgebra, s: Subspace) -> Subspace:
-    """span of brackets of n elements of s."""
+    """span of brackets of n elements of s, made lazily, so that none is made
+    after they span L (see `Subspace`)."""
     sparse = [{i: c for i, c in enumerate(r) if not L.field.is_zero(c)} for r in s.basis]
     products = map(L.bracket_sparse, itertools.combinations(sparse, L.arity))
     return Subspace(L.field, L.dim, _dense(L, products))

@@ -141,7 +141,9 @@ def test_split_fi_matches_the_serial_scan(name, witnesses, monkeypatch):
 
     monkeypatch.setattr(structure, "available_cores", lambda: 1)
     serial = fi_report(name)
-    # three chunks of x-tuples: one here, one in each of two child processes
+    # three chunks of x-tuples: one here, one in each of two child processes,
+    # for the pass over the basis of ad maps and, on the failing control
+    # only, for the rescan of every tail
     pipes, real = [], multiprocessing.Pipe
 
     def recording(duplex):
@@ -152,10 +154,10 @@ def test_split_fi_matches_the_serial_scan(name, witnesses, monkeypatch):
     monkeypatch.setattr(structure, "available_cores", lambda: 3)
     monkeypatch.setattr(structure, "FI_CASES_PER_PROCESS", 100)
     assert fi_report(name) == serial
-    assert pipes == [False, False] and len(serial[1]) == witnesses
+    assert pipes == [False] * (4 if witnesses else 2) and len(serial[1]) == witnesses
 
 
-def _dying_child(send, L, xs):
+def _dying_child(send, L, ys, xs):
     os._exit(1)
 
 
@@ -179,11 +181,13 @@ def test_a_dead_fi_child_is_an_error_not_a_hang(monkeypatch):
 
 
 @pytest.mark.parametrize("cores, per_process, processes", [
-    (8, 1000, 4), (2, 1000, 2), (3, 3023, 2), (8, 3024, 1), (1, 1, 1)])
+    (8, 300, 5), (2, 300, 2), (3, 1343, 2), (8, 1344, 1), (1, 1, 1)])
 def test_fi_processes_are_sized_by_cases_and_cores(cores, per_process, processes,
                                                    monkeypatch, child_chunks):
-    # gl3-trace-lift: d = 9, C(9, 3) * C(9, 2) = 3,024 cases
+    # gl3-trace-lift: d = 9, C(9, 3) * C(9, 2) = 3,024 cases, decided by
+    # scanning C(9, 3) * 16 = 1,344 on the tails of a basis of its ad maps
     L = build_context(get_bundled("gl3-trace-lift")).algebra
+    assert len(structure._ad_basis(L)) == 16
     monkeypatch.setattr(structure, "available_cores", lambda: cores)
     monkeypatch.setattr(structure, "FI_CASES_PER_PROCESS", per_process)
     rep = structure.verify_fundamental_identity(L)

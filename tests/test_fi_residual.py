@@ -18,7 +18,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trilie import structure
 from trilie.brackets import check_fi_window
@@ -26,9 +26,11 @@ from trilie.bundled import get_bundled
 from trilie.campaigns import build_context
 from trilie.carriers import AlgebraElement
 from trilie.fields import QI, QQ, GaussianRational, PrimeField
+from trilie.linalg import SpanBuilder
 from trilie.structure import (
     FiniteNLieAlgebra,
     MAX_WITNESSES,
+    _ad_basis,
     _fi_cases,
     _fi_scan,
     _fi_scan_table,
@@ -347,32 +349,105 @@ def test_tabulated_fi_reports_the_oracle_witnesses_on_the_mutated_control():
     assert (rep.checked, rep.failures) == (checked, want)
 
 
+# ---------------------------------------------------------------------------
+# the basis of ad maps that exhaustive FI scans first
+# ---------------------------------------------------------------------------
+
+def ad_row(L, tail):
+    """ad_tail = [., *tail] as a dense d^2 row, entry head x d + target, read
+    off the stored constants signed by the sorting permutation."""
+    f, d = L.field, L.dim
+    row = [f.zero] * (d * d)
+    for a in range(d):
+        t = (a,) + tail
+        if len(set(t)) == len(t):
+            sign = _perm_sign(sorted(range(len(t)), key=t.__getitem__))
+            for l, c in L.constants.get(tuple(sorted(t)), {}).items():
+                row[a * d + l] = c if sign == 1 else f.neg(c)
+    return row
+
+
+@st.composite
+def ad_tables(draw):
+    """A sparse alternating table of arity 2 to 4 over F_3, F_65521, Q or
+    Q(i), of dimension n - 1 (no key at all) up to n + 3."""
+    f = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(n - 1, n + 3))
+    keys = list(itertools.combinations(range(d), n))
+    vec = st.dictionaries(st.integers(0, d - 1), scalars(f), max_size=3)
+    constants = draw(st.dictionaries(st.sampled_from(keys), vec, max_size=10)) if keys else {}
+    return FiniteNLieAlgebra(f, d, n, constants)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ad_tables())
+@example(FiniteNLieAlgebra(QQ, 3, 3, {}))
+@example(FiniteNLieAlgebra(PrimeField(3), 2, 3, {}))
+def test_ad_basis_is_a_basis_of_the_ad_maps(L):
+    # against dense d^2 rows in a `SpanBuilder`: the basis keeps each
+    # increasing tail, in order, whose ad map is independent of the earlier
+    # tails' ones, so its maps are independent and span every tail's
+    tails = list(itertools.combinations(range(L.dim), L.arity - 1))
+    span = SpanBuilder(L.field, L.dim ** 2)
+    basis = _ad_basis(L)
+    assert basis == [tail for tail in tails if span.add(ad_row(L, tail))]
+    assert all(span.contains(ad_row(L, tail)) for tail in tails)
+    assert span.dim == len(basis) <= len(tails)
+
+
+def quotient_at(p):
+    """The p = 5 quotient document moved to prime p, built."""
+    doc = get_bundled("laurent-quotient-p5")
+    doc["field"]["p"] = doc["carrier"]["p"] = p
+    return build_context(doc).algebra
+
+
+@pytest.mark.parametrize("p, scanned, checked", [(11, 1540 * 44, 355_740),
+                                                  (13, 2600 * 52, 845_000)])
+def test_exhaustive_fi_scans_the_basis_tails_and_counts_every_case(p, scanned, checked,
+                                                                    monkeypatch):
+    # C(2p, 3) x-tuples by the rank of the ad maps (44 of 231 tails at
+    # p = 11, 52 of 325 at p = 13): the scan decides every case, and
+    # `checked` counts all C(2p, 3) C(2p, 2) of them
+    scans, scan = [], structure._fi_scan
+    monkeypatch.setattr(structure, "available_cores", lambda: 1)
+    monkeypatch.setattr(structure, "_fi_scan",
+                        lambda *args: scans.append(scan(*args)) or scans[-1])
+    rep = verify_fundamental_identity(quotient_at(p))
+    assert [got for got, _ in scans] == [scanned]
+    assert rep.checked == checked and rep.passed
+
+
 def test_forked_chunks_keep_the_witness_order(monkeypatch):
     # a mutated p = 7 quotient (33,124 cases): one process, then two forked
-    # chunks of x-tuples (the chunk size lowered so that the cases split),
-    # give the same report, witnesses first in enumeration order
-    doc = get_bundled("laurent-quotient-p5")
-    doc["field"]["p"] = doc["carrier"]["p"] = 7
-    L = build_context(doc).algebra
-    L = L.mutate_constant(max(L.constants), 0, L.field.one)
+    # chunks of x-tuples (the chunk size lowered so that the 11,284 cases on
+    # its 31 basis tails split too), give the same report, witnesses first
+    # in enumeration order
+    L = quotient_at(7)
+    L = L.mutate_constant((1, 3, 4), 0, L.field.one)
     monkeypatch.setattr(structure, "available_cores", lambda: 1)
     one = verify_fundamental_identity(L)
     monkeypatch.setattr(structure, "available_cores", lambda: 2)
-    monkeypatch.setattr(structure, "FI_CASES_PER_PROCESS", 20_000)
+    monkeypatch.setattr(structure, "FI_CASES_PER_PROCESS", 10_000)
     two = verify_fundamental_identity(L)
     assert one.checked == 33_124 and len(one.failures) == MAX_WITNESSES
     assert two == one
+    # a witness on a tail outside the basis of ad maps: the witnesses come
+    # from the rescan of every tail, not from the pass over the basis
+    basis = _ad_basis(L)
+    assert len(basis) == 31 and any(tuple(w["y"]) not in basis for w in one.failures)
 
 
 def test_fi_scan_memory_stays_lean(monkeypatch):
     # the scan reads the table's sparse ad rows (`ad_index`) and builds its
     # columns of the nonzero [h, ys] once: at p = 11 (d = 22) it peaks near
-    # 0.97 MiB, ad index and columns included.  One core keeps the
-    # scan in this process, where tracemalloc sees it
+    # 0.88 MiB, ad index and columns included.  It scans only the 44 tails
+    # of a basis of the ad maps, of 231, which keeps this test near 1.6 s on
+    # a 2-core machine.  One core keeps the scan in this process, where
+    # tracemalloc sees it
     monkeypatch.setattr(structure, "available_cores", lambda: 1)
-    doc = get_bundled("laurent-quotient-p5")
-    doc["field"]["p"] = doc["carrier"]["p"] = 11
-    L = build_context(doc).algebra
+    L = quotient_at(11)
     tracemalloc.start()
     try:
         rep = verify_fundamental_identity(L)

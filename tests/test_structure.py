@@ -32,16 +32,18 @@ from trilie.brackets import (
     tabulate,
 )
 from trilie.lifts import gl_trace_lift
-from trilie.linalg import Subspace, kernel_of_functional
+from trilie.linalg import SpanBuilder, Subspace, kernel_of_functional
 from trilie.structure import (
     BudgetExceeded,
     FiniteNLieAlgebra,
+    _ad_basis,
     _ad_images,
     _perm_sign,
     algebra_from_dict,
     certify_simplicity,
     derived_algebra,
     derived_series,
+    derived_subspace,
     ideal_closure,
     is_ideal,
     is_maximal_codim1,
@@ -49,6 +51,8 @@ from trilie.structure import (
     verify_fundamental_identity,
     verify_skew,
 )
+
+from test_rank_kernel import a4_plus_center
 
 
 def cyclic_group_algebra(p):
@@ -117,8 +121,12 @@ def test_fi_sampled_mode_is_deterministic():
 
 
 def test_fi_abelian_trivial():
+    # no ad map is nonzero, so the basis of ad maps is empty and no case is
+    # scanned, but all C(3, 3) C(3, 2) cases are decided
     L = FiniteNLieAlgebra(QQ, 3, 3, {})
-    assert verify_fundamental_identity(L).passed
+    assert _ad_basis(L) == []
+    rep = verify_fundamental_identity(L)
+    assert rep.passed and rep.checked == 3
 
 
 def test_fi_window_for_closed_forms():
@@ -206,6 +214,25 @@ def test_simple_quotient_derived_is_constant_full():
     rep = derived_series(L)
     assert rep.stabilized and not rep.vanished
     assert rep.dims[0] == rep.dims[1] == 6
+
+
+def test_derived_subspace_stops_reading_products_at_full_rank(monkeypatch):
+    # the p = 11 quotient is perfect: its products span all 22 dimensions
+    # long before the last of the C(22, 3) = 1,540
+    L = quotient_algebra(11)
+    calls, bracket = [], L.bracket_sparse
+    monkeypatch.setattr(L, "bracket_sparse", lambda vecs: calls.append(vecs) or bracket(vecs))
+    assert derived_subspace(L, Subspace.full(L.field, 22)).dim == 22
+    assert 0 < len(calls) < 1540
+
+
+def test_derived_subspace_of_a_proper_derived_algebra_is_the_span_of_all_products():
+    L = a4_plus_center(7)
+    span = SpanBuilder(L.field, L.dim)
+    for key in itertools.combinations(range(L.dim), 3):
+        span.add([L.bracket_indices(key).get(l, 0) for l in range(L.dim)])
+    assert span.dim == 4
+    assert derived_subspace(L, Subspace.full(L.field, L.dim)) == span.to_subspace()
 
 
 def test_nilpotent_carrier_gives_nilpotent_algebra():
