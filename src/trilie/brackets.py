@@ -33,7 +33,9 @@ The laws of the maps that make up the rows are checked here too, on a window
 of monomials, each returning a `CheckReport` as the bracket-level checks do:
 Leibniz (`check_derivation`), multiplicativity and f^2 = id
 (`check_involution`), omega.delta + delta.omega = 0 (`check_anticommute`),
-the functional-row conditions and the Witt relation.
+the functional-row conditions and the Witt relation.  Each law check is its
+cases and their two sides, yielded as (case, lhs, rhs) to `CheckReport.scan`,
+which counts them and keeps the witnesses; FI has its own scan (`_fi_scan`).
 """
 
 from __future__ import annotations
@@ -354,37 +356,33 @@ def _window_images(f: Endomorphism, window: Sequence):
     return x, {a: f(xa) for a, xa in x.items()}
 
 
+def _labels(carrier: CarrierAlgebra, indices) -> list:
+    """The index strings of a case's basis indices, for its witness."""
+    return [carrier.index_str(i) for i in indices]
+
+
 def check_derivation(f: Endomorphism, window: Sequence) -> CheckReport:
     """Leibniz law D(xy) = D(x)y + xD(y) on all pairs from the window."""
     carrier = f.carrier
-    rep = CheckReport("D(xy) = D(x)y + xD(y)")
     x, fx = _window_images(f, window)
-    for a, b in itertools.combinations_with_replacement(window, 2):
-        lhs = f(x[a] * x[b])
-        rhs = fx[a] * x[b] + x[a] * fx[b]
-        if rep.fails(lhs != rhs):
-            rep.failures.append({
-                "pair": [carrier.index_str(a), carrier.index_str(b)],
-                "lhs": str(lhs), "rhs": str(rhs),
-            })
-    return rep
+    return CheckReport("D(xy) = D(x)y + xD(y)").scan(
+        (((a, b), f(x[a] * x[b]), fx[a] * x[b] + x[a] * fx[b])
+         for a, b in itertools.combinations_with_replacement(window, 2)),
+        lambda ab, lhs, rhs: {"pair": _labels(carrier, ab), "lhs": str(lhs), "rhs": str(rhs)})
 
 
 def check_involution(f: Endomorphism, window: Sequence) -> CheckReport:
     """Multiplicativity on pairs and f(f(x)) = x on singletons."""
     carrier = f.carrier
-    rep = CheckReport("f(xy) = f(x)f(y) and f^2 = id")
     x, fx = _window_images(f, window)
-    for a in window:
-        ffx = f(fx[a])
-        if rep.fails(ffx != x[a]):
-            rep.failures.append({"index": carrier.index_str(a), "law": "f(f(x)) = x",
-                                 "value": str(ffx)})
-    for a, b in itertools.combinations_with_replacement(window, 2):
-        if rep.fails(f(x[a] * x[b]) != fx[a] * fx[b]):
-            rep.failures.append({"pair": [carrier.index_str(a), carrier.index_str(b)],
-                                 "law": "f(xy) = f(x)f(y)"})
-    return rep
+    return CheckReport("f(xy) = f(x)f(y) and f^2 = id").scan(
+        ((a, f(fx[a]), x[a]) for a in window),
+        lambda a, ffx, _: {"index": carrier.index_str(a), "law": "f(f(x)) = x",
+                           "value": str(ffx)},
+    ).scan(
+        (((a, b), f(x[a] * x[b]), fx[a] * fx[b])
+         for a, b in itertools.combinations_with_replacement(window, 2)),
+        lambda ab, *_: {"pair": _labels(carrier, ab), "law": "f(xy) = f(x)f(y)"})
 
 
 def check_anticommute(omega: Endomorphism, delta: Endomorphism, window: Sequence) -> CheckReport:
@@ -392,13 +390,10 @@ def check_anticommute(omega: Endomorphism, delta: Endomorphism, window: Sequence
     carrier = omega.carrier
     if carrier != delta.carrier:
         raise CarrierMismatchError("maps live on different carriers")
-    rep = CheckReport("omega.delta + delta.omega = 0")
-    for a in window:
-        xa = carrier.monomial(a)
-        val = omega(delta(xa)) + delta(omega(xa))
-        if rep.fails(not val.is_zero()):
-            rep.failures.append({"index": carrier.index_str(a), "value": str(val)})
-    return rep
+    x, zero = {a: carrier.monomial(a) for a in window}, carrier.zero()
+    return CheckReport("omega.delta + delta.omega = 0").scan(
+        ((a, omega(delta(x[a])) + delta(omega(x[a])), zero) for a in window),
+        lambda a, val, _: {"index": carrier.index_str(a), "value": str(val)})
 
 
 def check_functional_bracket_conditions(
@@ -420,38 +415,33 @@ def check_functional_bracket_conditions(
     """
     carrier = next((obj.carrier for obj in (alpha, beta, gamma, delta, omega)
                     if obj is not None), None)
+    f = carrier.field
+    zero = f.zero
     pairs = list(itertools.combinations_with_replacement(window, 2))
+    x = {a: carrier.monomial(a) for a in window}
     details = {}
 
+    def value(ab, val, _):
+        return {"pair": _labels(carrier, ab), "value": f.render(val)}
+
     if alpha is not None:
-        sub = details["alpha_kills_products"] = CheckReport("alpha(xy) = 0")
-        for a, b in pairs:
-            val = alpha(carrier.monomial(a) * carrier.monomial(b))
-            if sub.fails(not carrier.field.is_zero(val)):
-                sub.failures.append({"pair": [carrier.index_str(a), carrier.index_str(b)],
-                                     "value": carrier.field.render(val)})
+        details["alpha_kills_products"] = CheckReport("alpha(xy) = 0").scan(
+            (((a, b), alpha(x[a] * x[b]), zero) for a, b in pairs), value)
 
     if beta is not None and delta is not None:
-        sub = details["beta_kills_derivation_commutators"] = CheckReport(
-            "beta(x D(y) - y D(x)) = 0")
-        for a, b in pairs:
-            xa, xb = carrier.monomial(a), carrier.monomial(b)
-            val = beta(xa * delta(xb) - xb * delta(xa))
-            if sub.fails(not carrier.field.is_zero(val)):
-                sub.failures.append({"pair": [carrier.index_str(a), carrier.index_str(b)],
-                                     "value": carrier.field.render(val)})
+        details["beta_kills_derivation_commutators"] = CheckReport(
+            "beta(x D(y) - y D(x)) = 0").scan(
+            (((a, b), beta(x[a] * delta(x[b]) - x[b] * delta(x[a])), zero)
+             for a, b in pairs), value)
 
     if gamma is not None and delta is not None and omega is not None:
-        sub = details["gamma_twist_balance"] = CheckReport(
-            "gamma(x D(y) - y D(x)) = gamma(w(x) D(y) - w(y) D(x))")
-        for a, b in pairs:
-            xa, xb = carrier.monomial(a), carrier.monomial(b)
-            lhs = gamma(xa * delta(xb) - xb * delta(xa))
-            rhs = gamma(omega(xa) * delta(xb) - omega(xb) * delta(xa))
-            if sub.fails(lhs != rhs):
-                sub.failures.append({"pair": [carrier.index_str(a), carrier.index_str(b)],
-                                     "lhs": carrier.field.render(lhs),
-                                     "rhs": carrier.field.render(rhs)})
+        details["gamma_twist_balance"] = CheckReport(
+            "gamma(x D(y) - y D(x)) = gamma(w(x) D(y) - w(y) D(x))").scan(
+            (((a, b), gamma(x[a] * delta(x[b]) - x[b] * delta(x[a])),
+              gamma(omega(x[a]) * delta(x[b]) - omega(x[b]) * delta(x[a])))
+             for a, b in pairs),
+            lambda ab, lhs, rhs: {"pair": _labels(carrier, ab), "lhs": f.render(lhs),
+                                  "rhs": f.render(rhs)})
 
     if not details:
         raise ValueError("nothing to check: give alpha, beta with delta, "
@@ -466,19 +456,15 @@ def check_witt_relation(carrier: GroupAlgebra, bound: int) -> CheckReport:
     if not _one_variable_laurent(carrier):
         raise ValueError("the Witt relation check is one-variable")
     f = carrier.field
-    rep = CheckReport("[t^m d, t^n d] = (n-m) t^{m+n} d")
-    for m in range(-bound, bound + 1):
-        Dm = Endomorphism(carrier, LaurentDerivation(m + 1))
-        for n in range(-bound, bound + 1):
-            Dn = Endomorphism(carrier, LaurentDerivation(n + 1))
-            for j in range(-bound, bound + 1):
-                x = carrier.monomial((j,))
-                lhs = Dm(Dn(x)) - Dn(Dm(x))
-                rhs = carrier.monomial((m + n + j,), f.embed((n - m) * j))
-                if rep.fails(lhs != rhs):
-                    rep.failures.append({"m": m, "n": n, "input": carrier.index_str((j,)),
-                                         "lhs": str(lhs), "rhs": str(rhs)})
-    return rep
+    r = range(-bound, bound + 1)
+    D = {m: Endomorphism(carrier, LaurentDerivation(m + 1)) for m in r}
+    x = {j: carrier.monomial((j,)) for j in r}
+    return CheckReport("[t^m d, t^n d] = (n-m) t^{m+n} d").scan(
+        (((m, n, j), D[m](D[n](x[j])) - D[n](D[m](x[j])),
+          carrier.monomial((m + n + j,), f.embed((n - m) * j)))
+         for m, n, j in itertools.product(r, repeat=3)),
+        lambda mnj, lhs, rhs: {"m": mnj[0], "n": mnj[1], "input": carrier.index_str((mnj[2],)),
+                               "lhs": str(lhs), "rhs": str(rhs)})
 
 
 # ---------------------------------------------------------------------------
@@ -493,75 +479,48 @@ def check_alternating(bracket: TriBracket, window: Sequence, seed: int = 0,
     carrier = bracket.carrier
     f = carrier.field
     rng = random.Random(seed)
-    rep = CheckReport("alternating multiplication")
+    zero = carrier.zero()
 
-    def value(*idxs):
+    def value(idxs):
         return bracket(*map(carrier.monomial, idxs))
 
-    for i, j in itertools.product(window[: min(len(window), 8)], repeat=2):
-        val = value(i, i, j)
-        if rep.fails(not val.is_zero()):
-            rep.failures.append({"triple": [carrier.index_str(i)] * 2 + [carrier.index_str(j)],
-                                 "value": str(val)})
-    for _ in range(samples):
-        a, b, c = (rng.choice(window) for _ in range(3))
-        base = value(a, b, c)
-        for perm, sign in _PERMS3:
-            args = [(a, b, c)[t] for t in perm]
-            got = value(*args)
-            want = base if sign == 1 else base.scale(f.embed(-1))
-            if rep.fails(got != want):
-                rep.failures.append({"triple": [carrier.index_str(x) for x in args],
-                                     "got": str(got), "want": str(want)})
-    return rep
+    def permuted():
+        for _ in range(samples):
+            abc = [rng.choice(window) for _ in range(3)]
+            base = value(abc)
+            for perm, sign in _PERMS3:
+                args = [abc[t] for t in perm]
+                yield args, value(args), base if sign == 1 else base.scale(f.embed(-1))
 
-
-def check_trilinear(bracket: TriBracket, window: Sequence, seed: int = 0,
-                    samples: int = 25) -> CheckReport:
-    """eval(ax+by, c, d) = a eval(x,c,d) + b eval(y,c,d) on random elements."""
-    carrier = bracket.carrier
-    f = carrier.field
-    rng = random.Random(seed)
-    rep = CheckReport("trilinearity")
-    for _ in range(samples):
-        x, y, c, d = (carrier.monomial(rng.choice(window)) for _ in range(4))
-        a_s, b_s = f.random_element(rng), f.random_element(rng)
-        lhs = bracket(x.scale(a_s) + y.scale(b_s), c, d)
-        rhs = bracket(x, c, d).scale(a_s) + bracket(y, c, d).scale(b_s)
-        if rep.fails(lhs != rhs):
-            rep.failures.append({"got": str(lhs), "want": str(rhs)})
-    return rep
+    return CheckReport("alternating multiplication").scan(
+        (((i, i, j), value((i, i, j)), zero)
+         for i, j in itertools.product(window[: min(len(window), 8)], repeat=2)),
+        lambda iij, val, _: {"triple": _labels(carrier, iij), "value": str(val)},
+    ).scan(permuted(), lambda args, got, want: {"triple": _labels(carrier, args),
+                                               "got": str(got), "want": str(want)})
 
 
 def check_agreement(closed: TriBracket, oracle: TriBracket, window: Sequence) -> CheckReport:
     """Exact equality of two brackets on every ordered window triple."""
     carrier = closed.carrier
-    rep = CheckReport("closed form agrees with determinant oracle")
-    for a, b, c in itertools.product(window, repeat=3):
-        lhs = closed.eval_indices(a, b, c)
-        rhs = oracle.eval_indices(a, b, c)
-        if rep.fails(lhs != rhs):
-            rep.failures.append({
-                "triple": [carrier.index_str(x) for x in (a, b, c)],
-                "closed": str(lhs), "determinant": str(rhs),
-            })
-    return rep
+    return CheckReport("closed form agrees with determinant oracle").scan(
+        ((t, closed.eval_indices(*t), oracle.eval_indices(*t))
+         for t in itertools.product(window, repeat=3)),
+        lambda t, lhs, rhs: {"triple": _labels(carrier, t), "closed": str(lhs),
+                             "determinant": str(rhs)})
 
 
 def check_involution_antisymmetry(bracket: TriBracket, omega: Endomorphism,
                                   window: Sequence) -> CheckReport:
     """w([x,y,z]) = -[w(x), w(y), w(z)] on all window triples."""
     carrier = bracket.carrier
-    f = carrier.field
-    rep = CheckReport("involution anti-equivariance")
-    for a, b, c in itertools.combinations(window, 3):
-        xs = [carrier.monomial(i) for i in (a, b, c)]
-        lhs = omega(bracket(*xs))
-        rhs = bracket(*[omega(x) for x in xs]).scale(f.embed(-1))
-        if rep.fails(lhs != rhs):
-            rep.failures.append({"triple": [carrier.index_str(x) for x in (a, b, c)],
-                                 "lhs": str(lhs), "rhs": str(rhs)})
-    return rep
+    minus_one = carrier.field.embed(-1)
+    x = {i: carrier.monomial(i) for i in window}
+    return CheckReport("involution anti-equivariance").scan(
+        ((t, omega(bracket(*(x[i] for i in t))),
+          bracket(*(omega(x[i]) for i in t)).scale(minus_one))
+         for t in itertools.combinations(window, 3)),
+        lambda t, lhs, rhs: {"triple": _labels(carrier, t), "lhs": str(lhs), "rhs": str(rhs)})
 
 
 # ---------------------------------------------------------------------------
@@ -617,41 +576,40 @@ def check_homomorphism(sigma: Endomorphism, source: TriBracket, target: TriBrack
     win = [i for i in window if i not in excluded]
     rep = CheckReport("sigma([a,b,c]) = [sigma a, sigma b, sigma c]")
     if excluded:
-        rep.notes["excluded_indices"] = [carrier.index_str(i) for i in excluded]
+        rep.notes["excluded_indices"] = _labels(carrier, excluded)
         u = carrier.unit_index()
         if u is not None:
             img = sigma(carrier.monomial(u))
             rep.notes["unit_image"] = str(img)
             rep.notes["unit_fixed"] = img == carrier.monomial(u)
 
-    for a, b, c in itertools.combinations(win, 3):
-        xs = [carrier.monomial(i) for i in (a, b, c)]
-        lhs = sigma(source(*xs))
-        rhs = target(*[sigma(x) for x in xs])
-        if rep.fails(lhs != rhs):
-            rep.failures.append({"triple": [carrier.index_str(x) for x in (a, b, c)],
-                                 "lhs": str(lhs), "rhs": str(rhs)})
+    x = {i: carrier.monomial(i) for i in win}
+    sx = {i: sigma(x[i]) for i in win}
+    rep.scan(((t, sigma(source(*(x[i] for i in t))), target(*(sx[i] for i in t)))
+              for t in itertools.combinations(win, 3)),
+             lambda t, lhs, rhs: {"triple": _labels(carrier, t), "lhs": str(lhs),
+                                  "rhs": str(rhs)})
 
     for name, m_src, m_tgt in intertwine:
-        sub = rep.details[name] = CheckReport(f"sigma.{name}_src = {name}_tgt.sigma")
-        for i in win:
-            x = carrier.monomial(i)
-            lhs = sigma(m_src(x))
-            rhs = m_tgt(sigma(x))
-            if sub.fails(lhs != rhs):
-                sub.failures.append({"index": carrier.index_str(i),
-                                     "lhs": str(lhs), "rhs": str(rhs)})
+        rep.details[name] = CheckReport(f"sigma.{name}_src = {name}_tgt.sigma").scan(
+            ((i, sigma(m_src(x[i])), m_tgt(sx[i])) for i in win),
+            lambda i, lhs, rhs: {"index": carrier.index_str(i), "lhs": str(lhs),
+                                 "rhs": str(rhs)})
 
     if require_invertible:
-        sub = rep.details["invertible_on_window"] = CheckReport(
-            "sigma maps window monomials to distinct nonzero monomials")
         seen = set()
-        for i in win:
-            img = sigma(carrier.monomial(i))
-            if sub.fails(len(img.terms) != 1 or not seen.isdisjoint(img.terms)):
-                sub.failures.append({"index": carrier.index_str(i), "image": str(img)})
+
+        def fresh(img):
+            """One term, at an index that no earlier image took."""
+            ok = len(img.terms) == 1 and seen.isdisjoint(img.terms)
             if len(img.terms) == 1:
                 seen.update(img.terms)
+            return ok
+
+        rep.details["invertible_on_window"] = CheckReport(
+            "sigma maps window monomials to distinct nonzero monomials").scan(
+            ((i, fresh(sx[i]), True) for i in win),
+            lambda i, *_: {"index": carrier.index_str(i), "image": str(sx[i])})
     return rep
 
 
@@ -678,30 +636,26 @@ def check_grading(bracket: TriBracket, delta: Optional[Endomorphism],
             if flip(x) != (x if sign == 1 else -x):
                 raise ValueError(f"{x} does not lie in the {name} piece of the flip")
 
-    rep = CheckReport("graded pieces are abelian subalgebras")
-    for name, part, _ in pieces:
-        for xs in itertools.combinations(part, 3):
-            val = bracket(*xs)
-            if rep.fails(not val.is_zero()):
-                rep.failures.append({"part": name, "value": str(val)})
+    zero = bracket.carrier.zero()
+    rep = CheckReport("graded pieces are abelian subalgebras").scan(
+        ((name, bracket(*xs), zero)
+         for name, part, _ in pieces for xs in itertools.combinations(part, 3)),
+        lambda name, val, _: {"part": name, "value": str(val)})
 
     if delta is not None:
-        sub = rep.details["delta_swaps_pieces"] = CheckReport(
-            "delta(plus) in minus and delta(minus) in plus")
-        for name, part, sign in pieces:
-            for x in part:
-                image = delta(x)
-                if sub.fails(flip(image) != (-image if sign == 1 else image)):
-                    sub.failures.append({"from": name, "element": str(x), "image": str(image)})
+        def swapped():
+            for name, part, sign in pieces:
+                for x in part:
+                    image = delta(x)
+                    yield (name, x, image), flip(image), -image if sign == 1 else image
 
-    mixed_nonzero = 0
-    mixed_total = 0
-    for xs in itertools.product(plus_elements, plus_elements, minus_elements):
-        mixed_total += 1
-        if not bracket(*xs).is_zero():
-            mixed_nonzero += 1
-    rep.notes = {"mixed_triples_observed": mixed_total,
-                 "mixed_triples_nonzero": mixed_nonzero}
+        rep.details["delta_swaps_pieces"] = CheckReport(
+            "delta(plus) in minus and delta(minus) in plus").scan(
+            swapped(), lambda c, *_: {"from": c[0], "element": str(c[1]), "image": str(c[2])})
+
+    nonzero = [not bracket(*xs).is_zero()
+               for xs in itertools.product(plus_elements, plus_elements, minus_elements)]
+    rep.notes = {"mixed_triples_observed": len(nonzero), "mixed_triples_nonzero": sum(nonzero)}
     return rep
 
 
@@ -731,17 +685,19 @@ def check_principal_ideal_membership(bracket: TriBracket, generator: AlgebraElem
     """All brackets [g*t^j, t^a, t^b] lie in the ideal of the binomial g:
     each reduces to zero by g's relation (`_binomial_reduction`)."""
     carrier = bracket.carrier
-    rep = CheckReport("bracket values stay divisible by the ideal generator")
-    for j in cofactor_exponents:
-        x = generator * carrier.monomial((j,))
-        for a in range(-argument_bound, argument_bound + 1):
-            for b in range(-argument_bound, argument_bound + 1):
+    args = range(-argument_bound, argument_bound + 1)
+    zero = carrier.zero()
+
+    def remainders():
+        for j in cofactor_exponents:
+            x = generator * carrier.monomial((j,))
+            for a, b in itertools.product(args, repeat=2):
                 val = bracket(x, carrier.monomial((a,)), carrier.monomial((b,)))
-                rem = _binomial_reduction(val, generator)
-                if rep.fails(not rem.is_zero()):
-                    rep.failures.append({"cofactor": j, "args": [a, b],
-                                         "value": str(val), "remainder": str(rem)})
-    return rep
+                yield (j, a, b, val), _binomial_reduction(val, generator), zero
+
+    return CheckReport("bracket values stay divisible by the ideal generator").scan(
+        remainders(), lambda c, rem, _: {"cofactor": c[0], "args": [c[1], c[2]],
+                                         "value": str(c[3]), "remainder": str(rem)})
 
 
 # ---------------------------------------------------------------------------
@@ -783,31 +739,35 @@ def group_kernel_certificate(hom: GroupHom, seed: int = 0):
         "phi vanishes on every bracket (kernel is a maximal ideal)",
         notes={"kernel_dim": ker.dim, "codim": ker.codim,
                "hom_value_classes": len(attained)})
-    for a in attained:
-        for b in attained:
-            for c in attained:
-                if report.fails(not f.is_zero(P(a, b, c))):
-                    report.failures.append({"hom_values": [f.render(x) for x in (a, b, c)]})
+    zero = f.zero
+    report.scan(((abc, P(*abc), zero) for abc in itertools.product(attained, repeat=3)),
+                lambda abc, *_: {"hom_values": [f.render(x) for x in abc]})
 
     # seeded spot checks: evaluate actual brackets and compare with the fiber
-    # polynomial, and probe [v, e_A, e_B] membership for v in the kernel
+    # polynomial (phi = P = 0), and probe [v, e_A, e_B] membership for v in
+    # the kernel
     rng = random.Random(seed)
     bracket = GroupWedgeBracket(hom)
     phi = Functional(G, GroupHomFunctional(hom))
-    for _ in range(KERNEL_SPOT_SAMPLES):
-        g, h, w = (rng.choice(basis) for _ in range(3))
-        val = phi(bracket.eval_indices(g, h, w))
-        if report.fails(val != P(hom(g), hom(h), hom(w)) or not f.is_zero(val)):
-            report.failures.append({"triple": [G.index_str(x) for x in (g, h, w)],
-                                    "phi": f.render(val)})
-    for _ in range(KERNEL_SPOT_SAMPLES // 4):
-        v = G.zero()
-        for _ in range(2):
-            k = ker.pivots[rng.randrange(len(ker.pivots))]
-            v = v + G.element({basis[i]: c for i, c in ker.row_terms(k).items()})
-        x = bracket(v, G.monomial(rng.choice(basis)), G.monomial(rng.choice(basis)))
-        if report.fails(not f.is_zero(phi(x))):
-            report.failures.append({"kernel_probe": str(x)})
+
+    def spots():
+        for _ in range(KERNEL_SPOT_SAMPLES):
+            ghw = [rng.choice(basis) for _ in range(3)]
+            val = phi(bracket.eval_indices(*ghw))
+            yield ghw, (val, val), (P(*map(hom, ghw)), zero)
+
+    def probes():
+        for _ in range(KERNEL_SPOT_SAMPLES // 4):
+            v = G.zero()
+            for _ in range(2):
+                k = ker.pivots[rng.randrange(len(ker.pivots))]
+                v = v + G.element({basis[i]: c for i, c in ker.row_terms(k).items()})
+            x = bracket(v, G.monomial(rng.choice(basis)), G.monomial(rng.choice(basis)))
+            yield x, phi(x), zero
+
+    report.scan(spots(), lambda ghw, phis, _: {"triple": _labels(G, ghw),
+                                               "phi": f.render(phis[0])})
+    report.scan(probes(), lambda x, *_: {"kernel_probe": str(x)})
 
     cert = SimplicityCertificate(
         "non-simple" if report.passed else "evidence-only",
@@ -826,15 +786,15 @@ def check_parity_family_vanishing(field: Field, bound: int) -> CheckReport:
     parity bracket (`parity_bracket` with shift -1) vanishes exactly when
     l = m or l = -m+1."""
     bracket = parity_bracket(LaurentAlgebra(field), (-1,))
-    rep = CheckReport("coefficient vanishing classification")
-    for l in range(-bound, bound + 1):
-        for m in range(-bound, bound + 1):
+
+    def coefficients():
+        for l, m in itertools.product(range(-bound, bound + 1), repeat=2):
             # the bracket of three monomials has the one term t^l
             c = bracket.eval_indices((l,), (m,), (-m + 1,)).terms.get((l,), field.zero)
-            expect_zero = l == m or l == -m + 1
-            if rep.fails(field.is_zero(c) != expect_zero):
-                rep.failures.append({"l": l, "m": m, "coefficient": field.render(c)})
-    return rep
+            yield (l, m, c), field.is_zero(c), l == m or l == -m + 1
+
+    return CheckReport("coefficient vanishing classification").scan(
+        coefficients(), lambda c, *_: {"l": c[0], "m": c[1], "coefficient": field.render(c[2])})
 
 
 def laurent_reachability(field: Field, bound: int) -> CheckReport:
@@ -844,13 +804,10 @@ def laurent_reachability(field: Field, bound: int) -> CheckReport:
     bracket = parity_bracket(LaurentAlgebra(field), (-1,))
     window = range(-bound, bound + 1)
     args = range(-bound - 2, bound + 3)
-    rep = CheckReport("window monomials generate each other")
-    for j in window:
-        for l in window:
-            # [t^j, t^a, t^b] lands on t^l for b = l + 1 - j - a
-            ok = any(l + 1 - j - a in args
-                     and not bracket.eval_indices((j,), (a,), (l + 1 - j - a,)).is_zero()
-                     for a in args)
-            if rep.fails(not ok):
-                rep.failures.append({"from": j, "to": l})
-    return rep
+    # [t^j, t^a, t^b] lands on t^l for b = l + 1 - j - a
+    return CheckReport("window monomials generate each other").scan(
+        (((j, l), any(l + 1 - j - a in args
+                      and not bracket.eval_indices((j,), (a,), (l + 1 - j - a,)).is_zero()
+                      for a in args), True)
+         for j, l in itertools.product(window, repeat=2)),
+        lambda jl, *_: {"from": jl[0], "to": jl[1]})

@@ -14,8 +14,8 @@ verdict in the exit status for CI use.
 Exit codes:
     0   every campaign passed
     1   at least one campaign failed
-    2   a campaign was refused (line budget exceeded, or line sums past
-        int64), none failed
+    2   a campaign was refused (line budget exceeded, line sums past int64,
+        or no case of its law in the window), none failed
     64  configuration or usage error (including a --budget that is not a
         positive integer, a DOC that cannot be read, and an --out-dir or
         --out that cannot be created)

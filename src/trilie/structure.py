@@ -189,7 +189,8 @@ MAX_WITNESSES = 5
 class CheckReport:
     """A finite law check: the cases it counted, the first `MAX_WITNESSES`
     failing cases as witnesses, named sub-checks and notes.  It passed when
-    no case failed and every sub-check passed."""
+    no case failed and every sub-check passed.  Every law check but FI's
+    (`_fi_scan`) counts its cases and keeps its witnesses through `scan`."""
     law: str
     checked: int = 0
     failures: List[dict] = dc_field(default_factory=list)
@@ -200,10 +201,18 @@ class CheckReport:
     def passed(self) -> bool:
         return not self.failures and all(r.passed for r in self.details.values())
 
-    def fails(self, bad: bool) -> bool:
-        """Count one case; true when it failed and its witness is still wanted."""
-        self.checked += 1
-        return bad and len(self.failures) < MAX_WITNESSES
+    def scan(self, cases: Iterable[tuple], witness) -> "CheckReport":
+        """Count each (case, lhs, rhs) of `cases`, and keep `witness(case,
+        lhs, rhs)` for each case whose two sides differ while fewer than
+        `MAX_WITNESSES` are kept.  A zero law yields (case, value, zero); a
+        yes/no law yields booleans.  Returns this report."""
+        failures, checked = self.failures, 0
+        for case, lhs, rhs in cases:
+            checked += 1
+            if lhs != rhs and len(failures) < MAX_WITNESSES:
+                failures.append(witness(case, lhs, rhs))
+        self.checked += checked
+        return self
 
     def first_witness(self) -> Optional[dict]:
         if self.failures:
@@ -253,24 +262,26 @@ def verify_skew(L: FiniteNLieAlgebra) -> CheckReport:
     distinct tuple brackets to the constant of the sorted tuple, signed by
     the ordering, and a repeated tuple brackets to zero."""
     f = L.field
-    rep = CheckReport("skew-symmetry")
     perms = [(perm, _perm_sign(perm)) for perm in itertools.permutations(range(L.arity))]
-    for key in itertools.combinations_with_replacement(range(L.dim), L.arity):
-        if len(set(key)) < L.arity:
-            got = L.bracket_indices(key)
-            if rep.fails(bool(got)):
-                rep.failures.append({"tuple": list(key), "got": _render_sparse(L, got)})
-            continue
-        base = L.constants.get(key, _EMPTY)
-        neg = {l: f.neg(c) for l, c in base.items()}
-        for perm, sign in perms:
-            tup = tuple(key[t] for t in perm)
-            got = L.bracket_indices(tup)
-            want = base if sign == 1 else neg
-            if rep.fails(got != want):
-                rep.failures.append({"tuple": list(tup), "got": _render_sparse(L, got),
-                                     "want": _render_sparse(L, want)})
-    return rep
+
+    def cases():
+        for key in itertools.combinations_with_replacement(range(L.dim), L.arity):
+            if len(set(key)) < L.arity:
+                yield key, L.bracket_indices(key), _EMPTY
+                continue
+            base = L.constants.get(key, _EMPTY)
+            neg = {l: f.neg(c) for l, c in base.items()}
+            for perm, sign in perms:
+                tup = tuple(key[t] for t in perm)
+                yield tup, L.bracket_indices(tup), base if sign == 1 else neg
+
+    def witness(tup, got, want):
+        out = {"tuple": list(tup), "got": _render_sparse(L, got)}
+        if len(set(tup)) == L.arity:
+            out["want"] = _render_sparse(L, want)
+        return out
+
+    return CheckReport("skew-symmetry").scan(cases(), witness)
 
 
 def _render_sparse(L: FiniteNLieAlgebra, vec: Dict[int, object]) -> str:

@@ -42,7 +42,6 @@ from trilie.brackets import (
     check_involution_antisymmetry,
     check_parity_family_vanishing,
     check_principal_ideal_membership,
-    check_trilinear,
     functional_det,
     laurent_reachability,
     pair_bracket_delta,
@@ -512,7 +511,6 @@ def test_alternating_and_trilinear(A, make):
     br = make(A)
     window = A.window(3)
     assert check_alternating(br, window).passed
-    assert check_trilinear(br, window).passed
 
 
 def test_alternating_checks_the_determinant_definition(A, monkeypatch):

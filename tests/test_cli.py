@@ -84,6 +84,33 @@ def test_verify_budget_refusal_exits_two(tmp_path, capsys):
     assert report["verdict"] == "refused"
 
 
+def test_a_law_with_no_case_in_the_window_is_refused(tmp_path, capsys):
+    # on the basis {t, t^2} there is no 5-tuple of distinct indices, no triple
+    # of distinct indices and so nothing to check; these three campaigns
+    # passed with checked 0, and alternating checks 2 x 2 repeated pairs and
+    # 40 x 6 orderings
+    doc = get_bundled("laurent-flip-unit")
+    doc["basis"] = {"kind": "explicit", "indices": ["t^1", "t^2"], "tabulate": False}
+    doc["campaigns"] = [
+        {"name": "fi", "check": "fundamental-identity"},
+        {"name": "antisymmetry", "check": "involution-antisymmetry", "omega": "omega1"},
+        {"name": "hom", "check": "homomorphism", "map": {"rule": "identity"},
+         "target": {"form": "laurent-flip", "lambdas": ["1"]}},
+        {"name": "alternating", "check": "alternating"},
+    ]
+    file = tmp_path / "doc.json"
+    file.write_text(render_document(doc))
+    assert main(["verify", str(file), "--out-dir", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "laurent-flip-unit.report.json").read_text())
+    got = {c["name"]: (c["verdict"], c["counts"]["checked"]) for c in report["campaigns"]}
+    assert got == {"fi": ("refused", 0), "antisymmetry": ("refused", 0), "hom": ("refused", 0),
+                   "alternating": ("pass", 244)}
+    for c in report["campaigns"][:3]:
+        assert "no case of the law lies in the window" in c["notes"]["reason"]
+    assert report["campaigns"][0]["counts"]["covered"] == 32
+    assert report["verdict"] == "refused"
+
+
 def test_verify_reports_are_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["verify", "cyclic-group-f3", "--out-dir", str(a)]) == 0

@@ -94,6 +94,20 @@ def test_unknown_check_name():
         validate_document(doc)
 
 
+def test_trilinear_is_an_unknown_check(tmp_path, capsys):
+    # the kind is gone: every bracket a document builds is trilinear by
+    # construction, so the check could not fail
+    doc = get_bundled("dirac-gamma")
+    doc["campaigns"] = [{"name": "fi", "check": "fundamental-identity"},
+                        {"name": "c", "check": "trilinear"}]
+    file = tmp_path / "doc.json"
+    file.write_text(render_document(doc))
+    assert main(["verify", str(file), "--out-dir", str(tmp_path)]) == 64
+    err = capsys.readouterr().err
+    assert "$.campaigns[1].check" in err and "unknown check 'trilinear'" in err
+    assert not list(tmp_path.glob("*.report.json"))
+
+
 def test_unresolved_map_reference():
     doc = minimal_quotient_doc()
     doc["campaigns"] = [{"name": "x", "check": "anticommute",
@@ -244,7 +258,6 @@ def _requirement_case(name, check, path="$.campaigns[1]", **params):
                  "$.campaigns[1].target", id="homomorphism-zero-flip-target"),
     # each of these validated and then crashed at run time
     _requirement_case("dirac-gamma", "alternating"),
-    _requirement_case("dirac-gamma", "trilinear"),
     _requirement_case("dirac-gamma", "closed-vs-determinant", rows=["id", "id", "id"]),
     _requirement_case("laurent-quotient-p3", "witt"),
     _requirement_case("laurent-quotient-p3", "ideal-divisibility"),
